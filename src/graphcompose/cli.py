@@ -16,7 +16,7 @@ import os
 import sys
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -217,16 +217,31 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+# Method types. A method is a composed network or the joint label-field
+# baseline; both offer the same interface:
+#   bind(topology, args)  checks the propagation/precision flags and returns
+#                         the method ready to train;
+#   flag_config(args)     the method's settings taken from train flags;
+#   fit(dataset, split, config, cfg)
+#                         trains once, reading the hidden width or the loss
+#                         weights from cfg (a sampled sweep config, or the
+#                         flags), and returns (test, history). test() gives
+#                         the named test accuracies, the method's own first.
+
+
 @dataclass(frozen=True)
-class _Method:
+class _Composed:
     label: str
-    is_lpnn: bool = False
     file_spec: NetworkSpec | None = None
     preset_name: str | None = None
     depth: int | None = None
     lp_layers: int | None = None
     hidden: int | None = None
     fp_operator: str = "symmetric"
+    operators: dict | None = None
+    allow_lp: bool = False
+
+    samples_loss_weights = False
 
     @property
     def samples_hidden(self) -> bool:
@@ -235,8 +250,6 @@ class _Method:
     def spec_for(self, hidden_dim: int | None = None) -> NetworkSpec:
         if self.file_spec is not None:
             return self.file_spec
-        if self.preset_name is None:
-            raise UsageError("the joint-field baseline has no composed network form")
         hidden = hidden_dim if hidden_dim is not None else (self.hidden or 16)
         return preset(
             self.preset_name,
@@ -246,8 +259,75 @@ class _Method:
             fp_operator=self.fp_operator,
         )
 
+    def bind(self, topology: GraphTopology, args) -> "_Composed":
+        operators, allow_lp = _operator_set(topology, args.operator, args.alpha, args.beta)
+        return replace(self, operators=operators, allow_lp=allow_lp)
 
-def _resolve_method(args) -> _Method:
+    def flag_config(self, args) -> dict:
+        cfg = {"operator": args.operator}
+        if self.samples_hidden:
+            cfg["hidden_dim"] = self.hidden or 16
+        if args.alpha is not None:
+            cfg["alpha"], cfg["beta"] = args.alpha, args.beta
+        return cfg
+
+    def compile(self, dataset: Dataset, dropout: float, hidden_dim: int | None = None):
+        return compile_network(
+            self.spec_for(hidden_dim),
+            self.operators,
+            dataset.num_features,
+            dataset.num_classes,
+            features=dataset.features,
+            dropout=dropout,
+            allow_non_stochastic_lp=self.allow_lp,
+        )
+
+    def fit(self, dataset: Dataset, split, config: TrainConfig, cfg: dict):
+        net = self.compile(dataset, config.dropout, cfg.get("hidden_dim"))
+        params, history = train(net, dataset, split, config)
+
+        def test() -> dict[str, float]:
+            out, _ = forward(net, params, None, "infer")
+            return {"test": accuracy(out, dataset.labels, split.test)}
+
+        return test, history
+
+
+class _Lpnn:
+    label = "lpnn"
+    samples_hidden = False
+    samples_loss_weights = True
+
+    def bind(self, topology: GraphTopology, args) -> "_Lpnn":
+        if args.operator != "symmetric" or args.alpha is not None or args.beta is not None:
+            raise UsageError(
+                "method 'lpnn' builds its own symmetric operator; "
+                "--operator/--alpha/--beta do not apply"
+            )
+        if args.precision != "float64":
+            raise UsageError(
+                "method 'lpnn' trains in float64 only; --precision float32 does not apply"
+            )
+        return self
+
+    def flag_config(self, args) -> dict:
+        return {key: getattr(args, key) for key in _LOSS_WEIGHT_KEYS}
+
+    def fit(self, dataset: Dataset, split, config: TrainConfig, cfg: dict):
+        weights = LpnnWeights(*(cfg[key] for key in _LOSS_WEIGHT_KEYS))
+        model, history = train_lpnn(dataset, split, config, weights)
+
+        def test() -> dict[str, float]:
+            labels = dataset.labels
+            return {
+                "test": accuracy(predict_from_g(model, dataset.features), labels, split.test),
+                "label-field test": accuracy(predict_from_f(model), labels, split.test),
+            }
+
+        return test, history
+
+
+def _resolve_method(args):
     name = args.method
     shape_flags = [
         flag
@@ -257,10 +337,10 @@ def _resolve_method(args) -> _Method:
     if name == "lpnn":
         if shape_flags:
             raise UsageError(f"{', '.join(shape_flags)} do not apply to method 'lpnn'")
-        return _Method(label="lpnn", is_lpnn=True)
+        return _Lpnn()
     fp_operator = "row" if args.operator == "row" else "symmetric"
     if name in PRESET_NAMES:
-        return _Method(
+        return _Composed(
             label=name,
             preset_name=name,
             depth=args.l,
@@ -279,22 +359,29 @@ def _resolve_method(args) -> _Method:
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read network spec {path}: {exc}") from exc
         spec = spec_from_dict(doc)
-        return _Method(label=spec.name, file_spec=spec, fp_operator=fp_operator)
+        return _Composed(label=spec.name, file_spec=spec, fp_operator=fp_operator)
     raise UsageError(
         f"unknown method {name!r}: expected one of {', '.join(PRESET_NAMES)}, "
         "lpnn, or a path to a network spec file"
     )
 
 
-def _operator_set(topology: GraphTopology, args):
+def _composed_method(args, refusal: str) -> _Composed:
+    """Resolve --method for a command that only handles composed networks."""
+    method = _resolve_method(args)
+    if not isinstance(method, _Composed):
+        raise UsageError(refusal)
+    return method
+
+
+def _operator_set(topology: GraphTopology, operator: str, alpha, beta):
     """Build the named operator set a network compiles against.
 
-    Returns (operators, allow_non_stochastic_lp). --alpha/--beta select the
-    self-vs-neighbor mixing weights unless --operator is 'general', where they
+    Returns (operators, allow_non_stochastic_lp). alpha/beta select the
+    self-vs-neighbor mixing weights unless operator is 'general', where they
     become the degree-normalization exponents.
     """
-    alpha, beta = args.alpha, args.beta
-    if args.operator == "general":
+    if operator == "general":
         if alpha is None or beta is None:
             raise UsageError("--operator general requires --alpha and --beta exponents")
         op = build_operator(topology, "general", alpha=alpha, beta=beta)
@@ -302,7 +389,7 @@ def _operator_set(topology: GraphTopology, args):
     mix = None
     if (alpha is None) != (beta is None):
         raise UsageError("--alpha and --beta must be given together")
-    if args.operator == "mix" and alpha is None:
+    if operator == "mix" and alpha is None:
         raise UsageError("--operator mix requires --alpha and --beta weights")
     if alpha is not None:
         mix = (alpha, beta)
@@ -311,14 +398,6 @@ def _operator_set(topology: GraphTopology, args):
         "row": build_operator(topology, "row", mix=mix),
     }
     return operators, False
-
-
-def _check_lpnn_plain_operator(args) -> None:
-    if args.operator != "symmetric" or args.alpha is not None or args.beta is not None:
-        raise UsageError(
-            "method 'lpnn' builds its own symmetric operator; "
-            "--operator/--alpha/--beta do not apply"
-        )
 
 
 def _resolve_split(args, dataset: Dataset):
@@ -333,51 +412,29 @@ def _resolve_split(args, dataset: Dataset):
     if not 0 <= args.split < NUM_SPLITS:
         raise UsageError(f"--split must lie in [0, {NUM_SPLITS - 1}], got {args.split}")
     splits_dir = args.splits_dir or str(Path(args.dataset_dir) / "splits")
-    return load_split(splits_dir, args.size, args.split)
+    return load_split(splits_dir, args.size, args.split, dataset.num_nodes)
 
 
-def _config_from_args(args, seed: int | None = None) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=args.lr,
-        dropout=args.dropout,
-        weight_decay=args.weight_decay,
-        max_epochs=args.epochs,
-        patience=args.patience,
-        seed=args.seed if seed is None else seed,
-        precision=args.precision,
-    )
-
-
-def _config_doc(config: TrainConfig) -> dict:
+def _flag_config(args, method) -> dict:
+    """A flag-driven run's configuration, in the shape of a sampled one."""
     return {
-        "learning_rate": config.learning_rate,
-        "dropout": config.dropout,
-        "weight_decay": config.weight_decay,
-        "max_epochs": config.max_epochs,
-        "patience": config.patience,
-        "seed": config.seed,
-        "precision": config.precision,
+        "learning_rate": args.lr,
+        "dropout": args.dropout,
+        "weight_decay": args.weight_decay,
+        **method.flag_config(args),
     }
 
 
-def _train_composed(dataset: Dataset, split, spec, operators, allow_lp, config):
-    net = compile_network(
-        spec,
-        operators,
-        dataset.num_features,
-        dataset.num_classes,
-        features=dataset.features,
-        dropout=config.dropout,
-        num_edges=dataset.num_edges,
-        allow_non_stochastic_lp=allow_lp,
+def _train_config(args, cfg: dict, seed: int) -> TrainConfig:
+    return TrainConfig(
+        learning_rate=cfg["learning_rate"],
+        dropout=cfg["dropout"],
+        weight_decay=cfg["weight_decay"],
+        max_epochs=args.epochs,
+        patience=args.patience,
+        seed=seed,
+        precision=args.precision,
     )
-    params, history = train(net, dataset, split, config)
-    return net, params, history
-
-
-def _test_accuracy(net, params, dataset: Dataset, split) -> float:
-    out, _ = forward(net, params, None, "infer")
-    return accuracy(out, dataset.labels, split.test)
 
 
 def _run_dir(out_root: str, dataset: Dataset, label: str, split, suffix: str = "") -> Path:
@@ -409,45 +466,29 @@ def cmd_train(args) -> int:
     dataset = load_dataset(args.dataset_dir)
     method = _resolve_method(args)
     split = _resolve_split(args, dataset)
-    config = _config_from_args(args)
-
-    if method.is_lpnn:
-        _check_lpnn_plain_operator(args)
-        weights = LpnnWeights(args.mu_g, args.mu_l, args.mu_u, args.lambda_l, args.lambda_u)
-        model, history = train_lpnn(dataset, split, config, weights)
-        test = accuracy(predict_from_g(model, dataset.features), dataset.labels, split.test)
-        field_test = accuracy(predict_from_f(model), dataset.labels, split.test)
-        cfg_doc = {**_config_doc(config), **weights.as_dict()}
-    else:
-        operators, allow_lp = _operator_set(dataset.topology, args)
-        spec = method.spec_for()
-        net, params, history = _train_composed(dataset, split, spec, operators, allow_lp, config)
-        test = _test_accuracy(net, params, dataset, split)
-        field_test = None
-        cfg_doc = {**_config_doc(config), "operator": args.operator}
-        if method.samples_hidden:
-            cfg_doc["hidden_dim"] = method.hidden or 16
-        if args.alpha is not None:
-            cfg_doc["alpha"], cfg_doc["beta"] = args.alpha, args.beta
+    cfg = _flag_config(args, method)
+    config = _train_config(args, cfg, args.seed)
+    test, history = method.bind(dataset.topology, args).fit(dataset, split, config, cfg)
+    accuracies = test()
 
     result = RunResult(
         method=method.label,
         dataset=dataset.name,
         size_index=split.size_index,
         split_index=split.split_index,
-        test_accuracy=test,
+        test_accuracy=accuracies["test"],
         best_val_accuracy=history.best_val_accuracy,
-        config=cfg_doc,
+        config={**asdict(config), **cfg},
     )
     run_dir = _run_dir(args.out, dataset, method.label, split)
     _persist_result(run_dir, result, history)
     print(
         f"{method.label} on {dataset.name} (size {split.size_index}, split {split.split_index}): "
-        f"test accuracy {100 * test:.1f}, best val {100 * history.best_val_accuracy:.1f} "
-        f"at epoch {history.best_epoch}"
+        f"test accuracy {100 * result.test_accuracy:.1f}, "
+        f"best val {100 * history.best_val_accuracy:.1f} at epoch {history.best_epoch}"
     )
-    if field_test is not None:
-        print(f"label-field test accuracy {100 * field_test:.1f}")
+    for name, value in list(accuracies.items())[1:]:
+        print(f"{name} accuracy {100 * value:.1f}")
     print(f"results in {run_dir}")
     return 0
 
@@ -457,29 +498,10 @@ def cmd_sweep(args) -> int:
     method = _resolve_method(args)
     split = _resolve_split(args, dataset)
     space = SweepSpace.paper_space() if args.paper_space else SweepSpace()
-
-    if method.is_lpnn:
-        _check_lpnn_plain_operator(args)
-        operators, allow_lp = None, False
-    else:
-        operators, allow_lp = _operator_set(dataset.topology, args)
+    method = method.bind(dataset.topology, args)
 
     def run_one(cfg: dict, run_seed: int) -> float:
-        config = TrainConfig(
-            learning_rate=cfg["learning_rate"],
-            dropout=cfg["dropout"],
-            weight_decay=cfg["weight_decay"],
-            max_epochs=args.epochs,
-            patience=args.patience,
-            seed=run_seed,
-            precision=args.precision,
-        )
-        if method.is_lpnn:
-            weights = LpnnWeights(*(cfg[k] for k in _LOSS_WEIGHT_KEYS))
-            _, history = train_lpnn(dataset, split, config, weights)
-        else:
-            spec = method.spec_for(cfg.get("hidden_dim"))
-            _, _, history = _train_composed(dataset, split, spec, operators, allow_lp, config)
+        _, history = method.fit(dataset, split, _train_config(args, cfg, run_seed), cfg)
         return history.best_val_accuracy
 
     best, trials = run_sweep(
@@ -489,28 +511,14 @@ def cmd_sweep(args) -> int:
         args.seed,
         args.jobs,
         with_hidden=method.samples_hidden,
-        with_loss_weights=method.is_lpnn,
+        with_loss_weights=method.samples_loss_weights,
     )
 
     # Retrain the winner (same per-trial seed, so the run is identical) and
     # only now look at test accuracy.
-    config = TrainConfig(
-        learning_rate=best.config["learning_rate"],
-        dropout=best.config["dropout"],
-        weight_decay=best.config["weight_decay"],
-        max_epochs=args.epochs,
-        patience=args.patience,
-        seed=best.seed,
-        precision=args.precision,
-    )
-    if method.is_lpnn:
-        weights = LpnnWeights(*(best.config[k] for k in _LOSS_WEIGHT_KEYS))
-        model, history = train_lpnn(dataset, split, config, weights)
-        test = accuracy(predict_from_g(model, dataset.features), dataset.labels, split.test)
-    else:
-        spec = method.spec_for(best.config.get("hidden_dim"))
-        net, params, history = _train_composed(dataset, split, spec, operators, allow_lp, config)
-        test = _test_accuracy(net, params, dataset, split)
+    config = _train_config(args, best.config, best.seed)
+    test, history = method.fit(dataset, split, config, best.config)
+    test_accuracy = test()["test"]
 
     cfg_doc = {
         **best.config,
@@ -527,7 +535,7 @@ def cmd_sweep(args) -> int:
         dataset=dataset.name,
         size_index=split.size_index,
         split_index=split.split_index,
-        test_accuracy=test,
+        test_accuracy=test_accuracy,
         best_val_accuracy=best.val_accuracy,
         config=cfg_doc,
     )
@@ -537,7 +545,7 @@ def cmd_sweep(args) -> int:
     failed = sum(1 for t in trials if t.status != "ok")
     print(
         f"swept {args.budget} configs ({failed} failed): best trial {best.index} "
-        f"reached val {100 * best.val_accuracy:.1f}; its test accuracy is {100 * test:.1f}"
+        f"reached val {100 * best.val_accuracy:.1f}; its test accuracy is {100 * test_accuracy:.1f}"
     )
     print(f"results in {run_dir}")
     return 0
@@ -551,12 +559,15 @@ def cmd_compare(args) -> int:
     if not root.is_dir():
         raise DataError(f"results directory {root} does not exist")
     results = []
-    for path in sorted(root.rglob("*.json")):
+    for path in sorted(root.rglob("result.json")):
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise DataError(f"{path}: not a valid result file: {exc}") from exc
-        results.append(RunResult.from_dict(doc))
+        try:
+            results.append(RunResult.from_dict(doc))
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
     if args.size is not None:
         results = [r for r in results if r.size_index == args.size]
     if not results:
@@ -631,29 +642,20 @@ def _parse_grid(text: str) -> tuple[tuple[float, float], ...]:
 
 def cmd_propmodel_sweep(args) -> int:
     dataset = load_dataset(args.dataset_dir)
-    method = _resolve_method(args)
-    if method.is_lpnn:
-        raise UsageError("propmodel-sweep applies to composed networks, not 'lpnn'")
+    method = _composed_method(args, "propmodel-sweep applies to composed networks, not 'lpnn'")
     split = _resolve_split(args, dataset)
     if args.alpha is not None or args.beta is not None:
         raise UsageError("propmodel-sweep takes its alpha/beta pairs from --grid")
     grid = _parse_grid(args.grid) if args.grid else DEFAULT_PROP_GRID
-    config = _config_from_args(args)
+    cfg = _flag_config(args, method)
+    config = _train_config(args, cfg, args.seed)
+    operator = "mix" if args.model == "mix" else "general"
 
     rows = []
     last_error: DataError | None = None
     for alpha, beta in grid:
         try:
-            if args.model == "mix":
-                operators = {
-                    "symmetric": build_operator(dataset.topology, "symmetric", mix=(alpha, beta)),
-                    "row": build_operator(dataset.topology, "row", mix=(alpha, beta)),
-                }
-                allow_lp = False
-            else:
-                op = build_operator(dataset.topology, "general", alpha=alpha, beta=beta)
-                operators = {"symmetric": op, "row": op}
-                allow_lp = True
+            operators, allow_lp = _operator_set(dataset.topology, operator, alpha, beta)
         except DataError as exc:
             # A degenerate point (e.g. pure-neighbor mixing on a graph with an
             # isolated node) invalidates its row, not the rest of the grid.
@@ -661,13 +663,13 @@ def cmd_propmodel_sweep(args) -> int:
             rows.append((alpha, beta, None, None))
             print(f"alpha={alpha:g} beta={beta:g}: invalid ({exc})")
             continue
-        spec = method.spec_for()
-        net, params, history = _train_composed(dataset, split, spec, operators, allow_lp, config)
-        test = _test_accuracy(net, params, dataset, split)
-        rows.append((alpha, beta, history.best_val_accuracy, test))
+        point = replace(method, operators=operators, allow_lp=allow_lp)
+        test, history = point.fit(dataset, split, config, cfg)
+        test_accuracy = test()["test"]
+        rows.append((alpha, beta, history.best_val_accuracy, test_accuracy))
         print(
             f"alpha={alpha:g} beta={beta:g}: val {100 * history.best_val_accuracy:.1f}, "
-            f"test {100 * test:.1f}"
+            f"test {100 * test_accuracy:.1f}"
         )
     if last_error is not None and all(val is None for _, _, val, _ in rows):
         raise last_error
@@ -709,20 +711,10 @@ def cmd_gradcheck(args) -> int:
         dataset = load_dataset(args.dataset_dir)
     else:
         dataset = _toy_dataset(args.nodes, args.input_dim, args.classes, args.seed)
-    method = _resolve_method(args)
-    if method.is_lpnn:
-        raise UsageError("gradcheck covers the composed chains; 'lpnn' is not supported here")
-    operators, allow_lp = _operator_set(dataset.topology, args)
-    spec = method.spec_for()
-    net = compile_network(
-        spec,
-        operators,
-        dataset.num_features,
-        dataset.num_classes,
-        features=dataset.features,
-        dropout=0.0,
-        allow_non_stochastic_lp=allow_lp,
+    method = _composed_method(
+        args, "gradcheck covers the composed chains; 'lpnn' is not supported here"
     )
+    net = method.bind(dataset.topology, args).compile(dataset, dropout=0.0)
     report = gradient_check(net, dataset, tolerance=args.tolerance, seed=args.seed)
     for i, err in enumerate(report.per_param):
         print(f"parameter {i}: max relative error {err:.3e}")
@@ -736,9 +728,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    method = _resolve_method(args)
-    if method.is_lpnn:
-        raise UsageError("cost terms are defined for the composed networks, not 'lpnn'")
+    method = _composed_method(args, "cost terms are defined for the composed networks, not 'lpnn'")
     if args.dataset_dir:
         dataset = load_dataset(args.dataset_dir)
         n, edges = dataset.num_nodes, dataset.num_edges
@@ -888,8 +878,8 @@ def _build_parser() -> _Parser:
         default=None,
         help="semicolon-separated alpha,beta pairs (default: the published 10-point grid)",
     )
-    # Propagation flags stay so _resolve_method/_operator_set share code, but
-    # the pairs come from --grid.
+    # Propagation flags stay so _resolve_method and the composed method's
+    # flag_config share code, but the pairs come from --grid.
     p.set_defaults(operator="symmetric", alpha=None, beta=None)
     _add_train_flags(p)
     p.add_argument("--out", default=None, help="write the val/test table to this file")

@@ -284,7 +284,10 @@ def split_to_text(split: DataSplit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_split_text(path: Path, size_index: int, split_index: int) -> DataSplit:
+def _parse_split_text(
+    path: Path, size_index: int, split_index: int, num_nodes: int
+) -> DataSplit:
+    """Parse a split file; every node id must lie in [0, num_nodes)."""
     sections: dict[str, list[int]] = {"train": [], "val": [], "test": []}
     active: list[int] | None = None
     try:
@@ -301,7 +304,10 @@ def _parse_split_text(path: Path, size_index: int, split_index: int) -> DataSpli
         if active is None:
             raise DataError(f"{path}:{lineno}: node id before any section header")
         for token in line.split():
-            active.append(_parse_int(path, lineno, token, "node id"))
+            node = _parse_int(path, lineno, token, "node id")
+            if not 0 <= node < num_nodes:
+                raise DataError(f"{path}:{lineno}: node id {node} outside [0, {num_nodes})")
+            active.append(node)
     if not sections["train"] or not sections["val"] or not sections["test"]:
         raise DataError(f"{path}: every split section must be nonempty")
     return DataSplit(
@@ -329,13 +335,14 @@ def save_splits(splits, out_dir) -> list[Path]:
     return written
 
 
-def load_split(splits_dir, size_index: int, split_index: int) -> DataSplit:
+def load_split(splits_dir, size_index: int, split_index: int, num_nodes: int) -> DataSplit:
+    """A generated split of a dataset with num_nodes nodes; ids are range-checked."""
     path = Path(splits_dir) / str(size_index) / str(split_index) / "split.txt"
     if not path.is_file():
         raise DataError(
             f"split file {path} not found; generate splits first (splits command)"
         )
-    return _parse_split_text(path, size_index, split_index)
+    return _parse_split_text(path, size_index, split_index, num_nodes)
 
 
 def load_standard_split(dataset: Dataset) -> DataSplit:
@@ -345,10 +352,4 @@ def load_standard_split(dataset: Dataset) -> DataSplit:
     path = Path(dataset.source_dir) / "standard_split.txt"
     if not path.is_file():
         raise DataError(f"standard split unavailable for dataset {dataset.name!r}")
-    split = _parse_split_text(path, 0, 0)
-    n = dataset.num_nodes
-    for section in (split.train, split.val, split.test):
-        for i in section:
-            if not (0 <= i < n):
-                raise DataError(f"{path}: node id {i} outside [0, {n})")
-    return split
+    return _parse_split_text(path, 0, 0, dataset.num_nodes)

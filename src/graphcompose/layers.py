@@ -1,7 +1,8 @@
 """Differentiable layer primitives.
 
 Each primitive is a pure forward function paired with a vector-Jacobian
-product (vjp). The softmax vjp applies the full Jacobian rather than assuming
+product (vjp). Smoothing is the sparse product in linalg (spmm, with
+spmm_transposed as its vjp). The softmax vjp applies the full Jacobian rather than assuming
 a fused cross-entropy, because smoothing layers may follow the softmax.
 """
 
@@ -10,12 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UsageError
-from .graph import PropagationOperator
-from .linalg import spmm, spmm_transposed
 
 __all__ = [
-    "smoothing_forward",
-    "smoothing_vjp",
     "linear_forward",
     "linear_vjp",
     "relu_forward",
@@ -25,23 +22,6 @@ __all__ = [
     "dropout_forward",
     "dropout_vjp",
 ]
-
-_ACTIVATIONS = ("identity", "relu")
-
-
-def smoothing_forward(op: PropagationOperator, x, activation: str = "identity") -> np.ndarray:
-    if activation not in _ACTIVATIONS:
-        raise UsageError(f"unknown activation {activation!r}")
-    out = spmm(op.matrix, x)
-    if activation == "relu":
-        out = relu_forward(out)
-    return out
-
-
-def smoothing_vjp(op: PropagationOperator, upstream) -> np.ndarray:
-    """Gradient through S @ X is S.T @ upstream. Callers apply any activation
-    gradient before this."""
-    return spmm_transposed(op.matrix, upstream)
 
 
 def linear_forward(x, w) -> np.ndarray:

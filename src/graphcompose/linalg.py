@@ -20,7 +20,6 @@ __all__ = [
     "SparseMatrix",
     "spmm",
     "spmm_transposed",
-    "gemm",
     "row_unit_normalize",
 ]
 
@@ -149,14 +148,6 @@ def spmm_transposed(s: SparseMatrix, x) -> np.ndarray:
     if s.rows != x.shape[0]:
         raise UsageError(f"spmm_transposed shape mismatch: sparse {s.shape}.T @ dense {x.shape}")
     return s._csr.T @ x
-
-
-def gemm(a, b) -> np.ndarray:
-    a = _check_2d(a, "left operand")
-    b = _check_2d(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise UsageError(f"gemm shape mismatch: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 def row_unit_normalize(x) -> np.ndarray:

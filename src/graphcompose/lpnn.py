@@ -30,7 +30,7 @@ from .networks import (
     forward,
     init_params,
 )
-from .training import PROB_FLOOR, AdamState, TrainConfig, TrainHistory, adam_step
+from .training import PROB_FLOOR, AdamState, TrainConfig, adam_step, fit
 
 __all__ = [
     "LpnnWeights",
@@ -161,8 +161,8 @@ def predict_from_f(model: LpnnModel) -> np.ndarray:
 
 
 def train_lpnn(dataset, split, config: TrainConfig, weights: LpnnWeights):
-    """Joint Adam optimization of f and g with the usual epoch budget and
-    early stopping. Validation and the returned best snapshot follow g's
+    """Joint Adam optimization of f and g under the shared early-stopping loop
+    (training.fit). Validation and the returned best snapshot follow g's
     accuracy, since g serves predictions by default."""
     x = np.asarray(dataset.features, dtype=np.float64)
     labels = np.asarray(dataset.labels)
@@ -184,48 +184,20 @@ def train_lpnn(dataset, split, config: TrainConfig, weights: LpnnWeights):
     adam_f = AdamState.for_params([f])
     adam_g = AdamState.for_params(g_params)
 
-    losses: list[float] = []
-    accs: list[float] = []
-    best_acc = -np.inf
-    best_epoch = 0
-    best_f = f.copy()
-    best_g = [p.copy() for p in g_params]
-    stale = 0
-    stopped = config.max_epochs
-    for epoch in range(1, config.max_epochs + 1):
+    def step() -> float:
+        nonlocal f, g_params
         g_out, states = forward(g_net, g_params, x, "train", dropout_rng)
         loss, d_f, d_g_out = lpnn_loss(f, g_out, op, labels, train_idx, weights)
-        if not np.isfinite(loss):
-            raise NumericError(
-                f"non-finite lpnn loss at epoch {epoch} (learning_rate={config.learning_rate})"
-            )
         g_grads = backward(g_net, states, d_g_out)
         # Weight decay shrinks only g's linear weights, never the label field.
         f = adam_step([f], [d_f], adam_f, config.learning_rate, 0.0)[0]
         g_params = adam_step(g_params, g_grads, adam_g, config.learning_rate, config.weight_decay)
+        return loss
 
+    def evaluate():
         val_out, _ = forward(g_net, g_params, x, "infer")
-        val_acc = accuracy(val_out, labels, val_idx)
-        losses.append(loss)
-        accs.append(val_acc)
-        if val_acc > best_acc:
-            best_acc = val_acc
-            best_epoch = epoch
-            best_f = f.copy()
-            best_g = [p.copy() for p in g_params]
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                stopped = epoch
-                break
+        return accuracy(val_out, labels, val_idx), (f, g_params)
 
-    history = TrainHistory(
-        train_loss=tuple(losses),
-        val_accuracy=tuple(accs),
-        best_epoch=best_epoch,
-        best_val_accuracy=float(best_acc),
-        stopped_epoch=stopped,
-    )
+    (best_f, best_g), history = fit(step, evaluate, config)
     model = LpnnModel(f=best_f, g_net=g_net, g_params=best_g, operator=op, weights=weights)
     return model, history

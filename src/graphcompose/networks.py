@@ -14,7 +14,7 @@ probability rows); FP stages only before any parameterized stage.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,6 @@ __all__ = [
     "spec_from_dict",
     "validate_spec",
     "compile_network",
-    "precompute_fp",
     "init_params",
     "forward",
     "backward",
@@ -249,67 +248,42 @@ def preset(
 # Spec serialization
 
 
+_STAGE_KINDS: dict[str, type] = {
+    "fp": Fp,
+    "mlp": Mlp,
+    "linear_classifier": LinearClassifier,
+    "gcn_block": GcnBlock,
+    "softmax": Softmax,
+    "lp": Lp,
+}
+_KIND_OF_STAGE = {cls: kind for kind, cls in _STAGE_KINDS.items()}
+
+
 def spec_to_dict(spec: NetworkSpec) -> dict:
+    """One document per stage: its kind, then its fields in declaration order."""
     stages = []
     for stage in spec.stages:
-        if isinstance(stage, Fp):
-            stages.append({"kind": "fp", "layers": stage.layers, "operator": stage.operator})
-        elif isinstance(stage, Mlp):
-            stages.append(
-                {
-                    "kind": "mlp",
-                    "hidden_dims": list(stage.hidden_dims),
-                    "activation": stage.activation,
-                }
-            )
-        elif isinstance(stage, LinearClassifier):
-            stages.append({"kind": "linear_classifier"})
-        elif isinstance(stage, GcnBlock):
-            stages.append(
-                {
-                    "kind": "gcn_block",
-                    "layers": stage.layers,
-                    "hidden_dims": list(stage.hidden_dims),
-                    "operator": stage.operator,
-                    "smoothings": stage.smoothings,
-                }
-            )
-        elif isinstance(stage, Softmax):
-            stages.append({"kind": "softmax"})
-        elif isinstance(stage, Lp):
-            stages.append({"kind": "lp", "layers": stage.layers, "operator": stage.operator})
+        doc = {"kind": _KIND_OF_STAGE[type(stage)]}
+        for f in dataclasses.fields(stage):
+            value = getattr(stage, f.name)
+            doc[f.name] = list(value) if isinstance(value, tuple) else value
+        stages.append(doc)
     return {"name": spec.name, "stages": stages}
 
 
 def spec_from_dict(doc: dict) -> NetworkSpec:
+    """Inverse of spec_to_dict; a stage field missing from its document takes
+    the stage's default."""
     if not isinstance(doc, dict) or "name" not in doc or "stages" not in doc:
         raise UsageError("network spec document needs 'name' and 'stages' fields")
     stages: list[Stage] = []
     for entry in doc["stages"]:
         kind = entry.get("kind")
-        if kind == "fp":
-            stages.append(Fp(entry.get("layers", 2), entry.get("operator", "symmetric")))
-        elif kind == "mlp":
-            stages.append(
-                Mlp(tuple(entry.get("hidden_dims", [16])), entry.get("activation", "relu"))
-            )
-        elif kind == "linear_classifier":
-            stages.append(LinearClassifier())
-        elif kind == "gcn_block":
-            stages.append(
-                GcnBlock(
-                    entry.get("layers", 2),
-                    tuple(entry.get("hidden_dims", [16])),
-                    entry.get("operator", "symmetric"),
-                    entry.get("smoothings"),
-                )
-            )
-        elif kind == "softmax":
-            stages.append(Softmax())
-        elif kind == "lp":
-            stages.append(Lp(entry.get("layers", 1), entry.get("operator", "row")))
-        else:
+        if kind not in _STAGE_KINDS:
             raise UsageError(f"unknown stage kind {kind!r} in network spec document")
+        cls = _STAGE_KINDS[kind]
+        given = {f.name: entry[f.name] for f in dataclasses.fields(cls) if f.name in entry}
+        stages.append(cls(**given))
     return NetworkSpec(str(doc["name"]), tuple(stages))
 
 
@@ -317,38 +291,91 @@ def spec_from_dict(doc: dict) -> NetworkSpec:
 # Compiled form
 
 
+# Chain entries. Each owns its forward and vjp: forward(h, params, rng,
+# training) returns (output, cache) and vjp(cache, params, upstream, grads)
+# returns the upstream gradient for the previous entry, adding any parameter
+# gradient into grads. The layer primitives are looked up as module globals at
+# call time, so they can be wrapped (for example by a profiler).
+
+
+class _Entry:
+    kind: str
+
+    def cast(self, cast_op) -> "_Entry":
+        """This entry with its operator recast by cast_op (if it has one)."""
+        return self
+
+
 @dataclass(frozen=True, eq=False)
-class _SmoothEntry:
+class _Smooth(_Entry):
+    """Feature-side smoothing S @ h."""
+
     op: PropagationOperator
-    role: str  # "fp" inside the feature path, "lp" after the softmax
+    kind = "smooth"
 
-    @property
-    def kind(self) -> str:
-        return "lp" if self.role == "lp" else "smooth"
+    def forward(self, h, params, rng, training):
+        return spmm(self.op.matrix, h), None
+
+    def vjp(self, cache, params, u, grads):
+        return spmm_transposed(self.op.matrix, u)
+
+    def cast(self, cast_op) -> "_Smooth":
+        return dataclasses.replace(self, op=cast_op(self.op))
+
+
+class _LabelProp(_Smooth):
+    """Smoothing of class probabilities, after the softmax."""
+
+    kind = "lp"
 
 
 @dataclass(frozen=True)
-class _LinearEntry:
+class _Linear(_Entry):
     index: int
-    in_dim: int
-    out_dim: int
-    kind: str = field(default="linear", init=False)
+    kind = "linear"
+
+    def forward(self, h, params, rng, training):
+        return linear_forward(h, params[self.index]), h
+
+    def vjp(self, cache, params, u, grads):
+        u, dw = linear_vjp(cache, params[self.index], u)
+        grads[self.index] += dw
+        return u
 
 
 @dataclass(frozen=True)
-class _ReluEntry:
-    kind: str = field(default="relu", init=False)
+class _Relu(_Entry):
+    kind = "relu"
+
+    def forward(self, h, params, rng, training):
+        return relu_forward(h), h
+
+    def vjp(self, cache, params, u, grads):
+        return relu_vjp(cache, u)
 
 
 @dataclass(frozen=True)
-class _SoftmaxEntry:
-    kind: str = field(default="softmax", init=False)
+class _Softmax(_Entry):
+    kind = "softmax"
+
+    def forward(self, h, params, rng, training):
+        p = softmax_rows_forward(h)
+        return p, p
+
+    def vjp(self, cache, params, u, grads):
+        return softmax_rows_vjp(cache, u)
 
 
 @dataclass(frozen=True)
-class _DropoutEntry:
+class _Dropout(_Entry):
     rate: float
-    kind: str = field(default="dropout", init=False)
+    kind = "dropout"
+
+    def forward(self, h, params, rng, training):
+        return dropout_forward(h, self.rate, rng, training)
+
+    def vjp(self, cache, params, u, grads):
+        return dropout_vjp(cache, self.rate, u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,25 +434,6 @@ class ForwardStates:
     caches: list
 
 
-def precompute_fp(op: PropagationOperator, x, layers: int) -> np.ndarray:
-    """Apply `layers` successive smoothings; zero layers returns x unchanged."""
-    if layers < 0:
-        raise UsageError(f"fp layer count must be >= 0, got {layers}")
-    out = np.asarray(x)
-    for _ in range(layers):
-        out = spmm(op.matrix, out)
-    return out
-
-
-def _resolve(operators, name: str, spec_name: str) -> PropagationOperator:
-    if name not in operators:
-        raise UsageError(
-            f"network {spec_name!r} references operator {name!r}; "
-            f"available: {sorted(operators)}"
-        )
-    return operators[name]
-
-
 def compile_network(
     spec: NetworkSpec,
     operators,
@@ -449,72 +457,70 @@ def compile_network(
     if not (0.0 <= dropout < 1.0):
         raise UsageError(f"dropout must lie in [0, 1), got {dropout}")
 
-    # Flatten stages into an ordered op list.
-    flat: list = []
+    # Flatten stages into the entry chain; dropout precedes every linear.
+    chain: list[_Entry] = []
+    shapes: list[tuple[int, int]] = []
     dim = input_dim
     num_nodes: int | None = None
 
-    def note_op(op: PropagationOperator) -> None:
+    def resolve(name: str) -> PropagationOperator:
         nonlocal num_nodes
+        if name not in operators:
+            raise UsageError(
+                f"network {spec.name!r} references operator {name!r}; "
+                f"available: {sorted(operators)}"
+            )
+        op = operators[name]
         if num_nodes is None:
             num_nodes = op.num_nodes
         elif num_nodes != op.num_nodes:
             raise UsageError(
                 f"operators disagree on node count: {num_nodes} vs {op.num_nodes}"
             )
+        return op
+
+    def linear(out_dim: int) -> None:
+        nonlocal dim
+        if dropout > 0.0:
+            chain.append(_Dropout(dropout))
+        chain.append(_Linear(len(shapes)))
+        shapes.append((dim, out_dim))
+        dim = out_dim
 
     for pos, stage in enumerate(spec.stages):
         if isinstance(stage, Fp):
-            op = _resolve(operators, stage.operator, spec.name)
-            note_op(op)
-            flat += [_SmoothEntry(op, "fp")] * stage.layers
+            chain += [_Smooth(resolve(stage.operator))] * stage.layers
         elif isinstance(stage, Mlp):
             for h in stage.hidden_dims:
-                flat.append(_LinearEntry(-1, dim, h))
-                dim = h
+                linear(h)
                 if stage.activation == "relu":
-                    flat.append(_ReluEntry())
+                    chain.append(_Relu())
         elif isinstance(stage, LinearClassifier):
-            flat.append(_LinearEntry(-1, dim, num_classes))
-            dim = num_classes
+            linear(num_classes)
         elif isinstance(stage, GcnBlock):
-            op = _resolve(operators, stage.operator, spec.name)
-            note_op(op)
+            op = resolve(stage.operator)
             dims = stage.hidden_dims + (num_classes,)
             for k in range(stage.layers):
                 if k < stage.effective_smoothings:
-                    flat.append(_SmoothEntry(op, "fp"))
-                flat.append(_LinearEntry(-1, dim, dims[k]))
-                dim = dims[k]
+                    chain.append(_Smooth(op))
+                linear(dims[k])
                 if k < stage.layers - 1:
-                    flat.append(_ReluEntry())
+                    chain.append(_Relu())
         elif isinstance(stage, Softmax):
             if dim != num_classes:
                 raise UsageError(
                     f"network {spec.name!r}: stage {pos} (softmax) expects dimension "
                     f"{num_classes} but the preceding stage ends at {dim}"
                 )
-            flat.append(_SoftmaxEntry())
+            chain.append(_Softmax())
         elif isinstance(stage, Lp):
-            op = _resolve(operators, stage.operator, spec.name)
-            note_op(op)
+            op = resolve(stage.operator)
             if op.kind != "row" and not allow_non_stochastic_lp:
                 raise UsageError(
                     f"network {spec.name!r}: label propagation requires a row-normalized "
                     f"operator, got kind {op.kind!r}"
                 )
-            flat += [_SmoothEntry(op, "lp")] * stage.layers
-
-    # Insert dropout in front of every linear layer and assign parameter slots.
-    chain: list = []
-    shapes: list[tuple[int, int]] = []
-    for entry in flat:
-        if isinstance(entry, _LinearEntry):
-            if dropout > 0.0:
-                chain.append(_DropoutEntry(dropout))
-            entry = dataclasses.replace(entry, index=len(shapes))
-            shapes.append((entry.in_dim, entry.out_dim))
-        chain.append(entry)
+            chain += [_LabelProp(op)] * stage.layers
 
     # Fold the leading smoothing run into a precomputed input when possible.
     x_bar = None
@@ -532,7 +538,7 @@ def compile_network(
             )
         num_nodes = features.shape[0]
         prefix = 0
-        while prefix < len(chain) and isinstance(chain[prefix], _SmoothEntry):
+        while prefix < len(chain) and chain[prefix].kind == "smooth":
             prefix += 1
         folded = tuple(entry.op for entry in chain[:prefix])
         x_bar = features
@@ -596,20 +602,7 @@ def forward(net: CompiledNetwork, params, x=None, mode: str = "infer", rng=None)
     training = mode == "train"
     caches: list = []
     for entry in net.layers:
-        if isinstance(entry, _DropoutEntry):
-            h, cache = dropout_forward(h, entry.rate, rng, training)
-        elif isinstance(entry, _LinearEntry):
-            cache = h
-            h = linear_forward(h, params[entry.index])
-        elif isinstance(entry, _ReluEntry):
-            cache = h
-            h = relu_forward(h)
-        elif isinstance(entry, _SmoothEntry):
-            cache = None
-            h = spmm(entry.op.matrix, h)
-        else:
-            h = softmax_rows_forward(h)
-            cache = h
+        h, cache = entry.forward(h, params, rng, training)
         if training:
             caches.append(cache)
     if training:
@@ -626,17 +619,7 @@ def backward(net: CompiledNetwork, states: ForwardStates | None, d_output):
     grads = [np.zeros(s, dtype=p.dtype) for s, p in zip(net.param_shapes, states.params)]
     u = np.asarray(d_output)
     for entry, cache in zip(reversed(net.layers), reversed(states.caches)):
-        if isinstance(entry, _DropoutEntry):
-            u = dropout_vjp(cache, entry.rate, u)
-        elif isinstance(entry, _LinearEntry):
-            u, dw = linear_vjp(cache, states.params[entry.index], u)
-            grads[entry.index] += dw
-        elif isinstance(entry, _ReluEntry):
-            u = relu_vjp(cache, u)
-        elif isinstance(entry, _SmoothEntry):
-            u = spmm_transposed(entry.op.matrix, u)
-        else:
-            u = softmax_rows_vjp(cache, u)
+        u = entry.vjp(cache, states.params, u, grads)
     return grads
 
 
@@ -689,13 +672,9 @@ def with_dtype(net: CompiledNetwork, dtype) -> CompiledNetwork:
             recast[id(op)] = dataclasses.replace(op, matrix=matrix)
         return recast[id(op)]
 
-    layers = tuple(
-        dataclasses.replace(e, op=cast_op(e.op)) if isinstance(e, _SmoothEntry) else e
-        for e in net.layers
-    )
     return dataclasses.replace(
         net,
-        layers=layers,
+        layers=tuple(entry.cast(cast_op) for entry in net.layers),
         folded=tuple(cast_op(op) for op in net.folded),
         x_bar=None if net.x_bar is None else net.x_bar.astype(dtype),
     )

@@ -24,6 +24,7 @@ __all__ = [
     "GradCheckReport",
     "masked_cross_entropy",
     "adam_step",
+    "fit",
     "train",
     "gradient_check",
 ]
@@ -135,12 +136,61 @@ def _resolve_inputs(net: CompiledNetwork, dataset):
     return dataset.features
 
 
-def train(net: CompiledNetwork, dataset, split, config: TrainConfig):
-    """Full-batch training with early stopping on validation accuracy.
+def fit(step, evaluate, config: TrainConfig):
+    """The early-stopping loop shared by every trainer.
 
-    Each epoch takes one optimizer step and then evaluates in inference mode;
-    training stops after `patience` consecutive epochs without a strict
-    improvement, and the parameters from the best epoch are returned.
+    Each epoch calls step(), which takes one optimizer update and returns the
+    training loss that update was computed from, then evaluate(), which
+    returns (validation accuracy, model state). A non-finite loss raises
+    NumericError.
+    Training stops after `patience` consecutive epochs without a strict
+    improvement. Returns the state from the best epoch and the history; the
+    state is kept by reference, so step must replace it rather than update it
+    in place.
+    """
+    losses: list[float] = []
+    accs: list[float] = []
+    best_acc = -np.inf
+    best_epoch = 0
+    best_state = None
+    stale = 0
+    stopped = config.max_epochs
+    for epoch in range(1, config.max_epochs + 1):
+        loss = step()
+        if not np.isfinite(loss):
+            raise NumericError(
+                f"non-finite training loss at epoch {epoch} "
+                f"(learning_rate={config.learning_rate})"
+            )
+        val_acc, state = evaluate()
+        losses.append(loss)
+        accs.append(val_acc)
+        if val_acc > best_acc:
+            best_acc = val_acc
+            best_epoch = epoch
+            best_state = state
+            stale = 0
+        else:
+            stale += 1
+            if stale >= config.patience:
+                stopped = epoch
+                break
+
+    history = TrainHistory(
+        train_loss=tuple(losses),
+        val_accuracy=tuple(accs),
+        best_epoch=best_epoch,
+        best_val_accuracy=float(best_acc),
+        stopped_epoch=stopped,
+    )
+    return best_state, history
+
+
+def train(net: CompiledNetwork, dataset, split, config: TrainConfig):
+    """Full-batch training of a compiled network with early stopping on
+    validation accuracy (see fit). Each epoch takes one Adam step and then
+    evaluates in inference mode; returns the best epoch's parameters and the
+    history.
     """
     dtype = np.float32 if config.precision == "float32" else np.float64
     work_net = with_dtype(net, dtype) if dtype == np.float32 else net
@@ -159,46 +209,19 @@ def train(net: CompiledNetwork, dataset, split, config: TrainConfig):
     dropout_rng = np.random.default_rng(dropout_stream)
     adam = AdamState.for_params(params)
 
-    losses: list[float] = []
-    accs: list[float] = []
-    best_acc = -np.inf
-    best_epoch = 0
-    best_params = [p.copy() for p in params]
-    stale = 0
-    stopped = config.max_epochs
-    for epoch in range(1, config.max_epochs + 1):
+    def step() -> float:
+        nonlocal params
         out, states = forward(work_net, params, x, "train", dropout_rng)
         loss, d_p = masked_cross_entropy(out, labels, train_idx)
-        if not np.isfinite(loss):
-            raise NumericError(
-                f"non-finite training loss at epoch {epoch} "
-                f"(learning_rate={config.learning_rate})"
-            )
         grads = backward(work_net, states, d_p)
         params = adam_step(params, grads, adam, config.learning_rate, config.weight_decay)
-        val_out, _ = forward(work_net, params, x, "infer")
-        val_acc = accuracy(val_out, labels, val_idx)
-        losses.append(loss)
-        accs.append(val_acc)
-        if val_acc > best_acc:
-            best_acc = val_acc
-            best_epoch = epoch
-            best_params = [p.copy() for p in params]
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                stopped = epoch
-                break
+        return loss
 
-    history = TrainHistory(
-        train_loss=tuple(losses),
-        val_accuracy=tuple(accs),
-        best_epoch=best_epoch,
-        best_val_accuracy=float(best_acc),
-        stopped_epoch=stopped,
-    )
-    return best_params, history
+    def evaluate():
+        val_out, _ = forward(work_net, params, x, "infer")
+        return accuracy(val_out, labels, val_idx), params
+
+    return fit(step, evaluate, config)
 
 
 @dataclass(frozen=True)

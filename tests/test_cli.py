@@ -229,6 +229,30 @@ class TestErrorsAndExitCodes:
         args += ["--splits-dir", str(tmp_path / "nosplits")]
         assert main(args) == 2
 
+    def test_out_of_range_generated_split_is_data_error(self, cli_env, tmp_path, capsys):
+        splits = tmp_path / "splits"
+        (splits / "1" / "0").mkdir(parents=True)
+        (splits / "1" / "0" / "split.txt").write_text("train:\n0\nval:\n1\ntest:\n99999\n")
+        args = quick_train_args(cli_env, tmp_path, "sgcn") + ["--splits-dir", str(splits)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "split.txt:6: node id 99999 outside" in err
+
+    def test_lpnn_rejects_float32(self, cli_env, tmp_path, capsys):
+        code = main(quick_train_args(cli_env, tmp_path, "lpnn", ["--precision", "float32"]))
+        assert code == 1
+        assert "float64 only" in capsys.readouterr().err
+        assert not list(Path(tmp_path).rglob("result.json"))
+
+    def test_lpnn_sweep_rejects_float32(self, cli_env, tmp_path, capsys):
+        code = main(
+            ["sweep", "--dataset-dir", str(cli_env), "--size", "1", "--split", "0",
+             "--method", "lpnn", "--budget", "1", "--epochs", "2",
+             "--precision", "float32", "--out", str(tmp_path)]
+        )
+        assert code == 1
+        assert "float64 only" in capsys.readouterr().err
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
@@ -343,22 +367,24 @@ class TestTrainCommand:
 
 
 class TestSweepCommand:
-    def sweep_args(self, env, out, jobs, extra=()):
+    def sweep_args(self, env, out, jobs, extra=(), method="sgcn", budget=4, epochs=12):
         return [
             "sweep", "--dataset-dir", str(env), "--size", "1", "--split", "0",
-            "--method", "sgcn", "--budget", "4", "--epochs", "12",
-            "--patience", "12", "--jobs", str(jobs), "--seed", "11",
+            "--method", method, "--budget", str(budget), "--epochs", str(epochs),
+            "--patience", str(epochs), "--jobs", str(jobs), "--seed", "11",
             "--out", str(out), *extra,
         ]
 
-    def test_parallelism_never_changes_results(self, cli_env, tmp_path):
+    @pytest.mark.parametrize(
+        "method, budget, epochs", [("sgcn", 4, 12), ("lpnn", 3, 4)], ids=["sgcn", "lpnn"]
+    )
+    def test_parallelism_never_changes_results(self, cli_env, tmp_path, method, budget, epochs):
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main(self.sweep_args(cli_env, a, 1)) == 0
-        assert main(self.sweep_args(cli_env, b, 3)) == 0
-        ta = next(Path(a).rglob("trials.txt")).read_bytes()
-        tb = next(Path(b).rglob("trials.txt")).read_bytes()
-        assert ta == tb
-        assert read_only_result(a) == read_only_result(b)
+        for out, jobs in ((a, 1), (b, 3)):
+            args = self.sweep_args(cli_env, out, jobs, method=method, budget=budget, epochs=epochs)
+            assert main(args) == 0
+        for name in ("trials.txt", "result.json"):
+            assert next(a.rglob(name)).read_bytes() == next(b.rglob(name)).read_bytes()
 
     def test_selection_uses_validation_only(self, cli_env, tmp_path, capsys):
         assert main(self.sweep_args(cli_env, tmp_path, 1)) == 0
@@ -459,6 +485,25 @@ class TestCompareCommand:
         root.mkdir()
         (root / "result.json").write_text("{not json")
         assert main(["compare", "--results-dir", str(root)]) == 2
+
+    def test_malformed_record_names_its_file(self, tmp_path, capsys):
+        root = tmp_path / "res"
+        self.fake_result(root, "gcn", "d1", 1, 0, 0.9)
+        bad = root / "broken" / "result.json"
+        bad.parent.mkdir()
+        bad.write_text(json.dumps({"dataset": "d1"}))
+        assert main(["compare", "--results-dir", str(root)]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "malformed run result record" in err
+
+    def test_other_json_files_are_ignored(self, tmp_path, capsys):
+        root = tmp_path / "res"
+        self.fake_result(root, "gcn", "d1", 1, 0, 0.9)
+        self.fake_result(root, "sgcn", "d1", 1, 0, 0.8)
+        spec = {"name": "x", "stages": [{"kind": "linear_classifier"}, {"kind": "softmax"}]}
+        (root / "net.json").write_text(json.dumps(spec))
+        assert main(["compare", "--results-dir", str(root)]) == 0
+        assert capsys.readouterr().out.startswith("method")
 
     def test_report_written_to_file(self, tmp_path, capsys):
         root = tmp_path / "res"

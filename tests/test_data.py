@@ -278,7 +278,7 @@ class TestSplitPersistence:
         d = tmp_path / "2" / "3"
         d.mkdir(parents=True)
         (d / "split.txt").write_text(text)
-        loaded = load_split(tmp_path, 2, 3)
+        loaded = load_split(tmp_path, 2, 3, num_nodes=20)
         assert loaded == split
 
     def test_save_layout_and_idempotence(self, tmp_path, split_dataset):
@@ -294,33 +294,43 @@ class TestSplitPersistence:
     def test_load_split_roundtrips_saved(self, tmp_path, split_dataset):
         splits = generate_splits(split_dataset, base_seed=7)
         save_splits(splits, tmp_path / "s")
-        loaded = load_split(tmp_path / "s", 3, 4)
+        loaded = load_split(tmp_path / "s", 3, 4, split_dataset.num_nodes)
         assert loaded == splits[(3, 4)]
 
     def test_missing_split_mentions_generation(self, tmp_path):
         with pytest.raises(DataError, match="generate splits first"):
-            load_split(tmp_path, 1, 0)
+            load_split(tmp_path, 1, 0, num_nodes=20)
 
     def test_id_before_header_rejected(self, tmp_path):
         d = tmp_path / "1" / "0"
         d.mkdir(parents=True)
         (d / "split.txt").write_text("7\ntrain:\n1\nval:\n2\ntest:\n3\n")
         with pytest.raises(DataError, match="before any section header"):
-            load_split(tmp_path, 1, 0)
+            load_split(tmp_path, 1, 0, num_nodes=20)
 
     def test_empty_section_rejected(self, tmp_path):
         d = tmp_path / "1" / "0"
         d.mkdir(parents=True)
         (d / "split.txt").write_text("train:\n1\nval:\ntest:\n3\n")
         with pytest.raises(DataError, match="nonempty"):
-            load_split(tmp_path, 1, 0)
+            load_split(tmp_path, 1, 0, num_nodes=20)
+
+    def test_out_of_range_id_names_path_and_line(self, tmp_path):
+        d = tmp_path / "1" / "0"
+        d.mkdir(parents=True)
+        (d / "split.txt").write_text("train:\n1\nval:\n2\ntest:\n3 99999\n")
+        with pytest.raises(DataError, match=r"split\.txt:6: node id 99999 outside \[0, 20\)"):
+            load_split(tmp_path, 1, 0, num_nodes=20)
+        (d / "split.txt").write_text("train:\n-1\nval:\n2\ntest:\n3\n")
+        with pytest.raises(DataError, match="split\\.txt:2: node id -1"):
+            load_split(tmp_path, 1, 0, num_nodes=20)
 
     def test_overlapping_sections_rejected(self, tmp_path):
         d = tmp_path / "1" / "0"
         d.mkdir(parents=True)
         (d / "split.txt").write_text("train:\n1\nval:\n1\ntest:\n3\n")
         with pytest.raises(DataError, match="disjoint"):
-            load_split(tmp_path, 1, 0)
+            load_split(tmp_path, 1, 0, num_nodes=20)
 
 
 class TestStandardSplit:
@@ -350,5 +360,5 @@ class TestStandardSplit:
         root = write_dataset_dir(tmp_path / "oor", dataset)
         (root / "standard_split.txt").write_text("train:\n0\nval:\n2\ntest:\n99\n")
         loaded = load_dataset(root)
-        with pytest.raises(DataError, match="node id 99"):
+        with pytest.raises(DataError, match=r"standard_split\.txt:6: node id 99 outside"):
             load_standard_split(loaded)

@@ -10,11 +10,11 @@ from graphcompose.layers import (
     linear_vjp,
     relu_forward,
     relu_vjp,
-    smoothing_forward,
-    smoothing_vjp,
     softmax_rows_forward,
     softmax_rows_vjp,
 )
+from graphcompose.linalg import spmm, spmm_transposed
+from graphcompose.networks import Fp, LinearClassifier, Mlp, NetworkSpec, Softmax, compile_network
 
 from .conftest import dense, np_softmax, ring_topology
 
@@ -33,28 +33,38 @@ def finite_diff(fn, x, upstream, eps=1e-6):
     return grad
 
 
+def compiled_chain(op, stages, width):
+    spec = NetworkSpec("chain", (*stages, LinearClassifier(), Softmax()))
+    return compile_network(spec, {"symmetric": op}, width, 2).layers
+
+
 class TestSmoothing:
+    """Smoothing is spmm in a compiled chain, with spmm_transposed as its vjp."""
+
     def test_forward_matches_dense(self):
         g = ring_topology(8, extra_edges=3, seed=1)
         op = build_operator(g, "symmetric")
         rng = np.random.default_rng(0)
         x = rng.normal(size=(8, 4))
-        np.testing.assert_allclose(
-            smoothing_forward(op, x), dense(op.matrix) @ x, atol=1e-13
-        )
+        np.testing.assert_allclose(spmm(op.matrix, x), dense(op.matrix) @ x, atol=1e-13)
+        smooth = compiled_chain(op, (Fp(1),), 4)[0]
+        assert smooth.kind == "smooth"
+        out, cache = smooth.forward(x, [], None, True)
+        np.testing.assert_array_equal(out, spmm(op.matrix, x))
+        assert cache is None
 
     def test_relu_activation(self):
         g = ring_topology(6, seed=2)
         op = build_operator(g, "symmetric")
         x = np.random.default_rng(1).normal(size=(6, 3))
-        out = smoothing_forward(op, x, activation="relu")
+        smooth, relu = compiled_chain(op, (Fp(1), Mlp((3,), "relu")), 3)[0:3:2]
+        assert relu.kind == "relu"
+        out, _ = relu.forward(smooth.forward(x, [], None, False)[0], [], None, False)
         np.testing.assert_allclose(out, np.maximum(dense(op.matrix) @ x, 0.0), atol=1e-13)
 
     def test_unknown_activation(self):
-        g = ring_topology(4, seed=0)
-        op = build_operator(g, "symmetric")
         with pytest.raises(UsageError):
-            smoothing_forward(op, np.zeros((4, 2)), activation="tanh")
+            Mlp((4,), activation="tanh")
 
     def test_vjp_is_transpose_product(self):
         g = ring_topology(7, extra_edges=2, seed=3)
@@ -62,8 +72,10 @@ class TestSmoothing:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(7, 5))
         up = rng.normal(size=(7, 5))
-        analytic = smoothing_vjp(op, up)
-        numeric = finite_diff(lambda z: smoothing_forward(op, z), x, up)
+        smooth = compiled_chain(op, (Fp(1),), 5)[0]
+        analytic = smooth.vjp(None, [], up, [])
+        np.testing.assert_array_equal(analytic, spmm_transposed(op.matrix, up))
+        numeric = finite_diff(lambda z: spmm(op.matrix, z), x, up)
         np.testing.assert_allclose(analytic, numeric, atol=1e-8)
 
 

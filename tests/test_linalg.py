@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from graphcompose.errors import DataError, UsageError
-from graphcompose.linalg import SparseMatrix, gemm, row_unit_normalize, spmm, spmm_transposed
+from graphcompose.linalg import SparseMatrix, row_unit_normalize, spmm, spmm_transposed
 
 from .conftest import dense
 
@@ -90,20 +90,12 @@ class TestProducts:
             spmm(s, np.zeros((4, 2)))
         with pytest.raises(UsageError):
             spmm_transposed(s, np.zeros((4, 2)))
-        with pytest.raises(UsageError):
-            gemm(np.zeros((2, 3)), np.zeros((2, 3)))
 
     def test_rejects_non_2d(self):
         with pytest.raises(UsageError):
             spmm(SparseMatrix.identity(3), np.zeros(3))
         with pytest.raises(UsageError):
-            gemm(np.zeros(3), np.zeros((3, 1)))
-
-    def test_gemm(self):
-        rng = np.random.default_rng(4)
-        a = rng.normal(size=(3, 5))
-        b = rng.normal(size=(5, 2))
-        np.testing.assert_allclose(gemm(a, b), a @ b, rtol=0, atol=0)
+            spmm_transposed(SparseMatrix.identity(3), np.zeros(3))
 
 
 class TestRowUnitNormalize:

@@ -17,7 +17,6 @@ from graphcompose.networks import (
     estimate_cost,
     forward,
     init_params,
-    precompute_fp,
     preset,
     spec_from_dict,
     spec_to_dict,
@@ -126,6 +125,18 @@ class TestSpecSerialization:
     def test_roundtrip(self, name):
         spec = preset(name, hidden_dim=32, depth=3, lp_layers=1)
         assert spec_from_dict(spec_to_dict(spec)) == spec
+
+    def test_omitted_fields_take_defaults(self):
+        kinds = ("fp", "mlp", "linear_classifier", "gcn_block", "softmax", "lp")
+        spec = spec_from_dict({"name": "d", "stages": [{"kind": k} for k in kinds]})
+        assert spec.stages == (
+            Fp(2, "symmetric"),
+            Mlp((16,), "relu"),
+            LinearClassifier(),
+            GcnBlock(2, (16,), "symmetric", None),
+            Softmax(),
+            Lp(1, "row"),
+        )
 
     def test_bad_document(self):
         with pytest.raises(UsageError):
@@ -299,18 +310,23 @@ class TestForwardBackward:
 
 
 class TestPrecomputeFp:
+    """Feature propagation is precomputed by folding the leading fp stage."""
+
+    @staticmethod
+    def folded(ops, x, layers):
+        spec = NetworkSpec("fp", (Fp(layers), LinearClassifier(), Softmax()))
+        return compile_network(spec, ops, 5, 3, features=x).x_bar
+
     def test_zero_layers_identity(self, ops, x14):
-        np.testing.assert_array_equal(precompute_fp(ops["symmetric"], x14, 0), x14)
+        np.testing.assert_array_equal(self.folded(ops, x14, 0), x14)
 
     def test_matches_dense_power(self, ops, x14):
         s = dense(ops["symmetric"].matrix)
-        np.testing.assert_allclose(
-            precompute_fp(ops["symmetric"], x14, 3), s @ s @ s @ x14, atol=1e-12
-        )
+        np.testing.assert_allclose(self.folded(ops, x14, 3), s @ s @ s @ x14, atol=1e-12)
 
     def test_negative_rejected(self, ops, x14):
         with pytest.raises(UsageError):
-            precompute_fp(ops["symmetric"], x14, -1)
+            self.folded(ops, x14, -1)
 
 
 class TestCost:
