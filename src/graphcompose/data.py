@@ -9,6 +9,7 @@ size 1 is 20 nodes per class, sizes 2-5 interpolate up to all of T.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -171,18 +172,26 @@ def load_dataset(path) -> Dataset:
         )
 
     features = np.zeros((n, m), dtype=np.float64)
+    given = bytearray(n * m)  # one flag per entry, to reject a repeated line
     features_path = root / "features.txt"
     for lineno, (node_s, feat_s, value_s) in _parse_lines(features_path, 3):
-        node = _parse_int(features_path, lineno, node_s, "node id")
-        feat = _parse_int(features_path, lineno, feat_s, "feature id")
+        try:
+            node, feat, value = int(node_s), int(feat_s), float(value_s)
+        except ValueError as exc:
+            _parse_int(features_path, lineno, node_s, "node id")
+            _parse_int(features_path, lineno, feat_s, "feature id")
+            raise DataError(f"{features_path}:{lineno}: bad feature value {value_s!r}") from exc
         if not (0 <= node < n):
             raise DataError(f"{features_path}:{lineno}: node id {node} outside [0, {n})")
         if not (0 <= feat < m):
             raise DataError(f"{features_path}:{lineno}: feature id {feat} outside [0, {m})")
-        try:
-            features[node, feat] = float(value_s)
-        except ValueError as exc:
-            raise DataError(f"{features_path}:{lineno}: bad feature value {value_s!r}") from exc
+        if not math.isfinite(value):
+            raise DataError(f"{features_path}:{lineno}: non-finite feature value {value_s!r}")
+        key = node * m + feat
+        if given[key]:
+            raise DataError(f"{features_path}:{lineno}: node {node} feature {feat} given twice")
+        given[key] = 1
+        features[node, feat] = value
 
     graph_path = root / "graph.txt"
     pairs = []

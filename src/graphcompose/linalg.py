@@ -134,11 +134,13 @@ def _check_2d(x, name: str) -> np.ndarray:
     return x
 
 
-def spmm(s: SparseMatrix, x) -> np.ndarray:
-    """Sparse-dense product S @ X. Deterministic for fixed inputs."""
-    x = _check_2d(x, "dense operand")
+def spmm(s: SparseMatrix, x):
+    """Product S @ X: dense for a dense X, scipy CSR for a scipy sparse X.
+    Deterministic for fixed inputs."""
+    if not sp.issparse(x):
+        x = _check_2d(x, "dense operand")
     if s.cols != x.shape[0]:
-        raise UsageError(f"spmm shape mismatch: sparse {s.shape} @ dense {x.shape}")
+        raise UsageError(f"spmm shape mismatch: sparse {s.shape} @ operand {x.shape}")
     return s._csr @ x
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,23 @@ def planted_dataset(
     )
 
 
+def sparse_planted_dataset(
+    num_nodes: int,
+    num_classes: int,
+    num_features: int,
+    density: float,
+    seed: int = 0,
+    **kwargs,
+) -> Dataset:
+    """planted_dataset with all but about `density` of the feature entries
+    zeroed, so folded inputs stay sparse enough to be held as CSR."""
+    dataset = planted_dataset(num_nodes, num_classes, num_features, seed, **kwargs)
+    keep = np.random.default_rng(np.random.SeedSequence([seed, 23])).random(
+        dataset.features.shape
+    ) < density
+    return dataclasses.replace(dataset, features=np.where(keep, dataset.features, 0.0))
+
+
 def write_dataset_dir(root: Path, dataset: Dataset) -> Path:
     """Serialize an in-memory dataset into the text layout load_dataset reads."""
     root.mkdir(parents=True, exist_ok=True)
@@ -145,6 +163,16 @@ def cli_dataset_dir(tmp_path_factory) -> Path:
     """An on-disk dataset large enough for the full split protocol."""
     dataset = planted_dataset(1600, 2, 12, seed=11, name="clids")
     root = tmp_path_factory.mktemp("clids") / "clids"
+    write_dataset_dir(root, dataset)
+    write_standard_split(root, dataset)
+    return root
+
+
+@pytest.fixture(scope="session")
+def sparse_cli_dataset_dir(tmp_path_factory) -> Path:
+    """Like cli_dataset_dir, with 2%-dense features: gcn folds to a CSR input."""
+    dataset = sparse_planted_dataset(1600, 2, 200, 0.02, seed=12, name="sparseds")
+    root = tmp_path_factory.mktemp("sparseds") / "sparseds"
     write_dataset_dir(root, dataset)
     write_standard_split(root, dataset)
     return root

@@ -1,8 +1,10 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphcompose.cli import (
     Domain,
@@ -13,9 +15,10 @@ from graphcompose.cli import (
     trial_seed,
     trials_to_text,
 )
-from graphcompose.data import Dataset
+from graphcompose.data import Dataset, load_dataset
 from graphcompose.errors import NumericError, UsageError
-from graphcompose.graph import GraphTopology
+from graphcompose.graph import GraphTopology, build_operator
+from graphcompose.networks import compile_network, preset
 
 from .conftest import write_dataset_dir
 
@@ -26,6 +29,14 @@ def cli_env(cli_dataset_dir):
     code = main(["splits", "--dataset-dir", str(cli_dataset_dir), "--seed", "0"])
     assert code == 0
     return cli_dataset_dir
+
+
+@pytest.fixture(scope="session")
+def sparse_cli_env(sparse_cli_dataset_dir):
+    """The sparse-feature dataset with its splits generated once."""
+    code = main(["splits", "--dataset-dir", str(sparse_cli_dataset_dir), "--seed", "0"])
+    assert code == 0
+    return sparse_cli_dataset_dir
 
 
 def quick_train_args(env, out, method, extra=()):
@@ -238,6 +249,19 @@ class TestErrorsAndExitCodes:
         err = capsys.readouterr().err
         assert "split.txt:6: node id 99999 outside" in err
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [("0 0 1.0\n0 1 nan\n", "features.txt:2: non-finite feature value 'nan'"),
+         ("0 0 1.0\n0 0 2.0\n", "features.txt:2: node 0 feature 0 given twice")],
+        ids=["non-finite", "repeated"],
+    )
+    def test_bad_feature_line_is_data_error(self, cli_env, tmp_path, capsys, lines, message):
+        root = tmp_path / "ds"
+        shutil.copytree(cli_env, root)
+        (root / "features.txt").write_text(lines)
+        assert main(["splits", "--dataset-dir", str(root)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_lpnn_rejects_float32(self, cli_env, tmp_path, capsys):
         code = main(quick_train_args(cli_env, tmp_path, "lpnn", ["--precision", "float32"]))
         assert code == 1
@@ -366,6 +390,24 @@ class TestTrainCommand:
         assert read_only_result(a) == read_only_result(b)
 
 
+class TestSparseInputRuns:
+    def test_gcn_input_is_held_as_csr(self, sparse_cli_env):
+        dataset = load_dataset(sparse_cli_env)
+        ops = {"symmetric": build_operator(dataset.topology, "symmetric")}
+        net = compile_network(
+            preset("gcn"), ops, dataset.num_features, dataset.num_classes,
+            features=dataset.features, dropout=0.5,
+        )
+        assert sp.issparse(net.x_bar)
+
+    def test_same_seed_gives_identical_history(self, sparse_cli_env, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert main(quick_train_args(sparse_cli_env, out, "gcn", ["--seed", "5"])) == 0
+        for name in ("history.txt", "result.json"):
+            assert next(a.rglob(name)).read_bytes() == next(b.rglob(name)).read_bytes()
+
+
 class TestSweepCommand:
     def sweep_args(self, env, out, jobs, extra=(), method="sgcn", budget=4, epochs=12):
         return [
@@ -376,12 +418,15 @@ class TestSweepCommand:
         ]
 
     @pytest.mark.parametrize(
-        "method, budget, epochs", [("sgcn", 4, 12), ("lpnn", 3, 4)], ids=["sgcn", "lpnn"]
+        "method, budget, epochs, env",
+        [("sgcn", 4, 12, "cli_env"), ("lpnn", 3, 4, "cli_env"), ("gcn", 4, 12, "sparse_cli_env")],
+        ids=["sgcn", "lpnn", "gcn-sparse"],
     )
-    def test_parallelism_never_changes_results(self, cli_env, tmp_path, method, budget, epochs):
+    def test_parallelism_never_changes_results(self, request, tmp_path, method, budget, epochs, env):
+        env = request.getfixturevalue(env)
         a, b = tmp_path / "a", tmp_path / "b"
         for out, jobs in ((a, 1), (b, 3)):
-            args = self.sweep_args(cli_env, out, jobs, method=method, budget=budget, epochs=epochs)
+            args = self.sweep_args(env, out, jobs, method=method, budget=budget, epochs=epochs)
             assert main(args) == 0
         for name in ("trials.txt", "result.json"):
             assert next(a.rglob(name)).read_bytes() == next(b.rglob(name)).read_bytes()

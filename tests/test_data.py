@@ -141,6 +141,19 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="bad feature value"):
             load_dataset(root)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_feature_value_names_line(self, tmp_path, value):
+        root = write_dataset_dir(tmp_path / "nf", planted_dataset(12, 2, 4, seed=18))
+        (root / "features.txt").write_text(f"0 0 1.0\n# note\n1 2 {value}\n")
+        with pytest.raises(DataError, match=rf"features\.txt:3: non-finite feature value '{value}'"):
+            load_dataset(root)
+
+    def test_repeated_feature_line_names_line(self, tmp_path):
+        root = write_dataset_dir(tmp_path / "rf", planted_dataset(12, 2, 4, seed=18))
+        (root / "features.txt").write_text("0 0 1.0\n1 2 0.5\n\n1 2 0.25\n")
+        with pytest.raises(DataError, match=r"features\.txt:4: node 1 feature 2 given twice"):
+            load_dataset(root)
+
     def test_graph_self_loop_is_prefixed_with_path(self, tmp_path):
         root = write_dataset_dir(tmp_path / "g", planted_dataset(12, 2, 4, seed=19))
         (root / "graph.txt").write_text("4 4\n")

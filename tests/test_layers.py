@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphcompose.errors import UsageError
 from graphcompose.graph import build_operator
@@ -99,6 +100,25 @@ class TestLinear:
         np.testing.assert_allclose(d_x, finite_diff(lambda z: z @ w, x, up), atol=1e-8)
         np.testing.assert_allclose(d_w, finite_diff(lambda z: x @ z, w, up), atol=1e-8)
 
+    def test_vjp_without_input_gradient(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(5, 3))
+        w = rng.normal(size=(3, 2))
+        up = rng.normal(size=(5, 2))
+        d_x, d_w = linear_vjp(x, w, up, False)
+        assert d_x is None
+        np.testing.assert_array_equal(d_w, linear_vjp(x, w, up)[1])
+
+    def test_csr_input_matches_dense(self):
+        rng = np.random.default_rng(13)
+        x = sp.random(7, 5, density=0.3, format="csr", random_state=3)
+        w = rng.normal(size=(5, 2))
+        up = rng.normal(size=(7, 2))
+        np.testing.assert_allclose(linear_forward(x, w), x.toarray() @ w, atol=1e-14)
+        d_x, d_w = linear_vjp(x, w, up, False)
+        assert d_x is None
+        np.testing.assert_allclose(d_w, x.toarray().T @ up, atol=1e-14)
+
 
 class TestRelu:
     def test_forward(self):
@@ -178,6 +198,22 @@ class TestDropout:
         np.testing.assert_array_equal(out[~mask], 0.0)
         # Fraction of survivors concentrates near 1 - rate.
         assert abs(mask.mean() - 0.6) < 0.02
+
+    def test_csr_input_masks_stored_entries_only(self):
+        x = sp.random(60, 40, density=0.1, format="csr", random_state=4) + 0.5 * sp.eye(60, 40)
+        x = sp.csr_matrix(x)
+        out, mask = dropout_forward(x, 0.4, np.random.default_rng(14), training=True)
+        assert sp.issparse(out) and mask.shape == (x.nnz,)
+        np.testing.assert_array_equal(out.indptr, x.indptr)
+        np.testing.assert_array_equal(out.indices, x.indices)
+        dense_x, dense_out = x.toarray(), out.toarray()
+        np.testing.assert_array_equal(dense_out[dense_x == 0.0], 0.0)
+        np.testing.assert_allclose(out.data[mask], x.data[mask] / 0.6, rtol=1e-15)
+        np.testing.assert_array_equal(out.data[~mask], 0.0)
+        assert 0 < mask.sum() < x.nnz
+        # Inference passes the CSR input through untouched.
+        same, none = dropout_forward(x, 0.4, None, training=False)
+        assert same is x and none is None
 
     def test_requires_rng_in_training(self):
         with pytest.raises(UsageError):

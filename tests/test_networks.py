@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from graphcompose import networks
 from graphcompose.errors import UsageError
 from graphcompose.graph import build_operator
+from graphcompose.layers import linear_vjp
 from graphcompose.networks import (
     Fp,
     GcnBlock,
@@ -23,8 +26,9 @@ from graphcompose.networks import (
     validate_spec,
     with_dtype,
 )
+from graphcompose.training import gradient_check
 
-from .conftest import dense, np_relu, np_softmax, ring_topology
+from .conftest import dense, np_relu, np_softmax, ring_topology, sparse_planted_dataset
 
 
 @pytest.fixture(scope="module")
@@ -423,3 +427,120 @@ class TestInitAndDtype:
         net = compile_network(preset("sgcn"), ops, 5, 3, features=x14)
         with pytest.raises(UsageError):
             with_dtype(net, np.int32)
+
+
+@pytest.fixture(scope="module")
+def sparse_case():
+    """40 nodes with 1%-dense features: every preset folds to a CSR input."""
+    dataset = sparse_planted_dataset(40, 3, 200, 0.01, seed=31, edges_per_node=2)
+    ops = {
+        "symmetric": build_operator(dataset.topology, "symmetric"),
+        "row": build_operator(dataset.topology, "row"),
+    }
+    return dataset, ops
+
+
+def compile_sparse(sparse_case, name, **kwargs):
+    dataset, ops = sparse_case
+    spec = preset(name, hidden_dim=4)
+    return compile_network(
+        spec, ops, dataset.num_features, dataset.num_classes, features=dataset.features, **kwargs
+    )
+
+
+class TestSparseInput:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_low_density_folds_to_csr(self, sparse_case, name):
+        net = compile_sparse(sparse_case, name)
+        assert sp.issparse(net.x_bar) and net.x_bar.format == "csr"
+        assert net.x_bar.has_sorted_indices
+
+    def test_dense_features_stay_dense(self, ops, x14):
+        for name in PRESET_NAMES:
+            net = compile_network(preset(name), ops, 5, 3, features=x14)
+            assert isinstance(net.x_bar, np.ndarray)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_infer_matches_dense_input_path(self, sparse_case, name):
+        dataset, ops = sparse_case
+        net = compile_sparse(sparse_case, name)
+        unfolded = compile_network(
+            preset(name, hidden_dim=4), ops, dataset.num_features, dataset.num_classes
+        )
+        params = init_params(net, np.random.default_rng(32))
+        out, _ = forward(net, params)
+        ref, _ = forward(unfolded, params, dataset.features)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["gcn", "sgcn"])
+    def test_gradient_check_passes(self, sparse_case, name):
+        dataset, _ = sparse_case
+        net = compile_sparse(sparse_case, name, dropout=0.0)
+        assert sp.issparse(net.x_bar)
+        assert gradient_check(net, dataset, seed=3).passed
+
+    def test_train_mode_dropout_runs_on_stored_entries(self, sparse_case):
+        net = compile_sparse(sparse_case, "gcn", dropout=0.5)
+        params = init_params(net, np.random.default_rng(33))
+        _, states = forward(net, params, mode="train", rng=np.random.default_rng(34))
+        assert net.layers[0].kind == "dropout"
+        assert states.caches[0].shape == (net.x_bar.nnz,)
+        grads = backward(net, states, np.ones((net.num_nodes, net.num_classes)))
+        assert [g.shape for g in grads] == list(net.param_shapes)
+
+    def test_with_dtype_float32_keeps_csr(self, sparse_case):
+        net = compile_sparse(sparse_case, "gcn")
+        net32 = with_dtype(net, np.float32)
+        assert sp.issparse(net32.x_bar) and net32.x_bar.format == "csr"
+        assert net32.x_bar.dtype == np.float32
+        assert net.x_bar.dtype == np.float64
+
+
+def full_reverse(net, states, d_output):
+    """Every entry's vjp in reverse, the first linear's input gradient too."""
+    grads = [np.zeros_like(p) for p in states.params]
+    u = d_output
+    for entry, cache in zip(reversed(net.layers), reversed(states.caches)):
+        if entry.kind == "linear":
+            u, dw = linear_vjp(cache, states.params[entry.index], u)
+            grads[entry.index] += dw
+        else:
+            u = entry.vjp(cache, states.params, u, grads)
+    return grads, u
+
+
+class TestBackwardStopsAtFirstLinear:
+    @pytest.mark.parametrize("folded", [True, False], ids=["folded", "unfolded"])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_bitwise_equal_to_full_reverse_pass(self, ops, x14, name, folded):
+        features = x14 if folded else None
+        net = compile_network(preset(name), ops, 5, 3, features=features, dropout=0.5)
+        params = init_params(net, np.random.default_rng(35))
+        x = None if folded else x14
+        _, states = forward(net, params, x, mode="train", rng=np.random.default_rng(36))
+        d_output = np.random.default_rng(37).normal(size=(14, 3))
+        expected, d_input = full_reverse(net, states, d_output)
+        assert d_input.shape == x14.shape
+        got = backward(net, states, d_output)
+        for g, e in zip(got, expected):
+            np.testing.assert_array_equal(g, e)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_first_dropout_vjp_never_runs(self, ops, x14, name, monkeypatch):
+        net = compile_network(preset(name), ops, 5, 3, features=x14, dropout=0.5)
+        params = init_params(net, np.random.default_rng(38))
+        _, states = forward(net, params, mode="train", rng=np.random.default_rng(39))
+        kinds = net.describe()
+        assert kinds[:2] == ("dropout", "linear")
+        first_mask = states.caches[0]
+        masks = []
+        original = networks.dropout_vjp
+
+        def spy(mask, rate, upstream):
+            masks.append(mask)
+            return original(mask, rate, upstream)
+
+        monkeypatch.setattr(networks, "dropout_vjp", spy)
+        backward(net, states, np.ones((14, 3)))
+        assert len(masks) == kinds.count("dropout") - 1
+        assert all(mask is not first_mask for mask in masks)
