@@ -73,9 +73,6 @@ class Domain:
             return float(np.exp(rng.uniform(np.log(self.low), np.log(self.high))))
         return float(rng.uniform(self.low, self.high))
 
-    def contains(self, value: float) -> bool:
-        return self.low <= value <= self.high
-
 
 @dataclass(frozen=True)
 class SweepSpace:
@@ -239,7 +236,6 @@ class _Composed:
     hidden: int | None = None
     fp_operator: str = "symmetric"
     operators: dict | None = None
-    allow_lp: bool = False
 
     samples_loss_weights = False
 
@@ -260,8 +256,7 @@ class _Composed:
         )
 
     def bind(self, topology: GraphTopology, args) -> "_Composed":
-        operators, allow_lp = _operator_set(topology, args.operator, args.alpha, args.beta)
-        return replace(self, operators=operators, allow_lp=allow_lp)
+        return replace(self, operators=_operator_set(topology, args.operator, args.alpha, args.beta))
 
     def flag_config(self, args) -> dict:
         cfg = {"operator": args.operator}
@@ -279,7 +274,6 @@ class _Composed:
             dataset.num_classes,
             features=dataset.features,
             dropout=dropout,
-            allow_non_stochastic_lp=self.allow_lp,
         )
 
     def fit(self, dataset: Dataset, split, config: TrainConfig, cfg: dict):
@@ -377,15 +371,14 @@ def _composed_method(args, refusal: str) -> _Composed:
 def _operator_set(topology: GraphTopology, operator: str, alpha, beta):
     """Build the named operator set a network compiles against.
 
-    Returns (operators, allow_non_stochastic_lp). alpha/beta select the
-    self-vs-neighbor mixing weights unless operator is 'general', where they
-    become the degree-normalization exponents.
+    alpha/beta select the self-vs-neighbor mixing weights unless operator is
+    'general', where they become the degree-normalization exponents.
     """
     if operator == "general":
         if alpha is None or beta is None:
             raise UsageError("--operator general requires --alpha and --beta exponents")
         op = build_operator(topology, "general", alpha=alpha, beta=beta)
-        return {"symmetric": op, "row": op}, True
+        return {"symmetric": op, "row": op}
     mix = None
     if (alpha is None) != (beta is None):
         raise UsageError("--alpha and --beta must be given together")
@@ -393,11 +386,10 @@ def _operator_set(topology: GraphTopology, operator: str, alpha, beta):
         raise UsageError("--operator mix requires --alpha and --beta weights")
     if alpha is not None:
         mix = (alpha, beta)
-    operators = {
+    return {
         "symmetric": build_operator(topology, "symmetric", mix=mix),
         "row": build_operator(topology, "row", mix=mix),
     }
-    return operators, False
 
 
 def _resolve_split(args, dataset: Dataset):
@@ -558,23 +550,38 @@ def cmd_compare(args) -> int:
     root = Path(args.results_dir)
     if not root.is_dir():
         raise DataError(f"results directory {root} does not exist")
-    results = []
+    results: dict[tuple, tuple[Path, RunResult]] = {}
     for path in sorted(root.rglob("result.json")):
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise DataError(f"{path}: not a valid result file: {exc}") from exc
         try:
-            results.append(RunResult.from_dict(doc))
+            r = RunResult.from_dict(doc)
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from exc
-    if args.size is not None:
-        results = [r for r in results if r.size_index == args.size]
+        if args.size is not None and r.size_index != args.size:
+            continue
+        # A train and a sweep on one split (or two copies of a run) are not
+        # two samples of that cell.
+        key = (r.method, r.dataset, r.size_index, r.split_index)
+        if key in results:
+            raise DataError(
+                f"{results[key][0]} and {path} both hold {r.method} on {r.dataset} "
+                f"(size {r.size_index}, split {r.split_index}); keep one of them"
+            )
+        results[key] = (path, r)
     if not results:
         raise DataError(f"no run results found under {root}")
+    sizes = sorted({size for _, _, size, _ in results})
+    if len(sizes) > 1:
+        raise UsageError(
+            f"results span training sizes {', '.join(map(str, sizes))}; "
+            "choose one with --size"
+        )
 
     by_cell: dict[tuple[str, str], list[float]] = defaultdict(list)
-    for r in results:
+    for _, r in results.values():
         by_cell[(r.method, r.dataset)].append(r.test_accuracy)
     methods = sorted(
         {m for m, _ in by_cell}, key=lambda m: (_METHOD_ORDER.get(m, len(_METHOD_ORDER)), m)
@@ -655,7 +662,7 @@ def cmd_propmodel_sweep(args) -> int:
     last_error: DataError | None = None
     for alpha, beta in grid:
         try:
-            operators, allow_lp = _operator_set(dataset.topology, operator, alpha, beta)
+            operators = _operator_set(dataset.topology, operator, alpha, beta)
         except DataError as exc:
             # A degenerate point (e.g. pure-neighbor mixing on a graph with an
             # isolated node) invalidates its row, not the rest of the grid.
@@ -663,7 +670,7 @@ def cmd_propmodel_sweep(args) -> int:
             rows.append((alpha, beta, None, None))
             print(f"alpha={alpha:g} beta={beta:g}: invalid ({exc})")
             continue
-        point = replace(method, operators=operators, allow_lp=allow_lp)
+        point = replace(method, operators=operators)
         test, history = point.fit(dataset, split, config, cfg)
         test_accuracy = test()["test"]
         rows.append((alpha, beta, history.best_val_accuracy, test_accuracy))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +14,6 @@ __all__ = [
     "accuracy",
     "aggregate",
     "format_cell",
-    "parse_cell",
     "average_rank",
     "render_report",
 ]
@@ -46,18 +44,6 @@ def format_cell(mean: float, std: float | None = None) -> str:
     if std is None:
         return f"{100.0 * mean:.1f}"
     return f"{100.0 * mean:.1f} ({100.0 * std:.1f})"
-
-
-_CELL_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*(?:\(\s*(\d+(?:\.\d+)?)\s*\))?\s*$")
-
-
-def parse_cell(text: str) -> tuple[float, float | None]:
-    m = _CELL_RE.match(text)
-    if not m:
-        raise UsageError(f"cannot parse result cell {text!r}")
-    mean = float(m.group(1)) / 100.0
-    std = None if m.group(2) is None else float(m.group(2)) / 100.0
-    return mean, std
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DataError, UsageError
-from .linalg import SparseMatrix
+from .linalg import csr_from_coo
 
 __all__ = [
     "GraphTopology",
@@ -71,28 +72,21 @@ class GraphTopology:
 
 @dataclass(frozen=True, eq=False)
 class PropagationOperator:
-    """A normalized square operator plus a record of how it was produced.
+    """A normalized square operator held as canonical scipy CSR, and the
+    normalization that produced it: "symmetric", "row", or "general"."""
 
-    kind is "symmetric", "row", or "general"; alpha/beta are the exponents for
-    the general kind; mix records an (alpha_self, beta_neighbor) pair when the
-    pre-normalization matrix was alpha*I + beta*A rather than I + A.
-    """
-
-    matrix: SparseMatrix
+    matrix: sp.csr_matrix
     kind: str
-    alpha: float | None = None
-    beta: float | None = None
-    mix: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.matrix.rows != self.matrix.cols:
+        if self.matrix.shape[0] != self.matrix.shape[1]:
             raise DataError(f"propagation operator must be square, got {self.matrix.shape}")
         if self.kind not in ("symmetric", "row", "general"):
             raise UsageError(f"unknown normalization kind {self.kind!r}")
 
     @property
     def num_nodes(self) -> int:
-        return self.matrix.rows
+        return self.matrix.shape[0]
 
 
 def _edge_arrays(g: GraphTopology) -> tuple[np.ndarray, np.ndarray]:
@@ -102,7 +96,7 @@ def _edge_arrays(g: GraphTopology) -> tuple[np.ndarray, np.ndarray]:
     return e[:, 0], e[:, 1]
 
 
-def augment(g: GraphTopology) -> SparseMatrix:
+def augment(g: GraphTopology) -> sp.csr_matrix:
     """Self-loop augmented adjacency: identity plus the symmetrized adjacency."""
     n = g.num_nodes
     u, v = _edge_arrays(g)
@@ -110,10 +104,10 @@ def augment(g: GraphTopology) -> SparseMatrix:
     rows = np.concatenate([u, v, diag])
     cols = np.concatenate([v, u, diag])
     vals = np.ones(rows.shape[0], dtype=np.float64)
-    return SparseMatrix.from_coo(n, n, rows, cols, vals)
+    return csr_from_coo(n, n, rows, cols, vals)
 
 
-def mix_self_neighbor(g: GraphTopology, alpha: float, beta: float) -> SparseMatrix:
+def mix_self_neighbor(g: GraphTopology, alpha: float, beta: float) -> sp.csr_matrix:
     """alpha*I + beta*A. Entries with a zero coefficient are not stored, so a
     zero alpha plus an isolated node yields an empty row that the normalization
     step rejects by name."""
@@ -132,8 +126,8 @@ def mix_self_neighbor(g: GraphTopology, alpha: float, beta: float) -> SparseMatr
         parts_c.append(diag)
         parts_v.append(np.full(n, alpha))
     if not parts_r:
-        return SparseMatrix.from_coo(n, n, [], [], [])
-    return SparseMatrix.from_coo(
+        return csr_from_coo(n, n, [], [], [])
+    return csr_from_coo(
         n,
         n,
         np.concatenate(parts_r),
@@ -142,27 +136,21 @@ def mix_self_neighbor(g: GraphTopology, alpha: float, beta: float) -> SparseMatr
     )
 
 
-def _row_sums(m: SparseMatrix) -> np.ndarray:
-    return np.asarray(m._csr.sum(axis=1)).ravel()
-
-
 def normalize(
-    a_tilde: SparseMatrix,
-    kind: str,
-    alpha: float | None = None,
-    beta: float | None = None,
-    *,
-    mix: tuple[float, float] | None = None,
+    a_tilde, kind: str, alpha: float | None = None, beta: float | None = None
 ) -> PropagationOperator:
-    """Normalize a nonnegative square matrix by its row-sum degrees.
+    """Normalize a nonnegative square scipy sparse matrix by its row-sum
+    degrees; the operator keeps the input's pattern in canonical CSR form.
 
     symmetric: D^-1/2 A D^-1/2 (input must be symmetric);
     row: D^-1 A, every row sums to 1;
     general: D^-alpha A D^-beta, with (0, 0) returning the input unchanged.
     """
-    if a_tilde.rows != a_tilde.cols:
-        raise DataError(f"normalization needs a square matrix, got {a_tilde.shape}")
-    if np.any(a_tilde.values < 0):
+    a = sp.csr_matrix(a_tilde, dtype=np.float64, copy=True)
+    a.sum_duplicates()
+    if a.shape[0] != a.shape[1]:
+        raise DataError(f"normalization needs a square matrix, got {a.shape}")
+    if np.any(a.data < 0):
         raise DataError("normalization needs a nonnegative matrix")
     if kind == "general":
         if alpha is None or beta is None:
@@ -173,7 +161,7 @@ def normalize(
     else:
         raise UsageError(f"unknown normalization kind {kind!r}")
 
-    degrees = _row_sums(a_tilde)
+    degrees = np.asarray(a.sum(axis=1)).ravel()
     zero_rows = np.flatnonzero(degrees == 0.0)
     if zero_rows.size:
         raise DataError(
@@ -182,8 +170,7 @@ def normalize(
         )
 
     if kind == "symmetric":
-        csr = a_tilde._csr
-        asym = abs(csr - csr.T)
+        asym = abs(a - a.T)
         if asym.nnz and asym.max() > 1e-12:
             raise DataError("symmetric normalization needs a symmetric matrix")
         left = degrees ** -0.5
@@ -195,10 +182,9 @@ def normalize(
         left = degrees ** -float(alpha)
         right = degrees ** -float(beta)
 
-    row_of = np.repeat(np.arange(a_tilde.rows), np.diff(a_tilde.row_offsets))
-    scaled = a_tilde.values * left[row_of] * right[a_tilde.col_indices]
-    matrix = a_tilde.with_values(scaled)
-    return PropagationOperator(matrix=matrix, kind=kind, alpha=alpha, beta=beta, mix=mix)
+    row_of = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    a.data = a.data * left[row_of] * right[a.indices]
+    return PropagationOperator(matrix=a, kind=kind)
 
 
 def build_operator(
@@ -211,4 +197,4 @@ def build_operator(
 ) -> PropagationOperator:
     """Augment (or mix) the topology and normalize it in one step."""
     a_tilde = augment(g) if mix is None else mix_self_neighbor(g, *mix)
-    return normalize(a_tilde, kind, alpha, beta, mix=mix)
+    return normalize(a_tilde, kind, alpha, beta)

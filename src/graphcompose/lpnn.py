@@ -146,8 +146,6 @@ class LpnnModel:
     f: np.ndarray
     g_net: object
     g_params: list
-    operator: PropagationOperator
-    weights: LpnnWeights
 
 
 def predict_from_g(model: LpnnModel, features) -> np.ndarray:
@@ -199,5 +197,4 @@ def train_lpnn(dataset, split, config: TrainConfig, weights: LpnnWeights):
         return accuracy(val_out, labels, val_idx), (f, g_params)
 
     (best_f, best_g), history = fit(step, evaluate, config)
-    model = LpnnModel(f=best_f, g_net=g_net, g_params=best_g, operator=op, weights=weights)
-    return model, history
+    return LpnnModel(f=best_f, g_net=g_net, g_params=best_g), history

@@ -8,8 +8,9 @@ chain executed by forward/backward. A sparse folded input is held as a scipy
 CSR matrix (see SPARSE_INPUT_DENSITY).
 
 Composition rules enforced here: exactly one softmax; LP stages only after the
-softmax, and only with a row-normalized operator (so probability rows stay
-probability rows); FP stages only before any parameterized stage.
+softmax, and never with a symmetric operator (a row-normalized one keeps
+probability rows probability rows; a general one is a propagation-model
+choice); FP stages only before any parameterized stage.
 """
 
 from __future__ import annotations
@@ -454,7 +455,6 @@ def compile_network(
     features=None,
     dropout: float = 0.0,
     num_edges: int | None = None,
-    allow_non_stochastic_lp: bool = False,
 ) -> CompiledNetwork:
     """Validate a spec against an operator set and produce the executable chain.
 
@@ -527,10 +527,10 @@ def compile_network(
             chain.append(_Softmax())
         elif isinstance(stage, Lp):
             op = resolve(stage.operator)
-            if op.kind != "row" and not allow_non_stochastic_lp:
+            if op.kind == "symmetric":
                 raise UsageError(
                     f"network {spec.name!r}: label propagation requires a row-normalized "
-                    f"operator, got kind {op.kind!r}"
+                    f"(or general) operator, got kind {op.kind!r}"
                 )
             chain += [_LabelProp(op)] * stage.layers
 
@@ -592,7 +592,8 @@ def _fold(features: np.ndarray, ops, sparse: bool):
         counts = np.count_nonzero(nonzero, axis=1)
         bound = counts
         for op in ops:
-            pattern = op.matrix.with_values(np.ones(op.matrix.nnz))
+            m = op.matrix
+            pattern = sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), shape=m.shape)
             bound = np.minimum(spmm(pattern, bound[:, None])[:, 0], d)
         if bound.sum() < SPARSE_INPUT_DENSITY * n * d:
             flat = np.flatnonzero(nonzero)
@@ -713,8 +714,7 @@ def with_dtype(net: CompiledNetwork, dtype) -> CompiledNetwork:
 
     def cast_op(op: PropagationOperator) -> PropagationOperator:
         if id(op) not in recast:
-            matrix = op.matrix.with_values(op.matrix.values.astype(dtype))
-            recast[id(op)] = dataclasses.replace(op, matrix=matrix)
+            recast[id(op)] = dataclasses.replace(op, matrix=op.matrix.astype(dtype))
         return recast[id(op)]
 
     return dataclasses.replace(

@@ -10,14 +10,14 @@ import pytest
 
 from graphcompose.data import Dataset
 from graphcompose.graph import GraphTopology
-from graphcompose.linalg import SparseMatrix
 
 
-def dense(m: SparseMatrix) -> np.ndarray:
-    """Expand a sparse matrix to a dense array (reference-path helper)."""
+def dense(m) -> np.ndarray:
+    """Expand a CSR matrix to a dense array from its raw arrays (reference-path
+    helper, independent of scipy's own conversion)."""
     out = np.zeros(m.shape, dtype=np.float64)
-    rows = np.repeat(np.arange(m.rows), np.diff(m.row_offsets))
-    out[rows, m.col_indices] = m.values
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    out[rows, m.indices] = m.data
     return out
 
 

@@ -298,7 +298,7 @@ def test_criterion_03_row_normalization_is_stochastic_on_100_random_graphs():
         n = int(rng.integers(5, 61))
         g = ring_topology(n, extra_edges=int(rng.integers(0, n)), seed=600 + trial)
         op = build_operator(g, "row")
-        sums = np.asarray(op.matrix._csr.sum(axis=1)).ravel()
+        sums = np.asarray(op.matrix.sum(axis=1)).ravel()
         worst_op = max(worst_op, float(np.abs(sums - 1.0).max()))
 
         probs = softmax_rows_forward(rng.normal(size=(n, 4)))
@@ -316,15 +316,15 @@ def test_criterion_04_propagation_model_special_cases():
 
         sym = build_operator(g, "symmetric")
         half = build_operator(g, "general", alpha=0.5, beta=0.5)
-        worst = max(worst, float(np.abs(sym.matrix.values - half.matrix.values).max()))
+        worst = max(worst, float(np.abs(sym.matrix.data - half.matrix.data).max()))
 
         row = build_operator(g, "row")
         one_zero = build_operator(g, "general", alpha=1.0, beta=0.0)
-        worst = max(worst, float(np.abs(row.matrix.values - one_zero.matrix.values).max()))
+        worst = max(worst, float(np.abs(row.matrix.data - one_zero.matrix.data).max()))
 
         plain = build_operator(g, "symmetric")
         unit_mix = build_operator(g, "symmetric", mix=(1.0, 1.0))
-        worst = max(worst, float(np.abs(plain.matrix.values - unit_mix.matrix.values).max()))
+        worst = max(worst, float(np.abs(plain.matrix.data - unit_mix.matrix.data).max()))
     assert worst < 1e-12, f"operator special cases differ by {worst:.2e}"
 
     # Pure self-mixing makes the row operator the identity, so label

@@ -1,11 +1,15 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import graphcompose
 from graphcompose.cli import (
     Domain,
     SweepSpace,
@@ -86,10 +90,6 @@ class TestDomain:
             Domain(1.0, 0.5)
         with pytest.raises(UsageError):
             Domain(0.0, 1.0, log=True)
-
-    def test_contains(self):
-        d = Domain(0.0, 1.0)
-        assert d.contains(0.0) and d.contains(1.0) and not d.contains(1.5)
 
 
 class TestSweepSpace:
@@ -408,6 +408,31 @@ class TestSparseInputRuns:
             assert next(a.rglob(name)).read_bytes() == next(b.rglob(name)).read_bytes()
 
 
+class TestBlasThreads:
+    @pytest.mark.parametrize("method, env", [("lpnn", "cli_env"), ("gcn", "sparse_cli_env")])
+    def test_thread_count_never_changes_bytes(self, request, tmp_path, method, env):
+        env = request.getfixturevalue(env)
+        src = str(Path(graphcompose.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            child_env = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": threads,
+                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            }
+            argv = quick_train_args(env, out, method, ["--seed", "3"])
+            proc = subprocess.run(
+                [sys.executable, "-m", "graphcompose.cli", *argv],
+                env=child_env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out)
+        for name in ("history.txt", "result.json"):
+            assert next(outs[0].rglob(name)).read_bytes() == next(outs[1].rglob(name)).read_bytes()
+
+
 class TestSweepCommand:
     def sweep_args(self, env, out, jobs, extra=(), method="sgcn", budget=4, epochs=12):
         return [
@@ -549,6 +574,28 @@ class TestCompareCommand:
         (root / "net.json").write_text(json.dumps(spec))
         assert main(["compare", "--results-dir", str(root)]) == 0
         assert capsys.readouterr().out.startswith("method")
+
+    def test_duplicate_run_is_data_error_naming_both(self, tmp_path, capsys):
+        root = tmp_path / "res"
+        self.fake_result(root, "gcn", "d1", 1, 0, 0.99)
+        self.fake_result(root, "sgcn", "d1", 1, 0, 0.8)
+        # A sweep on the same split writes the same (method, dataset, size, split).
+        sweep = root / "sweeps"
+        self.fake_result(sweep, "gcn", "d1", 1, 0, 0.98)
+        assert main(["compare", "--results-dir", str(root)]) == 2
+        err = capsys.readouterr().err
+        first, second = sorted(root.rglob("d1_gcn_s1_p0/result.json"))
+        assert str(first) in err and str(second) in err
+
+    def test_mixed_sizes_need_size_flag(self, tmp_path, capsys):
+        root = tmp_path / "res"
+        for size, split in ((1, 0), (5, 1)):
+            self.fake_result(root, "gcn", "d1", size, split, 0.9)
+            self.fake_result(root, "sgcn", "d1", size, split, 0.8)
+        assert main(["compare", "--results-dir", str(root)]) == 1
+        err = capsys.readouterr().err
+        assert "sizes 1, 5" in err and "--size" in err
+        assert main(["compare", "--results-dir", str(root), "--size", "5"]) == 0
 
     def test_report_written_to_file(self, tmp_path, capsys):
         root = tmp_path / "res"

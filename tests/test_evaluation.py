@@ -8,7 +8,6 @@ from graphcompose.evaluation import (
     aggregate,
     average_rank,
     format_cell,
-    parse_cell,
     render_report,
 )
 
@@ -53,18 +52,6 @@ class TestCells:
     def test_format(self):
         assert format_cell(0.822, 0.011) == "82.2 (1.1)"
         assert format_cell(0.7) == "70.0"
-
-    def test_parse_roundtrip(self):
-        mean, std = parse_cell("82.2 (1.1)")
-        assert mean == pytest.approx(0.822)
-        assert std == pytest.approx(0.011)
-        mean, std = parse_cell("70.0")
-        assert mean == pytest.approx(0.7)
-        assert std is None
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(UsageError):
-            parse_cell("n/a")
 
 
 class TestRunResult:

