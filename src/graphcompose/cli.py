@@ -16,7 +16,7 @@ import os
 import sys
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,7 @@ from .evaluation import RunResult, accuracy, aggregate, average_rank, render_rep
 from .graph import GraphTopology, build_operator
 from .lpnn import LpnnWeights, predict_from_f, predict_from_g, train_lpnn
 from .networks import (
+    DEFAULT_HIDDEN_DIM,
     PRESET_NAMES,
     NetworkSpec,
     _representative_dim,
@@ -97,7 +98,7 @@ class SweepSpace:
         return cls(learning_rate=Domain(0.0, 1.0))
 
 
-_LOSS_WEIGHT_KEYS = ("mu_g", "mu_l", "mu_u", "lambda_l", "lambda_u")
+_LOSS_WEIGHT_KEYS = tuple(f.name for f in fields(LpnnWeights))
 
 
 def sample_config(space: SweepSpace, rng, *, with_hidden: bool, with_loss_weights: bool) -> dict:
@@ -234,7 +235,6 @@ class _Composed:
     depth: int | None = None
     lp_layers: int | None = None
     hidden: int | None = None
-    fp_operator: str = "symmetric"
     operators: dict | None = None
 
     samples_loss_weights = False
@@ -246,13 +246,11 @@ class _Composed:
     def spec_for(self, hidden_dim: int | None = None) -> NetworkSpec:
         if self.file_spec is not None:
             return self.file_spec
-        hidden = hidden_dim if hidden_dim is not None else (self.hidden or 16)
         return preset(
             self.preset_name,
-            hidden_dim=hidden,
+            hidden_dim=self.hidden if hidden_dim is None else hidden_dim,
             depth=self.depth,
             lp_layers=self.lp_layers,
-            fp_operator=self.fp_operator,
         )
 
     def bind(self, topology: GraphTopology, args) -> "_Composed":
@@ -261,7 +259,7 @@ class _Composed:
     def flag_config(self, args) -> dict:
         cfg = {"operator": args.operator}
         if self.samples_hidden:
-            cfg["hidden_dim"] = self.hidden or 16
+            cfg["hidden_dim"] = self.hidden
         if args.alpha is not None:
             cfg["alpha"], cfg["beta"] = args.alpha, args.beta
         return cfg
@@ -298,10 +296,6 @@ class _Lpnn:
                 "method 'lpnn' builds its own symmetric operator; "
                 "--operator/--alpha/--beta do not apply"
             )
-        if args.precision != "float64":
-            raise UsageError(
-                "method 'lpnn' trains in float64 only; --precision float32 does not apply"
-            )
         return self
 
     def flag_config(self, args) -> dict:
@@ -332,15 +326,13 @@ def _resolve_method(args):
         if shape_flags:
             raise UsageError(f"{', '.join(shape_flags)} do not apply to method 'lpnn'")
         return _Lpnn()
-    fp_operator = "row" if args.operator == "row" else "symmetric"
     if name in PRESET_NAMES:
         return _Composed(
             label=name,
             preset_name=name,
             depth=args.l,
             lp_layers=args.ll,
-            hidden=args.hidden,
-            fp_operator=fp_operator,
+            hidden=DEFAULT_HIDDEN_DIM if args.hidden is None else args.hidden,
         )
     path = Path(name)
     if path.is_file():
@@ -353,7 +345,7 @@ def _resolve_method(args):
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read network spec {path}: {exc}") from exc
         spec = spec_from_dict(doc)
-        return _Composed(label=spec.name, file_spec=spec, fp_operator=fp_operator)
+        return _Composed(label=spec.name, file_spec=spec)
     raise UsageError(
         f"unknown method {name!r}: expected one of {', '.join(PRESET_NAMES)}, "
         "lpnn, or a path to a network spec file"
@@ -369,7 +361,10 @@ def _composed_method(args, refusal: str) -> _Composed:
 
 
 def _operator_set(topology: GraphTopology, operator: str, alpha, beta):
-    """Build the named operator set a network compiles against.
+    """Build the named operator set a network compiles against; the only place
+    that turns --operator into operators. Stage operator names are
+    "symmetric" (feature side) and "row" (lp): 'row' and 'general' put one
+    operator under both names.
 
     alpha/beta select the self-vs-neighbor mixing weights unless operator is
     'general', where they become the degree-normalization exponents.
@@ -386,10 +381,10 @@ def _operator_set(topology: GraphTopology, operator: str, alpha, beta):
         raise UsageError("--operator mix requires --alpha and --beta weights")
     if alpha is not None:
         mix = (alpha, beta)
-    return {
-        "symmetric": build_operator(topology, "symmetric", mix=mix),
-        "row": build_operator(topology, "row", mix=mix),
-    }
+    row = build_operator(topology, "row", mix=mix)
+    if operator == "row":
+        return {"symmetric": row, "row": row}
+    return {"symmetric": build_operator(topology, "symmetric", mix=mix), "row": row}
 
 
 def _resolve_split(args, dataset: Dataset):
@@ -488,6 +483,8 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     dataset = load_dataset(args.dataset_dir)
     method = _resolve_method(args)
+    if args.hidden is not None:
+        raise UsageError("sweep samples the hidden width; --hidden does not apply")
     split = _resolve_split(args, dataset)
     space = SweepSpace.paper_space() if args.paper_space else SweepSpace()
     method = method.bind(dataset.topology, args)
@@ -512,16 +509,7 @@ def cmd_sweep(args) -> int:
     test, history = method.fit(dataset, split, config, best.config)
     test_accuracy = test()["test"]
 
-    cfg_doc = {
-        **best.config,
-        "seed": best.seed,
-        "trial_index": best.index,
-        "budget": args.budget,
-        "sweep_seed": args.seed,
-        "max_epochs": args.epochs,
-        "patience": args.patience,
-        "precision": args.precision,
-    }
+    sweep_keys = {"trial_index": best.index, "budget": args.budget, "sweep_seed": args.seed}
     result = RunResult(
         method=method.label,
         dataset=dataset.name,
@@ -529,7 +517,7 @@ def cmd_sweep(args) -> int:
         split_index=split.split_index,
         test_accuracy=test_accuracy,
         best_val_accuracy=best.val_accuracy,
-        config=cfg_doc,
+        config={**asdict(config), **best.config, **sweep_keys},
     )
     run_dir = _run_dir(args.out, dataset, method.label, split, suffix=f"_sweep{args.seed}")
     _persist_result(run_dir, result, history)
@@ -651,8 +639,6 @@ def cmd_propmodel_sweep(args) -> int:
     dataset = load_dataset(args.dataset_dir)
     method = _composed_method(args, "propmodel-sweep applies to composed networks, not 'lpnn'")
     split = _resolve_split(args, dataset)
-    if args.alpha is not None or args.beta is not None:
-        raise UsageError("propmodel-sweep takes its alpha/beta pairs from --grid")
     grid = _parse_grid(args.grid) if args.grid else DEFAULT_PROP_GRID
     cfg = _flag_config(args, method)
     config = _train_config(args, cfg, args.seed)
@@ -803,14 +789,25 @@ def _add_operator_flags(p):
     p.add_argument("--beta", type=float, default=None)
 
 
+_TRAIN_DEFAULTS = TrainConfig()
+
+
+def _add_run_flags(p):
+    p.add_argument("--epochs", type=int, default=_TRAIN_DEFAULTS.max_epochs, help="epoch budget")
+    p.add_argument(
+        "--patience", type=int, default=_TRAIN_DEFAULTS.patience, help="early-stopping patience"
+    )
+    p.add_argument(
+        "--precision", choices=("float32", "float64"), default=_TRAIN_DEFAULTS.precision
+    )
+    p.add_argument("--seed", type=int, default=_TRAIN_DEFAULTS.seed)
+
+
 def _add_train_flags(p):
-    p.add_argument("--lr", type=float, default=0.01, help="learning rate")
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument("--weight-decay", type=float, default=5e-4)
-    p.add_argument("--epochs", type=int, default=500, help="epoch budget")
-    p.add_argument("--patience", type=int, default=25, help="early-stopping patience")
-    p.add_argument("--precision", choices=("float32", "float64"), default="float64")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lr", type=float, default=_TRAIN_DEFAULTS.learning_rate, help="learning rate")
+    p.add_argument("--dropout", type=float, default=_TRAIN_DEFAULTS.dropout)
+    p.add_argument("--weight-decay", type=float, default=_TRAIN_DEFAULTS.weight_decay)
+    _add_run_flags(p)
 
 
 def _add_lpnn_flags(p):
@@ -856,10 +853,7 @@ def _build_parser() -> _Parser:
         help="sample the learning rate plain-uniform from (0,1) instead of the "
         "log-spaced (1e-4, 1e-1) default",
     )
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--patience", type=int, default=25)
-    p.add_argument("--precision", choices=("float32", "float64"), default="float64")
-    p.add_argument("--seed", type=int, default=0, help="sweep seed")
+    _add_run_flags(p)
     p.add_argument("--out", default="runs", help="directory for results")
 
     p = sub.add_parser("compare", help="aggregate stored results into a rank report")
@@ -904,7 +898,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("cost", help="print the per-term operation counts of a method")
     _add_dataset_dir(p, required=False)
     _add_method_flags(p)
-    p.set_defaults(operator="symmetric", alpha=None, beta=None)
     p.add_argument("--nodes", type=int, default=None)
     p.add_argument("--edges", type=int, default=None)
     p.add_argument("--input-dim", type=int, default=None)

@@ -198,15 +198,16 @@ def load_dataset(path) -> Dataset:
     for lineno, (u_s, v_s) in _parse_lines(graph_path, 2):
         u = _parse_int(graph_path, lineno, u_s, "node id")
         v = _parse_int(graph_path, lineno, v_s, "node id")
+        for node in (u, v):
+            if not (0 <= node < n):
+                raise DataError(f"{graph_path}:{lineno}: node id {node} outside [0, {n})")
+        if u == v:
+            raise DataError(f"{graph_path}:{lineno}: self-loop edge ({u}, {v}) is not allowed")
         pairs.append((u, v))
-    try:
-        topology = GraphTopology.from_edge_list(n, pairs)
-    except DataError as exc:
-        raise DataError(f"{graph_path}: {exc}") from exc
 
     return Dataset(
         name=root.name,
-        topology=topology,
+        topology=GraphTopology.from_edge_list(n, pairs),
         features=row_unit_normalize(features),
         labels=labels,
         num_classes=num_classes,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,15 +61,7 @@ class RunResult:
             raise DataError(f"test accuracy {self.test_accuracy} outside [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "dataset": self.dataset,
-            "size_index": self.size_index,
-            "split_index": self.split_index,
-            "test_accuracy": self.test_accuracy,
-            "best_val_accuracy": self.best_val_accuracy,
-            "config": dict(self.config),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunResult":

@@ -61,7 +61,7 @@ class GraphTopology:
             if u == v:
                 raise DataError(f"self-loop edge ({u}, {v}) is not allowed")
             if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-                raise DataError(f"edge ({u}, {v}) references a node id >= {num_nodes}")
+                raise DataError(f"edge ({u}, {v}) has a node id outside [0, {num_nodes})")
             seen.add((min(u, v), max(u, v)))
         return cls(num_nodes=num_nodes, edges=tuple(sorted(seen)))
 

@@ -11,7 +11,7 @@ come from g by default and from f's argmax as a logged alternative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,18 +54,10 @@ class LpnnWeights:
     lambda_u: float
 
     def __post_init__(self) -> None:
-        for name, value in self.as_dict().items():
+        for f in fields(self):
+            value = getattr(self, f.name)
             if value < 0:
-                raise UsageError(f"lpnn weight {name} must be >= 0, got {value}")
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "mu_g": self.mu_g,
-            "mu_l": self.mu_l,
-            "mu_u": self.mu_u,
-            "lambda_l": self.lambda_l,
-            "lambda_u": self.lambda_u,
-        }
+                raise UsageError(f"lpnn weight {f.name} must be >= 0, got {value}")
 
 
 def _clamped_log(p: np.ndarray) -> np.ndarray:
@@ -161,7 +153,11 @@ def predict_from_f(model: LpnnModel) -> np.ndarray:
 def train_lpnn(dataset, split, config: TrainConfig, weights: LpnnWeights):
     """Joint Adam optimization of f and g under the shared early-stopping loop
     (training.fit). Validation and the returned best snapshot follow g's
-    accuracy, since g serves predictions by default."""
+    accuracy, since g serves predictions by default. Trains in float64 only."""
+    if config.precision != "float64":
+        raise UsageError(
+            "method 'lpnn' trains in float64 only; --precision float32 does not apply"
+        )
     x = np.asarray(dataset.features, dtype=np.float64)
     labels = np.asarray(dataset.labels)
     n = x.shape[0]

@@ -47,6 +47,7 @@ __all__ = [
     "CostEstimate",
     "ForwardStates",
     "PRESET_NAMES",
+    "DEFAULT_HIDDEN_DIM",
     "preset",
     "spec_to_dict",
     "spec_from_dict",
@@ -65,6 +66,9 @@ __all__ = [
 # inference forward measured faster sparse than dense up to about 40% density
 # on 2708x1433 and 19717x500 inputs (2 cores; CHANGES.md has the numbers).
 SPARSE_INPUT_DENSITY = 0.4
+
+# The hidden width of a preset, an Mlp and a GcnBlock unless one is given.
+DEFAULT_HIDDEN_DIM = 16
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +91,7 @@ class Fp:
 class Mlp:
     """Hidden feed-forward layers only; the output layer is LinearClassifier."""
 
-    hidden_dims: tuple[int, ...] = (16,)
+    hidden_dims: tuple[int, ...] = (DEFAULT_HIDDEN_DIM,)
     activation: str = "relu"
 
     def __post_init__(self) -> None:
@@ -110,7 +114,7 @@ class GcnBlock:
     first layers-1 outputs; the final layer maps onto the class dimension."""
 
     layers: int = 2
-    hidden_dims: tuple[int, ...] = (16,)
+    hidden_dims: tuple[int, ...] = (DEFAULT_HIDDEN_DIM,)
     operator: str = "symmetric"
     smoothings: int | None = None
 
@@ -200,51 +204,51 @@ PRESET_NAMES = ("gcn", "sgcn", "fp-mlp", "sgcn-lp", "gcn-lp", "linear-lp", "mlp-
 def preset(
     name: str,
     *,
-    hidden_dim: int = 16,
+    hidden_dim: int = DEFAULT_HIDDEN_DIM,
     depth: int | None = None,
     lp_layers: int | None = None,
-    fp_operator: str = "symmetric",
-    lp_operator: str = "row",
 ) -> NetworkSpec:
     """Build one of the named network shapes.
 
     depth is the total propagation/feed-forward budget L (default 2). For the
     split variants (sgcn-lp, gcn-lp) the budget is divided between the feature
     side and lp_layers on the label side, so lp_layers=0 reduces them to their
-    propagation-free ancestors exactly.
+    propagation-free ancestors exactly. Stages keep their default operator
+    names ("symmetric" on the feature side, "row" for lp); the operator set a
+    network compiles against decides what each name means.
     """
     if name not in PRESET_NAMES:
         raise UsageError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
     length = 2 if depth is None else depth
     if length < 1:
         raise UsageError(f"network depth must be >= 1, got {length}")
+    if hidden_dim < 1:
+        raise UsageError(f"hidden width must be >= 1, got {hidden_dim}")
     hid = (hidden_dim,) * (length - 1)
 
     def with_lp(stages: list[Stage], ll: int) -> tuple[Stage, ...]:
         if ll > 0:
-            stages.append(Lp(layers=ll, operator=lp_operator))
+            stages.append(Lp(layers=ll))
         return tuple(stages)
 
     if name == "gcn":
-        return NetworkSpec(name, (GcnBlock(length, hid, fp_operator, smoothings=length), Softmax()))
+        return NetworkSpec(name, (GcnBlock(length, hid, smoothings=length), Softmax()))
     if name == "sgcn":
-        return NetworkSpec(name, (Fp(length, fp_operator), LinearClassifier(), Softmax()))
+        return NetworkSpec(name, (Fp(length), LinearClassifier(), Softmax()))
     if name == "fp-mlp":
-        return NetworkSpec(
-            name, (Fp(length, fp_operator), Mlp(hid), LinearClassifier(), Softmax())
-        )
+        return NetworkSpec(name, (Fp(length), Mlp(hid), LinearClassifier(), Softmax()))
     if name == "sgcn-lp":
         ll = 1 if lp_layers is None else lp_layers
         fp = max(length - ll, 0)
         stages: list[Stage] = []
         if fp > 0:
-            stages.append(Fp(fp, fp_operator))
+            stages.append(Fp(fp))
         stages += [LinearClassifier(), Softmax()]
         return NetworkSpec(name, with_lp(stages, ll))
     if name == "gcn-lp":
         ll = 1 if lp_layers is None else lp_layers
         s = max(length - ll, 0)
-        stages = [GcnBlock(length, hid, fp_operator, smoothings=s), Softmax()]
+        stages = [GcnBlock(length, hid, smoothings=s), Softmax()]
         return NetworkSpec(name, with_lp(stages, ll))
     if name == "linear-lp":
         ll = length if lp_layers is None else lp_layers
@@ -420,14 +424,13 @@ class CostEstimate:
 
 @dataclass(frozen=True, eq=False)
 class CompiledNetwork:
-    spec: NetworkSpec
     layers: tuple
     param_shapes: tuple[tuple[int, int], ...]
     input_dim: int
     num_classes: int
     num_nodes: int | None
     x_bar: np.ndarray | sp.csr_matrix | None
-    folded: tuple[PropagationOperator, ...]
+    dropout: float
     cost: CostEstimate | None
 
     @property
@@ -536,7 +539,6 @@ def compile_network(
 
     # Fold the leading smoothing run into a precomputed input when possible.
     x_bar = None
-    folded: tuple[PropagationOperator, ...] = ()
     if features is not None:
         features = np.asarray(features)
         if features.ndim != 2 or features.shape[1] != input_dim:
@@ -552,9 +554,8 @@ def compile_network(
         prefix = 0
         while prefix < len(chain) and chain[prefix].kind == "smooth":
             prefix += 1
-        folded = tuple(entry.op for entry in chain[:prefix])
         # Only a linear (or the dropout before it) can take a CSR input.
-        x_bar = _fold(features, folded, sparse=bool(shapes))
+        x_bar = _fold(features, [entry.op for entry in chain[:prefix]], sparse=bool(shapes))
         chain = chain[prefix:]
 
     cost = None
@@ -564,14 +565,13 @@ def compile_network(
         cost = estimate_cost(spec, n_for_cost, num_edges, d, num_classes)
 
     return CompiledNetwork(
-        spec=spec,
         layers=tuple(chain),
         param_shapes=tuple(shapes),
         input_dim=input_dim,
         num_classes=num_classes,
         num_nodes=num_nodes,
         x_bar=x_bar,
-        folded=folded,
+        dropout=dropout,
         cost=cost,
     )
 
@@ -720,6 +720,5 @@ def with_dtype(net: CompiledNetwork, dtype) -> CompiledNetwork:
     return dataclasses.replace(
         net,
         layers=tuple(entry.cast(cast_op) for entry in net.layers),
-        folded=tuple(cast_op(op) for op in net.folded),
         x_bar=None if net.x_bar is None else net.x_bar.astype(dtype),
     )

@@ -190,8 +190,13 @@ def train(net: CompiledNetwork, dataset, split, config: TrainConfig):
     """Full-batch training of a compiled network with early stopping on
     validation accuracy (see fit). Each epoch takes one Adam step and then
     evaluates in inference mode; returns the best epoch's parameters and the
-    history.
+    history. config.dropout must be the rate the network was compiled with.
     """
+    if config.dropout != net.dropout:
+        raise UsageError(
+            f"config dropout {config.dropout} differs from the rate {net.dropout} "
+            "the network was compiled with"
+        )
     dtype = np.float32 if config.precision == "float32" else np.float64
     work_net = with_dtype(net, dtype) if dtype == np.float32 else net
     x = _resolve_inputs(work_net, dataset)
@@ -249,7 +254,7 @@ def gradient_check(
 
     Requires a dropout-free, float64 network on a small instance.
     """
-    if any(entry.kind == "dropout" for entry in net.layers):
+    if net.dropout:
         raise UsageError("gradient check requires a network compiled with dropout=0")
     x = _resolve_inputs(net, dataset)
     labels = np.asarray(dataset.labels)

@@ -280,6 +280,13 @@ class TestErrorsAndExitCodes:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
+    @pytest.mark.parametrize("method", ["gcn", "sgcn"])
+    def test_hidden_must_be_positive(self, cli_env, tmp_path, capsys, method):
+        code = main(quick_train_args(cli_env, tmp_path, method, ["--hidden", "0"]))
+        assert code == 1
+        assert "must be" in capsys.readouterr().err
+        assert not list(Path(tmp_path).rglob("result.json"))
+
     def test_failed_gradcheck_is_numeric_error(self, capsys):
         code = main(["gradcheck", "--method", "gcn", "--tolerance", "1e-18"])
         assert code == 3
@@ -381,6 +388,29 @@ class TestTrainCommand:
         code = main(quick_train_args(cli_env, tmp_path, str(spec_path), ["--hidden", "8"]))
         assert code == 1
 
+    def test_spec_file_follows_operator_flag(self, cli_env, tmp_path):
+        # A spec file naming the stage default operators trains what the
+        # equal preset trains under every --operator.
+        spec_path = tmp_path / "net.json"
+        spec_path.write_text(
+            json.dumps(
+                {"name": "sgcn", "stages": [
+                    {"kind": "fp", "layers": 2}, {"kind": "linear_classifier"}, {"kind": "softmax"},
+                ]}
+            )
+        )
+        histories = {}
+        for method in ("sgcn", str(spec_path)):
+            for operator in ("symmetric", "row"):
+                out = tmp_path / f"{len(histories)}"
+                argv = quick_train_args(cli_env, out, method, ["--operator", operator])
+                assert main(argv) == 0
+                assert read_only_result(out)["config"]["operator"] == operator
+                histories[method, operator] = next(out.rglob("history.txt")).read_text()
+        assert histories["sgcn", "row"] != histories["sgcn", "symmetric"]
+        for operator in ("symmetric", "row"):
+            assert histories[str(spec_path), operator] == histories["sgcn", operator]
+
     def test_deterministic_across_invocations(self, cli_env, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         argv = quick_train_args(cli_env, a, "mlp-lp", ["--seed", "5"])
@@ -472,6 +502,11 @@ class TestSweepCommand:
         assert doc["config"]["budget"] == 4
         assert doc["config"]["sweep_seed"] == 11
         assert "trial_index" in doc["config"]
+
+    def test_hidden_flag_refused(self, cli_env, tmp_path, capsys):
+        code = main(self.sweep_args(cli_env, tmp_path, 1, ["--hidden", "128"]))
+        assert code == 1
+        assert "samples the hidden width" in capsys.readouterr().err
 
     def test_paper_space_flag_accepted(self, cli_env, tmp_path):
         code = main(self.sweep_args(cli_env, tmp_path, 1, ["--paper-space"]))

@@ -166,6 +166,24 @@ class TestLoadDataset:
         with pytest.raises(DataError):
             load_dataset(root)
 
+    def test_graph_negative_id_names_line(self, tmp_path):
+        root = write_dataset_dir(tmp_path / "gn", planted_dataset(12, 2, 4, seed=20))
+        (root / "graph.txt").write_text("0 1\n# note\n-1 3\n")
+        with pytest.raises(DataError, match=r"graph\.txt:3: node id -1 outside \[0, 12\)$"):
+            load_dataset(root)
+
+    def test_graph_too_large_id_names_line(self, tmp_path):
+        root = write_dataset_dir(tmp_path / "gl", planted_dataset(12, 2, 4, seed=20))
+        (root / "graph.txt").write_text("0 1\n5 12\n")
+        with pytest.raises(DataError, match=r"graph\.txt:2: node id 12 outside \[0, 12\)$"):
+            load_dataset(root)
+
+    def test_graph_self_loop_names_line(self, tmp_path):
+        root = write_dataset_dir(tmp_path / "gs", planted_dataset(12, 2, 4, seed=19))
+        (root / "graph.txt").write_text("0 1\n\n4 4\n")
+        with pytest.raises(DataError, match=r"graph\.txt:3: self-loop edge \(4, 4\) is not allowed"):
+            load_dataset(root)
+
 
 class TestTrainSizeTargets:
     def test_published_endpoint_pairs_snap(self):

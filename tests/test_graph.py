@@ -62,8 +62,10 @@ class TestGraphTopology:
             GraphTopology.from_edge_list(3, [(1, 1)])
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"outside \[0, 3\)"):
             GraphTopology.from_edge_list(3, [(0, 3)])
+        with pytest.raises(DataError, match=r"outside \[0, 3\)"):
+            GraphTopology.from_edge_list(3, [(-1, 2)])
 
     def test_direct_constructor_requires_canonical_order(self):
         with pytest.raises(DataError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphcompose.cli import _LOSS_WEIGHT_KEYS
 from graphcompose.errors import UsageError
 from graphcompose.graph import build_operator
 from graphcompose.layers import softmax_rows_forward
@@ -38,9 +39,10 @@ class TestLpnnWeights:
         with pytest.raises(UsageError, match="lambda_u"):
             LpnnWeights(1.0, 1.0, 1.0, 1.0, -0.5)
 
-    def test_as_dict_keys(self):
-        d = LpnnWeights(1, 2, 3, 4, 5).as_dict()
-        assert d == {"mu_g": 1, "mu_l": 2, "mu_u": 3, "lambda_l": 4, "lambda_u": 5}
+    def test_sweep_draws_weights_in_field_order(self):
+        # A sweep samples the weights in this order; reordering the fields of
+        # LpnnWeights would change every sampled lpnn config.
+        assert _LOSS_WEIGHT_KEYS == ("mu_g", "mu_l", "mu_u", "lambda_l", "lambda_u")
 
 
 class TestLpnnLoss:
@@ -200,3 +202,9 @@ class TestTrainLpnn:
         bad = DataSplit(1, 0, (), split.val, split.test)
         with pytest.raises(UsageError):
             train_lpnn(small_dataset, bad, TrainConfig(), LpnnWeights(1, 1, 1, 1, 1))
+
+    def test_float32_refused(self, small_dataset):
+        split = stratified_split(small_dataset)
+        config = TrainConfig(max_epochs=2, patience=2, precision="float32")
+        with pytest.raises(UsageError, match="float64 only"):
+            train_lpnn(small_dataset, split, config, LpnnWeights(1, 1, 1, 1, 1))

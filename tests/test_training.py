@@ -208,7 +208,7 @@ class TestTrain:
 
     def test_deterministic(self, setup):
         dataset, split, net = setup
-        config = TrainConfig(max_epochs=15, patience=15, seed=3)
+        config = TrainConfig(dropout=0.0, max_epochs=15, patience=15, seed=3)
         p1, h1 = train(net, dataset, split, config)
         p2, h2 = train(net, dataset, split, config)
         assert h1 == h2
@@ -217,15 +217,15 @@ class TestTrain:
 
     def test_seed_changes_run(self, setup):
         dataset, split, net = setup
-        h1 = train(net, dataset, split, TrainConfig(max_epochs=10, patience=10, seed=4))[1]
-        h2 = train(net, dataset, split, TrainConfig(max_epochs=10, patience=10, seed=5))[1]
+        h1 = train(net, dataset, split, TrainConfig(dropout=0.0, max_epochs=10, patience=10, seed=4))[1]
+        h2 = train(net, dataset, split, TrainConfig(dropout=0.0, max_epochs=10, patience=10, seed=5))[1]
         assert h1.train_loss != h2.train_loss
 
     def test_frozen_run_stops_at_epoch_two(self, setup):
         # lr=0 never improves after the first epoch, so patience=1 trips
         # immediately: strict improvement is required to reset the counter.
         dataset, split, net = setup
-        config = TrainConfig(learning_rate=0.0, patience=1, max_epochs=50, seed=6)
+        config = TrainConfig(learning_rate=0.0, dropout=0.0, patience=1, max_epochs=50, seed=6)
         _, history = train(net, dataset, split, config)
         assert history.stopped_epoch == 2
         assert history.best_epoch == 1
@@ -242,7 +242,7 @@ class TestTrain:
 
     def test_float32_precision(self, setup):
         dataset, split, net = setup
-        config = TrainConfig(max_epochs=5, patience=5, precision="float32", seed=8)
+        config = TrainConfig(dropout=0.0, max_epochs=5, patience=5, precision="float32", seed=8)
         params, _ = train(net, dataset, split, config)
         assert all(p.dtype == np.float32 for p in params)
 
@@ -262,17 +262,22 @@ class TestTrain:
             preset("sgcn"), ops, bad.num_features, bad.num_classes, features=bad.features
         )
         with pytest.raises(NumericError):
-            train(net, bad, split, TrainConfig(max_epochs=3, patience=3))
+            train(net, bad, split, TrainConfig(dropout=0.0, max_epochs=3, patience=3))
+
+    def test_dropout_must_match_compiled_rate(self, setup):
+        dataset, split, net = setup
+        with pytest.raises(UsageError, match=r"config dropout 0\.5 differs from the rate 0\.0"):
+            train(net, dataset, split, TrainConfig(dropout=0.5, max_epochs=2, patience=2))
 
     def test_empty_train_set_rejected(self, setup):
         dataset, split, net = setup
         empty = DataSplit(1, 0, (), split.val, split.test)
-        with pytest.raises(UsageError):
-            train(net, dataset, empty, TrainConfig())
+        with pytest.raises(UsageError, match="nonempty train and val"):
+            train(net, dataset, empty, TrainConfig(dropout=0.0))
 
     def test_history_text_layout(self, setup):
         dataset, split, net = setup
-        _, history = train(net, dataset, split, TrainConfig(max_epochs=3, patience=3, seed=9))
+        _, history = train(net, dataset, split, TrainConfig(dropout=0.0, max_epochs=3, patience=3, seed=9))
         text = history.to_text()
         lines = text.strip().splitlines()
         assert lines[0] == "epoch\ttrain_loss\tval_accuracy"
