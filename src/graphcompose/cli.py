@@ -241,7 +241,7 @@ class _Composed:
 
     @property
     def samples_hidden(self) -> bool:
-        return self.preset_name is not None
+        return self.preset_name is not None and bool(self.spec_for().hidden_dims)
 
     def spec_for(self, hidden_dim: int | None = None) -> NetworkSpec:
         if self.file_spec is not None:
@@ -517,7 +517,7 @@ def cmd_sweep(args) -> int:
         split_index=split.split_index,
         test_accuracy=test_accuracy,
         best_val_accuracy=best.val_accuracy,
-        config={**asdict(config), **best.config, **sweep_keys},
+        config={**asdict(config), **method.flag_config(args), **best.config, **sweep_keys},
     )
     run_dir = _run_dir(args.out, dataset, method.label, split, suffix=f"_sweep{args.seed}")
     _persist_result(run_dir, result, history)
@@ -845,6 +845,9 @@ def _build_parser() -> _Parser:
     _add_split_flags(p)
     _add_method_flags(p)
     _add_operator_flags(p)
+    # The loss weights are sampled; these placeholders let the lpnn method's
+    # flag_config run, and the sampled values replace them.
+    p.set_defaults(**dict.fromkeys(_LOSS_WEIGHT_KEYS))
     p.add_argument("--budget", type=int, default=200, help="number of sampled configs")
     p.add_argument("--jobs", type=int, default=1, help="concurrent training runs")
     p.add_argument(

@@ -5,7 +5,8 @@ linear classifier, GCN block, softmax, and label propagation (LP). Compilation
 validates the composition rules, folds any leading smoothing prefix into a
 precomputed input matrix when features are supplied, and produces a flat layer
 chain executed by forward/backward. A sparse folded input is held as a scipy
-CSR matrix (see SPARSE_INPUT_DENSITY).
+CSR matrix (see SPARSE_INPUT_DENSITY). restrict() cuts a compiled network
+down to the rows a set of output rows depends on.
 
 Composition rules enforced here: exactly one softmax; LP stages only after the
 softmax, and never with a symmetric operator (a row-normalized one keeps
@@ -58,6 +59,7 @@ __all__ = [
     "backward",
     "estimate_cost",
     "with_dtype",
+    "restrict",
     "SPARSE_INPUT_DENSITY",
 ]
 
@@ -168,6 +170,13 @@ class NetworkSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stages", tuple(self.stages))
+
+    @property
+    def hidden_dims(self) -> tuple[int, ...]:
+        """Widths of the hidden layers, in stage order."""
+        return tuple(
+            d for s in self.stages if isinstance(s, (Mlp, GcnBlock)) for d in s.hidden_dims
+        )
 
 
 def validate_spec(spec: NetworkSpec) -> None:
@@ -315,26 +324,28 @@ def spec_from_dict(doc: dict) -> NetworkSpec:
 class _Entry:
     kind: str
 
-    def cast(self, cast_op) -> "_Entry":
-        """This entry with its operator recast by cast_op (if it has one)."""
+    def cast(self, cast_matrix) -> "_Entry":
+        """This entry with its operator matrix recast by cast_matrix (if it
+        has one)."""
         return self
 
 
 @dataclass(frozen=True, eq=False)
 class _Smooth(_Entry):
-    """Feature-side smoothing S @ h."""
+    """Feature-side smoothing S @ h. The CSR matrix is the operator's, or the
+    block of it that a restricted copy reads (so it need not be square)."""
 
-    op: PropagationOperator
+    matrix: sp.csr_matrix
     kind = "smooth"
 
     def forward(self, h, params, rng, training):
-        return spmm(self.op.matrix, h), None
+        return spmm(self.matrix, h), None
 
     def vjp(self, cache, params, u, grads):
-        return spmm_transposed(self.op.matrix, u)
+        return spmm_transposed(self.matrix, u)
 
-    def cast(self, cast_op) -> "_Smooth":
-        return dataclasses.replace(self, op=cast_op(self.op))
+    def cast(self, cast_matrix) -> "_Smooth":
+        return dataclasses.replace(self, matrix=cast_matrix(self.matrix))
 
 
 class _LabelProp(_Smooth):
@@ -424,6 +435,10 @@ class CostEstimate:
 
 @dataclass(frozen=True, eq=False)
 class CompiledNetwork:
+    """The entry chain and its input. A copy made by restrict() computes only
+    some output rows; its positions give where each requested row sits in its
+    output (None for a network over every node)."""
+
     layers: tuple
     param_shapes: tuple[tuple[int, int], ...]
     input_dim: int
@@ -432,6 +447,7 @@ class CompiledNetwork:
     x_bar: np.ndarray | sp.csr_matrix | None
     dropout: float
     cost: CostEstimate | None
+    positions: np.ndarray | None = None
 
     @property
     def num_params(self) -> int:
@@ -504,7 +520,7 @@ def compile_network(
 
     for pos, stage in enumerate(spec.stages):
         if isinstance(stage, Fp):
-            chain += [_Smooth(resolve(stage.operator))] * stage.layers
+            chain += [_Smooth(resolve(stage.operator).matrix)] * stage.layers
         elif isinstance(stage, Mlp):
             for h in stage.hidden_dims:
                 linear(h)
@@ -517,7 +533,7 @@ def compile_network(
             dims = stage.hidden_dims + (num_classes,)
             for k in range(stage.layers):
                 if k < stage.effective_smoothings:
-                    chain.append(_Smooth(op))
+                    chain.append(_Smooth(op.matrix))
                 linear(dims[k])
                 if k < stage.layers - 1:
                     chain.append(_Relu())
@@ -535,7 +551,7 @@ def compile_network(
                     f"network {spec.name!r}: label propagation requires a row-normalized "
                     f"(or general) operator, got kind {op.kind!r}"
                 )
-            chain += [_LabelProp(op)] * stage.layers
+            chain += [_LabelProp(op.matrix)] * stage.layers
 
     # Fold the leading smoothing run into a precomputed input when possible.
     x_bar = None
@@ -555,7 +571,7 @@ def compile_network(
         while prefix < len(chain) and chain[prefix].kind == "smooth":
             prefix += 1
         # Only a linear (or the dropout before it) can take a CSR input.
-        x_bar = _fold(features, [entry.op for entry in chain[:prefix]], sparse=bool(shapes))
+        x_bar = _fold(features, [entry.matrix for entry in chain[:prefix]], sparse=bool(shapes))
         chain = chain[prefix:]
 
     cost = None
@@ -576,8 +592,8 @@ def compile_network(
     )
 
 
-def _fold(features: np.ndarray, ops, sparse: bool):
-    """S_k ... S_1 X over the folded operators.
+def _fold(features: np.ndarray, matrices, sparse: bool):
+    """S_k ... S_1 X over the folded operator matrices.
 
     When sparse is allowed and a bound on the result's density lies below
     SPARSE_INPUT_DENSITY, X is converted to CSR and folded with sparse
@@ -591,26 +607,22 @@ def _fold(features: np.ndarray, ops, sparse: bool):
         nonzero = features != 0
         counts = np.count_nonzero(nonzero, axis=1)
         bound = counts
-        for op in ops:
-            m = op.matrix
+        for m in matrices:
             pattern = sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), shape=m.shape)
             bound = np.minimum(spmm(pattern, bound[:, None])[:, 0], d)
         if bound.sum() < SPARSE_INPUT_DENSITY * n * d:
             flat = np.flatnonzero(nonzero)
             offsets = np.concatenate(([0], np.cumsum(counts)))
             x = sp.csr_matrix((features.ravel()[flat], flat % d, offsets), shape=(n, d))
-    for op in ops:
-        x = spmm(op.matrix, x)
+    for m in matrices:
+        x = spmm(m, x)
     if sp.issparse(x):
         x.sort_indices()
     return x
 
 
 def _representative_dim(spec: NetworkSpec, input_dim: int) -> int:
-    hiddens = []
-    for stage in spec.stages:
-        if isinstance(stage, (Mlp, GcnBlock)):
-            hiddens += list(stage.hidden_dims)
+    hiddens = spec.hidden_dims
     return hiddens[0] if hiddens else input_dim
 
 
@@ -705,20 +717,71 @@ def estimate_cost(spec: NetworkSpec, n: int, num_edges: int, d: int, num_classes
 
 
 def with_dtype(net: CompiledNetwork, dtype) -> CompiledNetwork:
-    """Recast the network's numeric payload (operators and precomputed input,
-    which stays CSR when it is CSR)."""
+    """Recast the network's numeric payload (operator matrices and
+    precomputed input, which stays CSR when it is CSR)."""
     dtype = np.dtype(dtype)
     if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise UsageError(f"unsupported dtype {dtype}")
-    recast: dict[int, PropagationOperator] = {}
+    recast: dict[int, sp.csr_matrix] = {}
 
-    def cast_op(op: PropagationOperator) -> PropagationOperator:
-        if id(op) not in recast:
-            recast[id(op)] = dataclasses.replace(op, matrix=op.matrix.astype(dtype))
-        return recast[id(op)]
+    def cast_matrix(m: sp.csr_matrix) -> sp.csr_matrix:
+        if id(m) not in recast:
+            recast[id(m)] = m.astype(dtype)
+        return recast[id(m)]
 
     return dataclasses.replace(
         net,
-        layers=tuple(entry.cast(cast_op) for entry in net.layers),
+        layers=tuple(entry.cast(cast_matrix) for entry in net.layers),
         x_bar=None if net.x_bar is None else net.x_bar.astype(dtype),
+    )
+
+
+def restrict(net: CompiledNetwork, rows, features=None) -> CompiledNetwork:
+    """A copy of net that computes only the output rows `rows` and what they
+    read.
+
+    The chain is walked backward from those rows. A smooth or lp entry widens
+    the row set to the columns its matrix reads on the rows after it, and the
+    copy holds the block S[rows_out][:, rows_in] as CSR; every other entry
+    acts row by row and keeps the row set. The copy's input is the first row
+    set of the precomputed input, or of features for a network compiled
+    without them. Its output holds the rows np.unique(rows) in order, and its
+    positions field maps each requested row to its output row. Rows outside
+    the receptive field contribute nothing to the rows read, so the copy's
+    outputs on them and its parameter gradients equal the full chain's.
+    Train-mode dropout draws over the restricted rows only.
+    """
+    source = net.x_bar
+    if source is None:
+        if features is None:
+            raise UsageError("network was compiled without features; restrict needs them")
+        source = features if sp.issparse(features) else np.asarray(features)
+        if source.ndim != 2 or source.shape[1] != net.input_dim:
+            raise UsageError(
+                f"features shape {source.shape} does not match input_dim {net.input_dim}"
+            )
+    rows = np.asarray(rows, dtype=np.int64).ravel()
+    if rows.size == 0 or rows.min() < 0 or rows.max() >= source.shape[0]:
+        raise UsageError(f"restrict needs a nonempty set of rows in [0, {source.shape[0]})")
+    kept = np.unique(rows)
+    needed = kept
+    layers = []
+    for entry in reversed(net.layers):
+        if isinstance(entry, _Smooth):
+            block = entry.matrix[needed]
+            cols = np.unique(block.indices)
+            # Renumbering columns in sorted order keeps each row's entries
+            # sorted, so the block stays canonical.
+            block = sp.csr_matrix(
+                (block.data, np.searchsorted(cols, block.indices), block.indptr),
+                shape=(needed.size, cols.size),
+            )
+            entry = dataclasses.replace(entry, matrix=block)
+            needed = cols
+        layers.append(entry)
+    return dataclasses.replace(
+        net,
+        layers=tuple(reversed(layers)),
+        x_bar=source[needed],
+        positions=np.searchsorted(kept, rows),
     )

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NumericError, UsageError
 from .evaluation import accuracy
-from .networks import CompiledNetwork, backward, forward, init_params, with_dtype
+from .networks import CompiledNetwork, backward, forward, init_params, restrict, with_dtype
 
 __all__ = [
     "PROB_FLOOR",
@@ -130,10 +130,13 @@ class TrainHistory:
         return "\n".join(lines) + "\n"
 
 
-def _resolve_inputs(net: CompiledNetwork, dataset):
-    if net.x_bar is not None:
-        return None
-    return dataset.features
+def _restrict_to(net: CompiledNetwork, dataset, rows, dtype=np.float64):
+    """restrict(net, rows) in the given precision, and the labels of the
+    copy's output rows."""
+    part = restrict(net, rows, dataset.features)
+    if dtype == np.float32:
+        part = with_dtype(part, dtype)
+    return part, np.asarray(dataset.labels)[np.unique(np.asarray(rows, dtype=np.int64))]
 
 
 def fit(step, evaluate, config: TrainConfig):
@@ -191,6 +194,11 @@ def train(net: CompiledNetwork, dataset, split, config: TrainConfig):
     validation accuracy (see fit). Each epoch takes one Adam step and then
     evaluates in inference mode; returns the best epoch's parameters and the
     history. config.dropout must be the rate the network was compiled with.
+
+    The step runs on a copy restricted to the train rows and the evaluation on
+    one restricted to the val rows (see restrict), since the loss and the
+    metric read nothing else; train-mode dropout draws over the restricted
+    rows only.
     """
     if config.dropout != net.dropout:
         raise UsageError(
@@ -198,33 +206,28 @@ def train(net: CompiledNetwork, dataset, split, config: TrainConfig):
             "the network was compiled with"
         )
     dtype = np.float32 if config.precision == "float32" else np.float64
-    work_net = with_dtype(net, dtype) if dtype == np.float32 else net
-    x = _resolve_inputs(work_net, dataset)
-    if x is not None and np.asarray(x).dtype != dtype:
-        x = np.asarray(x).astype(dtype)
-    labels = np.asarray(dataset.labels)
-    train_idx = np.asarray(split.train, dtype=np.int64)
-    val_idx = np.asarray(split.val, dtype=np.int64)
-    if train_idx.size == 0 or val_idx.size == 0:
+    if len(split.train) == 0 or len(split.val) == 0:
         raise UsageError("train needs nonempty train and val sets")
+    train_net, train_labels = _restrict_to(net, dataset, split.train, dtype)
+    val_net, val_labels = _restrict_to(net, dataset, split.val, dtype)
 
     seed_root = np.random.SeedSequence(config.seed)
     init_stream, dropout_stream = seed_root.spawn(2)
-    params = init_params(work_net, np.random.default_rng(init_stream), dtype)
+    params = init_params(net, np.random.default_rng(init_stream), dtype)
     dropout_rng = np.random.default_rng(dropout_stream)
     adam = AdamState.for_params(params)
 
     def step() -> float:
         nonlocal params
-        out, states = forward(work_net, params, x, "train", dropout_rng)
-        loss, d_p = masked_cross_entropy(out, labels, train_idx)
-        grads = backward(work_net, states, d_p)
+        out, states = forward(train_net, params, None, "train", dropout_rng)
+        loss, d_p = masked_cross_entropy(out, train_labels, train_net.positions)
+        grads = backward(train_net, states, d_p)
         params = adam_step(params, grads, adam, config.learning_rate, config.weight_decay)
         return loss
 
     def evaluate():
-        val_out, _ = forward(work_net, params, x, "infer")
-        return accuracy(val_out, labels, val_idx), params
+        val_out, _ = forward(val_net, params, None, "infer")
+        return accuracy(val_out, val_labels, val_net.positions), params
 
     return fit(step, evaluate, config)
 
@@ -250,28 +253,25 @@ def gradient_check(
     seed: int = 0,
 ) -> GradCheckReport:
     """Compare analytic parameter gradients of the full pipeline (forward plus
-    masked cross-entropy) against central finite differences.
+    masked cross-entropy) against central finite differences. The pipeline
+    runs on the copy restricted to the labeled set, as train runs it.
 
     Requires a dropout-free, float64 network on a small instance.
     """
     if net.dropout:
         raise UsageError("gradient check requires a network compiled with dropout=0")
-    x = _resolve_inputs(net, dataset)
-    labels = np.asarray(dataset.labels)
-    idx = (
-        np.arange(labels.shape[0], dtype=np.int64)
-        if labeled_set is None
-        else np.asarray(labeled_set, dtype=np.int64)
-    )
+    if labeled_set is None:
+        labeled_set = np.arange(len(dataset.labels))
+    part, labels = _restrict_to(net, dataset, labeled_set)
     params = init_params(net, np.random.default_rng(np.random.SeedSequence(seed)), np.float64)
 
-    out, states = forward(net, params, x, "train")
-    _, d_p = masked_cross_entropy(out, labels, idx)
-    analytic = backward(net, states, d_p)
+    out, states = forward(part, params, None, "train")
+    _, d_p = masked_cross_entropy(out, labels, part.positions)
+    analytic = backward(part, states, d_p)
 
     def loss_at(ps) -> float:
-        probe, _ = forward(net, ps, x, "infer")
-        return masked_cross_entropy(probe, labels, idx)[0]
+        probe, _ = forward(part, ps, None, "infer")
+        return masked_cross_entropy(probe, labels, part.positions)[0]
 
     per_param: list[float] = []
     for pi in range(len(params)):

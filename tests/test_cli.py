@@ -512,6 +512,28 @@ class TestSweepCommand:
         code = main(self.sweep_args(cli_env, tmp_path, 1, ["--paper-space"]))
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "flags, recorded",
+        [
+            (["--operator", "row"], {"operator": "row"}),
+            (
+                ["--operator", "mix", "--alpha", "1", "--beta", "0.5"],
+                {"operator": "mix", "alpha": 1.0, "beta": 0.5},
+            ),
+        ],
+        ids=["row", "mix"],
+    )
+    def test_records_its_operator(self, cli_env, tmp_path, flags, recorded):
+        args = self.sweep_args(cli_env, tmp_path, 1, flags, method="sgcn-lp", budget=2, epochs=4)
+        assert main(args) == 0
+        config = read_only_result(tmp_path)["config"]
+        assert {key: config.get(key) for key in recorded} == recorded
+
+    def test_no_hidden_width_without_a_hidden_layer(self, cli_env, tmp_path):
+        assert main(self.sweep_args(cli_env, tmp_path, 1, budget=2, epochs=4)) == 0
+        assert "hidden_dim" not in read_only_result(tmp_path)["config"]
+        assert "hidden_dim" not in next(tmp_path.rglob("trials.txt")).read_text()
+
 
 class TestCompareCommand:
     @staticmethod

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from graphcompose import networks
 from graphcompose.errors import UsageError
-from graphcompose.graph import build_operator
+from graphcompose.graph import GraphTopology, build_operator
 from graphcompose.layers import linear_vjp
 from graphcompose.networks import (
     Fp,
@@ -21,6 +21,7 @@ from graphcompose.networks import (
     forward,
     init_params,
     preset,
+    restrict,
     spec_from_dict,
     spec_to_dict,
     validate_spec,
@@ -28,7 +29,14 @@ from graphcompose.networks import (
 )
 from graphcompose.training import gradient_check
 
-from .conftest import dense, np_relu, np_softmax, ring_topology, sparse_planted_dataset
+from .conftest import (
+    dense,
+    np_relu,
+    np_softmax,
+    planted_dataset,
+    ring_topology,
+    sparse_planted_dataset,
+)
 
 
 @pytest.fixture(scope="module")
@@ -420,7 +428,7 @@ class TestInitAndDtype:
         net32 = with_dtype(net, np.float32)
         assert net32.x_bar.dtype == np.float32
         smooth = [e for e in net32.layers if e.kind == "smooth"][0]
-        assert smooth.op.matrix.data.dtype == np.float32
+        assert smooth.matrix.data.dtype == np.float32
         # The original network is untouched.
         assert net.x_bar.dtype == np.float64
 
@@ -545,3 +553,182 @@ class TestBackwardStopsAtFirstLinear:
         backward(net, states, np.ones((14, 3)))
         assert len(masks) == kinds.count("dropout") - 1
         assert all(mask is not first_mask for mask in masks)
+
+
+# ---------------------------------------------------------------------------
+# Row restriction
+
+
+@pytest.fixture(scope="module")
+def restrict_data():
+    """60 nodes of average degree about 2, so a few rows read well under every
+    node, with dense features and with 1%-dense ones (which fold to CSR)."""
+    sets = {
+        "dense": planted_dataset(60, 3, 5, seed=41, edges_per_node=2),
+        "sparse": sparse_planted_dataset(60, 3, 200, 0.01, seed=42, edges_per_node=2),
+    }
+    return {
+        key: (ds, {kind: build_operator(ds.topology, kind) for kind in ("symmetric", "row")})
+        for key, ds in sets.items()
+    }
+
+
+RESTRICT_CASES = ("folded-dense", "folded-csr", "unfolded")
+# Unsorted, with a repeat: the restricted output holds each row once.
+ROWS = np.array([41, 7, 23, 7])
+
+
+def restrict_setup(restrict_data, case, name, dropout):
+    """(network, features) for one restriction case; the unfolded network is
+    compiled without features and reads them at run time."""
+    dataset, ops = restrict_data["sparse" if case == "folded-csr" else "dense"]
+    net = compile_network(
+        preset(name, hidden_dim=4, depth=3, lp_layers=1),
+        ops,
+        dataset.num_features,
+        dataset.num_classes,
+        features=None if case == "unfolded" else dataset.features,
+        dropout=dropout,
+    )
+    assert (case == "folded-csr") == sp.issparse(net.x_bar)
+    return net, dataset.features
+
+
+def entry_rows(net, rows):
+    """The rows each entry of net reads when only `rows` of its output are
+    needed: a smooth or lp entry reads every node its operator links to the
+    rows after it."""
+    needed = np.unique(rows)
+    out = []
+    for entry in reversed(net.layers):
+        if entry.kind in ("smooth", "lp"):
+            needed = np.flatnonzero(dense(entry.matrix)[needed].any(axis=0))
+        out.append(needed)
+    return out[::-1]
+
+
+def scatter_mask(mask, rows, num_rows, csr_input=None):
+    """The full-chain mask that equals `mask` on `rows` and keeps the rest;
+    on a CSR input it covers the stored entries."""
+    if csr_input is not None:
+        ip = csr_input.indptr
+        where = np.concatenate([np.arange(ip[r], ip[r + 1]) for r in rows])
+        full = np.ones(csr_input.nnz, dtype=bool)
+    else:
+        where = rows
+        full = np.ones((num_rows, mask.shape[1]), dtype=bool)
+    full[where] = mask
+    return full
+
+
+class ReplayStream:
+    """Stands in for the dropout stream: each draw hands out the next mask as
+    uniforms, 1 where it keeps an entry and 0 where it drops one."""
+
+    def __init__(self, masks):
+        self.masks = list(masks)
+
+    def random(self, size):
+        mask = self.masks.pop(0)
+        assert mask.size == np.prod(size)
+        return mask.reshape(size).astype(np.float64)
+
+
+def upstream_on(num_rows, positions, g):
+    d = np.zeros((num_rows, g.shape[1]))
+    np.add.at(d, positions, g)
+    return d
+
+
+def assert_matches_full_chain(net, full, part, restricted, rows):
+    """Outputs on the requested rows and parameter gradients of the
+    restricted pass equal the full chain's."""
+    (full_out, full_states), (out, states) = full, restricted
+    np.testing.assert_allclose(out[part.positions], full_out[rows], rtol=0, atol=1e-12)
+    g = np.random.default_rng(44).normal(size=(rows.size, net.num_classes))
+    expected = backward(net, full_states, upstream_on(full_out.shape[0], rows, g))
+    got = backward(part, states, upstream_on(out.shape[0], part.positions, g))
+    for a, b in zip(got, expected):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
+class TestRestrict:
+    @pytest.mark.parametrize("case", RESTRICT_CASES)
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_matches_full_chain_without_dropout(self, restrict_data, case, name):
+        net, features = restrict_setup(restrict_data, case, name, 0.0)
+        part = restrict(net, ROWS, features)
+        assert part.x_bar.shape[0] == entry_rows(net, ROWS)[0].size < features.shape[0]
+        assert np.array_equal(np.unique(ROWS)[part.positions], ROWS)
+        params = init_params(net, np.random.default_rng(43))
+        x = features if net.x_bar is None else None
+        full = forward(net, params, x, "train")
+        assert_matches_full_chain(net, full, part, forward(part, params, None, "train"), ROWS)
+
+    @pytest.mark.parametrize("case", RESTRICT_CASES)
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_replayed_masks_match_full_chain(self, restrict_data, case, name, monkeypatch):
+        net, features = restrict_setup(restrict_data, case, name, 0.5)
+        part = restrict(net, ROWS, features)
+        params = init_params(net, np.random.default_rng(45))
+        drawn = []
+        original = networks.dropout_forward
+
+        def spy(x, rate, rng, training):
+            out, mask = original(x, rate, rng, training)
+            drawn.append(mask)
+            return out, mask
+
+        monkeypatch.setattr(networks, "dropout_forward", spy)
+        restricted = forward(part, params, None, "train", np.random.default_rng(46))
+        monkeypatch.undo()
+
+        full_input = features if net.x_bar is None else net.x_bar
+        rows_in = entry_rows(net, ROWS)
+        dropouts = [i for i, entry in enumerate(net.layers) if entry.kind == "dropout"]
+        assert len(drawn) == len(dropouts) > 0
+        csr_input = full_input if sp.issparse(full_input) else None
+        replay = [
+            scatter_mask(mask, rows_in[i], full_input.shape[0], csr_input if i == 0 else None)
+            for i, mask in zip(dropouts, drawn)
+        ]
+        x = features if net.x_bar is None else None
+        full = forward(net, params, x, "train", ReplayStream(replay))
+        assert_matches_full_chain(net, full, part, restricted, ROWS)
+
+    def test_each_smoothing_widens_by_one_hop_on_a_path(self):
+        n = 30
+        path = GraphTopology.from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+        ops = {kind: build_operator(path, kind) for kind in ("symmetric", "row")}
+        spec = NetworkSpec("path", (Fp(2), LinearClassifier(), Softmax(), Lp(2)))
+        net = compile_network(spec, ops, 3, 2)
+        features = np.random.default_rng(47).normal(size=(n, 3))
+        operator = {"smooth": dense(ops["symmetric"].matrix), "lp": dense(ops["row"].matrix)}
+
+        def hops(rows, k):
+            return np.unique(np.clip(np.add.outer(rows, np.arange(-k, k + 1)), 0, n - 1))
+
+        for rows in (np.array([10]), np.array([0, n - 1])):
+            part = restrict(net, rows, features)
+            np.testing.assert_array_equal(part.x_bar, features[hops(rows, 4)])
+            blocks = [e for e in part.layers if e.kind in ("smooth", "lp")]
+            assert len(blocks) == 4
+            for j, entry in enumerate(blocks):
+                out_rows, in_rows = hops(rows, 3 - j), hops(rows, 4 - j)
+                np.testing.assert_array_equal(
+                    dense(entry.matrix), operator[entry.kind][np.ix_(out_rows, in_rows)]
+                )
+
+    def test_rejects_bad_rows_and_missing_features(self, ops, x14):
+        unfolded = compile_network(preset("gcn"), ops, 5, 3)
+        with pytest.raises(UsageError, match="without features"):
+            restrict(unfolded, [0])
+        for rows in ([], [14], [-1]):
+            with pytest.raises(UsageError, match="nonempty set of rows"):
+                restrict(unfolded, rows, x14)
+
+    def test_with_dtype_keeps_the_restriction(self, ops, x14):
+        part = restrict(compile_network(preset("gcn"), ops, 5, 3, features=x14), [3, 1])
+        part32 = with_dtype(part, np.float32)
+        assert part32.x_bar.dtype == np.float32 and part32.x_bar.shape == part.x_bar.shape
+        np.testing.assert_array_equal(part32.positions, part.positions)

@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from graphcompose import training
 from graphcompose.data import DataSplit
 from graphcompose.errors import NumericError, UsageError
 from graphcompose.graph import build_operator
-from graphcompose.networks import compile_network, forward, preset
+from graphcompose.networks import backward, compile_network, forward, init_params, preset
 from graphcompose.training import (
     PROB_FLOOR,
     AdamState,
@@ -18,7 +19,7 @@ from graphcompose.training import (
 )
 from graphcompose.evaluation import accuracy
 
-from .conftest import planted_dataset
+from .conftest import dense, planted_dataset
 
 
 def build_ops(dataset):
@@ -304,6 +305,15 @@ class TestGradientCheck:
         report = gradient_check(net, dataset, labeled_set=[0, 3, 5], seed=2)
         assert report.passed
 
+    @pytest.mark.parametrize("folded", [True, False], ids=["folded", "unfolded"])
+    def test_unsorted_subset_through_the_restricted_copy(self, folded):
+        dataset = planted_dataset(8, 2, 3, seed=4, edges_per_node=3)
+        ops = build_ops(dataset)
+        features = dataset.features if folded else None
+        net = compile_network(preset("gcn-lp", hidden_dim=3), ops, 3, 2, features=features)
+        report = gradient_check(net, dataset, labeled_set=[5, 0, 3], seed=2)
+        assert report.passed
+
     def test_rejects_dropout_networks(self):
         dataset = planted_dataset(8, 2, 3, seed=5, edges_per_node=3)
         ops = build_ops(dataset)
@@ -312,3 +322,70 @@ class TestGradientCheck:
         )
         with pytest.raises(UsageError):
             gradient_check(net, dataset)
+
+
+class TestRestrictedTraining:
+    """train runs each epoch on copies restricted to the train and val rows."""
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def sparse_graph():
+        # Average degree about 2, so the receptive fields stay well under n.
+        dataset = planted_dataset(200, 3, 8, seed=13, edges_per_node=2)
+        return dataset, build_ops(dataset), stratified_split(dataset, per_class=3, val=10)
+
+    @staticmethod
+    def receptive_field(net, rows):
+        needed = np.unique(rows)
+        for entry in reversed(net.layers):
+            if entry.kind in ("smooth", "lp"):
+                needed = np.flatnonzero(dense(entry.matrix)[needed].any(axis=0))
+        return needed
+
+    def test_forward_reads_only_the_receptive_fields(self, sparse_graph, monkeypatch):
+        dataset, ops, split = sparse_graph
+        net = compile_network(
+            preset("gcn-lp", depth=3, lp_layers=1), ops, dataset.num_features,
+            dataset.num_classes, features=dataset.features,
+        )
+        calls = []
+        original = training.forward
+
+        def spy(net_, params, x, mode, rng=None):
+            calls.append((mode, net_))
+            return original(net_, params, x, mode, rng)
+
+        monkeypatch.setattr(training, "forward", spy)
+        train(net, dataset, split, TrainConfig(dropout=0.0, max_epochs=3, patience=3))
+        assert [mode for mode, _ in calls] == ["train", "infer"] * 3
+        for mode, rows in (("train", split.train), ("infer", split.val)):
+            field = self.receptive_field(net, rows)
+            assert field.size < dataset.num_nodes
+            for net_ in (n for m, n in calls if m == mode):
+                np.testing.assert_array_equal(net_.x_bar, net.x_bar[field])
+
+    @pytest.mark.parametrize("name", ["gcn", "sgcn-lp", "gcn-lp"])
+    def test_dropout_free_run_matches_the_full_chain(self, sparse_graph, name):
+        # The reference is the full-chain loop: every node forward, the loss
+        # and the metric read off the split's rows.
+        dataset, ops, split = sparse_graph
+        net = compile_network(
+            preset(name, depth=3, lp_layers=1), ops, dataset.num_features,
+            dataset.num_classes, features=dataset.features,
+        )
+        config = TrainConfig(dropout=0.0, max_epochs=8, patience=8, seed=14)
+        params, history = train(net, dataset, split, config)
+
+        init_stream, _ = np.random.SeedSequence(config.seed).spawn(2)
+        ref = init_params(net, np.random.default_rng(init_stream))
+        adam = AdamState.for_params(ref)
+        losses, accs = [], []
+        for _ in range(config.max_epochs):
+            out, states = forward(net, ref, None, "train")
+            loss, d_p = masked_cross_entropy(out, dataset.labels, split.train)
+            ref = adam_step(ref, backward(net, states, d_p), adam,
+                            config.learning_rate, config.weight_decay)
+            losses.append(loss)
+            accs.append(accuracy(forward(net, ref)[0], dataset.labels, split.val))
+        np.testing.assert_allclose(history.train_loss, losses, rtol=0, atol=1e-12)
+        assert history.val_accuracy == tuple(accs)
