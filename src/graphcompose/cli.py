@@ -279,7 +279,7 @@ class _Composed:
         params, history = train(net, dataset, split, config)
 
         def test() -> dict[str, float]:
-            out, _ = forward(net, params, None, "infer")
+            out, _ = forward(net, params)
             return {"test": accuracy(out, dataset.labels, split.test)}
 
         return test, history
@@ -308,7 +308,7 @@ class _Lpnn:
         def test() -> dict[str, float]:
             labels = dataset.labels
             return {
-                "test": accuracy(predict_from_g(model, dataset.features), labels, split.test),
+                "test": accuracy(predict_from_g(model), labels, split.test),
                 "label-field test": accuracy(predict_from_f(model), labels, split.test),
             }
 

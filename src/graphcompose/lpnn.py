@@ -30,7 +30,7 @@ from .networks import (
     forward,
     init_params,
 )
-from .training import PROB_FLOOR, AdamState, TrainConfig, adam_step, fit
+from .training import PROB_FLOOR, AdamState, TrainConfig, _restrict_to, adam_step, fit
 
 __all__ = [
     "LpnnWeights",
@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 G_HIDDEN_DIMS = (128, 64)
+# The feature network g: two hidden layers and a softmax.
+G_SPEC = NetworkSpec("lpnn-g", (Mlp(G_HIDDEN_DIMS), LinearClassifier(), Softmax()))
 
 
 @dataclass(frozen=True)
@@ -128,9 +130,8 @@ def lpnn_loss(f, g_out, op: PropagationOperator, labels, labeled_set, weights: L
 
 
 def build_g_network(input_dim: int, num_classes: int, dropout: float = 0.0):
-    """The feature network g: two hidden layers (128, 64) and a softmax."""
-    spec = NetworkSpec("lpnn-g", (Mlp(G_HIDDEN_DIMS), LinearClassifier(), Softmax()))
-    return compile_network(spec, {}, input_dim, num_classes, dropout=dropout)
+    """g compiled without an input: its chain and parameter shapes."""
+    return compile_network(G_SPEC, {}, input_dim, num_classes, dropout=dropout)
 
 
 @dataclass(eq=False)
@@ -140,8 +141,9 @@ class LpnnModel:
     g_params: list
 
 
-def predict_from_g(model: LpnnModel, features) -> np.ndarray:
-    out, _ = forward(model.g_net, model.g_params, features, "infer")
+def predict_from_g(model: LpnnModel) -> np.ndarray:
+    """g's class distributions on every node."""
+    out, _ = forward(model.g_net, model.g_params)
     return out
 
 
@@ -153,34 +155,43 @@ def predict_from_f(model: LpnnModel) -> np.ndarray:
 def train_lpnn(dataset, split, config: TrainConfig, weights: LpnnWeights):
     """Joint Adam optimization of f and g under the shared early-stopping loop
     (training.fit). Validation and the returned best snapshot follow g's
-    accuracy, since g serves predictions by default. Trains in float64 only."""
+    accuracy, since g serves predictions by default. g is compiled with the
+    features as its input (CSR when they are sparse); the step runs it on
+    every node, since the loss reads them all, and validation on a copy
+    restricted to the val rows. Trains in float64 only."""
     if config.precision != "float64":
         raise UsageError(
             "method 'lpnn' trains in float64 only; --precision float32 does not apply"
         )
-    x = np.asarray(dataset.features, dtype=np.float64)
     labels = np.asarray(dataset.labels)
-    n = x.shape[0]
     train_idx = np.asarray(split.train, dtype=np.int64)
     val_idx = np.asarray(split.val, dtype=np.int64)
     if train_idx.size == 0 or val_idx.size == 0:
         raise UsageError("train_lpnn needs nonempty train and val sets")
 
     op = build_operator(dataset.topology, "symmetric")
-    g_net = build_g_network(x.shape[1], dataset.num_classes, dropout=config.dropout)
+    g_net = compile_network(
+        G_SPEC,
+        {},
+        dataset.num_features,
+        dataset.num_classes,
+        features=np.asarray(dataset.features, dtype=np.float64),
+        dropout=config.dropout,
+    )
+    val_net, val_labels = _restrict_to(g_net, dataset, val_idx)
 
     seed_root = np.random.SeedSequence(config.seed)
     init_stream, dropout_stream = seed_root.spawn(2)
     g_params = init_params(g_net, np.random.default_rng(init_stream))
     dropout_rng = np.random.default_rng(dropout_stream)
-    f = np.zeros((n, dataset.num_classes), dtype=np.float64)
+    f = np.zeros((dataset.num_nodes, dataset.num_classes), dtype=np.float64)
 
     adam_f = AdamState.for_params([f])
     adam_g = AdamState.for_params(g_params)
 
     def step() -> float:
         nonlocal f, g_params
-        g_out, states = forward(g_net, g_params, x, "train", dropout_rng)
+        g_out, states = forward(g_net, g_params, mode="train", rng=dropout_rng)
         loss, d_f, d_g_out = lpnn_loss(f, g_out, op, labels, train_idx, weights)
         g_grads = backward(g_net, states, d_g_out)
         # Weight decay shrinks only g's linear weights, never the label field.
@@ -189,8 +200,8 @@ def train_lpnn(dataset, split, config: TrainConfig, weights: LpnnWeights):
         return loss
 
     def evaluate():
-        val_out, _ = forward(g_net, g_params, x, "infer")
-        return accuracy(val_out, labels, val_idx), (f, g_params)
+        val_out, _ = forward(val_net, g_params)
+        return accuracy(val_out, val_labels, val_net.positions), (f, g_params)
 
     (best_f, best_g), history = fit(step, evaluate, config)
     return LpnnModel(f=best_f, g_net=g_net, g_params=best_g), history

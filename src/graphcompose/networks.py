@@ -416,18 +416,6 @@ class CostEstimate:
     classifier: int = 0
     label_prop: int = 0
 
-    def nonzero_terms(self) -> dict[str, int]:
-        return {
-            name: value
-            for name, value in (
-                ("feature_prop", self.feature_prop),
-                ("hidden", self.hidden),
-                ("classifier", self.classifier),
-                ("label_prop", self.label_prop),
-            )
-            if value
-        }
-
     @property
     def total(self) -> int:
         return self.feature_prop + self.hidden + self.classifier + self.label_prop
@@ -435,23 +423,18 @@ class CostEstimate:
 
 @dataclass(frozen=True, eq=False)
 class CompiledNetwork:
-    """The entry chain and its input. A copy made by restrict() computes only
-    some output rows; its positions give where each requested row sits in its
-    output (None for a network over every node)."""
+    """The entry chain and its input (None for a network compiled without
+    features, which can be inspected but not run). A copy made by restrict()
+    computes only some output rows; its positions give where each requested
+    row sits in its output (None for a network over every node)."""
 
     layers: tuple
     param_shapes: tuple[tuple[int, int], ...]
-    input_dim: int
     num_classes: int
-    num_nodes: int | None
     x_bar: np.ndarray | sp.csr_matrix | None
     dropout: float
     cost: CostEstimate | None
     positions: np.ndarray | None = None
-
-    @property
-    def num_params(self) -> int:
-        return sum(r * c for r, c in self.param_shapes)
 
     def describe(self) -> tuple[str, ...]:
         return tuple(entry.kind for entry in self.layers)
@@ -478,9 +461,10 @@ def compile_network(
     """Validate a spec against an operator set and produce the executable chain.
 
     operators maps the names used by stages (usually "symmetric" and "row") to
-    built PropagationOperator instances. When features are given, the leading
-    smoothing prefix is folded into a precomputed input matrix (CSR when it is
-    sparse, see _fold).
+    built PropagationOperator instances. Features are the network's only
+    input: when they are given, the leading smoothing prefix is folded into a
+    precomputed input matrix (CSR when it is sparse, see _fold) that forward
+    and restrict run from.
     """
     validate_spec(spec)
     if input_dim < 1 or num_classes < 1:
@@ -583,9 +567,7 @@ def compile_network(
     return CompiledNetwork(
         layers=tuple(chain),
         param_shapes=tuple(shapes),
-        input_dim=input_dim,
         num_classes=num_classes,
-        num_nodes=num_nodes,
         x_bar=x_bar,
         dropout=dropout,
         cost=cost,
@@ -635,11 +617,11 @@ def init_params(net: CompiledNetwork, rng, dtype=np.float64) -> list[np.ndarray]
     return params
 
 
-def forward(net: CompiledNetwork, params, x=None, mode: str = "infer", rng=None):
-    """Run the chain. Returns (output, states); states is None in infer mode.
-
-    When the network carries a precomputed input, x is ignored.
-    """
+def forward(net: CompiledNetwork, params, *, mode: str = "infer", rng=None):
+    """Run the chain from the network's input. Returns (output, states);
+    states is None in infer mode."""
+    if net.x_bar is None:
+        raise UsageError("network was compiled without features; it has no input to run")
     if mode not in ("train", "infer"):
         raise UsageError(f"forward mode must be 'train' or 'infer', got {mode!r}")
     if len(params) != len(net.param_shapes):
@@ -647,12 +629,6 @@ def forward(net: CompiledNetwork, params, x=None, mode: str = "infer", rng=None)
             f"expected {len(net.param_shapes)} parameter matrices, got {len(params)}"
         )
     h = net.x_bar
-    if h is None:
-        if x is None:
-            raise UsageError("network was compiled without features; forward needs x")
-        h = np.asarray(x)
-        if h.shape[1] != net.input_dim:
-            raise UsageError(f"input has {h.shape[1]} columns, expected {net.input_dim}")
     training = mode == "train"
     caches: list = []
     for entry in net.layers:
@@ -736,30 +712,23 @@ def with_dtype(net: CompiledNetwork, dtype) -> CompiledNetwork:
     )
 
 
-def restrict(net: CompiledNetwork, rows, features=None) -> CompiledNetwork:
+def restrict(net: CompiledNetwork, rows) -> CompiledNetwork:
     """A copy of net that computes only the output rows `rows` and what they
     read.
 
     The chain is walked backward from those rows. A smooth or lp entry widens
     the row set to the columns its matrix reads on the rows after it, and the
     copy holds the block S[rows_out][:, rows_in] as CSR; every other entry
-    acts row by row and keeps the row set. The copy's input is the first row
-    set of the precomputed input, or of features for a network compiled
-    without them. Its output holds the rows np.unique(rows) in order, and its
-    positions field maps each requested row to its output row. Rows outside
-    the receptive field contribute nothing to the rows read, so the copy's
-    outputs on them and its parameter gradients equal the full chain's.
-    Train-mode dropout draws over the restricted rows only.
+    acts row by row and keeps the row set. The copy's input is the network's
+    input on the first row set. Its output holds the rows np.unique(rows) in
+    order, and its positions field maps each requested row to its output row.
+    Rows outside the receptive field contribute nothing to the rows read, so
+    the copy's outputs on them and its parameter gradients equal the full
+    chain's. Train-mode dropout draws over the restricted rows only.
     """
     source = net.x_bar
     if source is None:
-        if features is None:
-            raise UsageError("network was compiled without features; restrict needs them")
-        source = features if sp.issparse(features) else np.asarray(features)
-        if source.ndim != 2 or source.shape[1] != net.input_dim:
-            raise UsageError(
-                f"features shape {source.shape} does not match input_dim {net.input_dim}"
-            )
+        raise UsageError("network was compiled without features; it has no input to restrict")
     rows = np.asarray(rows, dtype=np.int64).ravel()
     if rows.size == 0 or rows.min() < 0 or rows.max() >= source.shape[0]:
         raise UsageError(f"restrict needs a nonempty set of rows in [0, {source.shape[0]})")

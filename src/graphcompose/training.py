@@ -133,7 +133,7 @@ class TrainHistory:
 def _restrict_to(net: CompiledNetwork, dataset, rows, dtype=np.float64):
     """restrict(net, rows) in the given precision, and the labels of the
     copy's output rows."""
-    part = restrict(net, rows, dataset.features)
+    part = restrict(net, rows)
     if dtype == np.float32:
         part = with_dtype(part, dtype)
     return part, np.asarray(dataset.labels)[np.unique(np.asarray(rows, dtype=np.int64))]
@@ -219,14 +219,14 @@ def train(net: CompiledNetwork, dataset, split, config: TrainConfig):
 
     def step() -> float:
         nonlocal params
-        out, states = forward(train_net, params, None, "train", dropout_rng)
+        out, states = forward(train_net, params, mode="train", rng=dropout_rng)
         loss, d_p = masked_cross_entropy(out, train_labels, train_net.positions)
         grads = backward(train_net, states, d_p)
         params = adam_step(params, grads, adam, config.learning_rate, config.weight_decay)
         return loss
 
     def evaluate():
-        val_out, _ = forward(val_net, params, None, "infer")
+        val_out, _ = forward(val_net, params)
         return accuracy(val_out, val_labels, val_net.positions), params
 
     return fit(step, evaluate, config)
@@ -265,12 +265,12 @@ def gradient_check(
     part, labels = _restrict_to(net, dataset, labeled_set)
     params = init_params(net, np.random.default_rng(np.random.SeedSequence(seed)), np.float64)
 
-    out, states = forward(part, params, None, "train")
+    out, states = forward(part, params, mode="train")
     _, d_p = masked_cross_entropy(out, labels, part.positions)
     analytic = backward(part, states, d_p)
 
     def loss_at(ps) -> float:
-        probe, _ = forward(part, ps, None, "infer")
+        probe, _ = forward(part, ps)
         return masked_cross_entropy(probe, labels, part.positions)[0]
 
     per_param: list[float] = []

@@ -30,6 +30,12 @@ def np_relu(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
+def with_input(net, features):
+    """A network compiled without features, given them as its input unfolded:
+    every smoothing stays in its chain. The reference for folded inputs."""
+    return dataclasses.replace(net, x_bar=features)
+
+
 def ring_topology(num_nodes: int, extra_edges: int = 0, seed: int = 0) -> GraphTopology:
     """A cycle plus optional random chords; never has isolated nodes."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, num_nodes, extra_edges]))

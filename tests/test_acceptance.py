@@ -35,7 +35,7 @@ from graphcompose.networks import (
 )
 from graphcompose.training import TrainConfig, gradient_check, train
 
-from .conftest import dense, np_relu, np_softmax, planted_dataset, ring_topology
+from .conftest import dense, np_relu, np_softmax, planted_dataset, ring_topology, with_input
 
 # ---------------------------------------------------------------------------
 # Published reference numbers (few-labels benchmark, percentages).
@@ -148,7 +148,7 @@ def sweep_test_accuracy(dataset, split, method_name, budget=200, sweep_seed=0, l
     if is_lpnn:
         weights = LpnnWeights(*(best.config[k] for k in _LOSS_WEIGHT_KEYS))
         model, _ = train_lpnn(dataset, split, config, weights)
-        return accuracy(predict_from_g(model, dataset.features), dataset.labels, split.test)
+        return accuracy(predict_from_g(model), dataset.labels, split.test)
     spec = preset(method_name, hidden_dim=best.config["hidden_dim"], lp_layers=lp_layers)
     net = compile_network(
         spec,
@@ -190,18 +190,19 @@ def test_criterion_01_gradient_suite_covers_every_preset_and_the_joint_field():
     dataset = planted_dataset(8, 3, 4, seed=40, edges_per_node=3)
     op = build_operator(dataset.topology, "symmetric")
     weights = LpnnWeights(0.7, 0.9, 0.4, 1.1, 0.6)
-    g_net = build_g_network(dataset.num_features, dataset.num_classes)
+    g_net = with_input(
+        build_g_network(dataset.num_features, dataset.num_classes), dataset.features
+    )
     rng = np.random.default_rng(41)
     g_params = init_params(g_net, rng)
     f = rng.normal(size=(8, 3))
     labeled = [0, 2, 5]
-    x = dataset.features
 
     def total_loss(fv, ps):
-        g_out, _ = forward(g_net, ps, x, "infer")
+        g_out, _ = forward(g_net, ps)
         return lpnn_loss(fv, g_out, op, dataset.labels, labeled, weights)[0]
 
-    g_out, states = forward(g_net, g_params, x, "train")
+    g_out, states = forward(g_net, g_params, mode="train")
     base_loss, d_f, d_g_out = lpnn_loss(f, g_out, op, dataset.labels, labeled, weights)
     d_params = backward(g_net, states, d_g_out)
 
@@ -257,10 +258,10 @@ def test_criterion_02_closed_form_equivalences():
     # Layered two-smoothing linear chain against the explicit precomputed
     # form softmax((S(SX))W): identical spmm sequences, so exact equality.
     folded = compile_network(preset("sgcn"), ops, 6, 3, features=x)
-    layered = compile_network(preset("sgcn"), ops, 6, 3)
+    layered = with_input(compile_network(preset("sgcn"), ops, 6, 3), x)
     params = init_params(folded, np.random.default_rng(52))
     out_folded, _ = forward(folded, params)
-    out_layered, _ = forward(layered, params, x=x)
+    out_layered, _ = forward(layered, params)
     np.testing.assert_array_equal(out_folded, out_layered)
     manual = softmax_rows_forward(spmm(ops["symmetric"].matrix, spmm(ops["symmetric"].matrix, x)) @ params[0])
     np.testing.assert_array_equal(out_folded, manual)
@@ -268,9 +269,9 @@ def test_criterion_02_closed_form_equivalences():
     # Dense closed forms, all within 1e-10.
     np.testing.assert_allclose(out_folded, np_softmax(s @ s @ x @ params[0]), atol=1e-10)
 
-    gcn = compile_network(preset("gcn"), ops, 6, 3)
+    gcn = with_input(compile_network(preset("gcn"), ops, 6, 3), x)
     p_gcn = init_params(gcn, np.random.default_rng(53))
-    out_gcn, _ = forward(gcn, p_gcn, x=x)
+    out_gcn, _ = forward(gcn, p_gcn)
     np.testing.assert_allclose(
         out_gcn, np_softmax(s @ np_relu(s @ x @ p_gcn[0]) @ p_gcn[1]), atol=1e-10
     )

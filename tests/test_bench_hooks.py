@@ -18,6 +18,7 @@ from graphcompose.lpnn import build_g_network
 from graphcompose.networks import PRESET_NAMES
 
 from .conftest import planted_dataset
+from .test_training import stratified_split
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -59,3 +60,32 @@ def test_benchmark_network_calls(name):
     assert net.cost is not None and net.cost.classifier > 0
     g_net = build_g_network(dataset.num_features, dataset.num_classes, dropout=0.5)
     assert g_net.param_shapes[-1][1] == dataset.num_classes
+
+
+@pytest.mark.parametrize("caller", ["training", "lpnn"])
+def test_forward_spans_carry_the_train_and_infer_modes(tracing, caller):
+    # The tracer reads the forward mode from the fourth positional argument
+    # or the mode keyword, and splits epochs at train-mode forwards.
+    dataset = planted_dataset(40, 2, 6, seed=3)
+    split = stratified_split(dataset)
+    config = gc.TrainConfig(max_epochs=2, patience=2)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        if caller == "training":
+            net = gc.compile_network(
+                gc.preset("gcn"),
+                {"symmetric": gc.build_operator(dataset.topology, "symmetric")},
+                dataset.num_features,
+                dataset.num_classes,
+                features=dataset.features,
+                dropout=config.dropout,
+            )
+            gc.train(net, dataset, split, config)
+        else:
+            gc.train_lpnn(dataset, split, config, gc.LpnnWeights(1.0, 1.0, 1.0, 1.0, 1.0))
+    finally:
+        tracer.restore()
+    spans = [s for s in tracer.spans if s.name == "networks.forward"]
+    assert spans and all(s.attrs["caller"] == caller for s in spans)
+    assert {s.attrs["mode"] for s in spans} == {"train", "infer"}

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphcompose.cli import _LOSS_WEIGHT_KEYS
 from graphcompose.errors import UsageError
@@ -7,6 +8,7 @@ from graphcompose.graph import build_operator
 from graphcompose.layers import softmax_rows_forward
 from graphcompose.lpnn import (
     G_HIDDEN_DIMS,
+    G_SPEC,
     LpnnWeights,
     build_g_network,
     lpnn_loss,
@@ -14,10 +16,11 @@ from graphcompose.lpnn import (
     predict_from_g,
     train_lpnn,
 )
-from graphcompose.training import TrainConfig
+from graphcompose.networks import backward, compile_network, forward, init_params
+from graphcompose.training import AdamState, TrainConfig, adam_step
 from graphcompose.evaluation import accuracy
 
-from .conftest import dense, planted_dataset, ring_topology
+from .conftest import dense, planted_dataset, ring_topology, sparse_planted_dataset, with_input
 from .test_training import stratified_split
 
 W0 = LpnnWeights(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -155,6 +158,16 @@ class TestGNetwork:
         net = build_g_network(30, 4, dropout=0.5)
         assert net.describe().count("dropout") == 3
 
+    def test_csr_input_matches_the_dense_features(self):
+        dataset = sparse_planted_dataset(40, 3, 200, 0.01, seed=31)
+        d, c = dataset.num_features, dataset.num_classes
+        net = compile_network(G_SPEC, {}, d, c, features=dataset.features)
+        assert sp.issparse(net.x_bar)
+        params = init_params(net, np.random.default_rng(3))
+        out, _ = forward(net, params)
+        ref, _ = forward(with_input(build_g_network(d, c), dataset.features), params)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+
 
 class TestTrainLpnn:
     @pytest.fixture(scope="class")
@@ -168,13 +181,13 @@ class TestTrainLpnn:
 
     def test_learns_above_chance(self, trained):
         dataset, split, model, history = trained
-        preds = predict_from_g(model, dataset.features)
+        preds = predict_from_g(model)
         acc = accuracy(preds, dataset.labels, np.asarray(split.test))
         assert acc > 0.45
 
     def test_history_tracks_g_accuracy(self, trained):
         dataset, split, model, history = trained
-        preds = predict_from_g(model, dataset.features)
+        preds = predict_from_g(model)
         val_acc = accuracy(preds, dataset.labels, np.asarray(split.val))
         assert val_acc == pytest.approx(history.best_val_accuracy, abs=1e-12)
 
@@ -183,6 +196,40 @@ class TestTrainLpnn:
         p = predict_from_f(model)
         assert p.shape == (dataset.num_nodes, dataset.num_classes)
         np.testing.assert_allclose(p.sum(axis=1), np.ones(dataset.num_nodes), atol=1e-9)
+
+    def test_dropout_free_run_matches_a_full_g_reference_loop(self):
+        # train_lpnn runs g on its CSR input and validates on the val rows
+        # only; the reference runs g on the dense features and validates on
+        # every node.
+        dataset = sparse_planted_dataset(90, 3, 60, 0.05, seed=8)
+        split = stratified_split(dataset, val=30)
+        config = TrainConfig(dropout=0.0, max_epochs=12, patience=12, seed=4)
+        weights = LpnnWeights(0.5, 1.0, 0.2, 1.0, 0.3)
+        model, history = train_lpnn(dataset, split, config, weights)
+        assert sp.issparse(model.g_net.x_bar)
+
+        g_net = with_input(
+            build_g_network(dataset.num_features, dataset.num_classes), dataset.features
+        )
+        op = build_operator(dataset.topology, "symmetric")
+        init_stream, _ = np.random.SeedSequence(config.seed).spawn(2)
+        g_params = init_params(g_net, np.random.default_rng(init_stream))
+        f = np.zeros((dataset.num_nodes, dataset.num_classes))
+        adam_f, adam_g = AdamState.for_params([f]), AdamState.for_params(g_params)
+        losses, accs = [], []
+        for _ in range(config.max_epochs):
+            g_out, states = forward(g_net, g_params, mode="train")
+            loss, d_f, d_g = lpnn_loss(f, g_out, op, dataset.labels, split.train, weights)
+            g_grads = backward(g_net, states, d_g)
+            f = adam_step([f], [d_f], adam_f, config.learning_rate, 0.0)[0]
+            g_params = adam_step(
+                g_params, g_grads, adam_g, config.learning_rate, config.weight_decay
+            )
+            losses.append(loss)
+            accs.append(accuracy(forward(g_net, g_params)[0], dataset.labels, split.val))
+        np.testing.assert_allclose(history.train_loss, losses, rtol=1e-9, atol=0)
+        assert history.val_accuracy == tuple(accs)
+        assert len(set(accs)) > 1
 
     def test_deterministic(self, small_dataset):
         split = stratified_split(small_dataset)

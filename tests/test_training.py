@@ -19,7 +19,7 @@ from graphcompose.training import (
 )
 from graphcompose.evaluation import accuracy
 
-from .conftest import dense, planted_dataset
+from .conftest import dense, planted_dataset, with_input
 
 
 def build_ops(dataset):
@@ -311,6 +311,8 @@ class TestGradientCheck:
         ops = build_ops(dataset)
         features = dataset.features if folded else None
         net = compile_network(preset("gcn-lp", hidden_dim=3), ops, 3, 2, features=features)
+        if not folded:
+            net = with_input(net, dataset.features)
         report = gradient_check(net, dataset, labeled_set=[5, 0, 3], seed=2)
         assert report.passed
 
@@ -351,9 +353,9 @@ class TestRestrictedTraining:
         calls = []
         original = training.forward
 
-        def spy(net_, params, x, mode, rng=None):
+        def spy(net_, params, *, mode="infer", rng=None):
             calls.append((mode, net_))
-            return original(net_, params, x, mode, rng)
+            return original(net_, params, mode=mode, rng=rng)
 
         monkeypatch.setattr(training, "forward", spy)
         train(net, dataset, split, TrainConfig(dropout=0.0, max_epochs=3, patience=3))
@@ -381,7 +383,7 @@ class TestRestrictedTraining:
         adam = AdamState.for_params(ref)
         losses, accs = [], []
         for _ in range(config.max_epochs):
-            out, states = forward(net, ref, None, "train")
+            out, states = forward(net, ref, mode="train")
             loss, d_p = masked_cross_entropy(out, dataset.labels, split.train)
             ref = adam_step(ref, backward(net, states, d_p), adam,
                             config.learning_rate, config.weight_decay)
