@@ -38,6 +38,7 @@ from .lpnn import LpnnWeights, predict_from_f, predict_from_g, train_lpnn
 from .networks import (
     DEFAULT_HIDDEN_DIM,
     PRESET_NAMES,
+    Lp,
     NetworkSpec,
     _representative_dim,
     compile_network,
@@ -260,6 +261,10 @@ class _Composed:
         cfg = {"operator": args.operator}
         if self.samples_hidden:
             cfg["hidden_dim"] = self.hidden
+        if self.depth is not None:
+            cfg["depth"] = self.depth
+        if self.lp_layers is not None:
+            cfg["lp_layers"] = self.lp_layers
         if args.alpha is not None:
             cfg["alpha"], cfg["beta"] = args.alpha, args.beta
         return cfg
@@ -327,6 +332,10 @@ def _resolve_method(args):
             raise UsageError(f"{', '.join(shape_flags)} do not apply to method 'lpnn'")
         return _Lpnn()
     if name in PRESET_NAMES:
+        if args.ll is not None and not any(
+            isinstance(stage, Lp) for stage in preset(name, lp_layers=1).stages
+        ):
+            raise UsageError(f"--ll does not apply to preset {name!r}: it has no label propagation")
         return _Composed(
             label=name,
             preset_name=name,
@@ -684,6 +693,11 @@ def _toy_dataset(num_nodes: int, input_dim: int, num_classes: int, seed: int) ->
     """A small random-but-deterministic dataset for gradient checks."""
     if num_nodes < 3:
         raise UsageError(f"gradient-check graph needs >= 3 nodes, got {num_nodes}")
+    if input_dim < 1 or num_classes < 1:
+        raise UsageError(
+            f"gradient-check data needs --input-dim and --classes >= 1, "
+            f"got {input_dim} and {num_classes}"
+        )
     rng = np.random.default_rng(np.random.SeedSequence([seed, 99]))
     edges = [(i, (i + 1) % num_nodes) for i in range(num_nodes)]
     for _ in range(num_nodes):
@@ -747,6 +761,17 @@ def cmd_cost(args) -> int:
 # Argument wiring
 
 
+def _seed(text: str) -> int:
+    """argparse type of every --seed: numpy seeds are non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _add_dataset_dir(p, required=True):
     p.add_argument("--dataset-dir", required=required, default=None, help="dataset directory")
 
@@ -800,7 +825,7 @@ def _add_run_flags(p):
     p.add_argument(
         "--precision", choices=("float32", "float64"), default=_TRAIN_DEFAULTS.precision
     )
-    p.add_argument("--seed", type=int, default=_TRAIN_DEFAULTS.seed)
+    p.add_argument("--seed", type=_seed, default=_TRAIN_DEFAULTS.seed)
 
 
 def _add_train_flags(p):
@@ -828,7 +853,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("splits", help="generate and store the 5x10 evaluation splits")
     _add_dataset_dir(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="output directory (default <dataset-dir>/splits)")
 
     p = sub.add_parser("train", help="train one method on one split")
@@ -896,7 +921,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--input-dim", type=int, default=5)
     p.add_argument("--classes", type=int, default=3)
     p.add_argument("--tolerance", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("cost", help="print the per-term operation counts of a method")
     _add_dataset_dir(p, required=False)

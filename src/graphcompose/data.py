@@ -299,7 +299,8 @@ def _parse_split_text(
 ) -> DataSplit:
     """Parse a split file; every node id must lie in [0, num_nodes)."""
     sections: dict[str, list[int]] = {"train": [], "val": [], "test": []}
-    active: list[int] | None = None
+    section_of: dict[int, str] = {}
+    active: str | None = None
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -309,7 +310,7 @@ def _parse_split_text(
         if not line or line.startswith("#"):
             continue
         if line in ("train:", "val:", "test:"):
-            active = sections[line[:-1]]
+            active = line[:-1]
             continue
         if active is None:
             raise DataError(f"{path}:{lineno}: node id before any section header")
@@ -317,7 +318,19 @@ def _parse_split_text(
             node = _parse_int(path, lineno, token, "node id")
             if not 0 <= node < num_nodes:
                 raise DataError(f"{path}:{lineno}: node id {node} outside [0, {num_nodes})")
-            active.append(node)
+            first = section_of.get(node)
+            if first == active:
+                raise DataError(
+                    f"{path}:{lineno}: split sections must not contain repeated node ids "
+                    f"(node {node} repeats in {active})"
+                )
+            if first is not None:
+                raise DataError(
+                    f"{path}:{lineno}: train/val/test sets must be pairwise disjoint "
+                    f"(node {node} is in {first} and {active})"
+                )
+            section_of[node] = active
+            sections[active].append(node)
     if not sections["train"] or not sections["val"] or not sections["test"]:
         raise DataError(f"{path}: every split section must be nonempty")
     return DataSplit(

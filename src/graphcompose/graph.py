@@ -1,11 +1,11 @@
 """Graph topology and normalized propagation operators.
 
-The augmented adjacency (self-loops added to the undirected adjacency) is
-normalized in one of three ways: symmetric D^-1/2 A D^-1/2 for feature
-smoothing, row D^-1 A which is row-stochastic and therefore safe to apply to
-probability rows, or general D^-alpha A D^-beta with tunable exponents.
-An alternative self/neighbor mix alpha*I + beta*A can replace the plain
-augmentation before normalization.
+Every operator comes from one formula: a self/neighbor mix A~ = a*I + b*A of
+the undirected adjacency, normalized by its row-sum degrees as
+D^-alpha A~ D^-beta. The default mix (1, 1) is the self-loop augmented
+adjacency. Named kinds fix the exponents: symmetric (1/2, 1/2) for feature
+smoothing, and row (1, 0), which is row-stochastic and therefore safe to
+apply to probability rows; general takes them from the caller.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .linalg import csr_from_coo
 __all__ = [
     "GraphTopology",
     "PropagationOperator",
-    "augment",
     "mix_self_neighbor",
     "normalize",
     "build_operator",
@@ -31,7 +30,7 @@ __all__ = [
 @dataclass(frozen=True)
 class GraphTopology:
     """Undirected graph as canonical edges: (u, v) with u < v, strictly sorted,
-    no self-loops. Self-loops enter later through augmentation."""
+    no self-loops. Self-loops enter later through the self/neighbor mix."""
 
     num_nodes: int
     edges: tuple[tuple[int, int], ...]
@@ -89,22 +88,15 @@ class PropagationOperator:
         return self.matrix.shape[0]
 
 
+# The degree exponents (alpha, beta) of the named normalization kinds.
+_EXPONENTS = {"symmetric": (0.5, 0.5), "row": (1.0, 0.0)}
+
+
 def _edge_arrays(g: GraphTopology) -> tuple[np.ndarray, np.ndarray]:
     if not g.edges:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     e = np.asarray(g.edges, dtype=np.int64)
     return e[:, 0], e[:, 1]
-
-
-def augment(g: GraphTopology) -> sp.csr_matrix:
-    """Self-loop augmented adjacency: identity plus the symmetrized adjacency."""
-    n = g.num_nodes
-    u, v = _edge_arrays(g)
-    diag = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([u, v, diag])
-    cols = np.concatenate([v, u, diag])
-    vals = np.ones(rows.shape[0], dtype=np.float64)
-    return csr_from_coo(n, n, rows, cols, vals)
 
 
 def mix_self_neighbor(g: GraphTopology, alpha: float, beta: float) -> sp.csr_matrix:
@@ -115,25 +107,11 @@ def mix_self_neighbor(g: GraphTopology, alpha: float, beta: float) -> sp.csr_mat
         raise UsageError(f"mix coefficients must lie in [0, 1], got ({alpha}, {beta})")
     n = g.num_nodes
     u, v = _edge_arrays(g)
-    parts_r, parts_c, parts_v = [], [], []
-    if beta != 0.0:
-        parts_r += [u, v]
-        parts_c += [v, u]
-        parts_v += [np.full(u.shape[0], beta), np.full(u.shape[0], beta)]
-    if alpha != 0.0:
-        diag = np.arange(n, dtype=np.int64)
-        parts_r.append(diag)
-        parts_c.append(diag)
-        parts_v.append(np.full(n, alpha))
-    if not parts_r:
-        return csr_from_coo(n, n, [], [], [])
-    return csr_from_coo(
-        n,
-        n,
-        np.concatenate(parts_r),
-        np.concatenate(parts_c),
-        np.concatenate(parts_v),
-    )
+    diag = np.arange(n, dtype=np.int64)
+    vals = np.concatenate([np.full(2 * u.shape[0], beta), np.full(n, alpha)])
+    m = csr_from_coo(n, n, np.concatenate([u, v, diag]), np.concatenate([v, u, diag]), vals)
+    m.eliminate_zeros()
+    return m
 
 
 def normalize(
@@ -155,9 +133,10 @@ def normalize(
     if kind == "general":
         if alpha is None or beta is None:
             raise UsageError("general normalization requires alpha and beta exponents")
-    elif kind in ("symmetric", "row"):
+    elif kind in _EXPONENTS:
         if alpha is not None or beta is not None:
             raise UsageError(f"{kind} normalization takes no exponents")
+        alpha, beta = _EXPONENTS[kind]
     else:
         raise UsageError(f"unknown normalization kind {kind!r}")
 
@@ -168,20 +147,13 @@ def normalize(
             f"cannot normalize: node {int(zero_rows[0])} has an all-zero row "
             "(isolated node with no self weight)"
         )
-
     if kind == "symmetric":
         asym = abs(a - a.T)
         if asym.nnz and asym.max() > 1e-12:
             raise DataError("symmetric normalization needs a symmetric matrix")
-        left = degrees ** -0.5
-        right = left
-    elif kind == "row":
-        left = 1.0 / degrees
-        right = np.ones_like(degrees)
-    else:
-        left = degrees ** -float(alpha)
-        right = degrees ** -float(beta)
 
+    left = degrees ** -float(alpha)
+    right = degrees ** -float(beta)
     row_of = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
     a.data = a.data * left[row_of] * right[a.indices]
     return PropagationOperator(matrix=a, kind=kind)
@@ -195,6 +167,6 @@ def build_operator(
     alpha: float | None = None,
     beta: float | None = None,
 ) -> PropagationOperator:
-    """Augment (or mix) the topology and normalize it in one step."""
-    a_tilde = augment(g) if mix is None else mix_self_neighbor(g, *mix)
-    return normalize(a_tilde, kind, alpha, beta)
+    """Mix the topology's self and neighbor weights (default (1, 1), the
+    self-loop augmented adjacency) and normalize the result."""
+    return normalize(mix_self_neighbor(g, *(mix or (1.0, 1.0))), kind, alpha, beta)

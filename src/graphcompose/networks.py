@@ -58,7 +58,6 @@ __all__ = [
     "forward",
     "backward",
     "estimate_cost",
-    "with_dtype",
     "restrict",
     "SPARSE_INPUT_DENSITY",
 ]
@@ -233,6 +232,8 @@ def preset(
         raise UsageError(f"network depth must be >= 1, got {length}")
     if hidden_dim < 1:
         raise UsageError(f"hidden width must be >= 1, got {hidden_dim}")
+    if lp_layers is not None and lp_layers < 0:
+        raise UsageError(f"lp layers must be >= 0, got {lp_layers}")
     hid = (hidden_dim,) * (length - 1)
 
     def with_lp(stages: list[Stage], ll: int) -> tuple[Stage, ...]:
@@ -324,11 +325,6 @@ def spec_from_dict(doc: dict) -> NetworkSpec:
 class _Entry:
     kind: str
 
-    def cast(self, cast_matrix) -> "_Entry":
-        """This entry with its operator matrix recast by cast_matrix (if it
-        has one)."""
-        return self
-
 
 @dataclass(frozen=True, eq=False)
 class _Smooth(_Entry):
@@ -343,9 +339,6 @@ class _Smooth(_Entry):
 
     def vjp(self, cache, params, u, grads):
         return spmm_transposed(self.matrix, u)
-
-    def cast(self, cast_matrix) -> "_Smooth":
-        return dataclasses.replace(self, matrix=cast_matrix(self.matrix))
 
 
 class _LabelProp(_Smooth):
@@ -692,29 +685,9 @@ def estimate_cost(spec: NetworkSpec, n: int, num_edges: int, d: int, num_classes
     )
 
 
-def with_dtype(net: CompiledNetwork, dtype) -> CompiledNetwork:
-    """Recast the network's numeric payload (operator matrices and
-    precomputed input, which stays CSR when it is CSR)."""
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise UsageError(f"unsupported dtype {dtype}")
-    recast: dict[int, sp.csr_matrix] = {}
-
-    def cast_matrix(m: sp.csr_matrix) -> sp.csr_matrix:
-        if id(m) not in recast:
-            recast[id(m)] = m.astype(dtype)
-        return recast[id(m)]
-
-    return dataclasses.replace(
-        net,
-        layers=tuple(entry.cast(cast_matrix) for entry in net.layers),
-        x_bar=None if net.x_bar is None else net.x_bar.astype(dtype),
-    )
-
-
-def restrict(net: CompiledNetwork, rows) -> CompiledNetwork:
-    """A copy of net that computes only the output rows `rows` and what they
-    read.
+def restrict(net: CompiledNetwork, rows, dtype=np.float64) -> CompiledNetwork:
+    """A copy of net, in precision dtype (float32 or float64), that computes
+    only the output rows `rows` and what they read.
 
     The chain is walked backward from those rows. A smooth or lp entry widens
     the row set to the columns its matrix reads on the rows after it, and the
@@ -724,11 +697,15 @@ def restrict(net: CompiledNetwork, rows) -> CompiledNetwork:
     order, and its positions field maps each requested row to its output row.
     Rows outside the receptive field contribute nothing to the rows read, so
     the copy's outputs on them and its parameter gradients equal the full
-    chain's. Train-mode dropout draws over the restricted rows only.
+    chain's. Train-mode dropout draws over the restricted rows only. The
+    blocks and the input are cast to dtype; a CSR input stays CSR.
     """
     source = net.x_bar
     if source is None:
         raise UsageError("network was compiled without features; it has no input to restrict")
+    dtype = np.dtype(dtype)
+    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
+        raise UsageError(f"unsupported dtype {dtype}")
     rows = np.asarray(rows, dtype=np.int64).ravel()
     if rows.size == 0 or rows.min() < 0 or rows.max() >= source.shape[0]:
         raise UsageError(f"restrict needs a nonempty set of rows in [0, {source.shape[0]})")
@@ -744,13 +721,13 @@ def restrict(net: CompiledNetwork, rows) -> CompiledNetwork:
             block = sp.csr_matrix(
                 (block.data, np.searchsorted(cols, block.indices), block.indptr),
                 shape=(needed.size, cols.size),
-            )
+            ).astype(dtype, copy=False)
             entry = dataclasses.replace(entry, matrix=block)
             needed = cols
         layers.append(entry)
     return dataclasses.replace(
         net,
         layers=tuple(reversed(layers)),
-        x_bar=source[needed],
+        x_bar=source[needed].astype(dtype, copy=False),
         positions=np.searchsorted(kept, rows),
     )

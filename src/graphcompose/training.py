@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NumericError, UsageError
 from .evaluation import accuracy
-from .networks import CompiledNetwork, backward, forward, init_params, restrict, with_dtype
+from .networks import CompiledNetwork, backward, forward, init_params, restrict
 
 __all__ = [
     "PROB_FLOOR",
@@ -131,11 +131,8 @@ class TrainHistory:
 
 
 def _restrict_to(net: CompiledNetwork, dataset, rows, dtype=np.float64):
-    """restrict(net, rows) in the given precision, and the labels of the
-    copy's output rows."""
-    part = restrict(net, rows)
-    if dtype == np.float32:
-        part = with_dtype(part, dtype)
+    """restrict(net, rows, dtype) and the labels of the copy's output rows."""
+    part = restrict(net, rows, dtype)
     return part, np.asarray(dataset.labels)[np.unique(np.asarray(rows, dtype=np.int64))]
 
 

@@ -293,6 +293,92 @@ class TestErrorsAndExitCodes:
         assert "gradient check failed" in capsys.readouterr().err
 
 
+def split_dir(tmp, text):
+    """A splits directory whose size-1, split-0 file holds text."""
+    (tmp / "splits" / "1" / "0").mkdir(parents=True)
+    (tmp / "splits" / "1" / "0" / "split.txt").write_text(text)
+    return str(tmp / "splits")
+
+
+def run_args(command, env, extra=()):
+    return [
+        command, "--dataset-dir", str(env), "--size", "1", "--split", "0",
+        "--method", "sgcn", "--epochs", "2", "--patience", "2", *extra,
+    ]
+
+
+# Malformed invocations: each is refused with its documented exit code
+# (1 usage, 2 data, 3 numeric) and an "error: ..." line, never a traceback.
+MALFORMED = [
+    ("splits-negative-seed",
+     lambda env, tmp: ["splits", "--dataset-dir", str(env), "--seed", "-1", "--out", str(tmp)],
+     1, "argument --seed: expected a non-negative integer, got '-1'"),
+    ("train-negative-seed",
+     lambda env, tmp: quick_train_args(env, tmp, "sgcn", ["--seed", "-1"]),
+     1, "argument --seed: expected a non-negative integer"),
+    ("train-text-seed",
+     lambda env, tmp: quick_train_args(env, tmp, "sgcn", ["--seed", "one"]),
+     1, "argument --seed: expected a non-negative integer, got 'one'"),
+    ("sweep-negative-seed",
+     lambda env, tmp: run_args("sweep", env, ["--budget", "1", "--seed", "-2", "--out", str(tmp)]),
+     1, "argument --seed: expected a non-negative integer"),
+    ("propmodel-sweep-negative-seed",
+     lambda env, tmp: run_args("propmodel-sweep", env, ["--model", "mix", "--seed", "-1"]),
+     1, "argument --seed: expected a non-negative integer"),
+    ("gradcheck-negative-seed",
+     lambda env, tmp: ["gradcheck", "--seed", "-1"],
+     1, "argument --seed: expected a non-negative integer"),
+    ("gradcheck-zero-classes",
+     lambda env, tmp: ["gradcheck", "--classes", "0"],
+     1, "--classes >= 1, got 5 and 0"),
+    ("gradcheck-negative-input-dim",
+     lambda env, tmp: ["gradcheck", "--input-dim", "-1"],
+     1, "--classes >= 1, got -1 and 3"),
+    ("ll-without-label-propagation",
+     lambda env, tmp: quick_train_args(env, tmp, "gcn", ["--ll", "1"]),
+     1, "--ll does not apply to preset 'gcn'"),
+    ("negative-ll-linear-lp",
+     lambda env, tmp: quick_train_args(env, tmp, "linear-lp", ["--ll", "-1"]),
+     1, "lp layers must be >= 0, got -1"),
+    ("negative-ll-gcn-lp",
+     lambda env, tmp: quick_train_args(env, tmp, "gcn-lp", ["--ll", "-1"]),
+     1, "lp layers must be >= 0, got -1"),
+    ("split-id-in-two-sections",
+     lambda env, tmp: quick_train_args(env, tmp, "sgcn", [
+         "--splits-dir", split_dir(tmp, "train:\n1 2\nval:\n2\ntest:\n3\n")]),
+     2, "split.txt:4: train/val/test sets must be pairwise disjoint (node 2 is in train and val)"),
+    ("split-id-repeated-in-a-section",
+     lambda env, tmp: quick_train_args(env, tmp, "sgcn", [
+         "--splits-dir", split_dir(tmp, "train:\n1\n1\nval:\n2\ntest:\n3\n")]),
+     2, "split.txt:3: split sections must not contain repeated node ids (node 1 repeats in train)"),
+    ("unknown-flag",
+     lambda env, tmp: ["cost", "--method", "sgcn", "--frobnicate"],
+     1, "unrecognized arguments: --frobnicate"),
+    ("missing-dataset-dir",
+     lambda env, tmp: ["splits", "--dataset-dir", str(tmp / "absent")],
+     2, "absent"),
+    ("lpnn-shape-flag",
+     lambda env, tmp: quick_train_args(env, tmp, "lpnn", ["--hidden", "16"]),
+     1, "--hidden do not apply to method 'lpnn'"),
+    ("size-out-of-range",
+     lambda env, tmp: run_args("train", env, ["--size", "9", "--out", str(tmp)]),
+     1, "--size must lie in [1, 5], got 9"),
+    ("failed-gradient-check",
+     lambda env, tmp: ["gradcheck", "--tolerance", "1e-18"],
+     3, "gradient check failed"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, message", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED]
+)
+def test_malformed_invocation_exits_with_its_code(cli_env, tmp_path, capsys, argv, code, message):
+    assert main(argv(cli_env, tmp_path)) == code
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith("error: ") and message in last
+    assert not list(tmp_path.rglob("result.json"))
+
+
 class TestSplitsCommand:
     def test_reports_counts_and_sizes(self, cli_env, capsys, tmp_path):
         code = main(
@@ -341,6 +427,14 @@ class TestTrainCommand:
         ha = next(Path(a).rglob("history.txt")).read_text()
         hb = next(Path(b).rglob("history.txt")).read_text()
         assert ha == hb
+
+    def test_shape_flags_are_recorded(self, cli_env, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(quick_train_args(cli_env, a, "gcn-lp", ["--l", "3", "--ll", "1"])) == 0
+        assert main(quick_train_args(cli_env, b, "gcn-lp")) == 0
+        config = read_only_result(a)["config"]
+        assert (config["depth"], config["lp_layers"]) == (3, 1)
+        assert not {"depth", "lp_layers"} & set(read_only_result(b)["config"])
 
     def test_lpnn_reports_both_prediction_heads(self, cli_env, tmp_path, capsys):
         code = main(quick_train_args(cli_env, tmp_path, "lpnn", ["--dropout", "0.0"]))

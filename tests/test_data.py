@@ -360,7 +360,17 @@ class TestSplitPersistence:
         d = tmp_path / "1" / "0"
         d.mkdir(parents=True)
         (d / "split.txt").write_text("train:\n1\nval:\n1\ntest:\n3\n")
-        with pytest.raises(DataError, match="disjoint"):
+        with pytest.raises(
+            DataError, match=r"split\.txt:4: .*disjoint \(node 1 is in train and val\)"
+        ):
+            load_split(tmp_path, 1, 0, num_nodes=20)
+
+    def test_repeated_id_in_a_section_names_path_and_line(self, tmp_path):
+        d = tmp_path / "1" / "0"
+        d.mkdir(parents=True)
+        (d / "split.txt").write_text("train:\n1 2\nval:\n4\ntest:\n3\n5 3\n")
+        with pytest.raises(DataError, match=r"split\.txt:7: split sections must not contain "
+                           r"repeated node ids \(node 3 repeats in test\)"):
             load_split(tmp_path, 1, 0, num_nodes=20)
 
 

@@ -5,7 +5,6 @@ import scipy.sparse as sp
 from graphcompose.errors import DataError, UsageError
 from graphcompose.graph import (
     GraphTopology,
-    augment,
     build_operator,
     mix_self_neighbor,
     normalize,
@@ -91,22 +90,25 @@ class TestAugment:
                 [0.0, 1.0, 1.0],
             ]
         )
-        np.testing.assert_array_equal(dense(augment(path3)), expected)
+        np.testing.assert_array_equal(dense(mix_self_neighbor(path3, 1.0, 1.0)), expected)
 
     def test_edgeless_graph_is_identity(self):
         g = GraphTopology(4, ())
-        np.testing.assert_array_equal(dense(augment(g)), np.eye(4))
+        np.testing.assert_array_equal(dense(mix_self_neighbor(g, 1.0, 1.0)), np.eye(4))
 
 
 class TestMixSelfNeighbor:
-    def test_unit_mix_equals_augment(self, path3):
-        np.testing.assert_array_equal(
-            dense(mix_self_neighbor(path3, 1.0, 1.0)), dense(augment(path3))
-        )
+    def test_default_operator_is_the_unit_mix(self):
+        g = ring_topology(15, extra_edges=6, seed=9)
+        for kind in ("symmetric", "row"):
+            default = build_operator(g, kind).matrix
+            unit = build_operator(g, kind, mix=(1.0, 1.0)).matrix
+            for field in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(default, field), getattr(unit, field))
 
     def test_weights_scale_parts(self, path3):
         m = dense(mix_self_neighbor(path3, 0.25, 0.75))
-        a = dense(augment(path3)) - np.eye(3)
+        a = dense(mix_self_neighbor(path3, 1.0, 1.0)) - np.eye(3)
         np.testing.assert_allclose(m, 0.25 * np.eye(3) + 0.75 * a, atol=1e-15)
 
     def test_zero_neighbor_weight_drops_edges(self, path3):
@@ -166,7 +168,7 @@ class TestNormalize:
 
     def test_general_zero_zero_is_unnormalized(self, path3):
         gen = build_operator(path3, "general", alpha=0.0, beta=0.0)
-        np.testing.assert_array_equal(dense(gen.matrix), dense(augment(path3)))
+        np.testing.assert_array_equal(dense(gen.matrix), dense(mix_self_neighbor(path3, 1.0, 1.0)))
 
     def test_general_requires_exponents(self, path3):
         with pytest.raises(UsageError):
@@ -199,7 +201,7 @@ class TestNormalize:
             normalize(m, "row")
 
     def test_accepts_any_scipy_sparse_input(self, path3):
-        a = augment(path3)
+        a = mix_self_neighbor(path3, 1.0, 1.0)
         before = a.data.copy()
         # Every entry split in two halves, in reverse order: duplicate and
         # unsorted coordinates in COO form.

@@ -27,7 +27,6 @@ from graphcompose.networks import (
     spec_from_dict,
     spec_to_dict,
     validate_spec,
-    with_dtype,
 )
 from graphcompose.training import gradient_check
 
@@ -437,7 +436,7 @@ class TestInitAndDtype:
 
     def test_with_dtype_float32(self, ops, x14):
         net = compile_network(preset("gcn"), ops, 5, 3, features=x14)
-        net32 = with_dtype(net, np.float32)
+        net32 = restrict(net, np.arange(14), dtype=np.float32)
         assert net32.x_bar.dtype == np.float32
         smooth = [e for e in net32.layers if e.kind == "smooth"][0]
         assert smooth.matrix.data.dtype == np.float32
@@ -446,8 +445,8 @@ class TestInitAndDtype:
 
     def test_with_dtype_rejects_others(self, ops, x14):
         net = compile_network(preset("sgcn"), ops, 5, 3, features=x14)
-        with pytest.raises(UsageError):
-            with_dtype(net, np.int32)
+        with pytest.raises(UsageError, match="unsupported dtype int32"):
+            restrict(net, [0], dtype=np.int32)
 
 
 @pytest.fixture(scope="module")
@@ -511,7 +510,7 @@ class TestSparseInput:
 
     def test_with_dtype_float32_keeps_csr(self, sparse_case):
         net = compile_sparse(sparse_case, "gcn")
-        net32 = with_dtype(net, np.float32)
+        net32 = restrict(net, np.arange(net.x_bar.shape[0]), dtype=np.float32)
         assert sp.issparse(net32.x_bar) and net32.x_bar.format == "csr"
         assert net32.x_bar.dtype == np.float32
         assert net.x_bar.dtype == np.float64
@@ -741,7 +740,15 @@ class TestRestrict:
                 restrict(with_input(unfolded, x14), rows)
 
     def test_with_dtype_keeps_the_restriction(self, ops, x14):
-        part = restrict(compile_network(preset("gcn"), ops, 5, 3, features=x14), [3, 1])
-        part32 = with_dtype(part, np.float32)
+        net = compile_network(preset("gcn"), ops, 5, 3, features=x14)
+        part = restrict(net, [3, 1])
+        part32 = restrict(net, [3, 1], dtype=np.float32)
         assert part32.x_bar.dtype == np.float32 and part32.x_bar.shape == part.x_bar.shape
         np.testing.assert_array_equal(part32.positions, part.positions)
+        for entry32, entry in zip(part32.layers, part.layers):
+            assert entry32.kind == entry.kind
+            if entry.kind in ("smooth", "lp"):
+                assert entry32.matrix.dtype == np.float32
+                np.testing.assert_array_equal(
+                    entry32.matrix.toarray(), entry.matrix.astype(np.float32).toarray()
+                )
