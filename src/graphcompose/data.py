@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,12 +107,19 @@ class DataSplit:
             raise DataError("train/val/test sets must be pairwise disjoint")
 
 
-def _parse_lines(path: Path, expected_fields: int):
+def _read_text(path: Path) -> str:
     try:
-        text = path.read_text(encoding="utf-8")
+        raw = path.read_bytes()
+        return raw.decode("utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    except UnicodeDecodeError as exc:
+        line = len((raw[: exc.start].decode("utf-8") + ".").splitlines())
+        raise DataError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _parse_lines(path: Path, expected_fields: int):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -130,9 +138,103 @@ def _parse_int(path: Path, lineno: int, token: str, what: str) -> int:
         raise DataError(f"{path}:{lineno}: {what} {token!r} is not an integer") from exc
 
 
+def _load_rows(path: Path, dtype: np.dtype, bounds: tuple[int, ...]):
+    """The file's rows in one numpy pass, with each leading id column in [0, its
+    bound). None for a file that is empty, not ASCII, has an id out of range, or
+    holds a comment or a token numpy refuses (1_0, 2**63)."""
+    try:
+        raw = path.read_bytes()
+        # str.splitlines() ends a line at these bytes; np.loadtxt reads them as spaces.
+        if not raw.isascii() or any(c in raw for c in b"\v\f\x1c\x1d\x1e"):
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data"
+            rows = np.loadtxt(path, dtype=dtype, comments=None, ndmin=1, encoding="utf-8")
+    except (OSError, ValueError, Warning):
+        return None
+    ids = zip(dtype.names, bounds)
+    return rows if all(0 <= rows[f].min() and rows[f].max() < b for f, b in ids) else None
+
+
+def _label_rows(path: Path, n: int, num_classes: int) -> np.ndarray:
+    dtype = np.dtype([("node", np.int64), ("class", np.int64)])
+    rows = _load_rows(path, dtype, (n, num_classes))
+    if rows is not None and np.array_equal(np.sort(rows["node"]), np.arange(n)):
+        return rows
+    rows = []
+    labeled = np.zeros(n, dtype=bool)
+    for lineno, (node_s, class_s) in _parse_lines(path, 2):
+        node = _parse_int(path, lineno, node_s, "node id")
+        cls = _parse_int(path, lineno, class_s, "class id")
+        if not (0 <= node < n):
+            raise DataError(f"{path}:{lineno}: node id {node} outside [0, {n})")
+        if not (0 <= cls < num_classes):
+            raise DataError(f"{path}:{lineno}: class id {cls} outside [0, {num_classes})")
+        if labeled[node]:
+            raise DataError(f"{path}:{lineno}: node {node} labeled twice")
+        labeled[node] = True
+        rows.append((node, cls))
+    unlabeled = np.flatnonzero(~labeled)
+    if unlabeled.size:
+        raise DataError(
+            f"{path}: node count mismatch with manifest: "
+            f"{unlabeled.size} of {n} nodes have no label (first: {int(unlabeled[0])})"
+        )
+    return np.array(rows, dtype=dtype)
+
+
+def _feature_rows(path: Path, n: int, m: int) -> np.ndarray:
+    dtype = np.dtype([("node", np.int64), ("feature", np.int64), ("value", np.float64)])
+    rows = _load_rows(path, dtype, (n, m))
+    if rows is not None:
+        given = np.zeros(n * m, dtype=bool)  # one flag per entry, to reject a repeat
+        given[rows["node"] * m + rows["feature"]] = True
+        if np.count_nonzero(given) == rows.size and np.isfinite(rows["value"]).all():
+            return rows
+    rows = []
+    given = bytearray(n * m)
+    for lineno, (node_s, feat_s, value_s) in _parse_lines(path, 3):
+        try:
+            node, feat, value = int(node_s), int(feat_s), float(value_s)
+        except ValueError as exc:
+            _parse_int(path, lineno, node_s, "node id")
+            _parse_int(path, lineno, feat_s, "feature id")
+            raise DataError(f"{path}:{lineno}: bad feature value {value_s!r}") from exc
+        if not (0 <= node < n):
+            raise DataError(f"{path}:{lineno}: node id {node} outside [0, {n})")
+        if not (0 <= feat < m):
+            raise DataError(f"{path}:{lineno}: feature id {feat} outside [0, {m})")
+        if not math.isfinite(value):
+            raise DataError(f"{path}:{lineno}: non-finite feature value {value_s!r}")
+        if given[node * m + feat]:
+            raise DataError(f"{path}:{lineno}: node {node} feature {feat} given twice")
+        given[node * m + feat] = 1
+        rows.append((node, feat, value))
+    return np.array(rows, dtype=dtype)
+
+
+def _edge_rows(path: Path, n: int) -> np.ndarray:
+    dtype = np.dtype([("u", np.int64), ("v", np.int64)])
+    rows = _load_rows(path, dtype, (n, n))
+    if rows is not None and not np.any(rows["u"] == rows["v"]):
+        return rows
+    rows = []
+    for lineno, (u_s, v_s) in _parse_lines(path, 2):
+        u = _parse_int(path, lineno, u_s, "node id")
+        v = _parse_int(path, lineno, v_s, "node id")
+        for node in (u, v):
+            if not (0 <= node < n):
+                raise DataError(f"{path}:{lineno}: node id {node} outside [0, {n})")
+        if u == v:
+            raise DataError(f"{path}:{lineno}: self-loop edge ({u}, {v}) is not allowed")
+        rows.append((u, v))
+    return np.array(rows, dtype=dtype)
+
+
 def load_dataset(path) -> Dataset:
     """Load and validate a dataset directory; feature rows come out
-    unit-normalized (zero rows stay zero)."""
+    unit-normalized (zero rows stay zero). A data file that fails the numpy
+    pass or a check is parsed again line by line, to name its bad line."""
     root = Path(path)
     if not root.is_dir():
         raise DataError(f"dataset directory {root} does not exist")
@@ -150,65 +252,23 @@ def load_dataset(path) -> Dataset:
     if n < 1 or m < 1 or num_classes < 1:
         raise DataError(f"{manifest_path}: counts must be positive")
 
-    labels = np.full(n, -1, dtype=np.int64)
-    labels_path = root / "labels.txt"
-    for lineno, (node_s, class_s) in _parse_lines(labels_path, 2):
-        node = _parse_int(labels_path, lineno, node_s, "node id")
-        cls = _parse_int(labels_path, lineno, class_s, "class id")
-        if not (0 <= node < n):
-            raise DataError(f"{labels_path}:{lineno}: node id {node} outside [0, {n})")
-        if not (0 <= cls < num_classes):
-            raise DataError(
-                f"{labels_path}:{lineno}: class id {cls} outside [0, {num_classes})"
-            )
-        if labels[node] != -1:
-            raise DataError(f"{labels_path}:{lineno}: node {node} labeled twice")
-        labels[node] = cls
-    unlabeled = np.flatnonzero(labels == -1)
-    if unlabeled.size:
-        raise DataError(
-            f"{labels_path}: node count mismatch with manifest: "
-            f"{unlabeled.size} of {n} nodes have no label (first: {int(unlabeled[0])})"
-        )
+    rows = _label_rows(root / "labels.txt", n, num_classes)
+    labels = np.empty(n, dtype=np.int64)
+    labels[rows["node"]] = rows["class"]
 
+    rows = _feature_rows(root / "features.txt", n, m)
     features = np.zeros((n, m), dtype=np.float64)
-    given = bytearray(n * m)  # one flag per entry, to reject a repeated line
-    features_path = root / "features.txt"
-    for lineno, (node_s, feat_s, value_s) in _parse_lines(features_path, 3):
-        try:
-            node, feat, value = int(node_s), int(feat_s), float(value_s)
-        except ValueError as exc:
-            _parse_int(features_path, lineno, node_s, "node id")
-            _parse_int(features_path, lineno, feat_s, "feature id")
-            raise DataError(f"{features_path}:{lineno}: bad feature value {value_s!r}") from exc
-        if not (0 <= node < n):
-            raise DataError(f"{features_path}:{lineno}: node id {node} outside [0, {n})")
-        if not (0 <= feat < m):
-            raise DataError(f"{features_path}:{lineno}: feature id {feat} outside [0, {m})")
-        if not math.isfinite(value):
-            raise DataError(f"{features_path}:{lineno}: non-finite feature value {value_s!r}")
-        key = node * m + feat
-        if given[key]:
-            raise DataError(f"{features_path}:{lineno}: node {node} feature {feat} given twice")
-        given[key] = 1
-        features[node, feat] = value
+    features[rows["node"], rows["feature"]] = rows["value"]
 
-    graph_path = root / "graph.txt"
-    pairs = []
-    for lineno, (u_s, v_s) in _parse_lines(graph_path, 2):
-        u = _parse_int(graph_path, lineno, u_s, "node id")
-        v = _parse_int(graph_path, lineno, v_s, "node id")
-        for node in (u, v):
-            if not (0 <= node < n):
-                raise DataError(f"{graph_path}:{lineno}: node id {node} outside [0, {n})")
-        if u == v:
-            raise DataError(f"{graph_path}:{lineno}: self-loop edge ({u}, {v}) is not allowed")
-        pairs.append((u, v))
+    rows = _edge_rows(root / "graph.txt", n)  # drops the feature rows before normalizing
+    topology = GraphTopology.from_edge_list(n, np.column_stack([rows["u"], rows["v"]]))
+    for start in range(0, n, 1024):  # in place, a block of rows at a time: bitwise as one call
+        features[start : start + 1024] = row_unit_normalize(features[start : start + 1024])
 
     return Dataset(
         name=root.name,
-        topology=GraphTopology.from_edge_list(n, pairs),
-        features=row_unit_normalize(features),
+        topology=topology,
+        features=features,
         labels=labels,
         num_classes=num_classes,
         source_dir=str(root),
@@ -301,11 +361,7 @@ def _parse_split_text(
     sections: dict[str, list[int]] = {"train": [], "val": [], "test": []}
     section_of: dict[int, str] = {}
     active: str | None = None
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

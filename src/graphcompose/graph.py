@@ -36,33 +36,39 @@ class GraphTopology:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.num_nodes < 1:
-            raise DataError(f"graph needs at least one node, got {self.num_nodes}")
-        prev = None
-        for u, v in self.edges:
-            if u == v:
-                raise DataError(f"self-loop edge ({u}, {v}) is not allowed")
-            if not (0 <= u < v < self.num_nodes):
+        n = self.num_nodes
+        if n < 1:
+            raise DataError(f"graph needs at least one node, got {n}")
+        u, v = np.asarray(self.edges).reshape(len(self.edges), 2).T  # object dtype past int64
+        bad = (u == v) | (u < 0) | (u >= v) | (v >= n)
+        bad[1:] |= u[1:] * n + v[1:] <= u[:-1] * n + v[:-1]
+        if bad.any():
+            i = int(np.argmax(bad))
+            edge = (int(u[i]), int(v[i]))
+            if edge[0] == edge[1]:
+                raise DataError(f"self-loop edge {edge} is not allowed")
+            if not (0 <= edge[0] < edge[1] < n):
                 raise DataError(
-                    f"edge ({u}, {v}) out of range for {self.num_nodes} nodes "
-                    "or not in canonical (u < v) order"
+                    f"edge {edge} out of range for {n} nodes or not in canonical (u < v) order"
                 )
-            if prev is not None and (u, v) <= prev:
-                raise DataError(f"edges must be strictly sorted, got {prev} then ({u}, {v})")
-            prev = (u, v)
+            prev = (int(u[i - 1]), int(v[i - 1]))
+            raise DataError(f"edges must be strictly sorted, got {prev} then {edge}")
 
     @classmethod
     def from_edge_list(cls, num_nodes: int, pairs) -> "GraphTopology":
-        """Canonicalize raw pairs: symmetrize, deduplicate, reject self-loops."""
-        seen = set()
-        for u, v in pairs:
-            u, v = int(u), int(v)
+        """Canonicalize (u, v) pairs or an (E, 2) int array: symmetrize,
+        deduplicate, and name the first self-loop or out-of-range pair."""
+        e = np.asarray(pairs).reshape(-1, 2)  # object dtype holds ids past int64
+        lo, hi = e.min(axis=1), e.max(axis=1)
+        bad = (lo == hi) | (lo < 0) | (hi >= num_nodes)
+        if bad.any():
+            u, v = (int(x) for x in e[np.argmax(bad)])
             if u == v:
                 raise DataError(f"self-loop edge ({u}, {v}) is not allowed")
-            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-                raise DataError(f"edge ({u}, {v}) has a node id outside [0, {num_nodes})")
-            seen.add((min(u, v), max(u, v)))
-        return cls(num_nodes=num_nodes, edges=tuple(sorted(seen)))
+            raise DataError(f"edge ({u}, {v}) has a node id outside [0, {num_nodes})")
+        keys = np.unique(lo.astype(np.int64) * num_nodes + hi)
+        edges = zip((keys // num_nodes).tolist(), (keys % num_nodes).tolist())
+        return cls(num_nodes=num_nodes, edges=tuple(edges))
 
     @property
     def num_edges(self) -> int:
@@ -93,9 +99,7 @@ _EXPONENTS = {"symmetric": (0.5, 0.5), "row": (1.0, 0.0)}
 
 
 def _edge_arrays(g: GraphTopology) -> tuple[np.ndarray, np.ndarray]:
-    if not g.edges:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    e = np.asarray(g.edges, dtype=np.int64)
+    e = np.asarray(g.edges, dtype=np.int64).reshape(g.num_edges, 2)
     return e[:, 0], e[:, 1]
 
 

@@ -8,6 +8,7 @@ propagation cannot blow up the loss.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,13 +45,13 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         # The search space draws these from (0, 1); zero is still accepted so a
-        # frozen run (learning_rate=0) stays expressible.
-        if self.learning_rate < 0:
-            raise UsageError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        # frozen run (learning_rate=0) stays expressible. NaN fails every bound.
+        if not (0.0 <= self.learning_rate < math.inf):
+            raise UsageError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not (0.0 <= self.dropout < 1.0):
             raise UsageError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.weight_decay < 0:
-            raise UsageError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not (0.0 <= self.weight_decay < math.inf):
+            raise UsageError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.max_epochs < 1 or self.patience < 1:
             raise UsageError("max_epochs and patience must be >= 1")
         if self.precision not in ("float32", "float64"):

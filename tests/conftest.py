@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import importlib.util
+import io
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +138,17 @@ def write_dataset_dir(root: Path, dataset: Dataset) -> Path:
         "".join(f"{i} {int(c)}\n" for i, c in enumerate(dataset.labels))
     )
     return root
+
+
+def make_synthetic(argv) -> None:
+    """Run scripts/make_synthetic.py in process with the given arguments."""
+    spec = importlib.util.spec_from_file_location(
+        "make_synthetic", Path(__file__).resolve().parent.parent / "scripts" / "make_synthetic.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert module.main(argv) == 0
 
 
 def write_standard_split(root: Path, dataset: Dataset, seed: int = 3) -> None:

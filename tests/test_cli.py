@@ -300,6 +300,15 @@ def split_dir(tmp, text):
     return str(tmp / "splits")
 
 
+def non_utf8_copy(env, tmp):
+    """A copy of the dataset whose labels.txt ends in two bytes that are not UTF-8."""
+    root = tmp / "non-utf8"
+    shutil.copytree(env, root, ignore=shutil.ignore_patterns("splits"))
+    with open(root / "labels.txt", "ab") as f:
+        f.write(b"\xff\xfe\n")
+    return str(root)
+
+
 def run_args(command, env, extra=()):
     return [
         command, "--dataset-dir", str(env), "--size", "1", "--split", "0",
@@ -351,6 +360,18 @@ MALFORMED = [
      lambda env, tmp: quick_train_args(env, tmp, "sgcn", [
          "--splits-dir", split_dir(tmp, "train:\n1\n1\nval:\n2\ntest:\n3\n")]),
      2, "split.txt:3: split sections must not contain repeated node ids (node 1 repeats in train)"),
+    ("train-nan-lr",
+     lambda env, tmp: quick_train_args(env, tmp, "sgcn", ["--lr", "nan"]),
+     1, "learning_rate must be finite and >= 0, got nan"),
+    ("train-inf-lr",
+     lambda env, tmp: quick_train_args(env, tmp, "sgcn", ["--lr", "inf"]),
+     1, "learning_rate must be finite and >= 0, got inf"),
+    ("train-nan-weight-decay",
+     lambda env, tmp: quick_train_args(env, tmp, "sgcn", ["--weight-decay", "nan"]),
+     1, "weight_decay must be finite and >= 0, got nan"),
+    ("splits-non-utf8-labels",
+     lambda env, tmp: ["splits", "--dataset-dir", non_utf8_copy(env, tmp), "--out", str(tmp / "s")],
+     2, "labels.txt:1601: not UTF-8 text (invalid start byte)"),
     ("unknown-flag",
      lambda env, tmp: ["cost", "--method", "sgcn", "--frobnicate"],
      1, "unrecognized arguments: --frobnicate"),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphcompose import data
 from graphcompose.data import (
     NUM_SIZES,
     NUM_SPLITS,
@@ -20,7 +21,7 @@ from graphcompose.errors import DataError
 from graphcompose.graph import GraphTopology
 from graphcompose.linalg import row_unit_normalize
 
-from .conftest import planted_dataset, ring_topology, write_dataset_dir
+from .conftest import make_synthetic, planted_dataset, ring_topology, write_dataset_dir
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +177,13 @@ class TestLoadDataset:
         root = write_dataset_dir(tmp_path / "gl", planted_dataset(12, 2, 4, seed=20))
         (root / "graph.txt").write_text("0 1\n5 12\n")
         with pytest.raises(DataError, match=r"graph\.txt:2: node id 12 outside \[0, 12\)$"):
+            load_dataset(root)
+
+    def test_non_utf8_dataset_file_names_line(self, tmp_path):
+        root = write_dataset_dir(tmp_path / "u8", planted_dataset(12, 2, 4, seed=19))
+        with open(root / "labels.txt", "ab") as f:
+            f.write(b"\xff\xfe\n")
+        with pytest.raises(DataError, match=r"labels\.txt:13: not UTF-8 text \(invalid start"):
             load_dataset(root)
 
     def test_graph_self_loop_names_line(self, tmp_path):
@@ -356,6 +364,13 @@ class TestSplitPersistence:
         with pytest.raises(DataError, match="split\\.txt:2: node id -1"):
             load_split(tmp_path, 1, 0, num_nodes=20)
 
+    def test_non_utf8_split_file_names_line(self, tmp_path):
+        d = tmp_path / "1" / "0"
+        d.mkdir(parents=True)
+        (d / "split.txt").write_bytes(b"train:\n1\nval:\n2 \xc3\ntest:\n3\n")
+        with pytest.raises(DataError, match=r"split\.txt:4: not UTF-8 text"):
+            load_split(tmp_path, 1, 0, num_nodes=20)
+
     def test_overlapping_sections_rejected(self, tmp_path):
         d = tmp_path / "1" / "0"
         d.mkdir(parents=True)
@@ -403,3 +418,131 @@ class TestStandardSplit:
         loaded = load_dataset(root)
         with pytest.raises(DataError, match=r"standard_split\.txt:6: node id 99 outside"):
             load_standard_split(loaded)
+
+
+def _write_unusual(root, case):
+    """A small dataset whose files are valid but written in an unusual way."""
+    dataset = planted_dataset(12, 3, 5, seed=25, name="unusual")
+    write_dataset_dir(root, dataset)
+    if case == "exponents-and-17-digits":
+        rows, cols = np.nonzero(dataset.features)
+        (root / "features.txt").write_text("".join(
+            f"{r} {c} {dataset.features[r, c]:.16e}\n" for r, c in zip(rows, cols)
+        ))
+    elif case == "explicit-zeros":
+        lines = (root / "features.txt").read_text().splitlines(keepends=True)
+        for k, zero in enumerate(["0", "-0.0", "0e5"]):
+            node, feat, _ = lines[5 * k].split()
+            lines[5 * k] = f"{node} {feat} {zero}\n"
+        (root / "features.txt").write_text("".join(lines))
+    elif case == "empty-graph":
+        (root / "graph.txt").write_text("")
+    for name in ("labels.txt", "features.txt", "graph.txt"):
+        path = root / name
+        text = path.read_text()
+        if case == "crlf":
+            text = text.replace("\n", "\r\n")
+        elif case == "tabs":
+            text = text.replace(" ", "\t")
+        elif case == "blank-lines":
+            text = text.replace("\n", "\n\n   \n\t\n", 3)
+        elif case == "comment-lines":
+            text = "# header\n" + text.replace("\n", "\n# note\n", 2)
+        elif case == "no-final-newline":
+            text = text.rstrip("\n")
+        elif case == "plus-signs":
+            text = "\n".join("+" + line for line in text.splitlines()) + "\n"
+        elif case == "underscores" and name == "labels.txt":
+            text = text.replace("10 ", "1_0 ", 1)
+        path.write_bytes(text.encode())
+    return root
+
+
+# Each case, and the files in it that only the per-line parser reads.
+UNUSUAL_CASES = [
+    ("crlf", []),
+    ("tabs", []),
+    ("blank-lines", []),
+    ("comment-lines", ["labels.txt", "features.txt", "graph.txt"]),
+    ("no-final-newline", []),
+    ("plus-signs", []),
+    ("underscores", ["labels.txt"]),
+    ("exponents-and-17-digits", []),
+    ("explicit-zeros", []),
+    ("empty-graph", ["graph.txt"]),
+]
+
+
+def _spy_per_line(monkeypatch):
+    """Record the name of every file the per-line parser reads."""
+    names = []
+    per_line = data._parse_lines
+
+    def spy(path, expected_fields):
+        names.append(path.name)
+        return per_line(path, expected_fields)
+
+    monkeypatch.setattr(data, "_parse_lines", spy)
+    return names
+
+
+class TestParserEquivalence:
+    """The numpy pass and the per-line parser give bitwise the same dataset."""
+
+    @pytest.mark.parametrize(
+        "case, per_line_files", UNUSUAL_CASES, ids=[c[0] for c in UNUSUAL_CASES]
+    )
+    def test_unusual_valid_files(self, tmp_path, monkeypatch, case, per_line_files):
+        root = _write_unusual(tmp_path / case, case)
+        read_by_line = _spy_per_line(monkeypatch)
+        fast = load_dataset(root)
+        assert read_by_line == ["manifest.txt", *per_line_files]
+        monkeypatch.setattr(data, "_load_rows", lambda path, dtype, bounds: None)
+        slow = load_dataset(root)
+        assert fast.features.tobytes() == slow.features.tobytes()
+        assert fast.labels.tobytes() == slow.labels.tobytes()
+        assert fast.topology.edges == slow.topology.edges
+        if case == "empty-graph":
+            assert fast.num_edges == 0
+
+    def test_seventeen_digit_values_parse_like_python_float(self, tmp_path):
+        rng = np.random.default_rng(26)
+        digits = rng.integers(0, 10, size=(2000, 17))
+        digits[:, 0] = rng.integers(1, 10, size=2000)
+        signs = rng.choice(["", "-", "+"], size=2000)
+        exponents = rng.integers(-320, 300, size=2000)
+        tokens = [
+            f"{s}{d[0]}.{''.join(map(str, d[1:]))}e{e}" if k % 2 else
+            f"{s}{''.join(map(str, d))}e{e - 16}"
+            for k, (s, d, e) in enumerate(zip(signs, digits, exponents))
+        ]
+        path = tmp_path / "features.txt"
+        path.write_text("".join(f"{i} 0 {t}\n" for i, t in enumerate(tokens)))
+        dtype = np.dtype([("node", np.int64), ("feature", np.int64), ("value", np.float64)])
+        rows = data._load_rows(path, dtype, (len(tokens), 1))
+        expected = np.array([float(t) for t in tokens])
+        assert rows["value"].view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    def test_generated_dataset_never_falls_back(self, tmp_path, monkeypatch):
+        root = tmp_path / "synthetic"
+        make_synthetic([
+            "--out", str(root), "--nodes", "200", "--classes", "3", "--features", "24",
+            "--standard-split", "--val", "60", "--test", "60",
+        ])
+        read_by_line = _spy_per_line(monkeypatch)
+        load_dataset(root)
+        assert read_by_line == ["manifest.txt"]
+
+    @pytest.mark.parametrize("brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"])
+    def test_every_line_break_of_the_per_line_parser_ends_a_line(self, tmp_path, brk):
+        # numpy reads these as spaces, which would make "2<brk>3" one valid line.
+        root = write_dataset_dir(tmp_path / "lb", planted_dataset(12, 2, 4, seed=28))
+        (root / "graph.txt").write_text(f"0 1\n2{brk}3\n")
+        with pytest.raises(DataError, match=r"graph\.txt:2: expected 2 fields, got 1"):
+            load_dataset(root)
+
+    def test_malformed_file_falls_back_to_name_its_line(self, tmp_path):
+        root = write_dataset_dir(tmp_path / "bad", planted_dataset(12, 2, 4, seed=27))
+        (root / "features.txt").write_text("0 0 1.0\r\n\t1 2 0.5\n1 3 1_0\n2 5 1.0\n")
+        with pytest.raises(DataError, match=r"features\.txt:4: feature id 5 outside \[0, 4\)"):
+            load_dataset(root)

@@ -66,6 +66,42 @@ class TestGraphTopology:
         with pytest.raises(DataError, match=r"outside \[0, 3\)"):
             GraphTopology.from_edge_list(3, [(-1, 2)])
 
+    def test_from_edge_list_takes_tuples_or_an_int_array(self):
+        pairs = [(4, 1), (0, 2), (1, 4), (2, 0), (3, 1), (0, 2)]
+        from_tuples = GraphTopology.from_edge_list(5, pairs)
+        from_array = GraphTopology.from_edge_list(5, np.array(pairs, dtype=np.int64))
+        assert from_tuples.edges == from_array.edges == ((0, 2), (1, 3), (1, 4))
+        assert all(type(x) is int for edge in from_array.edges for x in edge)
+        assert GraphTopology.from_edge_list(2, np.empty((0, 2), dtype=np.int64)).edges == ()
+        assert GraphTopology.from_edge_list(2, []).edges == ()
+        wide = GraphTopology.from_edge_list(70000, np.array([[69999, 50000]], dtype=np.int32))
+        assert wide.edges == ((50000, 69999),)
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_from_edge_list_names_the_first_bad_pair_in_input_order(self, as_array):
+        def build(pairs):
+            return GraphTopology.from_edge_list(4, np.array(pairs) if as_array else pairs)
+
+        with pytest.raises(DataError, match=r"^edge \(5, 0\) has a node id outside \[0, 4\)$"):
+            build([(0, 1), (5, 0), (2, 2), (-1, 3)])
+        with pytest.raises(DataError, match=r"^self-loop edge \(2, 2\) is not allowed$"):
+            build([(0, 1), (2, 2), (5, 0)])
+        with pytest.raises(DataError, match=r"^edge \(-1, 3\) has a node id outside"):
+            build([(3, 1), (-1, 3), (0, 0)])
+        if not as_array:
+            with pytest.raises(DataError, match=r"^edge \(0, 1180591620717411303424\) has"):
+                build([(0, 1), (0, 2**70)])
+
+    def test_direct_constructor_names_the_first_bad_edge(self):
+        with pytest.raises(DataError, match=r"^self-loop edge \(1, 1\) is not allowed$"):
+            GraphTopology(3, ((0, 1), (1, 1), (2, 0)))
+        with pytest.raises(DataError, match=r"^edge \(2, 0\) out of range for 3 nodes"):
+            GraphTopology(3, ((0, 1), (2, 0), (1, 1)))
+        with pytest.raises(DataError, match=r"^edge \(0, 1180591620717411303424\) out of range"):
+            GraphTopology(3, ((0, 1), (0, 2**70)))
+        with pytest.raises(DataError, match=r"^edges must be strictly sorted, got \(0, 2\) then"):
+            GraphTopology(3, ((0, 2), (0, 1), (0, 3)))
+
     def test_direct_constructor_requires_canonical_order(self):
         with pytest.raises(DataError):
             GraphTopology(3, ((1, 0),))

@@ -1,10 +1,11 @@
 """README's "Library use" example runs against the package as it is."""
 
 import contextlib
-import importlib.util
 import io
 import re
 from pathlib import Path
+
+from .conftest import make_synthetic
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMO_DIR = "/tmp/demo"
@@ -14,16 +15,6 @@ def library_use_block() -> str:
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text.split("## Library use", 1)[1]
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
-
-
-def make_synthetic(argv) -> None:
-    spec = importlib.util.spec_from_file_location(
-        "make_synthetic", ROOT / "scripts" / "make_synthetic.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert module.main(argv) == 0
 
 
 def test_library_use_example_runs(tmp_path):
