@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
@@ -25,6 +24,7 @@ from .data import (
     NUM_SIZES,
     NUM_SPLITS,
     Dataset,
+    _write_atomic,
     generate_splits,
     load_dataset,
     load_split,
@@ -207,13 +207,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 # Method types. A method is a composed network or the joint label-field
@@ -433,14 +426,21 @@ def _train_config(args, cfg: dict, seed: int) -> TrainConfig:
     )
 
 
-def _run_dir(out_root: str, dataset: Dataset, label: str, split, suffix: str = "") -> Path:
-    name = f"{dataset.name}_{label}_s{split.size_index}_p{split.split_index}{suffix}"
-    return Path(out_root) / name
-
-
-def _persist_result(run_dir: Path, result: RunResult, history) -> None:
+def _write_run(args, dataset, label, split, history, test_accuracy, best_val, config, suffix=""):
+    """Write a run's result.json and history.txt into its directory under --out."""
+    result = RunResult(
+        method=label,
+        dataset=dataset.name,
+        size_index=split.size_index,
+        split_index=split.split_index,
+        test_accuracy=test_accuracy,
+        best_val_accuracy=best_val,
+        config=config,
+    )
+    run_dir = Path(args.out) / f"{dataset.name}_{label}_s{split.size_index}_p{split.split_index}{suffix}"
     _write_atomic(run_dir / "result.json", json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n")
     _write_atomic(run_dir / "history.txt", history.to_text())
+    return run_dir
 
 
 # ---------------------------------------------------------------------------
@@ -466,21 +466,13 @@ def cmd_train(args) -> int:
     config = _train_config(args, cfg, args.seed)
     test, history = method.bind(dataset.topology, args).fit(dataset, split, config, cfg)
     accuracies = test()
-
-    result = RunResult(
-        method=method.label,
-        dataset=dataset.name,
-        size_index=split.size_index,
-        split_index=split.split_index,
-        test_accuracy=accuracies["test"],
-        best_val_accuracy=history.best_val_accuracy,
-        config={**asdict(config), **cfg},
+    run_dir = _write_run(
+        args, dataset, method.label, split, history,
+        accuracies["test"], history.best_val_accuracy, {**asdict(config), **cfg},
     )
-    run_dir = _run_dir(args.out, dataset, method.label, split)
-    _persist_result(run_dir, result, history)
     print(
         f"{method.label} on {dataset.name} (size {split.size_index}, split {split.split_index}): "
-        f"test accuracy {100 * result.test_accuracy:.1f}, "
+        f"test accuracy {100 * accuracies['test']:.1f}, "
         f"best val {100 * history.best_val_accuracy:.1f} at epoch {history.best_epoch}"
     )
     for name, value in list(accuracies.items())[1:]:
@@ -519,17 +511,11 @@ def cmd_sweep(args) -> int:
     test_accuracy = test()["test"]
 
     sweep_keys = {"trial_index": best.index, "budget": args.budget, "sweep_seed": args.seed}
-    result = RunResult(
-        method=method.label,
-        dataset=dataset.name,
-        size_index=split.size_index,
-        split_index=split.split_index,
-        test_accuracy=test_accuracy,
-        best_val_accuracy=best.val_accuracy,
-        config={**asdict(config), **method.flag_config(args), **best.config, **sweep_keys},
+    run_config = {**asdict(config), **method.flag_config(args), **best.config, **sweep_keys}
+    run_dir = _write_run(
+        args, dataset, method.label, split, history,
+        test_accuracy, best.val_accuracy, run_config, f"_sweep{args.seed}",
     )
-    run_dir = _run_dir(args.out, dataset, method.label, split, suffix=f"_sweep{args.seed}")
-    _persist_result(run_dir, result, history)
     _write_atomic(run_dir / "trials.txt", trials_to_text(trials))
     failed = sum(1 for t in trials if t.status != "ok")
     print(

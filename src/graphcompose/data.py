@@ -118,6 +118,17 @@ def _read_text(path: Path) -> str:
         raise DataError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write text to path via a temporary file beside it; failure is a DataError."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
 def _parse_lines(path: Path, expected_fields: int):
     for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
@@ -404,12 +415,8 @@ def save_splits(splits, out_dir) -> list[Path]:
     out = Path(out_dir)
     written = []
     for (size_index, split_index), split in sorted(splits.items()):
-        d = out / str(size_index) / str(split_index)
-        d.mkdir(parents=True, exist_ok=True)
-        target = d / "split.txt"
-        tmp = d / "split.txt.tmp"
-        tmp.write_text(split_to_text(split), encoding="utf-8")
-        os.replace(tmp, target)
+        target = out / str(size_index) / str(split_index) / "split.txt"
+        _write_atomic(target, split_to_text(split))
         written.append(target)
     return written
 

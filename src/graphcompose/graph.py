@@ -137,6 +137,8 @@ def normalize(
     if kind == "general":
         if alpha is None or beta is None:
             raise UsageError("general normalization requires alpha and beta exponents")
+        if not (np.isfinite(alpha) and np.isfinite(beta)):
+            raise UsageError(f"general normalization exponents must be finite, got {alpha}, {beta}")
     elif kind in _EXPONENTS:
         if alpha is not None or beta is not None:
             raise UsageError(f"{kind} normalization takes no exponents")

@@ -28,9 +28,8 @@ from .networks import (
     backward,
     compile_network,
     forward,
-    init_params,
 )
-from .training import PROB_FLOOR, AdamState, TrainConfig, _restrict_to, adam_step, fit
+from .training import PROB_FLOOR, AdamState, TrainConfig, _restrict_to, _seeded_start, adam_step, fit
 
 __all__ = [
     "LpnnWeights",
@@ -58,8 +57,8 @@ class LpnnWeights:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if value < 0:
-                raise UsageError(f"lpnn weight {f.name} must be >= 0, got {value}")
+            if not (0.0 <= value < np.inf):
+                raise UsageError(f"lpnn weight {f.name} must be finite and >= 0, got {value}")
 
 
 def _clamped_log(p: np.ndarray) -> np.ndarray:
@@ -180,10 +179,7 @@ def train_lpnn(dataset, split, config: TrainConfig, weights: LpnnWeights):
     )
     val_net, val_labels = _restrict_to(g_net, dataset, val_idx)
 
-    seed_root = np.random.SeedSequence(config.seed)
-    init_stream, dropout_stream = seed_root.spawn(2)
-    g_params = init_params(g_net, np.random.default_rng(init_stream))
-    dropout_rng = np.random.default_rng(dropout_stream)
+    g_params, dropout_rng = _seeded_start(g_net, config)
     f = np.zeros((dataset.num_nodes, dataset.num_classes), dtype=np.float64)
 
     adam_f = AdamState.for_params([f])

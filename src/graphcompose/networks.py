@@ -46,7 +46,6 @@ __all__ = [
     "NetworkSpec",
     "CompiledNetwork",
     "CostEstimate",
-    "ForwardStates",
     "PRESET_NAMES",
     "DEFAULT_HIDDEN_DIM",
     "preset",
@@ -316,9 +315,9 @@ def spec_from_dict(doc: dict) -> NetworkSpec:
 
 
 # Chain entries. Each owns its forward and vjp: forward(h, params, rng,
-# training) returns (output, cache) and vjp(cache, params, upstream, grads)
-# returns the upstream gradient for the previous entry, adding any parameter
-# gradient into grads. The layer primitives are looked up as module globals at
+# training) returns (output, cache) and vjp(cache, upstream, grads) returns
+# the upstream gradient for the previous entry, storing any parameter gradient
+# in grads. The layer primitives are looked up as module globals at
 # call time, so they can be wrapped (for example by a profiler).
 
 
@@ -337,7 +336,7 @@ class _Smooth(_Entry):
     def forward(self, h, params, rng, training):
         return spmm(self.matrix, h), None
 
-    def vjp(self, cache, params, u, grads):
+    def vjp(self, cache, u, grads):
         return spmm_transposed(self.matrix, u)
 
 
@@ -353,13 +352,13 @@ class _Linear(_Entry):
     kind = "linear"
 
     def forward(self, h, params, rng, training):
-        return linear_forward(h, params[self.index]), h
+        w = params[self.index]
+        return linear_forward(h, w), (h, w)
 
-    def vjp(self, cache, params, u, grads):
+    def vjp(self, cache, u, grads):
         # Only parameter-free entries precede the first linear, so its input
         # gradient is never needed and backward stops at its None.
-        u, dw = linear_vjp(cache, params[self.index], u, self.index > 0)
-        grads[self.index] += dw
+        u, grads[self.index] = linear_vjp(*cache, u, self.index > 0)
         return u
 
 
@@ -370,7 +369,7 @@ class _Relu(_Entry):
     def forward(self, h, params, rng, training):
         return relu_forward(h), h
 
-    def vjp(self, cache, params, u, grads):
+    def vjp(self, cache, u, grads):
         return relu_vjp(cache, u)
 
 
@@ -382,7 +381,7 @@ class _Softmax(_Entry):
         p = softmax_rows_forward(h)
         return p, p
 
-    def vjp(self, cache, params, u, grads):
+    def vjp(self, cache, u, grads):
         return softmax_rows_vjp(cache, u)
 
 
@@ -394,7 +393,7 @@ class _Dropout(_Entry):
     def forward(self, h, params, rng, training):
         return dropout_forward(h, self.rate, rng, training)
 
-    def vjp(self, cache, params, u, grads):
+    def vjp(self, cache, u, grads):
         return dropout_vjp(cache, self.rate, u)
 
 
@@ -423,7 +422,6 @@ class CompiledNetwork:
 
     layers: tuple
     param_shapes: tuple[tuple[int, int], ...]
-    num_classes: int
     x_bar: np.ndarray | sp.csr_matrix | None
     dropout: float
     cost: CostEstimate | None
@@ -431,14 +429,6 @@ class CompiledNetwork:
 
     def describe(self) -> tuple[str, ...]:
         return tuple(entry.kind for entry in self.layers)
-
-
-@dataclass
-class ForwardStates:
-    """Per-layer caches from a train-mode forward, consumed by backward."""
-
-    params: list
-    caches: list
 
 
 def compile_network(
@@ -560,7 +550,6 @@ def compile_network(
     return CompiledNetwork(
         layers=tuple(chain),
         param_shapes=tuple(shapes),
-        num_classes=num_classes,
         x_bar=x_bar,
         dropout=dropout,
         cost=cost,
@@ -611,8 +600,9 @@ def init_params(net: CompiledNetwork, rng, dtype=np.float64) -> list[np.ndarray]
 
 
 def forward(net: CompiledNetwork, params, *, mode: str = "infer", rng=None):
-    """Run the chain from the network's input. Returns (output, states);
-    states is None in infer mode."""
+    """Run the chain from the network's input. Returns (output, states):
+    states is the list of entry caches in chain order, which backward takes,
+    or None in infer mode."""
     if net.x_bar is None:
         raise UsageError("network was compiled without features; it has no input to run")
     if mode not in ("train", "infer"):
@@ -628,22 +618,20 @@ def forward(net: CompiledNetwork, params, *, mode: str = "infer", rng=None):
         h, cache = entry.forward(h, params, rng, training)
         if training:
             caches.append(cache)
-    if training:
-        return h, ForwardStates(params=list(params), caches=caches)
-    return h, None
+    return h, caches if training else None
 
 
-def backward(net: CompiledNetwork, states: ForwardStates | None, d_output):
+def backward(net: CompiledNetwork, states: list | None, d_output):
     """Gradients for every linear parameter, via the chain's vjps in reverse.
     Label propagation backpropagates through the transposed operator, which is
     how neighboring class distributions enter each labeled node's gradient.
     The pass ends at the first linear: nothing before it has parameters."""
     if states is None:
         raise UsageError("backward needs the states returned by a train-mode forward")
-    grads = [np.zeros(s, dtype=p.dtype) for s, p in zip(net.param_shapes, states.params)]
+    grads = [None] * len(net.param_shapes)
     u = np.asarray(d_output)
-    for entry, cache in zip(reversed(net.layers), reversed(states.caches)):
-        u = entry.vjp(cache, states.params, u, grads)
+    for entry, cache in zip(reversed(net.layers), reversed(states)):
+        u = entry.vjp(cache, u, grads)
         if u is None:
             break
     return grads

@@ -137,6 +137,13 @@ def _restrict_to(net: CompiledNetwork, dataset, rows, dtype=np.float64):
     return part, np.asarray(dataset.labels)[np.unique(np.asarray(rows, dtype=np.int64))]
 
 
+def _seeded_start(net: CompiledNetwork, config: TrainConfig):
+    """Initial parameters in config.precision, and the dropout stream."""
+    init_stream, dropout_stream = np.random.SeedSequence(config.seed).spawn(2)
+    params = init_params(net, np.random.default_rng(init_stream), config.precision)
+    return params, np.random.default_rng(dropout_stream)
+
+
 def fit(step, evaluate, config: TrainConfig):
     """The early-stopping loop shared by every trainer.
 
@@ -203,16 +210,12 @@ def train(net: CompiledNetwork, dataset, split, config: TrainConfig):
             f"config dropout {config.dropout} differs from the rate {net.dropout} "
             "the network was compiled with"
         )
-    dtype = np.float32 if config.precision == "float32" else np.float64
     if len(split.train) == 0 or len(split.val) == 0:
         raise UsageError("train needs nonempty train and val sets")
-    train_net, train_labels = _restrict_to(net, dataset, split.train, dtype)
-    val_net, val_labels = _restrict_to(net, dataset, split.val, dtype)
+    train_net, train_labels = _restrict_to(net, dataset, split.train, config.precision)
+    val_net, val_labels = _restrict_to(net, dataset, split.val, config.precision)
 
-    seed_root = np.random.SeedSequence(config.seed)
-    init_stream, dropout_stream = seed_root.spawn(2)
-    params = init_params(net, np.random.default_rng(init_stream), dtype)
-    dropout_rng = np.random.default_rng(dropout_stream)
+    params, dropout_rng = _seeded_start(net, config)
     adam = AdamState.for_params(params)
 
     def step() -> float:
@@ -256,6 +259,8 @@ def gradient_check(
 
     Requires a dropout-free, float64 network on a small instance.
     """
+    if not (0.0 < tolerance < math.inf):
+        raise UsageError(f"gradient check tolerance must be finite and > 0, got {tolerance}")
     if net.dropout:
         raise UsageError("gradient check requires a network compiled with dropout=0")
     if labeled_set is None:

@@ -309,6 +309,13 @@ def non_utf8_copy(env, tmp):
     return str(root)
 
 
+def regular_file(tmp):
+    """A regular file, so that no path beneath it can be written."""
+    path = tmp / "a-file"
+    path.write_text("")
+    return path
+
+
 def run_args(command, env, extra=()):
     return [
         command, "--dataset-dir", str(env), "--size", "1", "--split", "0",
@@ -387,6 +394,38 @@ MALFORMED = [
     ("failed-gradient-check",
      lambda env, tmp: ["gradcheck", "--tolerance", "1e-18"],
      3, "gradient check failed"),
+    ("train-out-beneath-a-file",
+     lambda env, tmp: quick_train_args(env, regular_file(tmp) / "x", "sgcn"),
+     2, "cannot write "),
+    ("splits-out-beneath-a-file",
+     lambda env, tmp: ["splits", "--dataset-dir", str(env), "--out", str(regular_file(tmp) / "s")],
+     2, "cannot write "),
+    ("train-nan-general-exponent",
+     lambda env, tmp: quick_train_args(env, tmp, "sgcn", [
+         "--operator", "general", "--alpha", "nan", "--beta", "0.5"]),
+     1, "general normalization exponents must be finite, got nan, 0.5"),
+    ("train-inf-general-exponent",
+     lambda env, tmp: quick_train_args(env, tmp, "sgcn", [
+         "--operator", "general", "--alpha", "inf", "--beta", "0.5"]),
+     1, "general normalization exponents must be finite, got inf, 0.5"),
+    ("propmodel-sweep-nan-exponent",
+     lambda env, tmp: run_args("propmodel-sweep", env, ["--model", "exponents", "--grid", "nan,0.5"]),
+     1, "general normalization exponents must be finite, got nan, 0.5"),
+    ("lpnn-nan-mu-g",
+     lambda env, tmp: quick_train_args(env, tmp, "lpnn", ["--mu-g", "nan"]),
+     1, "lpnn weight mu_g must be finite and >= 0, got nan"),
+    ("lpnn-inf-lambda-u",
+     lambda env, tmp: quick_train_args(env, tmp, "lpnn", ["--lambda-u", "inf"]),
+     1, "lpnn weight lambda_u must be finite and >= 0, got inf"),
+    ("gradcheck-nan-tolerance",
+     lambda env, tmp: ["gradcheck", "--tolerance", "nan"],
+     1, "gradient check tolerance must be finite and > 0, got nan"),
+    ("gradcheck-zero-tolerance",
+     lambda env, tmp: ["gradcheck", "--tolerance", "0"],
+     1, "gradient check tolerance must be finite and > 0, got 0.0"),
+    ("gradcheck-negative-tolerance",
+     lambda env, tmp: ["gradcheck", "--tolerance", "-1"],
+     1, "gradient check tolerance must be finite and > 0, got -1.0"),
 ]
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -335,6 +337,12 @@ class TestSplitPersistence:
         save_splits(splits, tmp_path / "s")
         loaded = load_split(tmp_path / "s", 3, 4, split_dataset.num_nodes)
         assert loaded == splits[(3, 4)]
+
+    def test_unwritable_out_dir_names_the_path(self, tmp_path, split_dataset):
+        (tmp_path / "a-file").write_text("")
+        target = tmp_path / "a-file" / "s" / "1" / "0" / "split.txt"
+        with pytest.raises(DataError, match=f"^cannot write {re.escape(str(target))}: "):
+            save_splits(generate_splits(split_dataset, base_seed=6), tmp_path / "a-file" / "s")
 
     def test_missing_split_mentions_generation(self, tmp_path):
         with pytest.raises(DataError, match="generate splits first"):

@@ -212,6 +212,11 @@ class TestNormalize:
         with pytest.raises(UsageError):
             build_operator(path3, "general", alpha=0.5)
 
+    @pytest.mark.parametrize("alpha, beta", [(np.nan, 0.5), (0.5, np.inf), (-np.inf, 0.5)])
+    def test_general_rejects_non_finite_exponents(self, path3, alpha, beta):
+        with pytest.raises(UsageError, match="exponents must be finite"):
+            build_operator(path3, "general", alpha=alpha, beta=beta)
+
     def test_plain_kinds_reject_exponents(self, path3):
         with pytest.raises(UsageError):
             build_operator(path3, "symmetric", alpha=0.5, beta=0.5)

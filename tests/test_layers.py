@@ -74,7 +74,7 @@ class TestSmoothing:
         x = rng.normal(size=(7, 5))
         up = rng.normal(size=(7, 5))
         smooth = compiled_chain(op, (Fp(1),), 5)[0]
-        analytic = smooth.vjp(None, [], up, [])
+        analytic = smooth.vjp(None, up, [])
         np.testing.assert_array_equal(analytic, spmm_transposed(op.matrix, up))
         numeric = finite_diff(lambda z: spmm(op.matrix, z), x, up)
         np.testing.assert_allclose(analytic, numeric, atol=1e-8)

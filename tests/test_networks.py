@@ -275,7 +275,7 @@ class TestForwardBackward:
         net = compile_network(preset("gcn"), ops, 5, 3, features=x14)
         params = init_params(net, np.random.default_rng(5))
         _, states = forward(net, params, mode="train")
-        assert states is not None and len(states.caches) == len(net.layers)
+        assert states is not None and len(states) == len(net.layers)
         _, none_states = forward(net, params, mode="infer")
         assert none_states is None
 
@@ -504,8 +504,8 @@ class TestSparseInput:
         params = init_params(net, np.random.default_rng(33))
         _, states = forward(net, params, mode="train", rng=np.random.default_rng(34))
         assert net.layers[0].kind == "dropout"
-        assert states.caches[0].shape == (net.x_bar.nnz,)
-        grads = backward(net, states, np.ones((net.x_bar.shape[0], net.num_classes)))
+        assert states[0].shape == (net.x_bar.nnz,)
+        grads = backward(net, states, np.ones((net.x_bar.shape[0], net.param_shapes[-1][1])))
         assert [g.shape for g in grads] == list(net.param_shapes)
 
     def test_with_dtype_float32_keeps_csr(self, sparse_case):
@@ -518,14 +518,14 @@ class TestSparseInput:
 
 def full_reverse(net, states, d_output):
     """Every entry's vjp in reverse, the first linear's input gradient too."""
-    grads = [np.zeros_like(p) for p in states.params]
+    grads = [np.zeros(s) for s in net.param_shapes]
     u = d_output
-    for entry, cache in zip(reversed(net.layers), reversed(states.caches)):
+    for entry, cache in zip(reversed(net.layers), reversed(states)):
         if entry.kind == "linear":
-            u, dw = linear_vjp(cache, states.params[entry.index], u)
+            u, dw = linear_vjp(*cache, u)
             grads[entry.index] += dw
         else:
-            u = entry.vjp(cache, states.params, u, grads)
+            u = entry.vjp(cache, u, grads)
     return grads, u
 
 
@@ -553,7 +553,7 @@ class TestBackwardStopsAtFirstLinear:
         _, states = forward(net, params, mode="train", rng=np.random.default_rng(39))
         kinds = net.describe()
         assert kinds[:2] == ("dropout", "linear")
-        first_mask = states.caches[0]
+        first_mask = states[0]
         masks = []
         original = networks.dropout_vjp
 
@@ -659,7 +659,7 @@ def assert_matches_full_chain(net, full, part, restricted, rows):
     restricted pass equal the full chain's."""
     (full_out, full_states), (out, states) = full, restricted
     np.testing.assert_allclose(out[part.positions], full_out[rows], rtol=0, atol=1e-12)
-    g = np.random.default_rng(44).normal(size=(rows.size, net.num_classes))
+    g = np.random.default_rng(44).normal(size=(rows.size, net.param_shapes[-1][1]))
     expected = backward(net, full_states, upstream_on(full_out.shape[0], rows, g))
     got = backward(part, states, upstream_on(out.shape[0], part.positions, g))
     for a, b in zip(got, expected):
