@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import threading
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
@@ -140,13 +141,16 @@ def run_sweep(
     with_hidden: bool = True,
     with_loss_weights: bool = False,
 ):
-    """Sample `budget` configs, score each by validation accuracy, and pick
-    the best (ties go to the first sampled).
+    """Sample `budget` configs, score each by validation accuracy, and keep
+    the best trial's model (ties go to the first sampled).
 
-    All configs and per-trial seeds are drawn up front from the sweep seed,
-    and results are merged in config-index order, so the parallelism degree
-    never changes the outcome. run_one(config, seed) returns a validation
-    accuracy and may raise NumericError for a diverged run.
+    All configs and per-trial seeds are drawn up front from the sweep seed.
+    run_one(config, seed) returns (validation accuracy, model) and may raise
+    NumericError for a diverged run. A finished trial meets the best so far
+    under one lock, keyed by (accuracy, -index): the winner is the first
+    maximum in index order whatever order trials finish in, so the
+    parallelism degree never changes the outcome, and a losing model is
+    dropped at once. Returns (best trial, its model, trials in index order).
     """
     if budget < 1:
         raise UsageError(f"sweep budget must be >= 1, got {budget}")
@@ -157,31 +161,31 @@ def run_sweep(
         sample_config(space, rng, with_hidden=with_hidden, with_loss_weights=with_loss_weights)
         for _ in range(budget)
     ]
+    lock = threading.Lock()
+    best: SweepTrial | None = None
+    best_model = None
 
     def attempt(index: int) -> SweepTrial:
+        nonlocal best, best_model
         config = configs[index]
         run_seed = trial_seed(seed, index)
         try:
-            val = run_one(config, run_seed)
+            val, model = run_one(config, run_seed)
         except NumericError as exc:
             return SweepTrial(index, config, run_seed, "failed", float("nan"), str(exc))
-        return SweepTrial(index, config, run_seed, "ok", float(val))
+        trial = SweepTrial(index, config, run_seed, "ok", float(val))
+        with lock:
+            if best is None or (trial.val_accuracy, -index) > (best.val_accuracy, -best.index):
+                best, best_model = trial, model
+        return trial
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            trials = list(pool.map(attempt, range(budget)))
-    else:
-        trials = [attempt(i) for i in range(budget)]
-
-    best: SweepTrial | None = None
-    for trial in trials:
-        if trial.status == "ok" and (best is None or trial.val_accuracy > best.val_accuracy):
-            best = trial
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        trials = list(pool.map(attempt, range(budget)))
     if best is None:
         raise NumericError(
             f"all {budget} sweep configurations failed; last error: {trials[-1].message}"
         )
-    return best, trials
+    return best, best_model, trials
 
 
 def trials_to_text(trials) -> str:
@@ -343,10 +347,11 @@ def _resolve_method(args):
                 f"{', '.join(shape_flags)} apply only to named presets, not spec files"
             )
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
+            spec = spec_from_dict(json.loads(path.read_text(encoding="utf-8")))
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read network spec {path}: {exc}") from exc
-        spec = spec_from_dict(doc)
+        except UsageError as exc:
+            raise UsageError(f"{path}: {exc}") from exc
         return _Composed(label=spec.name, file_spec=spec)
     raise UsageError(
         f"unknown method {name!r}: expected one of {', '.join(PRESET_NAMES)}, "
@@ -490,11 +495,11 @@ def cmd_sweep(args) -> int:
     space = SweepSpace.paper_space() if args.paper_space else SweepSpace()
     method = method.bind(dataset.topology, args)
 
-    def run_one(cfg: dict, run_seed: int) -> float:
-        _, history = method.fit(dataset, split, _train_config(args, cfg, run_seed), cfg)
-        return history.best_val_accuracy
+    def run_one(cfg: dict, run_seed: int):
+        test, history = method.fit(dataset, split, _train_config(args, cfg, run_seed), cfg)
+        return history.best_val_accuracy, (test, history)
 
-    best, trials = run_sweep(
+    best, (test, history), trials = run_sweep(
         run_one,
         space,
         args.budget,
@@ -503,13 +508,8 @@ def cmd_sweep(args) -> int:
         with_hidden=method.samples_hidden,
         with_loss_weights=method.samples_loss_weights,
     )
-
-    # Retrain the winner (same per-trial seed, so the run is identical) and
-    # only now look at test accuracy.
-    config = _train_config(args, best.config, best.seed)
-    test, history = method.fit(dataset, split, config, best.config)
     test_accuracy = test()["test"]
-
+    config = _train_config(args, best.config, best.seed)
     sweep_keys = {"trial_index": best.index, "budget": args.budget, "sweep_seed": args.seed}
     run_config = {**asdict(config), **method.flag_config(args), **best.config, **sweep_keys}
     run_dir = _write_run(

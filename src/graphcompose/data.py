@@ -9,6 +9,7 @@ size 1 is 20 nodes per class, sizes 2-5 interpolate up to all of T.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import warnings
@@ -119,13 +120,16 @@ def _read_text(path: Path) -> str:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    """Write text to path via a temporary file beside it; failure is a DataError."""
+    """Write text to path via a temporary file beside it; failure is a DataError
+    and removes the temporary file."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):  # missing, or beneath a file
+            tmp.unlink()
         raise DataError(f"cannot write {path}: {exc}") from exc
 
 

@@ -294,20 +294,49 @@ def spec_to_dict(spec: NetworkSpec) -> dict:
     return {"name": spec.name, "stages": stages}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The JSON value each stage field annotation accepts, and how to name it.
+_FIELD_TYPES = {
+    "int": ("an integer", _is_int),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple[int, ...]": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "int | None": ("an integer or null", lambda v: v is None or _is_int(v)),
+}
+
+
 def spec_from_dict(doc: dict) -> NetworkSpec:
     """Inverse of spec_to_dict; a stage field missing from its document takes
-    the stage's default."""
+    the stage's default. A field of the wrong JSON type is a UsageError."""
     if not isinstance(doc, dict) or "name" not in doc or "stages" not in doc:
         raise UsageError("network spec document needs 'name' and 'stages' fields")
+    if not isinstance(doc["name"], str):
+        raise UsageError(f"network spec 'name' must be a string, got {doc['name']!r}")
+    if not isinstance(doc["stages"], list):
+        raise UsageError(f"network spec 'stages' must be a list, got {doc['stages']!r}")
     stages: list[Stage] = []
-    for entry in doc["stages"]:
+    for index, entry in enumerate(doc["stages"]):
+        if not isinstance(entry, dict):
+            raise UsageError(f"network spec stage {index} must be an object, got {entry!r}")
         kind = entry.get("kind")
-        if kind not in _STAGE_KINDS:
+        if not isinstance(kind, str) or kind not in _STAGE_KINDS:
             raise UsageError(f"unknown stage kind {kind!r} in network spec document")
         cls = _STAGE_KINDS[kind]
-        given = {f.name: entry[f.name] for f in dataclasses.fields(cls) if f.name in entry}
+        given = {}
+        for f in dataclasses.fields(cls):
+            if f.name not in entry:
+                continue
+            expected, accepts = _FIELD_TYPES[f.type]
+            if not accepts(entry[f.name]):
+                raise UsageError(
+                    f"network spec stage {index} field {f.name!r} must be {expected}, "
+                    f"got {entry[f.name]!r}"
+                )
+            given[f.name] = entry[f.name]
         stages.append(cls(**given))
-    return NetworkSpec(str(doc["name"]), tuple(stages))
+    return NetworkSpec(doc["name"], tuple(stages))
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ def both_operators(topology, mix=None):
 
 def sweep_test_accuracy(dataset, split, method_name, budget=200, sweep_seed=0, lp_layers=None):
     """Library-level mirror of the sweep command: tune on validation only,
-    then report the winner's test accuracy."""
+    then report the test accuracy of the winning trial's own model."""
     is_lpnn = method_name == "lpnn"
     operators = None if is_lpnn else both_operators(dataset.topology)
 
@@ -117,21 +117,21 @@ def sweep_test_accuracy(dataset, split, method_name, budget=200, sweep_seed=0, l
         )
         if is_lpnn:
             weights = LpnnWeights(*(cfg[k] for k in _LOSS_WEIGHT_KEYS))
-            _, history = train_lpnn(dataset, split, config, weights)
-        else:
-            spec = preset(method_name, hidden_dim=cfg["hidden_dim"], lp_layers=lp_layers)
-            net = compile_network(
-                spec,
-                operators,
-                dataset.num_features,
-                dataset.num_classes,
-                features=dataset.features,
-                dropout=config.dropout,
-            )
-            _, history = train(net, dataset, split, config)
-        return history.best_val_accuracy
+            model, history = train_lpnn(dataset, split, config, weights)
+            return history.best_val_accuracy, lambda: predict_from_g(model)
+        spec = preset(method_name, hidden_dim=cfg["hidden_dim"], lp_layers=lp_layers)
+        net = compile_network(
+            spec,
+            operators,
+            dataset.num_features,
+            dataset.num_classes,
+            features=dataset.features,
+            dropout=config.dropout,
+        )
+        params, history = train(net, dataset, split, config)
+        return history.best_val_accuracy, lambda: forward(net, params)[0]
 
-    best, _ = run_sweep(
+    _, predict, _ = run_sweep(
         run_one,
         SweepSpace(),
         budget,
@@ -139,28 +139,7 @@ def sweep_test_accuracy(dataset, split, method_name, budget=200, sweep_seed=0, l
         with_hidden=not is_lpnn,
         with_loss_weights=is_lpnn,
     )
-    config = TrainConfig(
-        learning_rate=best.config["learning_rate"],
-        dropout=best.config["dropout"],
-        weight_decay=best.config["weight_decay"],
-        seed=best.seed,
-    )
-    if is_lpnn:
-        weights = LpnnWeights(*(best.config[k] for k in _LOSS_WEIGHT_KEYS))
-        model, _ = train_lpnn(dataset, split, config, weights)
-        return accuracy(predict_from_g(model), dataset.labels, split.test)
-    spec = preset(method_name, hidden_dim=best.config["hidden_dim"], lp_layers=lp_layers)
-    net = compile_network(
-        spec,
-        operators,
-        dataset.num_features,
-        dataset.num_classes,
-        features=dataset.features,
-        dropout=config.dropout,
-    )
-    params, _ = train(net, dataset, split, config)
-    out, _ = forward(net, params)
-    return accuracy(out, dataset.labels, split.test)
+    return accuracy(predict(), dataset.labels, split.test)
 
 
 # ---------------------------------------------------------------------------

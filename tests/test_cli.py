@@ -3,6 +3,9 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
+import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -123,24 +126,78 @@ class TestRunSweep:
 
     def test_jobs_do_not_change_outcome(self):
         def run_one(cfg, seed):
-            return cfg["learning_rate"] * 0.5 + (seed % 97) * 1e-9
+            return cfg["learning_rate"] * 0.5 + (seed % 97) * 1e-9, ("model", seed)
 
-        best1, trials1 = run_sweep(run_one, SweepSpace(), 12, seed=3, jobs=1)
-        best4, trials4 = run_sweep(run_one, SweepSpace(), 12, seed=3, jobs=4)
+        best1, model1, trials1 = run_sweep(run_one, SweepSpace(), 12, seed=3, jobs=1)
+        best4, model4, trials4 = run_sweep(run_one, SweepSpace(), 12, seed=3, jobs=4)
         assert best1 == best4
         assert trials1 == trials4
+        assert model1 == model4 == ("model", best1.seed)
 
     def test_ties_go_to_first_trial(self):
-        best, _ = run_sweep(lambda cfg, seed: 0.5, SweepSpace(), 6, seed=0)
-        assert best.index == 0
+        first = trial_seed(0, 0)
+
+        def run_one(cfg, seed):
+            if seed == first:
+                time.sleep(0.05)  # let later ties finish first
+            return 0.5, ("model", seed)
+
+        for jobs in (1, 4):
+            best, model, _ = run_sweep(run_one, SweepSpace(), 6, seed=0, jobs=jobs)
+            assert best.index == 0
+            assert model == ("model", first)
+
+    def test_losing_models_are_dropped_as_trials_finish(self):
+        class Model:
+            pass
+
+        index_of = {trial_seed(5, i): i for i in range(4)}
+        refs = {}
+        later_done = threading.Event()
+        seen_alive = []
+
+        def run_one(cfg, seed):
+            index = index_of[seed]
+            if index == 0:
+                # Trials 1-3 run on the other thread while this one waits.
+                assert later_done.wait(timeout=10)
+                deadline = time.monotonic() + 5
+                while refs[3]() is not None and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                seen_alive.extend(i for i in (2, 3) if refs[i]() is not None)
+                return 0.2, Model()
+            model = Model()
+            refs[index] = weakref.ref(model)
+            if index == 3:
+                later_done.set()
+            return {1: 0.5, 2: 0.4, 3: 0.3}[index], model
+
+        best, model, trials = run_sweep(run_one, SweepSpace(), 4, seed=5, jobs=2)
+        assert seen_alive == []
+        assert best.index == 1 and refs[1]() is model
+        assert [t.val_accuracy for t in trials] == [0.2, 0.5, 0.4, 0.3]
+
+    def test_selection_holds_under_thread_switching(self):
+        def run_one(cfg, seed):
+            return (seed % 5) / 10, ("model", seed)  # many ties
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            best, model, trials = run_sweep(run_one, SweepSpace(), 64, seed=9, jobs=8)
+        finally:
+            sys.setswitchinterval(interval)
+        top = max(t.val_accuracy for t in trials)
+        assert best == next(t for t in trials if t.val_accuracy == top)
+        assert model == ("model", best.seed)
 
     def test_failed_trials_are_recorded_not_fatal(self):
         def run_one(cfg, seed):
             if cfg["dropout"] > 0.5:
                 raise NumericError("diverged")
-            return cfg["dropout"]
+            return cfg["dropout"], None
 
-        best, trials = run_sweep(run_one, SweepSpace(), 20, seed=1)
+        best, _, trials = run_sweep(run_one, SweepSpace(), 20, seed=1)
         statuses = {t.status for t in trials}
         assert statuses == {"ok", "failed"}
         assert best.status == "ok"
@@ -156,12 +213,12 @@ class TestRunSweep:
 
     def test_validation(self):
         with pytest.raises(UsageError):
-            run_sweep(lambda c, s: 0.0, SweepSpace(), 0, seed=0)
+            run_sweep(lambda c, s: (0.0, None), SweepSpace(), 0, seed=0)
         with pytest.raises(UsageError):
-            run_sweep(lambda c, s: 0.0, SweepSpace(), 1, seed=0, jobs=0)
+            run_sweep(lambda c, s: (0.0, None), SweepSpace(), 1, seed=0, jobs=0)
 
     def test_trials_text_holds_no_test_numbers(self):
-        _, trials = run_sweep(lambda cfg, seed: 0.4, SweepSpace(), 3, seed=2)
+        _, _, trials = run_sweep(lambda cfg, seed: (0.4, None), SweepSpace(), 3, seed=2)
         text = trials_to_text(trials)
         header = text.splitlines()[0]
         assert header == "index\tstatus\tval_accuracy\tconfig"
@@ -316,6 +373,14 @@ def regular_file(tmp):
     return path
 
 
+def spec_file(tmp, name="spec", stages=({"kind": "fp"},)):
+    """A network spec file: the given stages, then a linear classifier and a softmax."""
+    stages = [*stages, {"kind": "linear_classifier"}, {"kind": "softmax"}]
+    path = tmp / "spec.json"
+    path.write_text(json.dumps({"name": name, "stages": stages}))
+    return str(path)
+
+
 def run_args(command, env, extra=()):
     return [
         command, "--dataset-dir", str(env), "--size", "1", "--split", "0",
@@ -426,6 +491,28 @@ MALFORMED = [
     ("gradcheck-negative-tolerance",
      lambda env, tmp: ["gradcheck", "--tolerance", "-1"],
      1, "gradient check tolerance must be finite and > 0, got -1.0"),
+    ("spec-hidden-dims-of-text",
+     lambda env, tmp: quick_train_args(env, tmp, spec_file(tmp, stages=[
+         {"kind": "fp"}, {"kind": "mlp", "hidden_dims": ["a"]}])),
+     1, "spec.json: network spec stage 1 field 'hidden_dims' must be a list of integers, got ['a']"),
+    ("spec-layers-as-text",
+     lambda env, tmp: quick_train_args(env, tmp, spec_file(tmp, stages=[
+         {"kind": "fp", "layers": "2"}])),
+     1, "spec.json: network spec stage 0 field 'layers' must be an integer, got '2'"),
+    ("spec-layers-as-bool",
+     lambda env, tmp: quick_train_args(env, tmp, spec_file(tmp, stages=[
+         {"kind": "fp", "layers": True}])),
+     1, "spec.json: network spec stage 0 field 'layers' must be an integer, got True"),
+    ("spec-stage-as-text",
+     lambda env, tmp: quick_train_args(env, tmp, spec_file(tmp, stages=["fp"])),
+     1, "spec.json: network spec stage 0 must be an object, got 'fp'"),
+    ("spec-hidden-dims-as-int",
+     lambda env, tmp: quick_train_args(env, tmp, spec_file(tmp, stages=[
+         {"kind": "mlp", "hidden_dims": 4}])),
+     1, "spec.json: network spec stage 0 field 'hidden_dims' must be a list of integers, got 4"),
+    ("spec-name-as-object",
+     lambda env, tmp: quick_train_args(env, tmp, spec_file(tmp, name={})),
+     1, "spec.json: network spec 'name' must be a string, got {}"),
 ]
 
 
@@ -640,6 +727,46 @@ class TestSweepCommand:
         for name in ("trials.txt", "result.json"):
             assert next(a.rglob(name)).read_bytes() == next(b.rglob(name)).read_bytes()
 
+    @pytest.mark.parametrize("method", ["gcn", "lpnn"])
+    def test_each_trial_trains_once(self, cli_env, tmp_path, monkeypatch, method):
+        calls = []
+
+        def counting(inner):
+            def counted(*args, **kwargs):
+                calls.append(1)
+                return inner(*args, **kwargs)
+
+            return counted
+
+        for name in ("train", "train_lpnn"):
+            monkeypatch.setattr(graphcompose.cli, name, counting(getattr(graphcompose.cli, name)))
+        sweep_out = tmp_path / "sweep"
+        args = self.sweep_args(cli_env, sweep_out, 2, method=method, budget=3, epochs=6)
+        assert main(args) == 0
+        assert len(calls) == 3
+
+        # The winner's history is its trial's: a train run with the sampled
+        # settings and the trial seed writes the same bytes.
+        config = read_only_result(sweep_out)["config"]
+        flags = [
+            "--lr", repr(config["learning_rate"]), "--dropout", repr(config["dropout"]),
+            "--weight-decay", repr(config["weight_decay"]), "--seed", str(config["seed"]),
+            "--epochs", "6", "--patience", "6",
+        ]
+        if "hidden_dim" in config:
+            flags += ["--hidden", str(config["hidden_dim"])]
+        if method == "lpnn":
+            for key in ("mu_g", "mu_l", "mu_u", "lambda_l", "lambda_u"):
+                flags += ["--" + key.replace("_", "-"), repr(config[key])]
+        train_out = tmp_path / "train"
+        train_args = [
+            "train", "--dataset-dir", str(cli_env), "--size", "1", "--split", "0",
+            "--method", method, "--out", str(train_out), *flags,
+        ]
+        assert main(train_args) == 0
+        sweep_history = next(sweep_out.rglob("history.txt")).read_bytes()
+        assert sweep_history == next(train_out.rglob("history.txt")).read_bytes()
+
     def test_selection_uses_validation_only(self, cli_env, tmp_path, capsys):
         assert main(self.sweep_args(cli_env, tmp_path, 1)) == 0
         capsys.readouterr()
@@ -760,6 +887,16 @@ class TestCompareCommand:
         root = tmp_path / "res"
         self.fake_result(root, "gcn", "d1", 1, 0, 0.9)
         assert main(["compare", "--results-dir", str(root)]) == 1
+
+    def test_unwritable_report_leaves_no_temporary_file(self, tmp_path, capsys):
+        root = tmp_path / "res"
+        self.fake_result(root, "gcn", "d1", 1, 0, 0.9)
+        self.fake_result(root, "sgcn", "d1", 1, 0, 0.8)
+        target = tmp_path / "report"
+        target.mkdir()
+        assert main(["compare", "--results-dir", str(root), "--out", str(target)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_malformed_json_is_data_error(self, tmp_path):
         root = tmp_path / "res"

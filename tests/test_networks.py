@@ -158,6 +158,26 @@ class TestSpecSerialization:
         with pytest.raises(UsageError):
             spec_from_dict({"name": "x", "stages": [{"kind": "conv2d"}]})
 
+    @pytest.mark.parametrize(
+        "stage, accepted",
+        [
+            ({"kind": "gcn_block", "smoothings": None}, True),
+            ({"kind": "gcn_block", "smoothings": 1}, True),
+            ({"kind": "gcn_block", "smoothings": 1.0}, False),
+            ({"kind": "gcn_block", "smoothings": False}, False),
+            ({"kind": "mlp", "hidden_dims": [8, True]}, False),
+            ({"kind": "lp", "operator": 1}, False),
+            ({"kind": ["fp"]}, False),
+        ],
+    )
+    def test_field_types_follow_the_annotations(self, stage, accepted):
+        doc = {"name": "x", "stages": [stage]}
+        if accepted:
+            assert spec_from_dict(doc).stages[0].smoothings == stage["smoothings"]
+        else:
+            with pytest.raises(UsageError, match="stage|kind"):
+                spec_from_dict(doc)
+
 
 class TestCompile:
     def test_sgcn_folds_to_linear_softmax(self, ops, x14):
