@@ -166,6 +166,14 @@ def write_standard_split(root: Path, dataset: Dataset, seed: int = 3) -> None:
     (root / "standard_split.txt").write_text("\n".join(lines) + "\n")
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--rewrite-trajectories",
+        action="store_true",
+        help="rewrite tests/trajectories.json from this run instead of checking it",
+    )
+
+
 @pytest.fixture(scope="session")
 def path3() -> GraphTopology:
     """The 3-node path 0-1-2."""
