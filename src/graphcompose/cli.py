@@ -50,70 +50,40 @@ from .networks import (
 )
 from .training import TrainConfig, gradient_check, train
 
-__all__ = ["Domain", "SweepSpace", "SweepTrial", "run_sweep", "sample_config", "main"]
+__all__ = ["SweepTrial", "run_sweep", "sample_config", "main"]
 
 
 # ---------------------------------------------------------------------------
 # Random-search space
 
-
-@dataclass(frozen=True)
-class Domain:
-    """A scalar sampling interval, linear or log-spaced."""
-
-    low: float
-    high: float
-    log: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.low < self.high:
-            raise UsageError(f"domain needs low < high, got [{self.low}, {self.high}]")
-        if self.log and self.low <= 0:
-            raise UsageError("log-spaced domain needs low > 0")
-
-    def sample(self, rng) -> float:
-        if self.log:
-            return float(np.exp(rng.uniform(np.log(self.low), np.log(self.high))))
-        return float(rng.uniform(self.low, self.high))
-
-
-@dataclass(frozen=True)
-class SweepSpace:
-    """Hyperparameter domains for random search.
-
-    The declared space draws learning rate, dropout, and weight decay from
-    (0, 1) and the hidden width from a fixed choice set; the joint-field
-    baseline adds its five loss weights, also from (0, 1). The default
-    narrows the learning rate to a log-spaced (1e-4, 1e-1) band because a
-    plain (0, 1) draw wastes most of a small budget on divergent rates;
-    paper_space() restores the plain draw.
-    """
-
-    learning_rate: Domain = Domain(1e-4, 1e-1, log=True)
-    dropout: Domain = Domain(0.0, 1.0)
-    weight_decay: Domain = Domain(0.0, 1.0)
-    hidden_dims: tuple[int, ...] = (8, 16, 32, 64, 128)
-    loss_weights: Domain = Domain(0.0, 1.0)
-
-    @classmethod
-    def paper_space(cls) -> "SweepSpace":
-        return cls(learning_rate=Domain(0.0, 1.0))
-
+# The declared space draws learning rate, dropout and weight decay from (0, 1)
+# and the hidden width from a fixed choice set; the joint-field baseline adds
+# its five loss weights, also from (0, 1). By default the learning rate is
+# drawn log-uniform from a narrower band, because a plain (0, 1) draw wastes
+# most of a small budget on divergent rates; --paper-space restores the plain
+# draw.
+HIDDEN_WIDTHS = (8, 16, 32, 64, 128)
+LEARNING_RATE_BAND = (1e-4, 1e-1)
 
 _LOSS_WEIGHT_KEYS = tuple(f.name for f in fields(LpnnWeights))
 
 
-def sample_config(space: SweepSpace, rng, *, with_hidden: bool, with_loss_weights: bool) -> dict:
+def sample_config(rng, *, paper_space: bool, with_hidden: bool, with_loss_weights: bool) -> dict:
+    if paper_space:
+        learning_rate = float(rng.uniform(0.0, 1.0))
+    else:
+        low, high = LEARNING_RATE_BAND
+        learning_rate = float(np.exp(rng.uniform(np.log(low), np.log(high))))
     cfg = {
-        "learning_rate": space.learning_rate.sample(rng),
-        "dropout": space.dropout.sample(rng),
-        "weight_decay": space.weight_decay.sample(rng),
+        "learning_rate": learning_rate,
+        "dropout": float(rng.uniform(0.0, 1.0)),
+        "weight_decay": float(rng.uniform(0.0, 1.0)),
     }
     if with_hidden:
-        cfg["hidden_dim"] = int(space.hidden_dims[rng.integers(len(space.hidden_dims))])
+        cfg["hidden_dim"] = int(HIDDEN_WIDTHS[rng.integers(len(HIDDEN_WIDTHS))])
     if with_loss_weights:
         for key in _LOSS_WEIGHT_KEYS:
-            cfg[key] = space.loss_weights.sample(rng)
+            cfg[key] = float(rng.uniform(0.0, 1.0))
     return cfg
 
 
@@ -133,11 +103,11 @@ def trial_seed(sweep_seed: int, index: int) -> int:
 
 def run_sweep(
     run_one,
-    space: SweepSpace,
     budget: int,
     seed: int,
     jobs: int = 1,
     *,
+    paper_space: bool = False,
     with_hidden: bool = True,
     with_loss_weights: bool = False,
 ):
@@ -158,7 +128,12 @@ def run_sweep(
         raise UsageError(f"jobs must be >= 1, got {jobs}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     configs = [
-        sample_config(space, rng, with_hidden=with_hidden, with_loss_weights=with_loss_weights)
+        sample_config(
+            rng,
+            paper_space=paper_space,
+            with_hidden=with_hidden,
+            with_loss_weights=with_loss_weights,
+        )
         for _ in range(budget)
     ]
     lock = threading.Lock()
@@ -217,7 +192,8 @@ class _Parser(argparse.ArgumentParser):
 # baseline; both offer the same interface:
 #   bind(topology, args)  checks the propagation/precision flags and returns
 #                         the method ready to train;
-#   flag_config(args)     the method's settings taken from train flags;
+#   shape_config(args)    the settings the shape and operator flags fix, as
+#                         a run records them;
 #   fit(dataset, split, config, cfg)
 #                         trains once, reading the hidden width or the loss
 #                         weights from cfg (a sampled sweep config, or the
@@ -254,10 +230,8 @@ class _Composed:
     def bind(self, topology: GraphTopology, args) -> "_Composed":
         return replace(self, operators=_operator_set(topology, args.operator, args.alpha, args.beta))
 
-    def flag_config(self, args) -> dict:
+    def shape_config(self, args) -> dict:
         cfg = {"operator": args.operator}
-        if self.samples_hidden:
-            cfg["hidden_dim"] = self.hidden
         if self.depth is not None:
             cfg["depth"] = self.depth
         if self.lp_layers is not None:
@@ -300,8 +274,8 @@ class _Lpnn:
             )
         return self
 
-    def flag_config(self, args) -> dict:
-        return {key: getattr(args, key) for key in _LOSS_WEIGHT_KEYS}
+    def shape_config(self, args) -> dict:
+        return {}
 
     def fit(self, dataset: Dataset, split, config: TrainConfig, cfg: dict):
         weights = LpnnWeights(*(cfg[key] for key in _LOSS_WEIGHT_KEYS))
@@ -410,13 +384,13 @@ def _resolve_split(args, dataset: Dataset):
 
 
 def _flag_config(args, method) -> dict:
-    """A flag-driven run's configuration, in the shape of a sampled one."""
-    return {
-        "learning_rate": args.lr,
-        "dropout": args.dropout,
-        "weight_decay": args.weight_decay,
-        **method.flag_config(args),
-    }
+    """A flag-driven run's settings, with the keys a sweep would sample."""
+    cfg = {"learning_rate": args.lr, "dropout": args.dropout, "weight_decay": args.weight_decay}
+    if method.samples_hidden:
+        cfg["hidden_dim"] = method.hidden
+    if method.samples_loss_weights:
+        cfg.update((key, getattr(args, key)) for key in _LOSS_WEIGHT_KEYS)
+    return cfg
 
 
 def _train_config(args, cfg: dict, seed: int) -> TrainConfig:
@@ -473,7 +447,8 @@ def cmd_train(args) -> int:
     accuracies = test()
     run_dir = _write_run(
         args, dataset, method.label, split, history,
-        accuracies["test"], history.best_val_accuracy, {**asdict(config), **cfg},
+        accuracies["test"], history.best_val_accuracy,
+        {**asdict(config), **cfg, **method.shape_config(args)},
     )
     print(
         f"{method.label} on {dataset.name} (size {split.size_index}, split {split.split_index}): "
@@ -492,7 +467,6 @@ def cmd_sweep(args) -> int:
     if args.hidden is not None:
         raise UsageError("sweep samples the hidden width; --hidden does not apply")
     split = _resolve_split(args, dataset)
-    space = SweepSpace.paper_space() if args.paper_space else SweepSpace()
     method = method.bind(dataset.topology, args)
 
     def run_one(cfg: dict, run_seed: int):
@@ -501,17 +475,17 @@ def cmd_sweep(args) -> int:
 
     best, (test, history), trials = run_sweep(
         run_one,
-        space,
         args.budget,
         args.seed,
         args.jobs,
+        paper_space=args.paper_space,
         with_hidden=method.samples_hidden,
         with_loss_weights=method.samples_loss_weights,
     )
     test_accuracy = test()["test"]
     config = _train_config(args, best.config, best.seed)
     sweep_keys = {"trial_index": best.index, "budget": args.budget, "sweep_seed": args.seed}
-    run_config = {**asdict(config), **method.flag_config(args), **best.config, **sweep_keys}
+    run_config = {**asdict(config), **method.shape_config(args), **best.config, **sweep_keys}
     run_dir = _write_run(
         args, dataset, method.label, split, history,
         test_accuracy, best.val_accuracy, run_config, f"_sweep{args.seed}",
@@ -856,9 +830,6 @@ def _build_parser() -> _Parser:
     _add_split_flags(p)
     _add_method_flags(p)
     _add_operator_flags(p)
-    # The loss weights are sampled; these placeholders let the lpnn method's
-    # flag_config run, and the sampled values replace them.
-    p.set_defaults(**dict.fromkeys(_LOSS_WEIGHT_KEYS))
     p.add_argument("--budget", type=int, default=200, help="number of sampled configs")
     p.add_argument("--jobs", type=int, default=1, help="concurrent training runs")
     p.add_argument(
@@ -893,9 +864,6 @@ def _build_parser() -> _Parser:
         default=None,
         help="semicolon-separated alpha,beta pairs (default: the published 10-point grid)",
     )
-    # Propagation flags stay so _resolve_method and the composed method's
-    # flag_config share code, but the pairs come from --grid.
-    p.set_defaults(operator="symmetric", alpha=None, beta=None)
     _add_train_flags(p)
     p.add_argument("--out", default=None, help="write the val/test table to this file")
 

@@ -309,7 +309,8 @@ _FIELD_TYPES = {
 
 def spec_from_dict(doc: dict) -> NetworkSpec:
     """Inverse of spec_to_dict; a stage field missing from its document takes
-    the stage's default. A field of the wrong JSON type is a UsageError."""
+    the stage's default. A field the stage does not have, or one of the wrong
+    JSON type, is a UsageError."""
     if not isinstance(doc, dict) or "name" not in doc or "stages" not in doc:
         raise UsageError("network spec document needs 'name' and 'stages' fields")
     if not isinstance(doc["name"], str):
@@ -324,17 +325,19 @@ def spec_from_dict(doc: dict) -> NetworkSpec:
         if not isinstance(kind, str) or kind not in _STAGE_KINDS:
             raise UsageError(f"unknown stage kind {kind!r} in network spec document")
         cls = _STAGE_KINDS[kind]
-        given = {}
-        for f in dataclasses.fields(cls):
-            if f.name not in entry:
-                continue
-            expected, accepts = _FIELD_TYPES[f.type]
-            if not accepts(entry[f.name]):
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        given = {name: value for name, value in entry.items() if name != "kind"}
+        for name, value in given.items():
+            if name not in types:
                 raise UsageError(
-                    f"network spec stage {index} field {f.name!r} must be {expected}, "
-                    f"got {entry[f.name]!r}"
+                    f"network spec stage {index} has unknown field {name!r}; "
+                    f"{kind} stages take {', '.join(types) or 'no fields'}"
                 )
-            given[f.name] = entry[f.name]
+            expected, accepts = _FIELD_TYPES[types[name]]
+            if not accepts(value):
+                raise UsageError(
+                    f"network spec stage {index} field {name!r} must be {expected}, got {value!r}"
+                )
         stages.append(cls(**given))
     return NetworkSpec(doc["name"], tuple(stages))
 

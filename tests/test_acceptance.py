@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphcompose.cli import main, run_sweep, SweepSpace, _LOSS_WEIGHT_KEYS
+from graphcompose.cli import main, run_sweep, _LOSS_WEIGHT_KEYS
 from graphcompose.data import (
     Dataset,
     generate_splits,
@@ -133,7 +133,6 @@ def sweep_test_accuracy(dataset, split, method_name, budget=200, sweep_seed=0, l
 
     _, predict, _ = run_sweep(
         run_one,
-        SweepSpace(),
         budget,
         sweep_seed,
         with_hidden=not is_lpnn,

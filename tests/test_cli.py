@@ -14,8 +14,7 @@ import scipy.sparse as sp
 
 import graphcompose
 from graphcompose.cli import (
-    Domain,
-    SweepSpace,
+    HIDDEN_WIDTHS,
     main,
     run_sweep,
     sample_config,
@@ -73,49 +72,47 @@ def read_only_result(out_dir):
     return json.loads(files[0].read_text())
 
 
-class TestDomain:
-    def test_linear_sampling_in_bounds(self):
-        d = Domain(0.2, 0.8)
-        rng = np.random.default_rng(0)
-        draws = [d.sample(rng) for _ in range(200)]
-        assert all(0.2 <= x <= 0.8 for x in draws)
+class TestSampleConfig:
+    def draws(self, seed, n=200, **kwargs):
+        rng = np.random.default_rng(seed)
+        kwargs = {"paper_space": False, "with_hidden": True, "with_loss_weights": True, **kwargs}
+        return [sample_config(rng, **kwargs) for _ in range(n)]
 
-    def test_log_sampling_in_bounds(self):
-        d = Domain(1e-4, 1e-1, log=True)
-        rng = np.random.default_rng(1)
-        draws = [d.sample(rng) for _ in range(200)]
-        assert all(1e-4 <= x <= 1e-1 for x in draws)
-        # A log draw spends real probability on the low decades.
-        assert sum(1 for x in draws if x < 1e-3) > 20
-
-    def test_validation(self):
-        with pytest.raises(UsageError):
-            Domain(1.0, 0.5)
-        with pytest.raises(UsageError):
-            Domain(0.0, 1.0, log=True)
-
-
-class TestSweepSpace:
     def test_default_learning_rate_is_log_band(self):
-        space = SweepSpace()
-        assert space.learning_rate == Domain(1e-4, 1e-1, log=True)
-        assert space.dropout == Domain(0.0, 1.0)
-        assert space.weight_decay == Domain(0.0, 1.0)
-        assert space.hidden_dims == (8, 16, 32, 64, 128)
-        assert space.loss_weights == Domain(0.0, 1.0)
+        rates = [cfg["learning_rate"] for cfg in self.draws(1)]
+        assert all(1e-4 <= x <= 1e-1 for x in rates)
+        # A log draw spends real probability on the low decades.
+        assert sum(1 for x in rates if x < 1e-3) > 20
 
     def test_paper_space_learning_rate_plain_uniform(self):
-        space = SweepSpace.paper_space()
-        assert space.learning_rate == Domain(0.0, 1.0)
-        assert space.hidden_dims == (8, 16, 32, 64, 128)
+        rates = [cfg["learning_rate"] for cfg in self.draws(1, paper_space=True)]
+        assert all(0.0 <= x < 1.0 for x in rates)
+        # Outside the default band most of the time, as a plain (0, 1) draw is.
+        assert sum(1 for x in rates if x > 1e-1) > 150
 
-    def test_sample_config_keys(self):
-        rng = np.random.default_rng(2)
-        cfg = sample_config(SweepSpace(), rng, with_hidden=False, with_loss_weights=False)
-        assert set(cfg) == {"learning_rate", "dropout", "weight_decay"}
-        cfg = sample_config(SweepSpace(), rng, with_hidden=True, with_loss_weights=True)
-        assert cfg["hidden_dim"] in (8, 16, 32, 64, 128)
-        assert {"mu_g", "mu_l", "mu_u", "lambda_l", "lambda_u"} <= set(cfg)
+    def test_unit_interval_draws_in_bounds(self):
+        keys = ("dropout", "weight_decay", "mu_g", "mu_l", "mu_u", "lambda_l", "lambda_u")
+        for cfg in self.draws(0):
+            assert all(0.0 <= cfg[key] < 1.0 for key in keys)
+
+    def test_hidden_width_from_the_five_choices(self):
+        widths = [cfg["hidden_dim"] for cfg in self.draws(3)]
+        assert HIDDEN_WIDTHS == (8, 16, 32, 64, 128)
+        assert set(widths) == set(HIDDEN_WIDTHS)
+
+    def test_keys(self):
+        base = {"learning_rate", "dropout", "weight_decay"}
+        loss_weights = {"mu_g", "mu_l", "mu_u", "lambda_l", "lambda_u"}
+        for with_hidden in (False, True):
+            for with_loss_weights in (False, True):
+                (cfg,) = self.draws(
+                    2, 1, with_hidden=with_hidden, with_loss_weights=with_loss_weights
+                )
+                assert set(cfg) == (
+                    base
+                    | ({"hidden_dim"} if with_hidden else set())
+                    | (loss_weights if with_loss_weights else set())
+                )
 
 
 class TestRunSweep:
@@ -128,8 +125,8 @@ class TestRunSweep:
         def run_one(cfg, seed):
             return cfg["learning_rate"] * 0.5 + (seed % 97) * 1e-9, ("model", seed)
 
-        best1, model1, trials1 = run_sweep(run_one, SweepSpace(), 12, seed=3, jobs=1)
-        best4, model4, trials4 = run_sweep(run_one, SweepSpace(), 12, seed=3, jobs=4)
+        best1, model1, trials1 = run_sweep(run_one, 12, seed=3, jobs=1)
+        best4, model4, trials4 = run_sweep(run_one, 12, seed=3, jobs=4)
         assert best1 == best4
         assert trials1 == trials4
         assert model1 == model4 == ("model", best1.seed)
@@ -143,7 +140,7 @@ class TestRunSweep:
             return 0.5, ("model", seed)
 
         for jobs in (1, 4):
-            best, model, _ = run_sweep(run_one, SweepSpace(), 6, seed=0, jobs=jobs)
+            best, model, _ = run_sweep(run_one, 6, seed=0, jobs=jobs)
             assert best.index == 0
             assert model == ("model", first)
 
@@ -172,7 +169,7 @@ class TestRunSweep:
                 later_done.set()
             return {1: 0.5, 2: 0.4, 3: 0.3}[index], model
 
-        best, model, trials = run_sweep(run_one, SweepSpace(), 4, seed=5, jobs=2)
+        best, model, trials = run_sweep(run_one, 4, seed=5, jobs=2)
         assert seen_alive == []
         assert best.index == 1 and refs[1]() is model
         assert [t.val_accuracy for t in trials] == [0.2, 0.5, 0.4, 0.3]
@@ -184,7 +181,7 @@ class TestRunSweep:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            best, model, trials = run_sweep(run_one, SweepSpace(), 64, seed=9, jobs=8)
+            best, model, trials = run_sweep(run_one, 64, seed=9, jobs=8)
         finally:
             sys.setswitchinterval(interval)
         top = max(t.val_accuracy for t in trials)
@@ -197,7 +194,7 @@ class TestRunSweep:
                 raise NumericError("diverged")
             return cfg["dropout"], None
 
-        best, _, trials = run_sweep(run_one, SweepSpace(), 20, seed=1)
+        best, _, trials = run_sweep(run_one, 20, seed=1)
         statuses = {t.status for t in trials}
         assert statuses == {"ok", "failed"}
         assert best.status == "ok"
@@ -209,16 +206,16 @@ class TestRunSweep:
             raise NumericError("boom")
 
         with pytest.raises(NumericError, match="all 4"):
-            run_sweep(run_one, SweepSpace(), 4, seed=0)
+            run_sweep(run_one, 4, seed=0)
 
     def test_validation(self):
         with pytest.raises(UsageError):
-            run_sweep(lambda c, s: (0.0, None), SweepSpace(), 0, seed=0)
+            run_sweep(lambda c, s: (0.0, None), 0, seed=0)
         with pytest.raises(UsageError):
-            run_sweep(lambda c, s: (0.0, None), SweepSpace(), 1, seed=0, jobs=0)
+            run_sweep(lambda c, s: (0.0, None), 1, seed=0, jobs=0)
 
     def test_trials_text_holds_no_test_numbers(self):
-        _, _, trials = run_sweep(lambda cfg, seed: (0.4, None), SweepSpace(), 3, seed=2)
+        _, _, trials = run_sweep(lambda cfg, seed: (0.4, None), 3, seed=2)
         text = trials_to_text(trials)
         header = text.splitlines()[0]
         assert header == "index\tstatus\tval_accuracy\tconfig"
@@ -513,6 +510,10 @@ MALFORMED = [
     ("spec-name-as-object",
      lambda env, tmp: quick_train_args(env, tmp, spec_file(tmp, name={})),
      1, "spec.json: network spec 'name' must be a string, got {}"),
+    ("spec-unknown-field",
+     lambda env, tmp: quick_train_args(env, tmp, spec_file(tmp, stages=[
+         {"kind": "fp", "layer": 5}])),
+     1, "spec.json: network spec stage 0 has unknown field 'layer'; fp stages take layers, operator"),
 ]
 
 
@@ -524,6 +525,32 @@ def test_malformed_invocation_exits_with_its_code(cli_env, tmp_path, capsys, arg
     last = capsys.readouterr().err.strip().splitlines()[-1]
     assert last.startswith("error: ") and message in last
     assert not list(tmp_path.rglob("result.json"))
+
+
+RUN_KEYS = {"learning_rate", "dropout", "weight_decay", "max_epochs", "patience", "precision", "seed"}
+LOSS_WEIGHT_KEYS = {"mu_g", "mu_l", "mu_u", "lambda_l", "lambda_u"}
+SWEEP_KEYS = {"budget", "sweep_seed", "trial_index"}
+
+
+@pytest.mark.parametrize(
+    "command, method, recorded",
+    [
+        ("train", "gcn-lp", RUN_KEYS | {"hidden_dim", "operator"}),
+        ("train", "lpnn", RUN_KEYS | LOSS_WEIGHT_KEYS),
+        ("sweep", "gcn-lp", RUN_KEYS | {"hidden_dim", "operator"} | SWEEP_KEYS),
+        ("sweep", "lpnn", RUN_KEYS | LOSS_WEIGHT_KEYS | SWEEP_KEYS),
+    ],
+    ids=["train-gcn-lp", "train-lpnn", "sweep-gcn-lp", "sweep-lpnn"],
+)
+def test_result_config_records_the_run_settings(cli_env, tmp_path, command, method, recorded):
+    # Every setting the run used, and no key of another method or command.
+    args = [
+        command, "--dataset-dir", str(cli_env), "--size", "1", "--split", "0",
+        "--method", method, "--epochs", "2", "--patience", "2", "--out", str(tmp_path),
+        *(["--budget", "2"] if command == "sweep" else []),
+    ]
+    assert main(args) == 0
+    assert set(read_only_result(tmp_path)["config"]) == recorded
 
 
 class TestSplitsCommand:

@@ -34,7 +34,7 @@ PINNED = Path(__file__).with_name("trajectories.json")
 
 # About 400 nodes with a small standard split, and 1600 nodes with 2%-dense
 # features: big enough for the 5x10 split protocol, sparse enough that gcn
-# and sgcn fold their input to CSR.
+# folds its input to CSR (sgcn's two smoothings fill it in to dense).
 SMALL = ["--nodes", "400", "--classes", "4", "--features", "48", "--seed", "3",
          "--standard-split", "--val", "100", "--test", "200"]
 SPARSE = ["--nodes", "1600", "--classes", "3", "--features", "300", "--density", "0.02",
@@ -132,14 +132,10 @@ def test_cli_matrix_matches_pinned_digests(request, tmp_path):
         pytest.skip(
             f"digests pinned under {pinned['environment']}; this environment is {environment()}"
         )
-    changed = {
-        name: sorted(
-            key for key in pinned["runs"].get(name, {}).keys() | runs.get(name, {}).keys()
-            if pinned["runs"].get(name, {}).get(key) != runs.get(name, {}).get(key)
-        )
-        for name in pinned["runs"].keys() | runs.keys()
-    }
-    changed = {name: keys for name, keys in sorted(changed.items()) if keys}
-    assert not changed, "runs whose artifacts changed: " + "; ".join(
-        f"{name} ({', '.join(keys)})" for name, keys in changed.items()
-    )
+    changed = []
+    for name in sorted(pinned["runs"].keys() | runs.keys()):
+        old, new = pinned["runs"].get(name, {}), runs.get(name, {})
+        files = sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
+        if files:
+            changed.append(f"{name} ({', '.join(files)})")
+    assert not changed, "runs whose artifacts changed: " + "; ".join(changed)
