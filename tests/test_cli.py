@@ -15,6 +15,7 @@ import scipy.sparse as sp
 import graphcompose
 from graphcompose.cli import (
     HIDDEN_WIDTHS,
+    LEARNING_RATE_BAND,
     main,
     run_sweep,
     sample_config,
@@ -78,11 +79,18 @@ class TestSampleConfig:
         kwargs = {"paper_space": False, "with_hidden": True, "with_loss_weights": True, **kwargs}
         return [sample_config(rng, **kwargs) for _ in range(n)]
 
-    def test_default_learning_rate_is_log_band(self):
+    def test_log_sampling_in_bounds(self):
         rates = [cfg["learning_rate"] for cfg in self.draws(1)]
         assert all(1e-4 <= x <= 1e-1 for x in rates)
         # A log draw spends real probability on the low decades.
         assert sum(1 for x in rates if x < 1e-3) > 20
+
+    def test_default_learning_rate_is_log_band(self):
+        assert LEARNING_RATE_BAND == (1e-4, 1e-1)
+        rates = np.array([cfg["learning_rate"] for cfg in self.draws(1)])
+        # Log-uniform over the band: each of its three decades gets about a third.
+        per_decade, _ = np.histogram(np.log10(rates), bins=[-4, -3, -2, -1])
+        assert all(40 <= n <= 95 for n in per_decade)
 
     def test_paper_space_learning_rate_plain_uniform(self):
         rates = [cfg["learning_rate"] for cfg in self.draws(1, paper_space=True)]
