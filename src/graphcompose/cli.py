@@ -38,6 +38,7 @@ from .graph import GraphTopology, build_operator
 from .lpnn import LpnnWeights, predict_from_f, predict_from_g, train_lpnn
 from .networks import (
     DEFAULT_HIDDEN_DIM,
+    MAX_SIZE,
     PRESET_NAMES,
     Lp,
     NetworkSpec,
@@ -658,6 +659,11 @@ def _toy_dataset(num_nodes: int, input_dim: int, num_classes: int, seed: int) ->
             f"gradient-check data needs --input-dim and --classes >= 1, "
             f"got {input_dim} and {num_classes}"
         )
+    if max(num_nodes, input_dim, num_classes) > MAX_SIZE:
+        raise UsageError(
+            f"gradient-check data needs --nodes, --input-dim and --classes <= {MAX_SIZE}, "
+            f"got {num_nodes}, {input_dim} and {num_classes}"
+        )
     rng = np.random.default_rng(np.random.SeedSequence([seed, 99]))
     edges = [(i, (i + 1) % num_nodes) for i in range(num_nodes)]
     for _ in range(num_nodes):
@@ -666,7 +672,7 @@ def _toy_dataset(num_nodes: int, input_dim: int, num_classes: int, seed: int) ->
             edges.append((int(u), int(v)))
     return Dataset(
         name="gradient-check",
-        topology=GraphTopology.from_edge_list(num_nodes, edges),
+        topology=GraphTopology(num_nodes, edges),
         features=rng.normal(size=(num_nodes, input_dim)),
         labels=rng.integers(num_classes, size=num_nodes),
         num_classes=num_classes,

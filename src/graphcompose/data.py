@@ -276,7 +276,7 @@ def load_dataset(path) -> Dataset:
     features[rows["node"], rows["feature"]] = rows["value"]
 
     rows = _edge_rows(root / "graph.txt", n)  # drops the feature rows before normalizing
-    topology = GraphTopology.from_edge_list(n, np.column_stack([rows["u"], rows["v"]]))
+    topology = GraphTopology(n, np.column_stack([rows["u"], rows["v"]]))
     for start in range(0, n, 1024):  # in place, a block of rows at a time: bitwise as one call
         features[start : start + 1024] = row_unit_normalize(features[start : start + 1024])
 

@@ -46,6 +46,26 @@ def format_cell(mean: float, std: float | None = None) -> str:
     return f"{100.0 * mean:.1f} ({100.0 * std:.1f})"
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_fraction(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v <= 1
+
+
+# The JSON value each result field holds, and how to name it.
+_RESULT_FIELDS = {
+    "method": ("a string", lambda v: isinstance(v, str)),
+    "dataset": ("a string", lambda v: isinstance(v, str)),
+    "size_index": ("an integer", _is_int),
+    "split_index": ("an integer", _is_int),
+    "test_accuracy": ("a number in [0, 1]", _is_fraction),
+    "best_val_accuracy": ("a number in [0, 1]", _is_fraction),
+    "config": ("an object", lambda v: isinstance(v, dict)),
+}
+
+
 @dataclass(frozen=True)
 class RunResult:
     method: str
@@ -57,26 +77,26 @@ class RunResult:
     config: dict
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.test_accuracy <= 1.0):
-            raise DataError(f"test accuracy {self.test_accuracy} outside [0, 1]")
+        for name, (expected, accepts) in _RESULT_FIELDS.items():
+            value = getattr(self, name)
+            if not accepts(value):
+                raise DataError(
+                    f"malformed run result record: field {name!r} must be {expected}, got {value!r}"
+                )
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunResult":
-        try:
-            return cls(
-                method=str(doc["method"]),
-                dataset=str(doc["dataset"]),
-                size_index=int(doc["size_index"]),
-                split_index=int(doc["split_index"]),
-                test_accuracy=float(doc["test_accuracy"]),
-                best_val_accuracy=float(doc["best_val_accuracy"]),
-                config=dict(doc.get("config", {})),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed run result record: {exc}") from exc
+        """Read a result document; config may be absent."""
+        if not isinstance(doc, dict):
+            raise DataError(f"malformed run result record: expected an object, got {doc!r}")
+        doc = {"config": {}, **doc}
+        missing = [name for name in _RESULT_FIELDS if name not in doc]
+        if missing:
+            raise DataError(f"malformed run result record: missing field {missing[0]!r}")
+        return cls(**{name: doc[name] for name in _RESULT_FIELDS})
 
 
 @dataclass(frozen=True, eq=False)

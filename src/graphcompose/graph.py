@@ -16,7 +16,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DataError, UsageError
-from .linalg import csr_from_coo
 
 __all__ = [
     "GraphTopology",
@@ -27,48 +26,42 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphTopology:
-    """Undirected graph as canonical edges: (u, v) with u < v, strictly sorted,
-    no self-loops. Self-loops enter later through the self/neighbor mix."""
+    """Undirected graph from (u, v) pairs or an (E, 2) integer array, stored as a
+    read-only (E, 2) int64 array of sorted, distinct u < v pairs. Self-loops
+    are refused; they enter later, through the self/neighbor mix."""
 
     num_nodes: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
 
     def __post_init__(self) -> None:
         n = self.num_nodes
         if n < 1:
             raise DataError(f"graph needs at least one node, got {n}")
-        u, v = np.asarray(self.edges).reshape(len(self.edges), 2).T  # object dtype past int64
-        bad = (u == v) | (u < 0) | (u >= v) | (v >= n)
-        bad[1:] |= u[1:] * n + v[1:] <= u[:-1] * n + v[:-1]
-        if bad.any():
-            i = int(np.argmax(bad))
-            edge = (int(u[i]), int(v[i]))
-            if edge[0] == edge[1]:
-                raise DataError(f"self-loop edge {edge} is not allowed")
-            if not (0 <= edge[0] < edge[1] < n):
-                raise DataError(
-                    f"edge {edge} out of range for {n} nodes or not in canonical (u < v) order"
-                )
-            prev = (int(u[i - 1]), int(v[i - 1]))
-            raise DataError(f"edges must be strictly sorted, got {prev} then {edge}")
-
-    @classmethod
-    def from_edge_list(cls, num_nodes: int, pairs) -> "GraphTopology":
-        """Canonicalize (u, v) pairs or an (E, 2) int array: symmetrize,
-        deduplicate, and name the first self-loop or out-of-range pair."""
-        e = np.asarray(pairs).reshape(-1, 2)  # object dtype holds ids past int64
+        try:
+            e = np.asarray(self.edges)  # object dtype holds ids past int64
+        except ValueError:
+            raise DataError("edges must be (u, v) pairs, got a ragged sequence") from None
+        e = e.reshape(0, 2) if e.size == 0 else e
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise DataError(f"edges must be (u, v) pairs, got shape {e.shape}")
+        if e.dtype.kind not in "iu":  # an object array of ids past int64 may pass
+            for pair in self.edges:
+                if not all(isinstance(x, (int, np.integer)) and type(x) is not bool for x in pair):
+                    pair = tuple(np.asarray(pair, dtype=object).tolist())
+                    raise DataError(f"edge {pair} has a non-integer node id")
         lo, hi = e.min(axis=1), e.max(axis=1)
-        bad = (lo == hi) | (lo < 0) | (hi >= num_nodes)
+        bad = (lo == hi) | (lo < 0) | (hi >= n)
         if bad.any():
             u, v = (int(x) for x in e[np.argmax(bad)])
             if u == v:
                 raise DataError(f"self-loop edge ({u}, {v}) is not allowed")
-            raise DataError(f"edge ({u}, {v}) has a node id outside [0, {num_nodes})")
-        keys = np.unique(lo.astype(np.int64) * num_nodes + hi)
-        edges = zip((keys // num_nodes).tolist(), (keys % num_nodes).tolist())
-        return cls(num_nodes=num_nodes, edges=tuple(edges))
+            raise DataError(f"edge ({u}, {v}) has a node id outside [0, {n})")
+        keys = np.unique(lo.astype(np.int64) * n + hi.astype(np.int64))
+        edges = np.column_stack([keys // n, keys % n])
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
 
     @property
     def num_edges(self) -> int:
@@ -98,11 +91,6 @@ class PropagationOperator:
 _EXPONENTS = {"symmetric": (0.5, 0.5), "row": (1.0, 0.0)}
 
 
-def _edge_arrays(g: GraphTopology) -> tuple[np.ndarray, np.ndarray]:
-    e = np.asarray(g.edges, dtype=np.int64).reshape(g.num_edges, 2)
-    return e[:, 0], e[:, 1]
-
-
 def mix_self_neighbor(g: GraphTopology, alpha: float, beta: float) -> sp.csr_matrix:
     """alpha*I + beta*A. Entries with a zero coefficient are not stored, so a
     zero alpha plus an isolated node yields an empty row that the normalization
@@ -110,10 +98,11 @@ def mix_self_neighbor(g: GraphTopology, alpha: float, beta: float) -> sp.csr_mat
     if not (0.0 <= alpha <= 1.0) or not (0.0 <= beta <= 1.0):
         raise UsageError(f"mix coefficients must lie in [0, 1], got ({alpha}, {beta})")
     n = g.num_nodes
-    u, v = _edge_arrays(g)
+    u, v = g.edges.T
     diag = np.arange(n, dtype=np.int64)
     vals = np.concatenate([np.full(2 * u.shape[0], beta), np.full(n, alpha)])
-    m = csr_from_coo(n, n, np.concatenate([u, v, diag]), np.concatenate([v, u, diag]), vals)
+    rows, cols = np.concatenate([u, v, diag]), np.concatenate([v, u, diag])
+    m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=np.float64).tocsr()
     m.eliminate_zeros()
     return m
 

@@ -12,28 +12,13 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataError, UsageError
+from .errors import UsageError
 
 __all__ = [
-    "csr_from_coo",
     "spmm",
     "spmm_transposed",
     "row_unit_normalize",
 ]
-
-
-def csr_from_coo(rows: int, cols: int, row_idx, col_idx, vals) -> sp.csr_matrix:
-    """Canonical float64 CSR from coordinate triplets; duplicates are summed."""
-    row_idx = np.asarray(row_idx, dtype=np.int64)
-    col_idx = np.asarray(col_idx, dtype=np.int64)
-    vals = np.asarray(vals, dtype=np.float64)
-    if not (row_idx.shape == col_idx.shape == vals.shape):
-        raise DataError("coordinate arrays must have identical lengths")
-    if row_idx.size and (row_idx.min() < 0 or row_idx.max() >= rows):
-        raise DataError(f"row index out of range for {rows} rows")
-    if col_idx.size and (col_idx.min() < 0 or col_idx.max() >= cols):
-        raise DataError(f"column index out of range for {cols} columns")
-    return sp.coo_matrix((vals, (row_idx, col_idx)), shape=(rows, cols)).tocsr()
 
 
 def _check_2d(x, name: str) -> np.ndarray:

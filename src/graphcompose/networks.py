@@ -59,6 +59,7 @@ __all__ = [
     "estimate_cost",
     "restrict",
     "SPARSE_INPUT_DENSITY",
+    "MAX_SIZE",
 ]
 
 # A folded input whose density bound lies below this share is held as CSR.
@@ -69,6 +70,17 @@ SPARSE_INPUT_DENSITY = 0.4
 
 # The hidden width of a preset, an Mlp and a GcnBlock unless one is given.
 DEFAULT_HIDDEN_DIM = 16
+
+# The largest hidden width or layer count a network takes. A larger one is a
+# usage error before any array is sized from it, not a numpy traceback.
+MAX_SIZE = 4096
+
+
+def _check_size(what: str, value: int, low: int) -> None:
+    if value < low:
+        raise UsageError(f"{what} must be >= {low}, got {value}")
+    if value > MAX_SIZE:
+        raise UsageError(f"{what} must be <= {MAX_SIZE}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +95,7 @@ class Fp:
     operator: str = "symmetric"
 
     def __post_init__(self) -> None:
-        if self.layers < 0:
-            raise UsageError(f"fp layers must be >= 0, got {self.layers}")
+        _check_size("fp layers", self.layers, 0)
 
 
 @dataclass(frozen=True)
@@ -96,8 +107,8 @@ class Mlp:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
-        if any(d < 1 for d in self.hidden_dims):
-            raise UsageError(f"mlp hidden dims must be positive, got {self.hidden_dims}")
+        for d in self.hidden_dims:
+            _check_size("mlp hidden width", d, 1)
         if self.activation not in ("relu", "identity"):
             raise UsageError(f"unknown mlp activation {self.activation!r}")
 
@@ -120,15 +131,14 @@ class GcnBlock:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
-        if self.layers < 1:
-            raise UsageError(f"gcn block needs at least one layer, got {self.layers}")
+        _check_size("gcn block layers", self.layers, 1)
         if len(self.hidden_dims) != self.layers - 1:
             raise UsageError(
                 f"gcn block with {self.layers} layers needs {self.layers - 1} hidden dims, "
                 f"got {len(self.hidden_dims)}"
             )
-        if any(d < 1 for d in self.hidden_dims):
-            raise UsageError(f"gcn hidden dims must be positive, got {self.hidden_dims}")
+        for d in self.hidden_dims:
+            _check_size("gcn hidden width", d, 1)
         s = self.layers if self.smoothings is None else self.smoothings
         if not (0 <= s <= self.layers):
             raise UsageError(
@@ -153,8 +163,7 @@ class Lp:
     operator: str = "row"
 
     def __post_init__(self) -> None:
-        if self.layers < 0:
-            raise UsageError(f"lp layers must be >= 0, got {self.layers}")
+        _check_size("lp layers", self.layers, 0)
 
 
 Stage = Fp | Mlp | LinearClassifier | GcnBlock | Softmax | Lp
@@ -227,12 +236,10 @@ def preset(
     if name not in PRESET_NAMES:
         raise UsageError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
     length = 2 if depth is None else depth
-    if length < 1:
-        raise UsageError(f"network depth must be >= 1, got {length}")
-    if hidden_dim < 1:
-        raise UsageError(f"hidden width must be >= 1, got {hidden_dim}")
-    if lp_layers is not None and lp_layers < 0:
-        raise UsageError(f"lp layers must be >= 0, got {lp_layers}")
+    _check_size("network depth", length, 1)
+    _check_size("hidden width", hidden_dim, 1)
+    if lp_layers is not None:
+        _check_size("lp layers", lp_layers, 0)
     hid = (hidden_dim,) * (length - 1)
 
     def with_lp(stages: list[Stage], ll: int) -> tuple[Stage, ...]:

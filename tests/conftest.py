@@ -49,7 +49,7 @@ def ring_topology(num_nodes: int, extra_edges: int = 0, seed: int = 0) -> GraphT
             continue
         edges.append((u, v))
         extra_edges -= 1
-    return GraphTopology.from_edge_list(num_nodes, edges)
+    return GraphTopology(num_nodes, edges)
 
 
 def planted_dataset(
@@ -96,7 +96,7 @@ def planted_dataset(
 
     return Dataset(
         name=name,
-        topology=GraphTopology.from_edge_list(num_nodes, sorted(edges)),
+        topology=GraphTopology(num_nodes, sorted(edges)),
         features=features,
         labels=labels,
         num_classes=num_classes,
@@ -177,7 +177,7 @@ def pytest_addoption(parser):
 @pytest.fixture(scope="session")
 def path3() -> GraphTopology:
     """The 3-node path 0-1-2."""
-    return GraphTopology.from_edge_list(3, [(0, 1), (1, 2)])
+    return GraphTopology(3, [(0, 1), (1, 2)])
 
 
 @pytest.fixture(scope="session")

@@ -393,6 +393,9 @@ def run_args(command, env, extra=()):
     ]
 
 
+# A width, layer count or toy-graph size far past any array numpy can allocate.
+HUGE = 10**20
+
 # Malformed invocations: each is refused with its documented exit code
 # (1 usage, 2 data, 3 numeric) and an "error: ..." line, never a traceback.
 MALFORMED = [
@@ -522,6 +525,32 @@ MALFORMED = [
      lambda env, tmp: quick_train_args(env, tmp, spec_file(tmp, stages=[
          {"kind": "fp", "layer": 5}])),
      1, "spec.json: network spec stage 0 has unknown field 'layer'; fp stages take layers, operator"),
+    ("spec-hidden-dims-past-the-bound",
+     lambda env, tmp: quick_train_args(env, tmp, spec_file(tmp, stages=[
+         {"kind": "fp"}, {"kind": "mlp", "hidden_dims": [HUGE]}])),
+     1, f"spec.json: mlp hidden width must be <= 4096, got {HUGE}"),
+    ("spec-layers-past-the-bound",
+     lambda env, tmp: quick_train_args(env, tmp, spec_file(tmp, stages=[
+         {"kind": "fp", "layers": HUGE}])),
+     1, f"spec.json: fp layers must be <= 4096, got {HUGE}"),
+    ("train-hidden-past-the-bound",
+     lambda env, tmp: quick_train_args(env, tmp, "gcn", ["--hidden", str(HUGE)]),
+     1, f"hidden width must be <= 4096, got {HUGE}"),
+    ("train-l-past-the-bound",
+     lambda env, tmp: quick_train_args(env, tmp, "gcn", ["--l", str(HUGE)]),
+     1, f"network depth must be <= 4096, got {HUGE}"),
+    ("train-ll-past-the-bound",
+     lambda env, tmp: quick_train_args(env, tmp, "gcn-lp", ["--ll", str(HUGE)]),
+     1, f"lp layers must be <= 4096, got {HUGE}"),
+    ("gradcheck-input-dim-past-the-bound",
+     lambda env, tmp: ["gradcheck", "--input-dim", str(HUGE)],
+     1, f"--nodes, --input-dim and --classes <= 4096, got 12, {HUGE} and 3"),
+    ("gradcheck-classes-past-the-bound",
+     lambda env, tmp: ["gradcheck", "--classes", str(HUGE)],
+     1, f"--nodes, --input-dim and --classes <= 4096, got 12, 5 and {HUGE}"),
+    ("gradcheck-nodes-past-the-bound",
+     lambda env, tmp: ["gradcheck", "--nodes", str(HUGE)],
+     1, f"--nodes, --input-dim and --classes <= 4096, got {HUGE}, 5 and 3"),
 ]
 
 
@@ -949,6 +978,32 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert str(bad) in err and "malformed run result record" in err
 
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("size_index", 1.7, "an integer"),
+            ("split_index", False, "an integer"),
+            ("test_accuracy", True, "a number in [0, 1]"),
+            ("best_val_accuracy", 7.5, "a number in [0, 1]"),
+            ("method", None, "a string"),
+            ("dataset", 3, "a string"),
+            ("config", [["learning_rate", 0.01]], "an object"),
+        ],
+        ids=["fractional-size", "bool-split", "bool-accuracy", "val-past-one", "null-method",
+             "numeric-dataset", "list-config"],
+    )
+    def test_mistyped_field_is_data_error_naming_file_and_field(
+        self, tmp_path, capsys, field, value, expected
+    ):
+        root = tmp_path / "res"
+        self.fake_result(root, "gcn", "d1", 1, 0, 0.9)
+        self.fake_result(root, "sgcn", "d1", 1, 0, 0.8)
+        bad = root / "d1_sgcn_s1_p0" / "result.json"
+        bad.write_text(json.dumps({**json.loads(bad.read_text()), field: value}))
+        assert main(["compare", "--results-dir", str(root)]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and f"field {field!r} must be {expected}, got " in err
+
     def test_other_json_files_are_ignored(self, tmp_path, capsys):
         root = tmp_path / "res"
         self.fake_result(root, "gcn", "d1", 1, 0, 0.9)
@@ -1022,9 +1077,7 @@ class TestPropmodelSweep:
     @pytest.fixture()
     def isolated_node_env(self, tmp_path):
         n = 1600
-        topology = GraphTopology.from_edge_list(
-            n, [(i, i + 1) for i in range(n - 2)]
-        )
+        topology = GraphTopology(n, [(i, i + 1) for i in range(n - 2)])
         dataset = Dataset(
             "isolated",
             topology,

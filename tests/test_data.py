@@ -64,7 +64,7 @@ class TestLoadDataset:
         assert loaded.name == "rt"
         assert loaded.source_dir == str(root)
         assert loaded.num_classes == 3
-        assert loaded.topology.edges == original.topology.edges
+        assert np.array_equal(loaded.topology.edges, original.topology.edges)
         np.testing.assert_array_equal(loaded.labels, original.labels)
         # The text format keeps 8 significant digits per value.
         np.testing.assert_allclose(
@@ -509,7 +509,7 @@ class TestParserEquivalence:
         slow = load_dataset(root)
         assert fast.features.tobytes() == slow.features.tobytes()
         assert fast.labels.tobytes() == slow.labels.tobytes()
-        assert fast.topology.edges == slow.topology.edges
+        assert np.array_equal(fast.topology.edges, slow.topology.edges)
         if case == "empty-graph":
             assert fast.num_edges == 0
 

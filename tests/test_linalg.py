@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from graphcompose.errors import DataError, UsageError
-from graphcompose.linalg import csr_from_coo, row_unit_normalize, spmm, spmm_transposed
+from graphcompose.errors import UsageError
+from graphcompose.linalg import row_unit_normalize, spmm, spmm_transposed
 
 from .conftest import dense
 
@@ -12,42 +12,6 @@ def random_sparse(rng, rows, cols, density=0.3):
     mask = rng.random((rows, cols)) < density
     a = np.where(mask, rng.normal(size=(rows, cols)), 0.0)
     return sp.csr_matrix(a), a
-
-
-class TestSparseMatrix:
-    """csr_from_coo, the one builder of canonical CSR from coordinates."""
-
-    def test_from_coo_sums_duplicates(self):
-        m = csr_from_coo(2, 3, [0, 0, 1], [1, 1, 2], [2.0, 3.0, 4.0])
-        expected = np.array([[0.0, 5.0, 0.0], [0.0, 0.0, 4.0]])
-        np.testing.assert_array_equal(dense(m), expected)
-        assert m.nnz == 2 and m.has_canonical_format
-
-    def test_dense_roundtrip(self):
-        rng = np.random.default_rng(0)
-        _, a = random_sparse(rng, 7, 5)
-        rows, cols = np.nonzero(a)
-        # Coordinates given column-major still come back row-sorted.
-        order = np.lexsort((rows, cols))
-        m = csr_from_coo(7, 5, rows[order], cols[order], a[rows, cols][order])
-        assert m.has_canonical_format
-        np.testing.assert_array_equal(dense(m), a)
-
-    def test_shape_and_nnz(self):
-        m = csr_from_coo(3, 4, [2], [3], [1.5])
-        assert m.shape == (3, 4)
-        assert m.nnz == 1
-        assert m.dtype == np.float64
-
-    def test_rejects_out_of_range_column(self):
-        with pytest.raises(DataError, match="column index"):
-            csr_from_coo(1, 2, [0], [5], [1.0])
-        with pytest.raises(DataError, match="row index"):
-            csr_from_coo(1, 2, [1], [0], [1.0])
-
-    def test_rejects_entry_count_mismatch(self):
-        with pytest.raises(DataError):
-            csr_from_coo(1, 3, [0, 0], [0], [1.0])
 
 
 class TestProducts:

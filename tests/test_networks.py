@@ -730,7 +730,7 @@ class TestRestrict:
 
     def test_each_smoothing_widens_by_one_hop_on_a_path(self):
         n = 30
-        path = GraphTopology.from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+        path = GraphTopology(n, [(i, i + 1) for i in range(n - 1)])
         ops = {kind: build_operator(path, kind) for kind in ("symmetric", "row")}
         spec = NetworkSpec("path", (Fp(2), LinearClassifier(), Softmax(), Lp(2)))
         features = np.random.default_rng(47).normal(size=(n, 3))

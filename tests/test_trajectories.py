@@ -96,6 +96,9 @@ def matrix(small: Path, sparse: Path, out: Path) -> dict[str, list[str]]:
         propmodel("propmodel/exponents", "exponents", "0.5,0.5;1,0"),
         ("compare", ["compare", "--results-dir", str(out / "presets"),
                      "--out", str(out / "compare" / "report.txt")]),
+        ("gradcheck/toy", ["gradcheck", "--method", "gcn-lp", "--nodes", "16", "--seed", "2"]),
+        ("gradcheck/dataset", ["gradcheck", "--method", "gcn", "--dataset-dir", str(small)]),
+        ("cost/dataset", ["cost", "--method", "gcn-lp", "--dataset-dir", str(small)]),
     ])
 
 
