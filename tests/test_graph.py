@@ -56,6 +56,9 @@ class TestGraphTopology:
         g = GraphTopology(4, [(2, 1), (1, 2), (3, 0), (0, 3)])
         np.testing.assert_array_equal(g.edges, [[0, 3], [1, 2]])
         assert g.num_edges == 2
+
+    def test_constructor_accepts_reversed_and_duplicate_pairs(self):
+        # A reversed or repeated pair is stored once in u < v order, not refused.
         for pairs, canonical in [
             (((1, 0),), [[0, 1]]),
             (((0, 1), (0, 1)), [[0, 1]]),
