@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DataError
 from .graph import GraphTopology
-from .linalg import row_unit_normalize
+from .networks import MAX_SIZE
 
 __all__ = [
     "Dataset",
@@ -36,6 +36,7 @@ __all__ = [
     "save_splits",
     "load_split",
     "split_to_text",
+    "row_unit_normalize",
 ]
 
 VAL_SIZE = 500
@@ -174,10 +175,11 @@ def _load_rows(path: Path, dtype: np.dtype, bounds: tuple[int, ...]):
 def _label_rows(path: Path, n: int, num_classes: int) -> np.ndarray:
     dtype = np.dtype([("node", np.int64), ("class", np.int64)])
     rows = _load_rows(path, dtype, (n, num_classes))
-    if rows is not None and np.array_equal(np.sort(rows["node"]), np.arange(n)):
+    if rows is not None and rows.size == n and np.array_equal(np.sort(rows["node"]), np.arange(n)):
         return rows
+    # Nothing here is sized from n, which the file's rows have not yet bounded.
     rows = []
-    labeled = np.zeros(n, dtype=bool)
+    labeled: set[int] = set()
     for lineno, (node_s, class_s) in _parse_lines(path, 2):
         node = _parse_int(path, lineno, node_s, "node id")
         cls = _parse_int(path, lineno, class_s, "class id")
@@ -185,15 +187,15 @@ def _label_rows(path: Path, n: int, num_classes: int) -> np.ndarray:
             raise DataError(f"{path}:{lineno}: node id {node} outside [0, {n})")
         if not (0 <= cls < num_classes):
             raise DataError(f"{path}:{lineno}: class id {cls} outside [0, {num_classes})")
-        if labeled[node]:
+        if node in labeled:
             raise DataError(f"{path}:{lineno}: node {node} labeled twice")
-        labeled[node] = True
+        labeled.add(node)
         rows.append((node, cls))
-    unlabeled = np.flatnonzero(~labeled)
-    if unlabeled.size:
+    if len(labeled) < n:
+        first = next((i for i, node in enumerate(sorted(labeled)) if i != node), len(labeled))
         raise DataError(
             f"{path}: node count mismatch with manifest: "
-            f"{unlabeled.size} of {n} nodes have no label (first: {int(unlabeled[0])})"
+            f"{n - len(labeled)} of {n} nodes have no label (first: {first})"
         )
     return np.array(rows, dtype=dtype)
 
@@ -246,6 +248,13 @@ def _edge_rows(path: Path, n: int) -> np.ndarray:
     return np.array(rows, dtype=dtype)
 
 
+def row_unit_normalize(x) -> np.ndarray:
+    """Scale each nonzero row to Euclidean norm 1; all-zero rows pass through."""
+    x = np.asarray(x)
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    return x / np.where(norms == 0.0, 1.0, norms)
+
+
 def load_dataset(path) -> Dataset:
     """Load and validate a dataset directory; feature rows come out
     unit-normalized (zero rows stay zero). A data file that fails the numpy
@@ -259,6 +268,8 @@ def load_dataset(path) -> Dataset:
     for lineno, (key, value) in _parse_lines(manifest_path, 2):
         if key not in ("nodes", "features", "classes"):
             raise DataError(f"{manifest_path}:{lineno}: unknown manifest key {key!r}")
+        if key in manifest:
+            raise DataError(f"{manifest_path}:{lineno}: manifest key {key!r} given twice")
         manifest[key] = _parse_int(manifest_path, lineno, value, "manifest value")
     missing = {"nodes", "features", "classes"} - set(manifest)
     if missing:
@@ -266,13 +277,20 @@ def load_dataset(path) -> Dataset:
     n, m, num_classes = manifest["nodes"], manifest["features"], manifest["classes"]
     if n < 1 or m < 1 or num_classes < 1:
         raise DataError(f"{manifest_path}: counts must be positive")
+    if num_classes > MAX_SIZE:
+        raise DataError(f"{manifest_path}: classes must be <= {MAX_SIZE}, got {num_classes}")
 
+    # Every node is labeled exactly once, so past this call n is at most the
+    # label file's row count.
     rows = _label_rows(root / "labels.txt", n, num_classes)
     labels = np.empty(n, dtype=np.int64)
     labels[rows["node"]] = rows["class"]
 
+    try:
+        features = np.zeros((n, m), dtype=np.float64)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest size
+        raise DataError(f"{manifest_path}: cannot hold {n} x {m} features: {exc}") from exc
     rows = _feature_rows(root / "features.txt", n, m)
-    features = np.zeros((n, m), dtype=np.float64)
     features[rows["node"], rows["feature"]] = rows["value"]
 
     rows = _edge_rows(root / "graph.txt", n)  # drops the feature rows before normalizing

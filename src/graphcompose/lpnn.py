@@ -18,8 +18,6 @@ import numpy as np
 from .errors import NumericError, UsageError
 from .evaluation import accuracy
 from .graph import PropagationOperator, build_operator
-from .layers import softmax_rows_forward, softmax_rows_vjp
-from .linalg import spmm, spmm_transposed
 from .networks import (
     LinearClassifier,
     Mlp,
@@ -28,6 +26,10 @@ from .networks import (
     backward,
     compile_network,
     forward,
+    softmax_rows_forward,
+    softmax_rows_vjp,
+    spmm,
+    spmm_transposed,
 )
 from .training import PROB_FLOOR, AdamState, TrainConfig, _restrict_to, _seeded_start, adam_step, fit
 

@@ -8,6 +8,10 @@ chain executed by forward/backward. A sparse folded input is held as a scipy
 CSR matrix (see SPARSE_INPUT_DENSITY). restrict() cuts a compiled network
 down to the rows a set of output rows depends on.
 
+The Primitives section holds each chain entry's math: spmm (smoothing) and
+the linear, relu, row-softmax and dropout forwards, each with its vjp. Chain
+entries call them as module globals; lpnn reuses the softmax and spmm pairs.
+
 Composition rules enforced here: exactly one softmax; LP stages only after the
 softmax, and never with a symmetric operator (a row-normalized one keeps
 probability rows probability rows; a general one is a propagation-model
@@ -24,17 +28,6 @@ import scipy.sparse as sp
 
 from .errors import UsageError
 from .graph import PropagationOperator
-from .layers import (
-    dropout_forward,
-    dropout_vjp,
-    linear_forward,
-    linear_vjp,
-    relu_forward,
-    relu_vjp,
-    softmax_rows_forward,
-    softmax_rows_vjp,
-)
-from .linalg import spmm, spmm_transposed
 
 __all__ = [
     "Fp",
@@ -350,14 +343,127 @@ def spec_from_dict(doc: dict) -> NetworkSpec:
 
 
 # ---------------------------------------------------------------------------
+# Primitives
+
+
+# Each chain entry's math: a pure forward function and its vector-Jacobian
+# product (vjp). Smoothing is spmm, with spmm_transposed as its vjp. The
+# softmax vjp applies the full Jacobian rather than assuming a fused
+# cross-entropy, because lp smoothings may follow the softmax. Dropout and the
+# linear map also take a CSR input (a sparse folded input, see _fold): dropout
+# then masks only the stored entries, and the linear map and its weight vjp
+# use sparse-dense products. Sparse matrices are canonical scipy CSR, whose
+# sequential kernels make every product bitwise deterministic for fixed inputs.
+
+
+def _check_2d(x, name: str) -> np.ndarray:
+    x = np.asarray(x)
+    if x.ndim != 2:
+        raise UsageError(f"{name} must be 2-D, got shape {x.shape}")
+    return x
+
+
+def spmm(s: sp.csr_matrix, x):
+    """Product S @ X: dense for a dense X, scipy CSR for a scipy sparse X.
+    Deterministic for fixed inputs."""
+    if not sp.issparse(x):
+        x = _check_2d(x, "dense operand")
+    if s.shape[1] != x.shape[0]:
+        raise UsageError(f"spmm shape mismatch: sparse {s.shape} @ operand {x.shape}")
+    return s @ x
+
+
+def spmm_transposed(s: sp.csr_matrix, x) -> np.ndarray:
+    """Product S.T @ X computed through a CSC view, without materializing S.T."""
+    x = _check_2d(x, "dense operand")
+    if s.shape[0] != x.shape[0]:
+        raise UsageError(f"spmm_transposed shape mismatch: sparse {s.shape}.T @ dense {x.shape}")
+    return s.T @ x
+
+
+def linear_forward(x, w) -> np.ndarray:
+    if not sp.issparse(x):
+        x = np.asarray(x)
+    w = np.asarray(w)
+    if x.shape[1] != w.shape[0]:
+        raise UsageError(f"linear shape mismatch: input {x.shape} @ weight {w.shape}")
+    return x @ w
+
+
+def linear_vjp(x, w, upstream, input_grad: bool = True):
+    """Returns (d_input, d_weight) for the cached forward input; d_input is
+    None when input_grad is false."""
+    upstream = np.asarray(upstream)
+    if not sp.issparse(x):
+        x = np.asarray(x)
+    d_input = upstream @ np.asarray(w).T if input_grad else None
+    return d_input, x.T @ upstream
+
+
+def relu_forward(x) -> np.ndarray:
+    return np.maximum(np.asarray(x), 0.0)
+
+
+def relu_vjp(x, upstream) -> np.ndarray:
+    """Subgradient at exactly zero input is taken as zero."""
+    return np.asarray(upstream) * (np.asarray(x) > 0.0)
+
+
+def softmax_rows_forward(z) -> np.ndarray:
+    z = np.asarray(z)
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def softmax_rows_vjp(p, upstream) -> np.ndarray:
+    """Full per-row softmax Jacobian product: p * (u - (u . p))."""
+    p = np.asarray(p)
+    upstream = np.asarray(upstream)
+    dot = (upstream * p).sum(axis=1, keepdims=True)
+    return p * (upstream - dot)
+
+
+def dropout_forward(x, rate: float, rng, training: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Inverted dropout: survivors are scaled by 1/(1-rate) so inference needs
+    no rescaling. Inference mode is the identity and returns no mask.
+
+    A CSR input draws one uniform per stored entry and returns a CSR output
+    with the same pattern (dropped entries stored as zeros); its mask covers
+    the stored entries only.
+    """
+    if not sp.issparse(x):
+        x = np.asarray(x)
+    if not (0.0 <= rate < 1.0):
+        raise UsageError(f"dropout rate must lie in [0, 1), got {rate}")
+    if not training or rate == 0.0:
+        return x, None
+    if rng is None:
+        raise UsageError("training-mode dropout requires an explicit rng stream")
+    if sp.issparse(x):
+        x = x.tocsr()
+        mask = rng.random(x.nnz) >= rate
+        values = x.data * mask / (1.0 - rate)
+        return sp.csr_matrix((values, x.indices, x.indptr), shape=x.shape), mask
+    mask = rng.random(x.shape) >= rate
+    return x * mask / (1.0 - rate), mask
+
+
+def dropout_vjp(mask, rate: float, upstream) -> np.ndarray:
+    if mask is None:
+        return np.asarray(upstream)
+    return np.asarray(upstream) * mask / (1.0 - rate)
+
+
+# ---------------------------------------------------------------------------
 # Compiled form
 
 
 # Chain entries. Each owns its forward and vjp: forward(h, params, rng,
 # training) returns (output, cache) and vjp(cache, upstream, grads) returns
 # the upstream gradient for the previous entry, storing any parameter gradient
-# in grads. The layer primitives are looked up as module globals at
-# call time, so they can be wrapped (for example by a profiler).
+# in grads. The primitives above are looked up as module globals at call
+# time, so they can be wrapped (for example by a profiler).
 
 
 class _Entry:

@@ -32,6 +32,13 @@ __all__ = [
 
 PROB_FLOOR = 1e-12
 
+# Adam's moment decay rates and denominator guard, and the central-difference
+# step of gradient_check.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+FINITE_DIFF_STEP = 1e-5
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -82,9 +89,6 @@ class AdamState:
     m: list
     v: list
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params) -> "AdamState":
@@ -101,17 +105,17 @@ def adam_step(params, grads, state: AdamState, lr: float, weight_decay: float = 
         raise UsageError("adam_step: params, grads, and state sizes disagree")
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     out = []
     for i, (p, g) in enumerate(zip(params, grads)):
         if weight_decay:
             g = g + weight_decay * p
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * (g * g)
         m_hat = state.m[i] / c1
         v_hat = state.v[i] / c2
-        out.append(p - lr * m_hat / (np.sqrt(v_hat) + state.eps))
+        out.append(p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
     return out
 
 
@@ -250,7 +254,6 @@ def gradient_check(
     labeled_set=None,
     *,
     tolerance: float = 1e-5,
-    step: float = 1e-5,
     seed: int = 0,
 ) -> GradCheckReport:
     """Compare analytic parameter gradients of the full pipeline (forward plus
@@ -282,12 +285,12 @@ def gradient_check(
         flat = params[pi].ravel()
         for j in range(flat.size):
             original = flat[j]
-            flat[j] = original + step
+            flat[j] = original + FINITE_DIFF_STEP
             up = loss_at(params)
-            flat[j] = original - step
+            flat[j] = original - FINITE_DIFF_STEP
             down = loss_at(params)
             flat[j] = original
-            numeric = (up - down) / (2.0 * step)
+            numeric = (up - down) / (2.0 * FINITE_DIFF_STEP)
             a = analytic[pi].ravel()[j]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
             worst = max(worst, rel)

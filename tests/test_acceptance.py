@@ -22,8 +22,6 @@ from graphcompose.data import (
 )
 from graphcompose.evaluation import accuracy, average_rank
 from graphcompose.graph import build_operator
-from graphcompose.layers import softmax_rows_forward
-from graphcompose.linalg import spmm
 from graphcompose.lpnn import LpnnWeights, build_g_network, lpnn_loss, predict_from_g, train_lpnn
 from graphcompose.networks import (
     PRESET_NAMES,
@@ -32,6 +30,8 @@ from graphcompose.networks import (
     forward,
     init_params,
     preset,
+    softmax_rows_forward,
+    spmm,
 )
 from graphcompose.training import TrainConfig, gradient_check, train
 

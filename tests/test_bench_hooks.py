@@ -36,9 +36,13 @@ def tracing():
 
 def test_every_wrapped_name_is_a_callable_module_global(tracing):
     assert tracing.WRAPS
-    for module_name, attr, *_ in tracing.WRAPS:
+    for module_name, attr, _, kind, _ in tracing.WRAPS:
         module = importlib.import_module(module_name)
-        assert callable(vars(module).get(attr)), f"{module_name}.{attr}"
+        fn = vars(module).get(attr)
+        assert callable(fn), f"{module_name}.{attr}"
+        if kind is not None:
+            # Chain primitives are defined where the entries call them.
+            assert fn.__module__ == module_name, f"{module_name}.{attr}"
 
 
 def test_package_names_the_benchmark_uses():
@@ -65,7 +69,9 @@ def test_benchmark_network_calls(name):
 @pytest.mark.parametrize("caller", ["training", "lpnn"])
 def test_forward_spans_carry_the_train_and_infer_modes(tracing, caller):
     # The tracer reads the forward mode from the fourth positional argument
-    # or the mode keyword, and splits epochs at train-mode forwards.
+    # or the mode keyword, and splits epochs at train-mode forwards. After
+    # folding, gcn-lp at depth 3 with one lp layer has every entry kind, and
+    # each must show up as an entry span in both phases.
     dataset = planted_dataset(40, 2, 6, seed=3)
     split = stratified_split(dataset)
     config = gc.TrainConfig(max_epochs=2, patience=2)
@@ -74,13 +80,14 @@ def test_forward_spans_carry_the_train_and_infer_modes(tracing, caller):
     try:
         if caller == "training":
             net = gc.compile_network(
-                gc.preset("gcn"),
-                {"symmetric": gc.build_operator(dataset.topology, "symmetric")},
+                gc.preset("gcn-lp", depth=3, lp_layers=1),
+                {kind: gc.build_operator(dataset.topology, kind) for kind in ("symmetric", "row")},
                 dataset.num_features,
                 dataset.num_classes,
                 features=dataset.features,
                 dropout=config.dropout,
             )
+            assert set(net.describe()) == set(tracing.ENTRY_KINDS)
             gc.train(net, dataset, split, config)
         else:
             gc.train_lpnn(dataset, split, config, gc.LpnnWeights(1.0, 1.0, 1.0, 1.0, 1.0))
@@ -89,3 +96,6 @@ def test_forward_spans_carry_the_train_and_infer_modes(tracing, caller):
     spans = [s for s in tracer.spans if s.name == "networks.forward"]
     assert spans and all(s.attrs["caller"] == caller for s in spans)
     assert {s.attrs["mode"] for s in spans} == {"train", "infer"}
+    if caller == "training":
+        entries = {(s.attrs["kind"], s.attrs["phase"]) for s in tracer.spans if s.name == "entry"}
+        assert entries == {(kind, phase) for kind in tracing.ENTRY_KINDS for phase in ("fwd", "vjp")}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from graphcompose import data
+from graphcompose.cli import main
 from graphcompose.data import (
     NUM_SIZES,
     NUM_SPLITS,
@@ -15,13 +16,13 @@ from graphcompose.data import (
     load_dataset,
     load_split,
     load_standard_split,
+    row_unit_normalize,
     save_splits,
     split_to_text,
     train_size_targets,
 )
 from graphcompose.errors import DataError
 from graphcompose.graph import GraphTopology
-from graphcompose.linalg import row_unit_normalize
 
 from .conftest import make_synthetic, planted_dataset, ring_topology, write_dataset_dir
 
@@ -98,6 +99,37 @@ class TestLoadDataset:
         (root / "manifest.txt").write_text("nodes 12\nfeatures 4\nclasses 2\nedges 9\n")
         with pytest.raises(DataError, match=r"manifest\.txt:4"):
             load_dataset(root)
+
+    @pytest.mark.parametrize(
+        "manifest, message",
+        [
+            ("nodes 100000000000000000000\nfeatures 4\nclasses 2\n",
+             r"labels\.txt: node count mismatch with manifest: 99999999999999999988 of "
+             r"100000000000000000000 nodes have no label \(first: 12\)$"),
+            ("nodes 1000000000000\nfeatures 4\nclasses 2\n",
+             r"labels\.txt: node count mismatch with manifest: 999999999988 of "
+             r"1000000000000 nodes have no label \(first: 12\)$"),
+            # 12 x 10**16 float64 is 852 PiB, beyond any address space.
+            ("nodes 12\nfeatures 10000000000000000\nclasses 2\n",
+             r"manifest\.txt: cannot hold 12 x 10000000000000000 features: Unable to allocate"),
+            ("nodes 12\nfeatures 100000000000000000000\nclasses 2\n",
+             r"manifest\.txt: cannot hold 12 x 100000000000000000000 features: Maximum allowed"),
+            ("nodes 12\nfeatures 4\nclasses 1000000000000\n",
+             r"manifest\.txt: classes must be <= 4096, got 1000000000000$"),
+            ("nodes 12\nfeatures 4\nclasses 2\nnodes 13\n",
+             r"manifest\.txt:4: manifest key 'nodes' given twice$"),
+        ],
+        ids=["nodes-1e20", "nodes-1e12", "features-1e16", "features-1e20", "classes-1e12",
+             "repeated-key"],
+    )
+    def test_manifest_count_fails_cleanly_naming_the_file(self, tmp_path, capsys, manifest, message):
+        # Checked before any array is sized from the count, so the command
+        # exits 2 with an error line instead of a numpy traceback.
+        root = write_dataset_dir(tmp_path / "big", planted_dataset(12, 2, 4, seed=12))
+        (root / "manifest.txt").write_text(manifest)
+        assert main(["splits", "--dataset-dir", str(root), "--out", str(tmp_path / "s")]) == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last.startswith("error: ") and re.search(message, last), last
 
     def test_manifest_non_integer(self, tmp_path):
         root = write_dataset_dir(tmp_path / "i", planted_dataset(12, 2, 4, seed=12))
@@ -193,6 +225,24 @@ class TestLoadDataset:
         (root / "graph.txt").write_text("0 1\n\n4 4\n")
         with pytest.raises(DataError, match=r"graph\.txt:3: self-loop edge \(4, 4\) is not allowed"):
             load_dataset(root)
+
+
+class TestRowUnitNormalize:
+    def test_nonzero_rows_get_unit_norm(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(9, 4))
+        out = row_unit_normalize(x)
+        np.testing.assert_allclose(np.linalg.norm(out, axis=1), np.ones(9), atol=1e-12)
+
+    def test_zero_rows_pass_through(self):
+        x = np.array([[3.0, 4.0], [0.0, 0.0]])
+        out = row_unit_normalize(x)
+        np.testing.assert_allclose(out, [[0.6, 0.8], [0.0, 0.0]], atol=1e-15)
+
+    def test_input_unchanged(self):
+        x = np.array([[2.0, 0.0]])
+        row_unit_normalize(x)
+        np.testing.assert_array_equal(x, [[2.0, 0.0]])
 
 
 class TestTrainSizeTargets:

@@ -4,7 +4,13 @@ import scipy.sparse as sp
 
 from graphcompose.errors import UsageError
 from graphcompose.graph import build_operator
-from graphcompose.layers import (
+from graphcompose.networks import (
+    Fp,
+    LinearClassifier,
+    Mlp,
+    NetworkSpec,
+    Softmax,
+    compile_network,
     dropout_forward,
     dropout_vjp,
     linear_forward,
@@ -13,9 +19,9 @@ from graphcompose.layers import (
     relu_vjp,
     softmax_rows_forward,
     softmax_rows_vjp,
+    spmm,
+    spmm_transposed,
 )
-from graphcompose.linalg import spmm, spmm_transposed
-from graphcompose.networks import Fp, LinearClassifier, Mlp, NetworkSpec, Softmax, compile_network
 
 from .conftest import dense, np_softmax, ring_topology
 
@@ -32,6 +38,12 @@ def finite_diff(fn, x, upstream, eps=1e-6):
         xm[idx] -= eps
         grad[idx] = ((fn(xp) * upstream).sum() - (fn(xm) * upstream).sum()) / (2 * eps)
     return grad
+
+
+def random_sparse(rng, rows, cols, density=0.3):
+    mask = rng.random((rows, cols)) < density
+    a = np.where(mask, rng.normal(size=(rows, cols)), 0.0)
+    return sp.csr_matrix(a), a
 
 
 def compiled_chain(op, stages, width):
@@ -78,6 +90,48 @@ class TestSmoothing:
         np.testing.assert_array_equal(analytic, spmm_transposed(op.matrix, up))
         numeric = finite_diff(lambda z: spmm(op.matrix, z), x, up)
         np.testing.assert_allclose(analytic, numeric, atol=1e-8)
+
+
+class TestProducts:
+    def test_spmm_matches_dense(self):
+        rng = np.random.default_rng(1)
+        for rows, cols, k in [(6, 4, 3), (1, 5, 2), (8, 8, 8)]:
+            s, a = random_sparse(rng, rows, cols)
+            x = rng.normal(size=(cols, k))
+            np.testing.assert_allclose(spmm(s, x), a @ x, rtol=0, atol=1e-14)
+
+    def test_spmm_transposed_matches_dense(self):
+        rng = np.random.default_rng(2)
+        s, a = random_sparse(rng, 6, 4)
+        x = rng.normal(size=(6, 3))
+        np.testing.assert_allclose(spmm_transposed(s, x), a.T @ x, rtol=0, atol=1e-14)
+
+    def test_spmm_deterministic(self):
+        rng = np.random.default_rng(3)
+        s, _ = random_sparse(rng, 50, 50, density=0.1)
+        x = rng.normal(size=(50, 7))
+        first = spmm(s, x)
+        for _ in range(5):
+            np.testing.assert_array_equal(spmm(s, x), first)
+
+    def test_shape_mismatch_raises(self):
+        s = sp.identity(3, format="csr")
+        with pytest.raises(UsageError):
+            spmm(s, np.zeros((4, 2)))
+        with pytest.raises(UsageError):
+            spmm_transposed(s, np.zeros((4, 2)))
+
+    def test_rejects_non_2d(self):
+        with pytest.raises(UsageError):
+            spmm(sp.identity(3, format="csr"), np.zeros(3))
+        with pytest.raises(UsageError):
+            spmm_transposed(sp.identity(3, format="csr"), np.zeros(3))
+
+
+def test_dense_helper_roundtrip():
+    rng = np.random.default_rng(6)
+    s, a = random_sparse(rng, 5, 6)
+    np.testing.assert_array_equal(dense(s), a)
 
 
 class TestLinear:

@@ -5,7 +5,6 @@ import scipy.sparse as sp
 from graphcompose.cli import _LOSS_WEIGHT_KEYS
 from graphcompose.errors import UsageError
 from graphcompose.graph import build_operator
-from graphcompose.layers import softmax_rows_forward
 from graphcompose.lpnn import (
     G_HIDDEN_DIMS,
     G_SPEC,
@@ -16,7 +15,13 @@ from graphcompose.lpnn import (
     predict_from_g,
     train_lpnn,
 )
-from graphcompose.networks import backward, compile_network, forward, init_params
+from graphcompose.networks import (
+    backward,
+    compile_network,
+    forward,
+    init_params,
+    softmax_rows_forward,
+)
 from graphcompose.training import AdamState, TrainConfig, adam_step
 from graphcompose.evaluation import accuracy
 

@@ -7,7 +7,6 @@ import scipy.sparse as sp
 from graphcompose import networks
 from graphcompose.errors import UsageError
 from graphcompose.graph import GraphTopology, build_operator
-from graphcompose.layers import linear_vjp
 from graphcompose.networks import (
     Fp,
     GcnBlock,
@@ -22,6 +21,7 @@ from graphcompose.networks import (
     estimate_cost,
     forward,
     init_params,
+    linear_vjp,
     preset,
     restrict,
     spec_from_dict,
