@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DataError
 from .graph import GraphTopology
-from .networks import MAX_SIZE
+from .networks import MAX_SIZE, feature_csr
 
 __all__ = [
     "Dataset",
@@ -37,6 +38,7 @@ __all__ = [
     "load_split",
     "split_to_text",
     "row_unit_normalize",
+    "MAX_FEATURES",
 ]
 
 VAL_SIZE = 500
@@ -44,6 +46,11 @@ TEST_SIZE = 1000
 NUM_SIZES = 5
 NUM_SPLITS = 10
 _PER_CLASS = 20
+
+# The largest feature count a manifest may declare. It is also the element
+# budget of the dense blocks the loader takes row norms over, so a block
+# always holds a whole row (8 MiB at most).
+MAX_FEATURES = 2**20
 
 # Published per-dataset training counts, keyed by (20 * classes, |T|). The
 # interpolated interior sizes in circulation do not follow one rounding rule,
@@ -60,17 +67,29 @@ _PUBLISHED_SIZES: dict[tuple[int, int], tuple[int, ...]] = {
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
+    """A graph, its node features and labels. features is held as canonical
+    float64 scipy CSR with no stored zeros; a dense array is converted once."""
+
     name: str
     topology: GraphTopology
-    features: np.ndarray
+    features: sp.csr_matrix
     labels: np.ndarray
     num_classes: int
     source_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.features.shape[0] != self.topology.num_nodes:
+        features = feature_csr(self.features)
+        object.__setattr__(self, "features", features)
+        if features.shape[0] != self.topology.num_nodes:
             raise DataError(
-                f"feature rows {self.features.shape[0]} != nodes {self.topology.num_nodes}"
+                f"feature rows {features.shape[0]} != nodes {self.topology.num_nodes}"
+            )
+        bad = np.flatnonzero(~np.isfinite(features.data))
+        if bad.size:
+            node = np.searchsorted(features.indptr, bad[0], side="right") - 1
+            raise DataError(
+                f"node {node} feature {features.indices[bad[0]]} has non-finite value "
+                f"{features.data[bad[0]]}"
             )
         if self.labels.shape != (self.topology.num_nodes,):
             raise DataError("labels must cover every node exactly once")
@@ -201,15 +220,18 @@ def _label_rows(path: Path, n: int, num_classes: int) -> np.ndarray:
 
 
 def _feature_rows(path: Path, n: int, m: int) -> np.ndarray:
+    """The file's (node, feature, value) rows in (node, feature) order."""
     dtype = np.dtype([("node", np.int64), ("feature", np.int64), ("value", np.float64)])
     rows = _load_rows(path, dtype, (n, m))
-    if rows is not None:
-        given = np.zeros(n * m, dtype=bool)  # one flag per entry, to reject a repeat
-        given[rows["node"] * m + rows["feature"]] = True
-        if np.count_nonzero(given) == rows.size and np.isfinite(rows["value"]).all():
+    if rows is not None and np.isfinite(rows["value"]).all():
+        key = rows["node"] * m + rows["feature"]  # n * m fits: n is at most the label rows
+        if np.any(key[1:] <= key[:-1]):  # out of order; sorted, a repeat sits beside its first
+            order = np.argsort(key, kind="stable")
+            rows, key = rows[order], key[order]
+        if np.all(key[1:] > key[:-1]):
             return rows
     rows = []
-    given = bytearray(n * m)
+    given: set[int] = set()
     for lineno, (node_s, feat_s, value_s) in _parse_lines(path, 3):
         try:
             node, feat, value = int(node_s), int(feat_s), float(value_s)
@@ -223,11 +245,29 @@ def _feature_rows(path: Path, n: int, m: int) -> np.ndarray:
             raise DataError(f"{path}:{lineno}: feature id {feat} outside [0, {m})")
         if not math.isfinite(value):
             raise DataError(f"{path}:{lineno}: non-finite feature value {value_s!r}")
-        if given[node * m + feat]:
+        if node * m + feat in given:
             raise DataError(f"{path}:{lineno}: node {node} feature {feat} given twice")
-        given[node * m + feat] = 1
+        given.add(node * m + feat)
         rows.append((node, feat, value))
-    return np.array(rows, dtype=dtype)
+    rows = np.array(rows, dtype=dtype)
+    return rows[np.argsort(rows["node"] * m + rows["feature"], kind="stable")]
+
+
+def _unit_rows(rows: np.ndarray, n: int, m: int) -> sp.csr_matrix:
+    """The (node, feature)-ordered rows as CSR, each nonzero row scaled to
+    Euclidean norm 1 bitwise as row_unit_normalize scales the dense matrix.
+    numpy's pairwise sum groups a row's squares by position, so each norm is
+    taken over a dense block of at most MAX_FEATURES entries, never over the
+    stored values alone. Dataset drops the values that are or become zero."""
+    indptr = np.searchsorted(rows["node"], np.arange(n + 1))
+    features = sp.csr_matrix((rows["value"].copy(), rows["feature"], indptr), shape=(n, m))
+    step = MAX_FEATURES // m
+    norms = np.concatenate([
+        np.linalg.norm(features[start : start + step].toarray(), axis=1)
+        for start in range(0, n, step)
+    ])
+    features.data /= np.repeat(np.where(norms == 0.0, 1.0, norms), np.diff(indptr))
+    return features
 
 
 def _edge_rows(path: Path, n: int) -> np.ndarray:
@@ -257,7 +297,7 @@ def row_unit_normalize(x) -> np.ndarray:
 
 def load_dataset(path) -> Dataset:
     """Load and validate a dataset directory; feature rows come out
-    unit-normalized (zero rows stay zero). A data file that fails the numpy
+    unit-normalized (zero rows stay zero) as CSR. A data file that fails the numpy
     pass or a check is parsed again line by line, to name its bad line."""
     root = Path(path)
     if not root.is_dir():
@@ -279,6 +319,8 @@ def load_dataset(path) -> Dataset:
         raise DataError(f"{manifest_path}: counts must be positive")
     if num_classes > MAX_SIZE:
         raise DataError(f"{manifest_path}: classes must be <= {MAX_SIZE}, got {num_classes}")
+    if m > MAX_FEATURES:
+        raise DataError(f"{manifest_path}: features must be <= {MAX_FEATURES}, got {m}")
 
     # Every node is labeled exactly once, so past this call n is at most the
     # label file's row count.
@@ -286,18 +328,9 @@ def load_dataset(path) -> Dataset:
     labels = np.empty(n, dtype=np.int64)
     labels[rows["node"]] = rows["class"]
 
-    try:
-        features = np.zeros((n, m), dtype=np.float64)
-    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest size
-        raise DataError(f"{manifest_path}: cannot hold {n} x {m} features: {exc}") from exc
-    rows = _feature_rows(root / "features.txt", n, m)
-    features[rows["node"], rows["feature"]] = rows["value"]
-
-    rows = _edge_rows(root / "graph.txt", n)  # drops the feature rows before normalizing
+    features = _unit_rows(_feature_rows(root / "features.txt", n, m), n, m)
+    rows = _edge_rows(root / "graph.txt", n)
     topology = GraphTopology(n, np.column_stack([rows["u"], rows["v"]]))
-    for start in range(0, n, 1024):  # in place, a block of rows at a time: bitwise as one call
-        features[start : start + 1024] = row_unit_normalize(features[start : start + 1024])
-
     return Dataset(
         name=root.name,
         topology=topology,

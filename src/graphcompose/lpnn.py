@@ -176,7 +176,7 @@ def train_lpnn(dataset, split, config: TrainConfig, weights: LpnnWeights):
         {},
         dataset.num_features,
         dataset.num_classes,
-        features=np.asarray(dataset.features, dtype=np.float64),
+        features=dataset.features,
         dropout=config.dropout,
     )
     val_net, val_labels = _restrict_to(g_net, dataset, val_idx)

@@ -576,6 +576,24 @@ class CompiledNetwork:
         return tuple(entry.kind for entry in self.layers)
 
 
+def feature_csr(features) -> sp.csr_matrix:
+    """Features as canonical float64 CSR with no stored zeros. A matrix
+    already in that form is returned itself; none is changed in place."""
+    if (
+        isinstance(features, sp.csr_matrix)
+        and features.dtype == np.float64
+        and features.has_canonical_format
+        and features.data.all()
+    ):
+        return features
+    if not sp.issparse(features) and np.ndim(features) != 2:
+        raise UsageError(f"features must be 2-D, got shape {np.shape(features)}")
+    features = sp.csr_matrix(features, dtype=np.float64, copy=True)
+    features.sum_duplicates()
+    features.eliminate_zeros()
+    return features
+
+
 def compile_network(
     spec: NetworkSpec,
     operators,
@@ -668,8 +686,8 @@ def compile_network(
     # Fold the leading smoothing run into a precomputed input when possible.
     x_bar = None
     if features is not None:
-        features = np.asarray(features)
-        if features.ndim != 2 or features.shape[1] != input_dim:
+        features = feature_csr(features)
+        if features.shape[1] != input_dim:
             raise UsageError(
                 f"features shape {features.shape} does not match input_dim {input_dim}"
             )
@@ -701,32 +719,38 @@ def compile_network(
     )
 
 
-def _fold(features: np.ndarray, matrices, sparse: bool):
-    """S_k ... S_1 X over the folded operator matrices.
+def _fold(features: sp.csr_matrix, matrices, sparse: bool):
+    """S_k ... S_1 X over the folded operator matrices, from canonical CSR X.
 
-    When sparse is allowed and a bound on the result's density lies below
-    SPARSE_INPUT_DENSITY, X is converted to CSR and folded with sparse
-    products. The bound needs only row counts: row i of S @ Y stores at most d
-    entries and at most the summed counts of the rows of Y that row i of S
-    reads.
+    The result is CSR when sparse is allowed and a bound on its density lies
+    below SPARSE_INPUT_DENSITY, and dense otherwise. The bound needs only row
+    counts: row i of S @ Y stores at most d entries and at most the summed
+    counts of the rows of Y that row i of S reads. A dense result is folded
+    with sparse products up to the first hop whose bound reaches
+    SPARSE_INPUT_DENSITY (X itself, if its own does), densified there and
+    finished with dense products, so dense features never sit beside a dense
+    output. It is bitwise the fold of dense X: a sparse product adds the same
+    nonzero terms in the same order and skips only zeros.
     """
     n, d = features.shape
-    x = features
-    if sparse:
-        nonzero = features != 0
-        counts = np.count_nonzero(nonzero, axis=1)
-        bound = counts
-        for m in matrices:
-            pattern = sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), shape=m.shape)
-            bound = np.minimum(spmm(pattern, bound[:, None])[:, 0], d)
-        if bound.sum() < SPARSE_INPUT_DENSITY * n * d:
-            flat = np.flatnonzero(nonzero)
-            offsets = np.concatenate(([0], np.cumsum(counts)))
-            x = sp.csr_matrix((features.ravel()[flat], flat % d, offsets), shape=(n, d))
+    bound = np.diff(features.indptr)
+    reached = [bound.sum() >= SPARSE_INPUT_DENSITY * n * d]
     for m in matrices:
+        pattern = sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), shape=m.shape)
+        bound = np.minimum(spmm(pattern, bound[:, None])[:, 0], d)
+        reached.append(bound.sum() >= SPARSE_INPUT_DENSITY * n * d)
+    densify = None
+    if not sparse or reached[-1]:
+        densify = reached.index(True) if any(reached) else len(matrices)
+    x = features
+    for hop, m in enumerate(matrices):
+        if hop == densify:
+            x = x.toarray()
         x = spmm(m, x)
-    if sp.issparse(x):
+    if densify is None:
         x.sort_indices()
+    elif sp.issparse(x):
+        x = x.toarray()
     return x
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphcompose.data import Dataset
 from graphcompose.graph import GraphTopology
@@ -34,8 +35,11 @@ def np_relu(z: np.ndarray) -> np.ndarray:
 
 
 def with_input(net, features):
-    """A network compiled without features, given them as its input unfolded:
-    every smoothing stays in its chain. The reference for folded inputs."""
+    """A network compiled without features, given them as its dense input
+    unfolded: every smoothing stays in its chain. The reference for folded
+    inputs."""
+    if sp.issparse(features):
+        features = features.toarray()
     return dataclasses.replace(net, x_bar=features)
 
 
@@ -117,7 +121,9 @@ def sparse_planted_dataset(
     keep = np.random.default_rng(np.random.SeedSequence([seed, 23])).random(
         dataset.features.shape
     ) < density
-    return dataclasses.replace(dataset, features=np.where(keep, dataset.features, 0.0))
+    return dataclasses.replace(
+        dataset, features=np.where(keep, dataset.features.toarray(), 0.0)
+    )
 
 
 def write_dataset_dir(root: Path, dataset: Dataset) -> Path:
@@ -130,9 +136,9 @@ def write_dataset_dir(root: Path, dataset: Dataset) -> Path:
     (root / "graph.txt").write_text(
         "".join(f"{u} {v}\n" for u, v in dataset.topology.edges)
     )
-    rows, cols = np.nonzero(dataset.features)
+    coo = dataset.features.tocoo()
     (root / "features.txt").write_text(
-        "".join(f"{r} {c} {dataset.features[r, c]:.8g}\n" for r, c in zip(rows, cols))
+        "".join(f"{r} {c} {v:.8g}\n" for r, c, v in zip(coo.row, coo.col, coo.data))
     )
     (root / "labels.txt").write_text(
         "".join(f"{i} {int(c)}\n" for i, c in enumerate(dataset.labels))

@@ -1,7 +1,10 @@
 import re
+import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphcompose import data
 from graphcompose.cli import main
@@ -67,15 +70,17 @@ class TestLoadDataset:
         assert loaded.num_classes == 3
         assert np.array_equal(loaded.topology.edges, original.topology.edges)
         np.testing.assert_array_equal(loaded.labels, original.labels)
+        assert isinstance(loaded.features, sp.csr_matrix)
+        assert loaded.features.has_canonical_format
         # The text format keeps 8 significant digits per value.
         np.testing.assert_allclose(
-            loaded.features, row_unit_normalize(original.features), atol=1e-6
+            loaded.features.toarray(), row_unit_normalize(original.features.toarray()), atol=1e-6
         )
 
     def test_features_are_unit_rows(self, tmp_path):
         root = write_dataset_dir(tmp_path / "u", planted_dataset(12, 2, 4, seed=8))
         loaded = load_dataset(root)
-        norms = np.linalg.norm(loaded.features, axis=1)
+        norms = np.linalg.norm(loaded.features.toarray(), axis=1)
         np.testing.assert_allclose(norms, np.ones(12), atol=1e-12)
 
     def test_missing_directory(self, tmp_path):
@@ -109,11 +114,10 @@ class TestLoadDataset:
             ("nodes 1000000000000\nfeatures 4\nclasses 2\n",
              r"labels\.txt: node count mismatch with manifest: 999999999988 of "
              r"1000000000000 nodes have no label \(first: 12\)$"),
-            # 12 x 10**16 float64 is 852 PiB, beyond any address space.
             ("nodes 12\nfeatures 10000000000000000\nclasses 2\n",
-             r"manifest\.txt: cannot hold 12 x 10000000000000000 features: Unable to allocate"),
+             r"manifest\.txt: features must be <= 1048576, got 10000000000000000$"),
             ("nodes 12\nfeatures 100000000000000000000\nclasses 2\n",
-             r"manifest\.txt: cannot hold 12 x 100000000000000000000 features: Maximum allowed"),
+             r"manifest\.txt: features must be <= 1048576, got 100000000000000000000$"),
             ("nodes 12\nfeatures 4\nclasses 1000000000000\n",
              r"manifest\.txt: classes must be <= 4096, got 1000000000000$"),
             ("nodes 12\nfeatures 4\nclasses 2\nnodes 13\n",
@@ -183,6 +187,12 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=rf"features\.txt:3: non-finite feature value '{value}'"):
             load_dataset(root)
 
+    def test_repeat_out_of_order_names_its_line(self, tmp_path):
+        root = write_dataset_dir(tmp_path / "ro", planted_dataset(12, 2, 4, seed=18))
+        (root / "features.txt").write_text("1 2 0.5\n0 0 1.0\n1 2 0.25\n")
+        with pytest.raises(DataError, match=r"features\.txt:3: node 1 feature 2 given twice"):
+            load_dataset(root)
+
     def test_repeated_feature_line_names_line(self, tmp_path):
         root = write_dataset_dir(tmp_path / "rf", planted_dataset(12, 2, 4, seed=18))
         (root / "features.txt").write_text("0 0 1.0\n1 2 0.5\n\n1 2 0.25\n")
@@ -225,6 +235,96 @@ class TestLoadDataset:
         (root / "graph.txt").write_text("0 1\n\n4 4\n")
         with pytest.raises(DataError, match=r"graph\.txt:3: self-loop edge \(4, 4\) is not allowed"):
             load_dataset(root)
+
+
+class TestSparseFeatures:
+    def test_dense_features_are_converted_once(self):
+        d = planted_dataset(30, 3, 4, seed=1)
+        assert isinstance(d.features, sp.csr_matrix) and d.features.dtype == np.float64
+        assert d.features.has_canonical_format
+        again = Dataset("again", d.topology, d.features, d.labels, 3)
+        assert again.features is d.features
+
+    def test_stored_zeros_are_dropped(self):
+        x = np.array([[0.0, -0.0, 2.0], [0.0, 0.0, 0.0], [1.0, 0.0, 3.0]])
+        given = sp.csr_matrix((np.array([0.0, 2.0, -0.0]), np.array([0, 2, 1]),
+                               np.array([0, 2, 2, 3])), shape=(3, 3))
+        for features in (x, given):
+            d = Dataset("z", ring_topology(3, seed=0), features, np.zeros(3, dtype=np.int64), 1)
+            assert np.all(d.features.data != 0)
+            assert d.features.has_canonical_format
+        assert given.nnz == 3  # the matrix given is copied, not changed
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("form", ["dense", "csr"])
+    def test_non_finite_value_is_refused(self, value, form):
+        x = np.ones((5, 2))
+        x[3, 1] = value
+        features = sp.csr_matrix(x) if form == "csr" else x
+        with pytest.raises(DataError, match=rf"node 3 feature 1 has non-finite value {value}$"):
+            Dataset("x", ring_topology(5, seed=0), features, np.zeros(5, dtype=np.int64), 2)
+
+    def test_row_norms_are_bitwise_the_dense_ones(self, tmp_path, monkeypatch):
+        # Blocks of 3 rows: the norms still match one call over the dense matrix.
+        rng = np.random.default_rng(29)
+        n, m = 10, 301
+        x = np.where(rng.random((n, m)) < 0.3, rng.normal(size=(n, m)) * 1e3, 0.0)
+        x[4] = 0.0  # an empty row stays empty
+        root = write_dataset_dir(tmp_path / "norms", planted_dataset(n, 2, m, seed=29))
+        rows, cols = np.nonzero(x)
+        (root / "features.txt").write_text(
+            "".join(f"{r} {c} {float(x[r, c])!r}\n" for r, c in zip(rows, cols))
+        )
+        monkeypatch.setattr(data, "MAX_FEATURES", 3 * m)
+        loaded = load_dataset(root).features
+        assert loaded.toarray().tobytes() == row_unit_normalize(x).tobytes()
+        assert loaded.indptr[5] == loaded.indptr[4]
+
+    def test_load_allocates_nothing_of_nodes_by_features(self, tmp_path):
+        n, m = 16, 1_000_000
+        root = tmp_path / "wide"
+        root.mkdir()
+        (root / "manifest.txt").write_text(f"nodes {n}\nfeatures {m}\nclasses 2\n")
+        (root / "labels.txt").write_text("".join(f"{i} {i % 2}\n" for i in range(n)))
+        (root / "graph.txt").write_text("".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
+        (root / "features.txt").write_text(
+            "".join(f"{i} {j} 0.5\n" for i in range(n) for j in range(i, m, 99_991))
+        )
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(root)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dense_bytes = n * m * 8  # 128 MB
+        assert peak < dense_bytes / 4, peak
+        assert loaded.features.nnz == sum(len(range(i, m, 99_991)) for i in range(n))
+
+    @pytest.mark.parametrize("method", ["gcn", "lpnn"])
+    def test_explicit_zero_lines_train_the_same_history(self, tmp_path, method):
+        plain, zeros = tmp_path / "plain", tmp_path / "zeros"
+        make_synthetic([
+            "--out", str(plain), "--nodes", "400", "--classes", "3", "--features", "48",
+            "--density", "0.05", "--seed", "6", "--standard-split", "--val", "100",
+            "--test", "200",
+        ])
+        shutil.copytree(plain, zeros)
+        path = zeros / "features.txt"
+        stored = {tuple(line.split()[:2]) for line in path.read_text().splitlines()}
+        absent = [(r, c) for r in range(0, 400, 9) for c in range(48)
+                  if (str(r), str(c)) not in stored][::5]
+        # Appended, so the file is also out of (node, feature) order.
+        path.write_text(path.read_text() + "".join(
+            f"{r} {c} {'-0.0' if k % 2 else '0'}\n" for k, (r, c) in enumerate(absent)
+        ))
+        histories = []
+        for root in (plain, zeros):
+            out = tmp_path / f"run-{root.name}"
+            assert main(["train", "--method", method, "--dataset-dir", str(root),
+                         "--standard-split", "--epochs", "8", "--patience", "8",
+                         "--out", str(out)]) == 0
+            histories.append(next(out.rglob("history.txt")).read_bytes())
+        assert len(absent) > 100 and histories[0] == histories[1]
 
 
 class TestRowUnitNormalize:
@@ -493,6 +593,9 @@ def _write_unusual(root, case):
             node, feat, _ = lines[5 * k].split()
             lines[5 * k] = f"{node} {feat} {zero}\n"
         (root / "features.txt").write_text("".join(lines))
+    elif case == "reversed-lines":
+        lines = (root / "features.txt").read_text().splitlines(keepends=True)
+        (root / "features.txt").write_text("".join(lines[::-1]))
     elif case == "empty-graph":
         (root / "graph.txt").write_text("")
     for name in ("labels.txt", "features.txt", "graph.txt"):
@@ -527,8 +630,17 @@ UNUSUAL_CASES = [
     ("underscores", ["labels.txt"]),
     ("exponents-and-17-digits", []),
     ("explicit-zeros", []),
+    ("reversed-lines", []),
     ("empty-graph", ["graph.txt"]),
 ]
+
+
+def assert_same_csr(a, b):
+    """a and b hold bitwise the same CSR arrays."""
+    assert a.shape == b.shape
+    for name in ("data", "indices", "indptr"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
 def _spy_per_line(monkeypatch):
@@ -557,7 +669,7 @@ class TestParserEquivalence:
         assert read_by_line == ["manifest.txt", *per_line_files]
         monkeypatch.setattr(data, "_load_rows", lambda path, dtype, bounds: None)
         slow = load_dataset(root)
-        assert fast.features.tobytes() == slow.features.tobytes()
+        assert_same_csr(fast.features, slow.features)
         assert fast.labels.tobytes() == slow.labels.tobytes()
         assert np.array_equal(fast.topology.edges, slow.topology.edges)
         if case == "empty-graph":

@@ -247,6 +247,24 @@ class TestCompile:
         with pytest.raises(UsageError):
             compile_network(preset("sgcn"), ops, 7, 3, features=x14)
 
+    def test_one_dimensional_features_refused(self, ops):
+        with pytest.raises(UsageError, match=r"features must be 2-D, got shape \(14,\)"):
+            compile_network(preset("sgcn"), ops, 5, 3, features=np.zeros(14))
+
+    def test_csr_features_converted_without_change(self, ops, x14):
+        # Stored zeros, unsorted indices and float32 values: copied to
+        # canonical float64 CSR, folding as the dense features do.
+        given = sp.csr_matrix(x14.astype(np.float32))
+        given.data[0] = 0.0
+        given.indices[:2] = given.indices[1::-1].copy()
+        given.data[:2] = given.data[1::-1].copy()
+        before = [a.copy() for a in (given.data, given.indices, given.indptr)]
+        net = compile_network(preset("sgcn"), ops, 5, 3, features=given)
+        for old, new in zip(before, (given.data, given.indices, given.indptr)):
+            assert old.tobytes() == new.tobytes()
+        ref = compile_network(preset("sgcn"), ops, 5, 3, features=dense(given))
+        assert net.x_bar.tobytes() == ref.x_bar.tobytes()
+
     def test_param_count(self, ops):
         net = compile_network(preset("fp-mlp", hidden_dim=8), ops, 5, 3)
         assert net.param_shapes == ((5, 8), (8, 3))
@@ -585,6 +603,44 @@ class TestBackwardStopsAtFirstLinear:
         backward(net, states, np.ones((14, 3)))
         assert len(masks) == kinds.count("dropout") - 1
         assert all(mask is not first_mask for mask in masks)
+
+
+class TestFoldDensifies:
+    """A dense folded input is folded with sparse products up to the first hop
+    whose density bound reaches SPARSE_INPUT_DENSITY and densified there; it is
+    bitwise the fold of the dense features."""
+
+    @pytest.mark.parametrize(
+        "density, depth, operands",
+        [
+            (1.0, 2, ["dense", "dense"]),  # the features already reach the bound
+            (0.10, 1, ["csr"]),  # the one hop's result is densified
+            (0.10, 2, ["csr", "dense"]),  # Pubmed-like: densified after the first hop
+        ],
+        ids=["features", "one-hop", "two-hops"],
+    )
+    def test_x_bar_is_bitwise_the_dense_fold(self, monkeypatch, density, depth, operands):
+        dataset = sparse_planted_dataset(400, 3, 100, density, seed=44)
+        op = build_operator(dataset.topology, "symmetric")
+        seen = []
+        product = networks.spmm
+
+        def spy(s, x):
+            if x.shape[1] == dataset.num_features:  # not the density bound's products
+                seen.append("csr" if sp.issparse(x) else "dense")
+            return product(s, x)
+
+        monkeypatch.setattr(networks, "spmm", spy)
+        net = compile_network(
+            preset("sgcn", depth=depth), {"symmetric": op}, dataset.num_features,
+            dataset.num_classes, features=dataset.features,
+        )
+        assert seen == operands
+        reference = dataset.features.toarray()
+        for _ in range(depth):
+            reference = op.matrix @ reference
+        assert type(net.x_bar) is np.ndarray
+        assert net.x_bar.dtype == reference.dtype and net.x_bar.tobytes() == reference.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -18,8 +16,9 @@ from graphcompose.training import (
     train,
 )
 from graphcompose.evaluation import accuracy
+from graphcompose.lpnn import LpnnWeights, train_lpnn
 
-from .conftest import dense, planted_dataset, with_input
+from .conftest import dense, planted_dataset, sparse_planted_dataset, with_input
 
 
 def build_ops(dataset):
@@ -249,21 +248,21 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_raises(self, small_dataset):
-        bad = dataclasses.replace(
-            small_dataset,
-            features=np.where(
-                np.arange(small_dataset.num_features) == 0,
-                np.inf,
-                small_dataset.features,
-            ),
+        # A Dataset refuses non-finite features, so the network gets them as
+        # its input directly.
+        bad = np.where(
+            np.arange(small_dataset.num_features) == 0,
+            np.inf,
+            small_dataset.features.toarray(),
         )
-        ops = build_ops(bad)
-        split = stratified_split(bad)
+        ops = build_ops(small_dataset)
+        split = stratified_split(small_dataset)
         net = compile_network(
-            preset("sgcn"), ops, bad.num_features, bad.num_classes, features=bad.features
+            preset("sgcn"), ops, small_dataset.num_features, small_dataset.num_classes,
+            features=bad,
         )
         with pytest.raises(NumericError):
-            train(net, bad, split, TrainConfig(dropout=0.0, max_epochs=3, patience=3))
+            train(net, small_dataset, split, TrainConfig(dropout=0.0, max_epochs=3, patience=3))
 
     def test_dropout_must_match_compiled_rate(self, setup):
         dataset, split, net = setup
@@ -391,3 +390,29 @@ class TestRestrictedTraining:
             accs.append(accuracy(forward(net, ref)[0], dataset.labels, split.val))
         np.testing.assert_allclose(history.train_loss, losses, rtol=0, atol=1e-12)
         assert history.val_accuracy == tuple(accs)
+
+
+class TestFeaturesUntouched:
+    """Training reads the dataset's CSR features and never changes them,
+    though an unfolded network takes that very matrix as its input."""
+
+    @pytest.mark.parametrize("method", ["mlp-lp", "gcn", "lpnn"])
+    def test_training_leaves_features_unchanged(self, method):
+        dataset = sparse_planted_dataset(60, 3, 40, 0.05, seed=8)
+        before = [a.copy() for a in (dataset.features.data, dataset.features.indices,
+                                     dataset.features.indptr)]
+        split = stratified_split(dataset)
+        config = TrainConfig(dropout=0.5, max_epochs=4, patience=4)
+        if method == "lpnn":
+            train_lpnn(dataset, split, config, LpnnWeights(1.0, 1.0, 1.0, 1.0, 1.0))
+        else:
+            net = compile_network(
+                preset(method), build_ops(dataset), dataset.num_features, dataset.num_classes,
+                features=dataset.features, dropout=0.5,
+            )
+            if method == "mlp-lp":
+                assert net.x_bar is dataset.features
+            train(net, dataset, split, config)
+        after = (dataset.features.data, dataset.features.indices, dataset.features.indptr)
+        for old, new in zip(before, after):
+            assert old.dtype == new.dtype and old.tobytes() == new.tobytes()
