@@ -37,7 +37,6 @@ __all__ = [
     "save_splits",
     "load_split",
     "split_to_text",
-    "row_unit_normalize",
     "MAX_FEATURES",
 ]
 
@@ -67,8 +66,8 @@ _PUBLISHED_SIZES: dict[tuple[int, int], tuple[int, ...]] = {
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A graph, its node features and labels. features is held as canonical
-    float64 scipy CSR with no stored zeros; a dense array is converted once."""
+    """A graph, its node features and labels, converted once: features to
+    canonical float64 scipy CSR with no stored zeros, labels to int64."""
 
     name: str
     topology: GraphTopology
@@ -84,16 +83,13 @@ class Dataset:
             raise DataError(
                 f"feature rows {features.shape[0]} != nodes {self.topology.num_nodes}"
             )
-        bad = np.flatnonzero(~np.isfinite(features.data))
-        if bad.size:
-            node = np.searchsorted(features.indptr, bad[0], side="right") - 1
-            raise DataError(
-                f"node {node} feature {features.indices[bad[0]]} has non-finite value "
-                f"{features.data[bad[0]]}"
-            )
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind not in "iu":
+            raise DataError(f"labels must be integers, got dtype {labels.dtype}")
+        object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
         if self.labels.shape != (self.topology.num_nodes,):
             raise DataError("labels must cover every node exactly once")
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
+        if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
             raise DataError(f"label outside [0, {self.num_classes})")
 
     @property
@@ -254,8 +250,8 @@ def _feature_rows(path: Path, n: int, m: int) -> np.ndarray:
 
 
 def _unit_rows(rows: np.ndarray, n: int, m: int) -> sp.csr_matrix:
-    """The (node, feature)-ordered rows as CSR, each nonzero row scaled to
-    Euclidean norm 1 bitwise as row_unit_normalize scales the dense matrix.
+    """The (node, feature)-ordered rows as CSR, each nonzero row divided by
+    its Euclidean norm, bitwise as np.linalg.norm scales the dense matrix.
     numpy's pairwise sum groups a row's squares by position, so each norm is
     taken over a dense block of at most MAX_FEATURES entries, never over the
     stored values alone. Dataset drops the values that are or become zero."""
@@ -286,13 +282,6 @@ def _edge_rows(path: Path, n: int) -> np.ndarray:
             raise DataError(f"{path}:{lineno}: self-loop edge ({u}, {v}) is not allowed")
         rows.append((u, v))
     return np.array(rows, dtype=dtype)
-
-
-def row_unit_normalize(x) -> np.ndarray:
-    """Scale each nonzero row to Euclidean norm 1; all-zero rows pass through."""
-    x = np.asarray(x)
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    return x / np.where(norms == 0.0, 1.0, norms)
 
 
 def load_dataset(path) -> Dataset:

@@ -164,7 +164,6 @@ def train_lpnn(dataset, split, config: TrainConfig, weights: LpnnWeights):
         raise UsageError(
             "method 'lpnn' trains in float64 only; --precision float32 does not apply"
         )
-    labels = np.asarray(dataset.labels)
     train_idx = np.asarray(split.train, dtype=np.int64)
     val_idx = np.asarray(split.val, dtype=np.int64)
     if train_idx.size == 0 or val_idx.size == 0:
@@ -190,7 +189,7 @@ def train_lpnn(dataset, split, config: TrainConfig, weights: LpnnWeights):
     def step() -> float:
         nonlocal f, g_params
         g_out, states = forward(g_net, g_params, mode="train", rng=dropout_rng)
-        loss, d_f, d_g_out = lpnn_loss(f, g_out, op, labels, train_idx, weights)
+        loss, d_f, d_g_out = lpnn_loss(f, g_out, op, dataset.labels, train_idx, weights)
         g_grads = backward(g_net, states, d_g_out)
         # Weight decay shrinks only g's linear weights, never the label field.
         f = adam_step([f], [d_f], adam_f, config.learning_rate, 0.0)[0]

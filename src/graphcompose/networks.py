@@ -21,12 +21,13 @@ choice); FP stages only before any parameterized stage.
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import UsageError
+from .errors import DataError, UsageError
 from .graph import PropagationOperator
 
 __all__ = [
@@ -132,8 +133,7 @@ class GcnBlock:
             )
         for d in self.hidden_dims:
             _check_size("gcn hidden width", d, 1)
-        s = self.layers if self.smoothings is None else self.smoothings
-        if not (0 <= s <= self.layers):
+        if not (0 <= self.effective_smoothings <= self.layers):
             raise UsageError(
                 f"gcn block smoothings must lie in [0, {self.layers}], got {self.smoothings}"
             )
@@ -307,14 +307,17 @@ _FIELD_TYPES = {
 }
 
 
+_SPEC_NAME = r"[A-Za-z0-9][A-Za-z0-9._-]*"  # it names a run directory: no "/", no leading "."
+
+
 def spec_from_dict(doc: dict) -> NetworkSpec:
     """Inverse of spec_to_dict; a stage field missing from its document takes
-    the stage's default. A field the stage does not have, or one of the wrong
-    JSON type, is a UsageError."""
+    the stage's default. A name not matching _SPEC_NAME, a field the stage
+    does not have, or one of the wrong JSON type, is a UsageError."""
     if not isinstance(doc, dict) or "name" not in doc or "stages" not in doc:
         raise UsageError("network spec document needs 'name' and 'stages' fields")
-    if not isinstance(doc["name"], str):
-        raise UsageError(f"network spec 'name' must be a string, got {doc['name']!r}")
+    if not isinstance(doc["name"], str) or not re.fullmatch(_SPEC_NAME, doc["name"]):
+        raise UsageError(f"network spec 'name' must match {_SPEC_NAME}, got {doc['name']!r}")
     if not isinstance(doc["stages"], list):
         raise UsageError(f"network spec 'stages' must be a list, got {doc['stages']!r}")
     stages: list[Stage] = []
@@ -350,67 +353,44 @@ def spec_from_dict(doc: dict) -> NetworkSpec:
 # product (vjp). Smoothing is spmm, with spmm_transposed as its vjp. The
 # softmax vjp applies the full Jacobian rather than assuming a fused
 # cross-entropy, because lp smoothings may follow the softmax. Dropout and the
-# linear map also take a CSR input (a sparse folded input, see _fold): dropout
-# then masks only the stored entries, and the linear map and its weight vjp
-# use sparse-dense products. Sparse matrices are canonical scipy CSR, whose
-# sequential kernels make every product bitwise deterministic for fixed inputs.
-
-
-def _check_2d(x, name: str) -> np.ndarray:
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise UsageError(f"{name} must be 2-D, got shape {x.shape}")
-    return x
+# linear map also take a sparse folded input (see _fold); dropout then masks
+# only the stored entries. Canonical scipy CSR's sequential kernels make every
+# product bitwise deterministic. Nothing here checks its operands:
+# compile_network fixes every shape and rate; forward checks what callers pass.
 
 
 def spmm(s: sp.csr_matrix, x):
     """Product S @ X: dense for a dense X, scipy CSR for a scipy sparse X.
     Deterministic for fixed inputs."""
-    if not sp.issparse(x):
-        x = _check_2d(x, "dense operand")
-    if s.shape[1] != x.shape[0]:
-        raise UsageError(f"spmm shape mismatch: sparse {s.shape} @ operand {x.shape}")
     return s @ x
 
 
 def spmm_transposed(s: sp.csr_matrix, x) -> np.ndarray:
     """Product S.T @ X computed through a CSC view, without materializing S.T."""
-    x = _check_2d(x, "dense operand")
-    if s.shape[0] != x.shape[0]:
-        raise UsageError(f"spmm_transposed shape mismatch: sparse {s.shape}.T @ dense {x.shape}")
     return s.T @ x
 
 
 def linear_forward(x, w) -> np.ndarray:
-    if not sp.issparse(x):
-        x = np.asarray(x)
-    w = np.asarray(w)
-    if x.shape[1] != w.shape[0]:
-        raise UsageError(f"linear shape mismatch: input {x.shape} @ weight {w.shape}")
     return x @ w
 
 
 def linear_vjp(x, w, upstream, input_grad: bool = True):
     """Returns (d_input, d_weight) for the cached forward input; d_input is
     None when input_grad is false."""
-    upstream = np.asarray(upstream)
-    if not sp.issparse(x):
-        x = np.asarray(x)
-    d_input = upstream @ np.asarray(w).T if input_grad else None
+    d_input = upstream @ w.T if input_grad else None
     return d_input, x.T @ upstream
 
 
 def relu_forward(x) -> np.ndarray:
-    return np.maximum(np.asarray(x), 0.0)
+    return np.maximum(x, 0.0)
 
 
 def relu_vjp(x, upstream) -> np.ndarray:
     """Subgradient at exactly zero input is taken as zero."""
-    return np.asarray(upstream) * (np.asarray(x) > 0.0)
+    return upstream * (x > 0.0)
 
 
 def softmax_rows_forward(z) -> np.ndarray:
-    z = np.asarray(z)
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
@@ -418,30 +398,21 @@ def softmax_rows_forward(z) -> np.ndarray:
 
 def softmax_rows_vjp(p, upstream) -> np.ndarray:
     """Full per-row softmax Jacobian product: p * (u - (u . p))."""
-    p = np.asarray(p)
-    upstream = np.asarray(upstream)
     dot = (upstream * p).sum(axis=1, keepdims=True)
     return p * (upstream - dot)
 
 
 def dropout_forward(x, rate: float, rng, training: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Inverted dropout: survivors are scaled by 1/(1-rate) so inference needs
-    no rescaling. Inference mode is the identity and returns no mask.
+    no rescaling. Inference mode and rate 0 return x and no mask, drawing nothing.
 
     A CSR input draws one uniform per stored entry and returns a CSR output
     with the same pattern (dropped entries stored as zeros); its mask covers
     the stored entries only.
     """
-    if not sp.issparse(x):
-        x = np.asarray(x)
-    if not (0.0 <= rate < 1.0):
-        raise UsageError(f"dropout rate must lie in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x, None
-    if rng is None:
-        raise UsageError("training-mode dropout requires an explicit rng stream")
     if sp.issparse(x):
-        x = x.tocsr()
         mask = rng.random(x.nnz) >= rate
         values = x.data * mask / (1.0 - rate)
         return sp.csr_matrix((values, x.indices, x.indptr), shape=x.shape), mask
@@ -450,9 +421,7 @@ def dropout_forward(x, rate: float, rng, training: bool) -> tuple[np.ndarray, np
 
 
 def dropout_vjp(mask, rate: float, upstream) -> np.ndarray:
-    if mask is None:
-        return np.asarray(upstream)
-    return np.asarray(upstream) * mask / (1.0 - rate)
+    return upstream * mask / (1.0 - rate)
 
 
 # ---------------------------------------------------------------------------
@@ -572,25 +541,29 @@ class CompiledNetwork:
     cost: CostEstimate | None
     positions: np.ndarray | None = None
 
-    def describe(self) -> tuple[str, ...]:
-        return tuple(entry.kind for entry in self.layers)
-
 
 def feature_csr(features) -> sp.csr_matrix:
     """Features as canonical float64 CSR with no stored zeros. A matrix
-    already in that form is returned itself; none is changed in place."""
-    if (
+    already in that form is returned itself; none is changed in place. A
+    non-finite value is a DataError naming its node and feature."""
+    if not (
         isinstance(features, sp.csr_matrix)
         and features.dtype == np.float64
         and features.has_canonical_format
         and features.data.all()
     ):
-        return features
-    if not sp.issparse(features) and np.ndim(features) != 2:
-        raise UsageError(f"features must be 2-D, got shape {np.shape(features)}")
-    features = sp.csr_matrix(features, dtype=np.float64, copy=True)
-    features.sum_duplicates()
-    features.eliminate_zeros()
+        if not sp.issparse(features) and np.ndim(features) != 2:
+            raise UsageError(f"features must be 2-D, got shape {np.shape(features)}")
+        features = sp.csr_matrix(features, dtype=np.float64, copy=True)
+        features.sum_duplicates()
+        features.eliminate_zeros()
+    bad = np.flatnonzero(~np.isfinite(features.data))
+    if bad.size:
+        node = np.searchsorted(features.indptr, bad[0], side="right") - 1
+        raise DataError(
+            f"node {node} feature {features.indices[bad[0]]} has non-finite value "
+            f"{features.data[bad[0]]}"
+        )
     return features
 
 
@@ -771,17 +744,19 @@ def init_params(net: CompiledNetwork, rng, dtype=np.float64) -> list[np.ndarray]
 def forward(net: CompiledNetwork, params, *, mode: str = "infer", rng=None):
     """Run the chain from the network's input. Returns (output, states):
     states is the list of entry caches in chain order, which backward takes,
-    or None in infer mode."""
+    or None in infer mode. The parameters must have the network's shapes, and
+    a train-mode pass of a network compiled with dropout needs its rng."""
     if net.x_bar is None:
         raise UsageError("network was compiled without features; it has no input to run")
     if mode not in ("train", "infer"):
         raise UsageError(f"forward mode must be 'train' or 'infer', got {mode!r}")
-    if len(params) != len(net.param_shapes):
-        raise UsageError(
-            f"expected {len(net.param_shapes)} parameter matrices, got {len(params)}"
-        )
-    h = net.x_bar
+    shapes = tuple(np.shape(p) for p in params)
+    if shapes != net.param_shapes:
+        raise UsageError(f"expected parameter shapes {net.param_shapes}, got {shapes}")
     training = mode == "train"
+    if training and net.dropout > 0.0 and rng is None:
+        raise UsageError("a train-mode forward with dropout needs an explicit rng stream")
+    h = net.x_bar
     caches: list = []
     for entry in net.layers:
         h, cache = entry.forward(h, params, rng, training)

@@ -138,7 +138,7 @@ class TrainHistory:
 def _restrict_to(net: CompiledNetwork, dataset, rows, dtype=np.float64):
     """restrict(net, rows, dtype) and the labels of the copy's output rows."""
     part = restrict(net, rows, dtype)
-    return part, np.asarray(dataset.labels)[np.unique(np.asarray(rows, dtype=np.int64))]
+    return part, dataset.labels[np.unique(np.asarray(rows, dtype=np.int64))]
 
 
 def _seeded_start(net: CompiledNetwork, config: TrainConfig):

@@ -34,6 +34,11 @@ def np_relu(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
+def entry_kinds(net) -> tuple[str, ...]:
+    """The kinds of a compiled network's chain entries, in chain order."""
+    return tuple(entry.kind for entry in net.layers)
+
+
 def with_input(net, features):
     """A network compiled without features, given them as its dense input
     unfolded: every smoothing stays in its chain. The reference for folded

@@ -17,7 +17,7 @@ import graphcompose as gc
 from graphcompose.lpnn import build_g_network
 from graphcompose.networks import PRESET_NAMES
 
-from .conftest import planted_dataset
+from .conftest import entry_kinds, planted_dataset
 from .test_training import stratified_split
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -87,7 +87,7 @@ def test_forward_spans_carry_the_train_and_infer_modes(tracing, caller):
                 features=dataset.features,
                 dropout=config.dropout,
             )
-            assert set(net.describe()) == set(tracing.ENTRY_KINDS)
+            assert set(entry_kinds(net)) == set(tracing.ENTRY_KINDS)
             gc.train(net, dataset, split, config)
         else:
             gc.train_lpnn(dataset, split, config, gc.LpnnWeights(1.0, 1.0, 1.0, 1.0, 1.0))

@@ -396,6 +396,9 @@ def run_args(command, env, extra=()):
 # A width, layer count or toy-graph size far past any array numpy can allocate.
 HUGE = 10**20
 
+# How a spec file's name is refused, up to the name itself.
+NAME_REFUSED = "spec.json: network spec 'name' must match [A-Za-z0-9][A-Za-z0-9._-]*, got"
+
 # Malformed invocations: each is refused with its documented exit code
 # (1 usage, 2 data, 3 numeric) and an "error: ..." line, never a traceback.
 MALFORMED = [
@@ -520,7 +523,19 @@ MALFORMED = [
      1, "spec.json: network spec stage 0 field 'hidden_dims' must be a list of integers, got 4"),
     ("spec-name-as-object",
      lambda env, tmp: quick_train_args(env, tmp, spec_file(tmp, name={})),
-     1, "spec.json: network spec 'name' must be a string, got {}"),
+     1, f"{NAME_REFUSED} {{}}"),
+    # A spec's name is part of its run directory's name. --out lies two levels
+    # below tmp, so a name that climbs out of it still writes where the
+    # no-result.json check looks.
+    ("spec-name-escaping-out",
+     lambda env, tmp: quick_train_args(env, tmp / "out/a", spec_file(tmp, name="../../../escape")),
+     1, f"{NAME_REFUSED} '../../../escape'"),
+    ("spec-name-empty",
+     lambda env, tmp: quick_train_args(env, tmp / "out/a", spec_file(tmp, name="")),
+     1, f"{NAME_REFUSED} ''"),
+    ("spec-name-with-slash",
+     lambda env, tmp: quick_train_args(env, tmp / "out/a", spec_file(tmp, name="a/b")),
+     1, f"{NAME_REFUSED} 'a/b'"),
     ("spec-unknown-field",
      lambda env, tmp: quick_train_args(env, tmp, spec_file(tmp, stages=[
          {"kind": "fp", "layer": 5}])),

@@ -19,7 +19,6 @@ from graphcompose.data import (
     load_dataset,
     load_split,
     load_standard_split,
-    row_unit_normalize,
     save_splits,
     split_to_text,
     train_size_targets,
@@ -28,6 +27,23 @@ from graphcompose.errors import DataError
 from graphcompose.graph import GraphTopology
 
 from .conftest import make_synthetic, planted_dataset, ring_topology, write_dataset_dir
+
+
+def unit_rows(x: np.ndarray) -> np.ndarray:
+    """Dense reference: each nonzero row divided by its Euclidean norm."""
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    return x / np.where(norms == 0.0, 1.0, norms)
+
+
+def features_dir(tmp_path, x: np.ndarray):
+    """A dataset directory whose features.txt holds the nonzero entries of x."""
+    n, m = x.shape
+    root = write_dataset_dir(tmp_path / "features", planted_dataset(n, 2, m, seed=29))
+    rows, cols = np.nonzero(x)
+    (root / "features.txt").write_text(
+        "".join(f"{r} {c} {float(x[r, c])!r}\n" for r, c in zip(rows, cols))
+    )
+    return root
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +69,27 @@ class TestDatasetValidation:
         with pytest.raises(DataError):
             Dataset("x", g, np.zeros((5, 2)), labels, 2)
 
+    @pytest.mark.parametrize(
+        "labels, dtype",
+        [(np.array([0.0, 1.5, 0.0, 1.0, 0.0]), "float64"),
+         ([0.0, 1.0, 0.0, 1.0, 0.0], "float64"),
+         (np.array([True, False, True, False, True]), "bool"),
+         (["0", "1", "0", "1", "0"], "<U1")],
+        ids=["float-array", "float-list", "bool", "text"],
+    )
+    def test_labels_must_be_integers(self, labels, dtype):
+        with pytest.raises(DataError, match=rf"labels must be integers, got dtype {dtype}$"):
+            Dataset("x", ring_topology(5, seed=0), np.zeros((5, 2)), labels, 2)
+
+    def test_labels_are_converted_once_to_int64(self):
+        g = ring_topology(5, seed=0)
+        for given in ([0, 1, 0, 1, 0], np.array([0, 1, 0, 1, 0], dtype=np.uint8)):
+            d = Dataset("x", g, np.zeros((5, 2)), given, 2)
+            assert d.labels.dtype == np.int64
+            np.testing.assert_array_equal(d.labels, [0, 1, 0, 1, 0])
+        labels = np.array([0, 1, 0, 1, 0], dtype=np.int64)
+        assert Dataset("x", g, np.zeros((5, 2)), labels, 2).labels is labels
+
     def test_properties(self):
         d = planted_dataset(30, 3, 4, seed=1)
         assert d.num_nodes == 30
@@ -74,7 +111,7 @@ class TestLoadDataset:
         assert loaded.features.has_canonical_format
         # The text format keeps 8 significant digits per value.
         np.testing.assert_allclose(
-            loaded.features.toarray(), row_unit_normalize(original.features.toarray()), atol=1e-6
+            loaded.features.toarray(), unit_rows(original.features.toarray()), atol=1e-6
         )
 
     def test_features_are_unit_rows(self, tmp_path):
@@ -270,14 +307,10 @@ class TestSparseFeatures:
         n, m = 10, 301
         x = np.where(rng.random((n, m)) < 0.3, rng.normal(size=(n, m)) * 1e3, 0.0)
         x[4] = 0.0  # an empty row stays empty
-        root = write_dataset_dir(tmp_path / "norms", planted_dataset(n, 2, m, seed=29))
-        rows, cols = np.nonzero(x)
-        (root / "features.txt").write_text(
-            "".join(f"{r} {c} {float(x[r, c])!r}\n" for r, c in zip(rows, cols))
-        )
+        root = features_dir(tmp_path, x)
         monkeypatch.setattr(data, "MAX_FEATURES", 3 * m)
         loaded = load_dataset(root).features
-        assert loaded.toarray().tobytes() == row_unit_normalize(x).tobytes()
+        assert loaded.toarray().tobytes() == unit_rows(x).tobytes()
         assert loaded.indptr[5] == loaded.indptr[4]
 
     def test_load_allocates_nothing_of_nodes_by_features(self, tmp_path):
@@ -328,21 +361,30 @@ class TestSparseFeatures:
 
 
 class TestRowUnitNormalize:
-    def test_nonzero_rows_get_unit_norm(self):
+    """load_dataset scales each nonzero feature row to Euclidean norm 1."""
+
+    def test_nonzero_rows_get_unit_norm(self, tmp_path):
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(9, 4))
-        out = row_unit_normalize(x)
-        np.testing.assert_allclose(np.linalg.norm(out, axis=1), np.ones(9), atol=1e-12)
+        x = rng.normal(size=(9, 4)) * np.logspace(-3, 3, 9)[:, None]
+        loaded = load_dataset(features_dir(tmp_path, x)).features
+        np.testing.assert_allclose(np.linalg.norm(loaded.toarray(), axis=1), 1.0, atol=1e-12)
 
-    def test_zero_rows_pass_through(self):
-        x = np.array([[3.0, 4.0], [0.0, 0.0]])
-        out = row_unit_normalize(x)
-        np.testing.assert_allclose(out, [[0.6, 0.8], [0.0, 0.0]], atol=1e-15)
+    def test_zero_rows_pass_through(self, tmp_path):
+        x = np.array([[3.0, 4.0], [0.0, 0.0], [0.0, -2.0]])
+        loaded = load_dataset(features_dir(tmp_path, x)).features
+        np.testing.assert_allclose(loaded.toarray(), [[0.6, 0.8], [0.0, 0.0], [0.0, -1.0]],
+                                   atol=1e-15)
+        assert loaded.indptr[2] == loaded.indptr[1]  # the zero row stores nothing
 
-    def test_input_unchanged(self):
-        x = np.array([[2.0, 0.0]])
-        row_unit_normalize(x)
-        np.testing.assert_array_equal(x, [[2.0, 0.0]])
+    def test_input_unchanged(self, tmp_path):
+        # The loader scales a copy: the parsed feature rows keep the file's values.
+        x = np.array([[2.0, 0.0], [0.0, 0.5]])
+        root = features_dir(tmp_path, x)
+        rows = data._feature_rows(root / "features.txt", 2, 2)
+        before = rows.copy()
+        scaled = data._unit_rows(rows, 2, 2)
+        assert rows.tobytes() == before.tobytes()
+        np.testing.assert_array_equal(scaled.toarray(), [[1.0, 0.0], [0.0, 1.0]])
 
 
 class TestTrainSizeTargets:

@@ -11,6 +11,9 @@ from graphcompose.networks import (
     NetworkSpec,
     Softmax,
     compile_network,
+    forward,
+    init_params,
+    preset,
     dropout_forward,
     dropout_vjp,
     linear_forward,
@@ -23,7 +26,12 @@ from graphcompose.networks import (
     spmm_transposed,
 )
 
+from graphcompose.training import TrainConfig
+
 from .conftest import dense, np_softmax, ring_topology
+
+# A six-node ring's operator, for networks built only to reach forward's checks.
+OP = build_operator(ring_topology(6), "symmetric")
 
 
 def finite_diff(fn, x, upstream, eps=1e-6):
@@ -114,19 +122,6 @@ class TestProducts:
         for _ in range(5):
             np.testing.assert_array_equal(spmm(s, x), first)
 
-    def test_shape_mismatch_raises(self):
-        s = sp.identity(3, format="csr")
-        with pytest.raises(UsageError):
-            spmm(s, np.zeros((4, 2)))
-        with pytest.raises(UsageError):
-            spmm_transposed(s, np.zeros((4, 2)))
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(UsageError):
-            spmm(sp.identity(3, format="csr"), np.zeros(3))
-        with pytest.raises(UsageError):
-            spmm_transposed(sp.identity(3, format="csr"), np.zeros(3))
-
 
 def test_dense_helper_roundtrip():
     rng = np.random.default_rng(6)
@@ -142,8 +137,16 @@ class TestLinear:
         np.testing.assert_array_equal(linear_forward(x, w), x @ w)
 
     def test_shape_mismatch(self):
-        with pytest.raises(UsageError):
-            linear_forward(np.zeros((2, 3)), np.zeros((4, 1)))
+        # linear_forward trusts the compiler; forward checks every weight's
+        # shape, including an output width the product alone would accept.
+        net = compile_network(preset("fp-mlp", hidden_dim=4), {"symmetric": OP}, 3, 2,
+                              features=np.ones((6, 3)))
+        good = init_params(net, np.random.default_rng(0))
+        expected = r"expected parameter shapes \(\(3, 4\), \(4, 2\)\), got"
+        for bad in ([np.zeros((4, 4)), good[1]], [good[0], np.zeros((4, 5))], good[:1]):
+            with pytest.raises(UsageError, match=expected):
+                forward(net, bad)
+        assert forward(net, [p.astype(np.float32) for p in good])[0].shape == (6, 2)
 
     def test_vjp_against_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -270,12 +273,25 @@ class TestDropout:
         assert same is x and none is None
 
     def test_requires_rng_in_training(self):
-        with pytest.raises(UsageError):
-            dropout_forward(np.ones((2, 2)), 0.5, None, training=True)
+        # dropout_forward trusts its caller; forward refuses the train-mode
+        # pass of a network compiled with dropout when it has no rng.
+        net = compile_network(preset("fp-mlp"), {"symmetric": OP}, 3, 2,
+                              features=np.ones((6, 3)), dropout=0.5)
+        params = init_params(net, np.random.default_rng(0))
+        with pytest.raises(UsageError, match="forward with dropout needs an explicit rng"):
+            forward(net, params, mode="train")
+        assert forward(net, params)[1] is None
+        no_dropout = compile_network(preset("fp-mlp"), {"symmetric": OP}, 3, 2,
+                                     features=np.ones((6, 3)))
+        assert len(forward(no_dropout, params, mode="train")[1]) == len(no_dropout.layers)
 
     def test_rejects_rate_one(self):
-        with pytest.raises(UsageError):
-            dropout_forward(np.ones((2, 2)), 1.0, np.random.default_rng(0), training=True)
+        # The rate is checked where it enters: the compiler and the run config.
+        for rate in (1.0, 1.5, -0.1):
+            with pytest.raises(UsageError, match=r"dropout must lie in \[0, 1\)"):
+                compile_network(preset("sgcn"), {"symmetric": OP}, 3, 2, dropout=rate)
+            with pytest.raises(UsageError, match=r"dropout must lie in \[0, 1\)"):
+                TrainConfig(dropout=rate)
 
     def test_vjp_reuses_mask(self):
         rng = np.random.default_rng(12)
@@ -284,7 +300,3 @@ class TestDropout:
         up = rng.normal(size=(6, 3))
         expected = up * mask / 0.7
         np.testing.assert_allclose(dropout_vjp(mask, 0.3, up), expected, atol=1e-14)
-
-    def test_vjp_identity_without_mask(self):
-        up = np.ones((2, 2))
-        np.testing.assert_array_equal(dropout_vjp(None, 0.5, up), up)

@@ -25,7 +25,14 @@ from graphcompose.networks import (
 from graphcompose.training import AdamState, TrainConfig, adam_step
 from graphcompose.evaluation import accuracy
 
-from .conftest import dense, planted_dataset, ring_topology, sparse_planted_dataset, with_input
+from .conftest import (
+    dense,
+    entry_kinds,
+    planted_dataset,
+    ring_topology,
+    sparse_planted_dataset,
+    with_input,
+)
 from .test_training import stratified_split
 
 W0 = LpnnWeights(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -156,12 +163,12 @@ class TestGNetwork:
     def test_shape(self):
         net = build_g_network(30, 4)
         assert net.param_shapes == ((30, 128), (128, 64), (64, 4))
-        assert net.describe() == ("linear", "relu", "linear", "relu", "linear", "softmax")
+        assert entry_kinds(net) == ("linear", "relu", "linear", "relu", "linear", "softmax")
         assert G_HIDDEN_DIMS == (128, 64)
 
     def test_dropout_variant(self):
         net = build_g_network(30, 4, dropout=0.5)
-        assert net.describe().count("dropout") == 3
+        assert entry_kinds(net).count("dropout") == 3
 
     def test_csr_input_matches_the_dense_features(self):
         dataset = sparse_planted_dataset(40, 3, 200, 0.01, seed=31)

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from graphcompose import networks
-from graphcompose.errors import UsageError
+from graphcompose.errors import DataError, UsageError
 from graphcompose.graph import GraphTopology, build_operator
 from graphcompose.networks import (
     Fp,
@@ -32,6 +32,7 @@ from graphcompose.training import gradient_check
 
 from .conftest import (
     dense,
+    entry_kinds,
     np_relu,
     np_softmax,
     planted_dataset,
@@ -182,25 +183,25 @@ class TestSpecSerialization:
 class TestCompile:
     def test_sgcn_folds_to_linear_softmax(self, ops, x14):
         net = compile_network(preset("sgcn"), ops, 5, 3, features=x14)
-        assert net.describe() == ("linear", "softmax")
-        unfolded = compile_network(preset("sgcn"), ops, 5, 3).describe()
+        assert entry_kinds(net) == ("linear", "softmax")
+        unfolded = entry_kinds(compile_network(preset("sgcn"), ops, 5, 3))
         assert unfolded == ("smooth", "smooth", "linear", "softmax")
         s = dense(ops["symmetric"].matrix)
         np.testing.assert_allclose(net.x_bar, s @ (s @ x14), atol=1e-12)
 
     def test_gcn_chain_without_features(self, ops):
         net = compile_network(preset("gcn"), ops, 5, 3)
-        assert net.describe() == ("smooth", "linear", "relu", "smooth", "linear", "softmax")
+        assert entry_kinds(net) == ("smooth", "linear", "relu", "smooth", "linear", "softmax")
         assert net.param_shapes == ((5, 16), (16, 3))
 
     def test_gcn_folds_only_leading_smoothing(self, ops, x14):
         net = compile_network(preset("gcn"), ops, 5, 3, features=x14)
-        assert net.describe() == ("linear", "relu", "smooth", "linear", "softmax")
-        assert compile_network(preset("gcn"), ops, 5, 3).describe()[:2] == ("smooth", "linear")
+        assert entry_kinds(net) == ("linear", "relu", "smooth", "linear", "softmax")
+        assert entry_kinds(compile_network(preset("gcn"), ops, 5, 3))[:2] == ("smooth", "linear")
 
     def test_dropout_precedes_every_linear(self, ops):
         net = compile_network(preset("mlp-lp", lp_layers=2), ops, 5, 3, dropout=0.5)
-        assert net.describe() == (
+        assert entry_kinds(net) == (
             "dropout",
             "linear",
             "relu",
@@ -213,7 +214,7 @@ class TestCompile:
 
     def test_zero_dropout_inserts_nothing(self, ops):
         net = compile_network(preset("mlp-lp"), ops, 5, 3, dropout=0.0)
-        assert "dropout" not in net.describe()
+        assert "dropout" not in entry_kinds(net)
 
     def test_lp_requires_row_operator(self, ops):
         spec = NetworkSpec(
@@ -227,7 +228,7 @@ class TestCompile:
         ops = {"general": build_operator(g, "general", alpha=0.5, beta=0.5)}
         spec = NetworkSpec("general-lp", (LinearClassifier(), Softmax(), Lp(1, operator="general")))
         net = compile_network(spec, ops, 5, 3)
-        assert net.describe()[-1] == "lp"
+        assert entry_kinds(net)[-1] == "lp"
 
     def test_missing_operator_name(self, ops):
         spec = NetworkSpec("missing", (Fp(1, "colwise"), LinearClassifier(), Softmax()))
@@ -250,6 +251,16 @@ class TestCompile:
     def test_one_dimensional_features_refused(self, ops):
         with pytest.raises(UsageError, match=r"features must be 2-D, got shape \(14,\)"):
             compile_network(preset("sgcn"), ops, 5, 3, features=np.zeros(14))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("form", ["dense", "csr"])
+    def test_non_finite_features_refused(self, ops, x14, value, form):
+        # A canonical float64 CSR matrix skips conversion, not the check.
+        x = x14.copy()
+        x[3, 1] = value
+        features = sp.csr_matrix(x) if form == "csr" else x
+        with pytest.raises(DataError, match=rf"node 3 feature 1 has non-finite value {value}$"):
+            compile_network(preset("sgcn"), ops, 5, 3, features=features)
 
     def test_csr_features_converted_without_change(self, ops, x14):
         # Stored zeros, unsorted indices and float32 values: copied to
@@ -589,7 +600,7 @@ class TestBackwardStopsAtFirstLinear:
         net = compile_network(preset(name), ops, 5, 3, features=x14, dropout=0.5)
         params = init_params(net, np.random.default_rng(38))
         _, states = forward(net, params, mode="train", rng=np.random.default_rng(39))
-        kinds = net.describe()
+        kinds = entry_kinds(net)
         assert kinds[:2] == ("dropout", "linear")
         first_mask = states[0]
         masks = []

@@ -248,21 +248,18 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_raises(self, small_dataset):
-        # A Dataset refuses non-finite features, so the network gets them as
-        # its input directly.
-        bad = np.where(
-            np.arange(small_dataset.num_features) == 0,
-            np.inf,
-            small_dataset.features.toarray(),
-        )
+        # Features and the network refuse non-finite values, but finite
+        # features past float32's range overflow once a float32 run casts them.
+        huge = small_dataset.features * 1e300
         ops = build_ops(small_dataset)
         split = stratified_split(small_dataset)
         net = compile_network(
             preset("sgcn"), ops, small_dataset.num_features, small_dataset.num_classes,
-            features=bad,
+            features=huge,
         )
-        with pytest.raises(NumericError):
-            train(net, small_dataset, split, TrainConfig(dropout=0.0, max_epochs=3, patience=3))
+        config = TrainConfig(dropout=0.0, max_epochs=3, patience=3, precision="float32")
+        with pytest.raises(NumericError, match="non-finite training loss at epoch 1"):
+            train(net, small_dataset, split, config)
 
     def test_dropout_must_match_compiled_rate(self, setup):
         dataset, split, net = setup

@@ -4,8 +4,10 @@ tests/trajectories.json.
 
 A change to any seeded draw, reduction order or output format shows up here
 as the runs whose artifacts changed. The digests hold for one environment
-(numpy, scipy, BLAS, machine, and numpy's runtime SIMD set); under another the
-test skips and names both. After an intended change, re-pin with
+(numpy, scipy, BLAS build, machine, and the OpenBLAS core the BLAS selected at
+run time); under another the test skips and names both. numpy's own SIMD
+dispatch is left out: the digests were checked to hold with its AVX-512
+paths disabled. After an intended change, re-pin with
 
     python3 -m pytest tests/test_trajectories.py --rewrite-trajectories
 
@@ -15,6 +17,7 @@ and list the changed runs, and why they changed, in CHANGES.md.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -42,6 +45,19 @@ SPARSE = ["--nodes", "1600", "--classes", "3", "--features", "300", "--density",
 EPOCHS = ["--epochs", "12", "--patience", "12"]
 
 
+def blas_core() -> str:
+    """The CPU core OpenBLAS picked its kernels for (it follows
+    OPENBLAS_CORETYPE), read from the library numpy bundles; "?" when none
+    of its libraries reports one."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return "?"
+
+
 def environment() -> dict:
     try:
         config = np.show_config(mode="dicts")
@@ -52,8 +68,8 @@ def environment() -> dict:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+        "blas_core": blas_core(),
         "machine": platform.machine(),
-        "simd": sorted(config.get("SIMD Extensions", {}).get("found", [])),
     }
 
 
