@@ -1,11 +1,13 @@
 """Graph topology and normalized propagation operators.
 
-Every operator comes from one formula: a self/neighbor mix A~ = a*I + b*A of
-the undirected adjacency, normalized by its row-sum degrees as
-D^-alpha A~ D^-beta. The default mix (1, 1) is the self-loop augmented
-adjacency. Named kinds fix the exponents: symmetric (1/2, 1/2) for feature
-smoothing, and row (1, 0), which is row-stochastic and therefore safe to
-apply to probability rows; general takes them from the caller.
+build_operator is the one function from a GraphTopology to a
+PropagationOperator. It mixes the undirected adjacency's self and neighbor
+weights, A~ = a*I + b*A, and normalizes the mix by its row-sum degrees as
+D^-alpha A~ D^-beta, in one pass. The default mix (1, 1) is the self-loop
+augmented adjacency. Named kinds fix the exponents: symmetric (1/2, 1/2) for
+feature smoothing, and row (1, 0), which is row-stochastic and therefore safe
+to apply to probability rows; general takes them from the caller, and (0, 0)
+gives the mix itself.
 """
 
 from __future__ import annotations
@@ -17,13 +19,7 @@ import scipy.sparse as sp
 
 from .errors import DataError, UsageError
 
-__all__ = [
-    "GraphTopology",
-    "PropagationOperator",
-    "mix_self_neighbor",
-    "normalize",
-    "build_operator",
-]
+__all__ = ["GraphTopology", "PropagationOperator", "build_operator"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,17 +66,12 @@ class GraphTopology:
 
 @dataclass(frozen=True, eq=False)
 class PropagationOperator:
-    """A normalized square operator held as canonical scipy CSR, and the
-    normalization that produced it: "symmetric", "row", or "general"."""
+    """A normalized square operator held as canonical float64 scipy CSR, and
+    the normalization that produced it: "symmetric", "row", or "general".
+    build_operator is the only function that makes one."""
 
     matrix: sp.csr_matrix
     kind: str
-
-    def __post_init__(self) -> None:
-        if self.matrix.shape[0] != self.matrix.shape[1]:
-            raise DataError(f"propagation operator must be square, got {self.matrix.shape}")
-        if self.kind not in ("symmetric", "row", "general"):
-            raise UsageError(f"unknown normalization kind {self.kind!r}")
 
     @property
     def num_nodes(self) -> int:
@@ -91,38 +82,20 @@ class PropagationOperator:
 _EXPONENTS = {"symmetric": (0.5, 0.5), "row": (1.0, 0.0)}
 
 
-def mix_self_neighbor(g: GraphTopology, alpha: float, beta: float) -> sp.csr_matrix:
-    """alpha*I + beta*A. Entries with a zero coefficient are not stored, so a
-    zero alpha plus an isolated node yields an empty row that the normalization
-    step rejects by name."""
-    if not (0.0 <= alpha <= 1.0) or not (0.0 <= beta <= 1.0):
-        raise UsageError(f"mix coefficients must lie in [0, 1], got ({alpha}, {beta})")
-    n = g.num_nodes
-    u, v = g.edges.T
-    diag = np.arange(n, dtype=np.int64)
-    vals = np.concatenate([np.full(2 * u.shape[0], beta), np.full(n, alpha)])
-    rows, cols = np.concatenate([u, v, diag]), np.concatenate([v, u, diag])
-    m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=np.float64).tocsr()
-    m.eliminate_zeros()
-    return m
-
-
-def normalize(
-    a_tilde, kind: str, alpha: float | None = None, beta: float | None = None
+def build_operator(
+    g: GraphTopology,
+    kind: str = "symmetric",
+    *,
+    mix: tuple[float, float] | None = None,
+    alpha: float | None = None,
+    beta: float | None = None,
 ) -> PropagationOperator:
-    """Normalize a nonnegative square scipy sparse matrix by its row-sum
-    degrees; the operator keeps the input's pattern in canonical CSR form.
-
-    symmetric: D^-1/2 A D^-1/2 (input must be symmetric);
-    row: D^-1 A, every row sums to 1;
-    general: D^-alpha A D^-beta, with (0, 0) returning the input unchanged.
-    """
-    a = sp.csr_matrix(a_tilde, dtype=np.float64, copy=True)
-    a.sum_duplicates()
-    if a.shape[0] != a.shape[1]:
-        raise DataError(f"normalization needs a square matrix, got {a.shape}")
-    if np.any(a.data < 0):
-        raise DataError("normalization needs a nonnegative matrix")
+    """The operator of the mix (a, b) under the kind's exponents, as canonical
+    CSR. Entries with a zero coefficient are not stored, so a zero self weight
+    plus an isolated node leaves an empty row, refused by the node's id."""
+    a, b = mix or (1.0, 1.0)
+    if not (0.0 <= a <= 1.0) or not (0.0 <= b <= 1.0):
+        raise UsageError(f"mix coefficients must lie in [0, 1], got ({a}, {b})")
     if kind == "general":
         if alpha is None or beta is None:
             raise UsageError("general normalization requires alpha and beta exponents")
@@ -135,33 +108,24 @@ def normalize(
     else:
         raise UsageError(f"unknown normalization kind {kind!r}")
 
-    degrees = np.asarray(a.sum(axis=1)).ravel()
+    n = g.num_nodes
+    u, v = g.edges.T
+    diag = np.arange(n, dtype=np.int64)
+    vals = np.concatenate([np.full(2 * u.shape[0], b), np.full(n, a)])
+    rows, cols = np.concatenate([u, v, diag]), np.concatenate([v, u, diag])
+    m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n), dtype=np.float64).tocsr()
+    del vals, rows, cols  # freed before the normalization allocates its arrays
+    m.eliminate_zeros()
+
+    degrees = np.asarray(m.sum(axis=1)).ravel()
     zero_rows = np.flatnonzero(degrees == 0.0)
     if zero_rows.size:
         raise DataError(
             f"cannot normalize: node {int(zero_rows[0])} has an all-zero row "
             "(isolated node with no self weight)"
         )
-    if kind == "symmetric":
-        asym = abs(a - a.T)
-        if asym.nnz and asym.max() > 1e-12:
-            raise DataError("symmetric normalization needs a symmetric matrix")
-
     left = degrees ** -float(alpha)
     right = degrees ** -float(beta)
-    row_of = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-    a.data = a.data * left[row_of] * right[a.indices]
-    return PropagationOperator(matrix=a, kind=kind)
-
-
-def build_operator(
-    g: GraphTopology,
-    kind: str = "symmetric",
-    *,
-    mix: tuple[float, float] | None = None,
-    alpha: float | None = None,
-    beta: float | None = None,
-) -> PropagationOperator:
-    """Mix the topology's self and neighbor weights (default (1, 1), the
-    self-loop augmented adjacency) and normalize the result."""
-    return normalize(mix_self_neighbor(g, *(mix or (1.0, 1.0))), kind, alpha, beta)
+    row_of = np.repeat(diag, np.diff(m.indptr))
+    m.data = m.data * left[row_of] * right[m.indices]
+    return PropagationOperator(matrix=m, kind=kind)

@@ -71,18 +71,13 @@ def lpnn_loss(f, g_out, op: PropagationOperator, labels, labeled_set, weights: L
     """Evaluate the joint loss and its analytic gradients.
 
     Returns (loss, d_f, d_g_out) where d_g_out is the gradient with respect to
-    g's softmax output (the caller chains it through g's layers).
+    g's softmax output (the caller chains it through g's layers). Trusts its
+    caller, as train_lpnn builds them once: f and g_out are float64 (n, m)
+    arrays, labels and labeled_set int64 arrays, and op is symmetric.
     """
-    if op.kind != "symmetric":
-        raise UsageError(f"lpnn smoothness term expects a symmetric operator, got {op.kind!r}")
-    f = np.asarray(f, dtype=np.float64)
-    g_out = np.asarray(g_out, dtype=np.float64)
-    labels = np.asarray(labels)
     n, m = f.shape
-    if g_out.shape != (n, m):
-        raise UsageError(f"f shape {f.shape} and g output shape {g_out.shape} disagree")
     labeled = np.zeros(n, dtype=bool)
-    labeled[np.asarray(labeled_set, dtype=np.int64)] = True
+    labeled[labeled_set] = True
     unlabeled = ~labeled
 
     d_f = np.zeros_like(f)

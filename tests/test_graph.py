@@ -3,12 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from graphcompose.errors import DataError, UsageError
-from graphcompose.graph import (
-    GraphTopology,
-    build_operator,
-    mix_self_neighbor,
-    normalize,
-)
+from graphcompose.graph import GraphTopology, build_operator
 
 from .conftest import dense, ring_topology
 
@@ -48,6 +43,11 @@ def reference_operator(topology, kind, alpha=None, beta=None, mix=None):
     if kind == "row":
         return m / deg[:, None]
     return (deg ** -float(alpha))[:, None] * m * (deg ** -float(beta))[None, :]
+
+
+def unnormalized(g, a, b):
+    """The mix a*I + b*A itself: the general kind at exponents (0, 0)."""
+    return build_operator(g, "general", mix=(a, b), alpha=0.0, beta=0.0).matrix
 
 
 class TestGraphTopology:
@@ -157,13 +157,20 @@ class TestAugment:
                 [0.0, 1.0, 1.0],
             ]
         )
-        m = mix_self_neighbor(path3, 1.0, 1.0)
-        np.testing.assert_array_equal(dense(m), expected)
-        assert m.dtype == np.float64 and m.has_canonical_format
+        np.testing.assert_array_equal(dense(unnormalized(path3, 1.0, 1.0)), expected)
+        for kind, alpha, beta in [
+            ("symmetric", None, None),
+            ("row", None, None),
+            ("general", 0.0, 0.0),
+            ("general", 0.3, 0.7),
+        ]:
+            m = build_operator(path3, kind, alpha=alpha, beta=beta).matrix
+            assert isinstance(m, sp.csr_matrix)
+            assert m.dtype == np.float64 and m.has_canonical_format
 
     def test_edgeless_graph_is_identity(self):
         g = GraphTopology(4, ())
-        np.testing.assert_array_equal(dense(mix_self_neighbor(g, 1.0, 1.0)), np.eye(4))
+        np.testing.assert_array_equal(dense(unnormalized(g, 1.0, 1.0)), np.eye(4))
 
 
 class TestMixSelfNeighbor:
@@ -176,24 +183,28 @@ class TestMixSelfNeighbor:
                 np.testing.assert_array_equal(getattr(default, field), getattr(unit, field))
 
     def test_weights_scale_parts(self, path3):
-        m = dense(mix_self_neighbor(path3, 0.25, 0.75))
-        a = dense(mix_self_neighbor(path3, 1.0, 1.0)) - np.eye(3)
+        m = dense(unnormalized(path3, 0.25, 0.75))
+        a = dense(unnormalized(path3, 1.0, 1.0)) - np.eye(3)
         np.testing.assert_allclose(m, 0.25 * np.eye(3) + 0.75 * a, atol=1e-15)
 
     def test_zero_neighbor_weight_drops_edges(self, path3):
-        m = mix_self_neighbor(path3, 1.0, 0.0)
+        m = unnormalized(path3, 1.0, 0.0)
         np.testing.assert_array_equal(dense(m), np.eye(3))
         assert m.nnz == 3
 
     def test_zero_self_weight_keeps_only_edges(self, path3):
-        m = dense(mix_self_neighbor(path3, 0.0, 1.0))
-        np.testing.assert_array_equal(np.diag(m), np.zeros(3))
+        m = unnormalized(path3, 0.0, 1.0)
+        np.testing.assert_array_equal(np.diag(dense(m)), np.zeros(3))
+        assert m.nnz == 4
 
     def test_rejects_out_of_range_weights(self, path3):
-        with pytest.raises(UsageError):
-            mix_self_neighbor(path3, -0.1, 0.5)
-        with pytest.raises(UsageError):
-            mix_self_neighbor(path3, 0.5, 1.5)
+        with pytest.raises(UsageError, match=r"mix coefficients must lie in \[0, 1\]"):
+            build_operator(path3, "row", mix=(-0.1, 0.5))
+        with pytest.raises(UsageError, match=r"mix coefficients must lie in \[0, 1\]"):
+            build_operator(path3, "general", mix=(0.5, 1.5), alpha=0.0, beta=0.0)
+        # The mix is checked before the kind and its exponents.
+        with pytest.raises(UsageError, match="mix coefficients"):
+            build_operator(path3, "colwise", mix=(2.0, 1.0))
 
 
 class TestNormalize:
@@ -237,7 +248,8 @@ class TestNormalize:
 
     def test_general_zero_zero_is_unnormalized(self, path3):
         gen = build_operator(path3, "general", alpha=0.0, beta=0.0)
-        np.testing.assert_array_equal(dense(gen.matrix), dense(mix_self_neighbor(path3, 1.0, 1.0)))
+        ref = reference_operator(path3, "general", 0.0, 0.0)
+        np.testing.assert_array_equal(dense(gen.matrix), ref)
 
     def test_general_requires_exponents(self, path3):
         with pytest.raises(UsageError):
@@ -263,30 +275,6 @@ class TestNormalize:
         g = GraphTopology(3, [(0, 1)])
         with pytest.raises(DataError, match="node 2"):
             build_operator(g, "row", mix=(0.0, 1.0))
-
-    def test_symmetric_requires_symmetric_input(self):
-        m = sp.csr_matrix(np.array([[1.0, 2.0], [0.5, 1.0]]))
-        with pytest.raises(DataError):
-            normalize(m, "symmetric")
-
-    def test_rejects_negative_entries(self):
-        m = sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        with pytest.raises(DataError):
-            normalize(m, "row")
-
-    def test_accepts_any_scipy_sparse_input(self, path3):
-        a = mix_self_neighbor(path3, 1.0, 1.0)
-        before = a.data.copy()
-        # Every entry split in two halves, in reverse order: duplicate and
-        # unsorted coordinates in COO form.
-        coo = a.tocoo()
-        rows = np.concatenate([coo.row, coo.row])[::-1]
-        cols = np.concatenate([coo.col, coo.col])[::-1]
-        vals = np.concatenate([coo.data, coo.data])[::-1] / 2
-        op = normalize(sp.coo_matrix((vals, (rows, cols)), shape=a.shape), "symmetric")
-        assert isinstance(op.matrix, sp.csr_matrix) and op.matrix.has_canonical_format
-        np.testing.assert_allclose(dense(op.matrix), PATH3_SYMMETRIC, atol=1e-15)
-        np.testing.assert_array_equal(a.data, before)
 
     def test_mix_recorded_on_operator(self, path3):
         op = build_operator(path3, "row", mix=(0.4, 0.6))
