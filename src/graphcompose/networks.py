@@ -60,6 +60,9 @@ __all__ = [
 # Dropout on the stored entries plus the first linear's forward, weight vjp and
 # inference forward measured faster sparse than dense up to about 40% density
 # on 2708x1433 and 19717x500 inputs (2 cores; CHANGES.md has the numbers).
+# That was measured while dropout still stored its dropped entries as zeros.
+# It is not re-tuned for survivors-only dropout: moving it flips inputs
+# between the two paths, which changes their seeded masks.
 SPARSE_INPUT_DENSITY = 0.4
 
 # The hidden width of a preset, an Mlp and a GcnBlock unless one is given.
@@ -353,9 +356,10 @@ def spec_from_dict(doc: dict) -> NetworkSpec:
 # product (vjp). Smoothing is spmm, with spmm_transposed as its vjp. The
 # softmax vjp applies the full Jacobian rather than assuming a fused
 # cross-entropy, because lp smoothings may follow the softmax. Dropout and the
-# linear map also take a sparse folded input (see _fold); dropout then masks
-# only the stored entries. Canonical scipy CSR's sequential kernels make every
-# product bitwise deterministic. Nothing here checks its operands:
+# linear map also take a sparse folded input (see _fold); dropout then draws
+# over the stored entries and keeps only the survivors, so the first linear's
+# products skip the dropped ones. Canonical scipy CSR's sequential kernels make
+# every product bitwise deterministic. Nothing here checks its operands:
 # compile_network fixes every shape and rate; forward checks what callers pass.
 
 
@@ -406,16 +410,23 @@ def dropout_forward(x, rate: float, rng, training: bool) -> tuple[np.ndarray, np
     """Inverted dropout: survivors are scaled by 1/(1-rate) so inference needs
     no rescaling. Inference mode and rate 0 return x and no mask, drawing nothing.
 
-    A CSR input draws one uniform per stored entry and returns a CSR output
-    with the same pattern (dropped entries stored as zeros); its mask covers
-    the stored entries only.
+    A canonical CSR input draws one uniform per stored entry (the mask covers
+    the stored entries only) and returns canonical CSR holding only the
+    survivors. For finite parameters a product with it is bitwise the product
+    with the dropped entries stored as zeros: scipy's CSR and CSC kernels
+    build each output element from +0.0 in stored order, a dropped term is
+    +-0.0, and under round-to-nearest such a running sum is never -0.0, so
+    adding +-0.0 leaves it unchanged.
     """
     if not training or rate == 0.0:
         return x, None
     if sp.issparse(x):
         mask = rng.random(x.nnz) >= rate
-        values = x.data * mask / (1.0 - rate)
-        return sp.csr_matrix((values, x.indices, x.indptr), shape=x.shape), mask
+        # take() on survivor positions: boolean indexing is several times slower.
+        kept = np.flatnonzero(mask)
+        values = x.data.take(kept) / (1.0 - rate)
+        indptr = np.searchsorted(kept, x.indptr)
+        return sp.csr_matrix((values, x.indices.take(kept), indptr), shape=x.shape), mask
     mask = rng.random(x.shape) >= rate
     return x * mask / (1.0 - rate), mask
 

@@ -260,14 +260,15 @@ class TestDropout:
         x = sp.random(60, 40, density=0.1, format="csr", random_state=4) + 0.5 * sp.eye(60, 40)
         x = sp.csr_matrix(x)
         out, mask = dropout_forward(x, 0.4, np.random.default_rng(14), training=True)
-        assert sp.issparse(out) and mask.shape == (x.nnz,)
-        np.testing.assert_array_equal(out.indptr, x.indptr)
-        np.testing.assert_array_equal(out.indices, x.indices)
-        dense_x, dense_out = x.toarray(), out.toarray()
-        np.testing.assert_array_equal(dense_out[dense_x == 0.0], 0.0)
-        np.testing.assert_allclose(out.data[mask], x.data[mask] / 0.6, rtol=1e-15)
-        np.testing.assert_array_equal(out.data[~mask], 0.0)
+        assert sp.issparse(out) and out.format == "csr" and mask.shape == (x.nnz,)
+        # Only the survivors are stored, in canonical order.
+        assert out.nnz == mask.sum() and out.has_canonical_format
         assert 0 < mask.sum() < x.nnz
+        kept = np.zeros(x.shape, dtype=bool)
+        kept[np.repeat(np.arange(60), np.diff(x.indptr))[mask], x.indices[mask]] = True
+        dense_x, dense_out = x.toarray(), out.toarray()
+        np.testing.assert_array_equal(dense_out[kept], dense_x[kept] / (1.0 - 0.4))
+        np.testing.assert_array_equal(dense_out[~kept], 0.0)
         # Inference passes the CSR input through untouched.
         same, none = dropout_forward(x, 0.4, None, training=False)
         assert same is x and none is None

@@ -554,8 +554,51 @@ class TestSparseInput:
         _, states = forward(net, params, mode="train", rng=np.random.default_rng(34))
         assert net.layers[0].kind == "dropout"
         assert states[0].shape == (net.x_bar.nnz,)
+        # The first linear caches, and so multiplies by, the survivors only.
+        assert states[1][0].nnz == states[0].sum() < net.x_bar.nnz
         grads = backward(net, states, np.ones((net.x_bar.shape[0], net.param_shapes[-1][1])))
         assert [g.shape for g in grads] == list(net.param_shapes)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("rate", [0.3, 0.5, 0.857, 0.999])
+    def test_first_linear_is_bitwise_the_stored_zeros_product(self, sparse_case, rate, dtype):
+        net = compile_sparse(sparse_case, "gcn", dropout=rate)
+        net = restrict(net, np.arange(net.x_bar.shape[0]), dtype=dtype)
+        x = net.x_bar.copy()
+        x.data[::2] *= -1.0
+        params = init_params(net, np.random.default_rng(40), dtype=dtype)
+        params[0][::3] = 0.0  # products of negative entries with +0.0 give -0.0
+        width = net.param_shapes[0][1]
+        upstream = np.random.default_rng(41).normal(size=(x.shape[0], width)).astype(dtype)
+        upstream[::5] = 0.0
+        dropout, linear = net.layers[:2]
+        out, mask = dropout.forward(x, params, np.random.default_rng(42), True)
+        z, cache = linear.forward(out, params, None, True)
+        grads = [None] * len(params)
+        linear.vjp(cache, upstream, grads)
+        stored_zeros = sp.csr_matrix((x.data * mask / (1 - rate), x.indices, x.indptr), shape=x.shape)
+        ref_z = networks.linear_forward(stored_zeros, params[0])
+        _, ref_grad = linear_vjp(stored_zeros, params[0], upstream, False)
+        assert out.nnz == mask.sum() and z.dtype == ref_z.dtype == dtype
+        assert z.tobytes() == ref_z.tobytes()
+        assert grads[0].dtype == ref_grad.dtype and grads[0].tobytes() == ref_grad.tobytes()
+        if rate == 0.999:  # whole rows drop
+            assert np.diff(out.indptr).min() == 0 < np.diff(x.indptr).min()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_a_draw_that_drops_every_entry(self, dtype):
+        x = sp.csr_matrix(np.array([[0.0, -1.5, 0.0], [2.0, 0.0, -0.25]], dtype=dtype))
+        w = np.array([[0.5, -1.0], [0.0, 2.0], [-3.0, 0.0]], dtype=dtype)
+        upstream = np.array([[1.0, 0.0], [-2.0, 0.5]], dtype=dtype)
+        out, mask = networks.dropout_forward(x, 0.999, np.random.default_rng(43), True)
+        assert not mask.any() and out.nnz == 0
+        stored_zeros = sp.csr_matrix((x.data * mask / (1 - 0.999), x.indices, x.indptr), shape=x.shape)
+        for got, ref in [
+            (networks.linear_forward(out, w), networks.linear_forward(stored_zeros, w)),
+            (linear_vjp(out, w, upstream, False)[1], linear_vjp(stored_zeros, w, upstream, False)[1]),
+        ]:
+            assert got.dtype == ref.dtype == dtype and got.tobytes() == ref.tobytes()
+            assert not np.signbit(got).any()
 
     def test_with_dtype_float32_keeps_csr(self, sparse_case):
         net = compile_sparse(sparse_case, "gcn")
