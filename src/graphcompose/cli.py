@@ -15,8 +15,10 @@ import json
 import sys
 import threading
 from collections import defaultdict
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -189,61 +191,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# Method types. A method is a composed network or the joint label-field
-# baseline; both offer the same interface:
-#   bind(topology, args)  checks the propagation/precision flags and returns
-#                         the method ready to train;
-#   shape_config(args)    the settings the shape and operator flags fix, as
-#                         a run records them;
-#   fit(dataset, split, config, cfg)
-#                         trains once, reading the hidden width or the loss
-#                         weights from cfg (a sampled sweep config, or the
-#                         flags), and returns (test, history). test() gives
-#                         the named test accuracies, the method's own first.
-
-
 @dataclass(frozen=True)
 class _Composed:
+    """A composed network: spec_for(hidden_dim=) gives its spec, shape the
+    shape and operator flags as a run records them, and operators the set
+    it compiles against (None until a topology is given)."""
+
     label: str
-    file_spec: NetworkSpec | None = None
-    preset_name: str | None = None
-    depth: int | None = None
-    lp_layers: int | None = None
-    hidden: int | None = None
-    operators: dict | None = None
+    spec_for: Callable[..., NetworkSpec]
+    hidden: int | None
+    samples_hidden: bool
+    shape: dict
+    operators: dict | None
 
     samples_loss_weights = False
 
-    @property
-    def samples_hidden(self) -> bool:
-        return self.preset_name is not None and bool(self.spec_for().hidden_dims)
-
-    def spec_for(self, hidden_dim: int | None = None) -> NetworkSpec:
-        if self.file_spec is not None:
-            return self.file_spec
-        return preset(
-            self.preset_name,
-            hidden_dim=self.hidden if hidden_dim is None else hidden_dim,
-            depth=self.depth,
-            lp_layers=self.lp_layers,
-        )
-
-    def bind(self, topology: GraphTopology, args) -> "_Composed":
-        return replace(self, operators=_operator_set(topology, args.operator, args.alpha, args.beta))
-
-    def shape_config(self, args) -> dict:
-        cfg = {"operator": args.operator}
-        if self.depth is not None:
-            cfg["depth"] = self.depth
-        if self.lp_layers is not None:
-            cfg["lp_layers"] = self.lp_layers
-        if args.alpha is not None:
-            cfg["alpha"], cfg["beta"] = args.alpha, args.beta
-        return cfg
-
     def compile(self, dataset: Dataset, dropout: float, hidden_dim: int | None = None):
         return compile_network(
-            self.spec_for(hidden_dim),
+            self.spec_for(hidden_dim=self.hidden if hidden_dim is None else hidden_dim),
             self.operators,
             dataset.num_features,
             dataset.num_classes,
@@ -252,6 +217,9 @@ class _Composed:
         )
 
     def fit(self, dataset: Dataset, split, config: TrainConfig, cfg: dict):
+        """Train once, reading the hidden width from cfg (a sampled sweep
+        config, or the flags); return (test, history), where test() gives
+        the named test accuracies, the method's own first."""
         net = self.compile(dataset, config.dropout, cfg.get("hidden_dim"))
         params, history = train(net, dataset, split, config)
 
@@ -263,20 +231,12 @@ class _Composed:
 
 
 class _Lpnn:
+    """The joint label-field baseline; fit reads the loss weights from cfg."""
+
     label = "lpnn"
     samples_hidden = False
     samples_loss_weights = True
-
-    def bind(self, topology: GraphTopology, args) -> "_Lpnn":
-        if args.operator != "symmetric" or args.alpha is not None or args.beta is not None:
-            raise UsageError(
-                "method 'lpnn' builds its own symmetric operator; "
-                "--operator/--alpha/--beta do not apply"
-            )
-        return self
-
-    def shape_config(self, args) -> dict:
-        return {}
+    shape: dict = {}
 
     def fit(self, dataset: Dataset, split, config: TrainConfig, cfg: dict):
         weights = LpnnWeights(*(cfg[key] for key in _LOSS_WEIGHT_KEYS))
@@ -292,7 +252,14 @@ class _Lpnn:
         return test, history
 
 
-def _resolve_method(args):
+def _resolve_method(args, topology: GraphTopology | None = None, refusal: str | None = None):
+    """The method --method names, checked against the shape flags: the only
+    reader of --method/--l/--ll/--hidden/--operator/--alpha/--beta.
+
+    Given the dataset's topology it also checks the operator flags and builds
+    the operator set. A command that handles only composed networks passes
+    the usage error that refuses 'lpnn' as refusal.
+    """
     name = args.method
     shape_flags = [
         flag
@@ -302,44 +269,51 @@ def _resolve_method(args):
     if name == "lpnn":
         if shape_flags:
             raise UsageError(f"{', '.join(shape_flags)} do not apply to method 'lpnn'")
+        if refusal is not None:
+            raise UsageError(refusal)
+        if topology is not None and (
+            args.operator != "symmetric" or args.alpha is not None or args.beta is not None
+        ):
+            raise UsageError(
+                "method 'lpnn' builds its own symmetric operator; "
+                "--operator/--alpha/--beta do not apply"
+            )
         return _Lpnn()
+    path = Path(name)
     if name in PRESET_NAMES:
         if args.ll is not None and not any(
             isinstance(stage, Lp) for stage in preset(name, lp_layers=1).stages
         ):
             raise UsageError(f"--ll does not apply to preset {name!r}: it has no label propagation")
-        return _Composed(
-            label=name,
-            preset_name=name,
-            depth=args.l,
-            lp_layers=args.ll,
-            hidden=DEFAULT_HIDDEN_DIM if args.hidden is None else args.hidden,
-        )
-    path = Path(name)
-    if path.is_file():
+        label = name
+        hidden = DEFAULT_HIDDEN_DIM if args.hidden is None else args.hidden
+        spec_for = partial(preset, name, depth=args.l, lp_layers=args.ll)
+        samples_hidden = bool(spec_for(hidden_dim=hidden).hidden_dims)
+    elif path.is_file():
         if shape_flags:
             raise UsageError(
                 f"{', '.join(shape_flags)} apply only to named presets, not spec files"
             )
         try:
             spec = spec_from_dict(json.loads(path.read_text(encoding="utf-8")))
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise UsageError(f"cannot read network spec {path}: {exc}") from exc
         except UsageError as exc:
             raise UsageError(f"{path}: {exc}") from exc
-        return _Composed(label=spec.name, file_spec=spec)
-    raise UsageError(
-        f"unknown method {name!r}: expected one of {', '.join(PRESET_NAMES)}, "
-        "lpnn, or a path to a network spec file"
-    )
-
-
-def _composed_method(args, refusal: str) -> _Composed:
-    """Resolve --method for a command that only handles composed networks."""
-    method = _resolve_method(args)
-    if not isinstance(method, _Composed):
-        raise UsageError(refusal)
-    return method
+        label, hidden, samples_hidden = spec.name, None, False
+        spec_for = lambda hidden_dim: spec  # noqa: E731 - a spec file fixes its widths
+    else:
+        raise UsageError(
+            f"unknown method {name!r}: expected one of {', '.join(PRESET_NAMES)}, "
+            "lpnn, or a path to a network spec file"
+        )
+    shape, operators = {}, None
+    if topology is not None:
+        operators = _operator_set(topology, args.operator, args.alpha, args.beta)
+        shape = {"operator": args.operator, "depth": args.l, "lp_layers": args.ll,
+                 "alpha": args.alpha, "beta": args.beta}
+        shape = {key: value for key, value in shape.items() if value is not None}
+    return _Composed(label, spec_for, hidden, samples_hidden, shape, operators)
 
 
 def _operator_set(topology: GraphTopology, operator: str, alpha, beta):
@@ -373,6 +347,8 @@ def _resolve_split(args, dataset: Dataset):
     if args.standard_split:
         if args.size is not None or args.split is not None:
             raise UsageError("--standard-split conflicts with --size/--split")
+        if args.splits_dir is not None:
+            raise UsageError("--standard-split conflicts with --splits-dir")
         return load_standard_split(dataset)
     if args.size is None or args.split is None:
         raise UsageError("choose a split: --standard-split, or both --size and --split")
@@ -440,16 +416,16 @@ def cmd_splits(args) -> int:
 
 def cmd_train(args) -> int:
     dataset = load_dataset(args.dataset_dir)
-    method = _resolve_method(args)
+    method = _resolve_method(args, dataset.topology)
     split = _resolve_split(args, dataset)
     cfg = _flag_config(args, method)
     config = _train_config(args, cfg, args.seed)
-    test, history = method.bind(dataset.topology, args).fit(dataset, split, config, cfg)
+    test, history = method.fit(dataset, split, config, cfg)
     accuracies = test()
     run_dir = _write_run(
         args, dataset, method.label, split, history,
         accuracies["test"], history.best_val_accuracy,
-        {**asdict(config), **cfg, **method.shape_config(args)},
+        {**asdict(config), **cfg, **method.shape},
     )
     print(
         f"{method.label} on {dataset.name} (size {split.size_index}, split {split.split_index}): "
@@ -464,11 +440,10 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     dataset = load_dataset(args.dataset_dir)
-    method = _resolve_method(args)
+    method = _resolve_method(args, dataset.topology)
     if args.hidden is not None:
         raise UsageError("sweep samples the hidden width; --hidden does not apply")
     split = _resolve_split(args, dataset)
-    method = method.bind(dataset.topology, args)
 
     def run_one(cfg: dict, run_seed: int):
         test, history = method.fit(dataset, split, _train_config(args, cfg, run_seed), cfg)
@@ -486,7 +461,7 @@ def cmd_sweep(args) -> int:
     test_accuracy = test()["test"]
     config = _train_config(args, best.config, best.seed)
     sweep_keys = {"trial_index": best.index, "budget": args.budget, "sweep_seed": args.seed}
-    run_config = {**asdict(config), **method.shape_config(args), **best.config, **sweep_keys}
+    run_config = {**asdict(config), **method.shape, **best.config, **sweep_keys}
     run_dir = _write_run(
         args, dataset, method.label, split, history,
         test_accuracy, best.val_accuracy, run_config, f"_sweep{args.seed}",
@@ -512,7 +487,7 @@ def cmd_compare(args) -> int:
     for path in sorted(root.rglob("result.json")):
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise DataError(f"{path}: not a valid result file: {exc}") from exc
         try:
             r = RunResult.from_dict(doc)
@@ -607,7 +582,9 @@ def _parse_grid(text: str) -> tuple[tuple[float, float], ...]:
 
 def cmd_propmodel_sweep(args) -> int:
     dataset = load_dataset(args.dataset_dir)
-    method = _composed_method(args, "propmodel-sweep applies to composed networks, not 'lpnn'")
+    method = _resolve_method(
+        args, refusal="propmodel-sweep applies to composed networks, not 'lpnn'"
+    )
     split = _resolve_split(args, dataset)
     grid = _parse_grid(args.grid) if args.grid else DEFAULT_PROP_GRID
     cfg = _flag_config(args, method)
@@ -684,10 +661,10 @@ def cmd_gradcheck(args) -> int:
         dataset = load_dataset(args.dataset_dir)
     else:
         dataset = _toy_dataset(args.nodes, args.input_dim, args.classes, args.seed)
-    method = _composed_method(
-        args, "gradcheck covers the composed chains; 'lpnn' is not supported here"
+    method = _resolve_method(
+        args, dataset.topology, "gradcheck covers the composed chains; 'lpnn' is not supported here"
     )
-    net = method.bind(dataset.topology, args).compile(dataset, dropout=0.0)
+    net = method.compile(dataset, dropout=0.0)
     report = gradient_check(net, dataset, tolerance=args.tolerance, seed=args.seed)
     for i, err in enumerate(report.per_param):
         print(f"parameter {i}: max relative error {err:.3e}")
@@ -701,19 +678,25 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    method = _composed_method(args, "cost terms are defined for the composed networks, not 'lpnn'")
+    method = _resolve_method(
+        args, refusal="cost terms are defined for the composed networks, not 'lpnn'"
+    )
+    sizes = {"--nodes": args.nodes, "--edges": args.edges,
+             "--input-dim": args.input_dim, "--classes": args.classes}
     if args.dataset_dir:
+        given = [flag for flag, value in sizes.items() if value is not None]
+        if given:
+            raise UsageError(f"--dataset-dir supplies the sizes; {', '.join(given)} do not apply")
         dataset = load_dataset(args.dataset_dir)
         n, edges = dataset.num_nodes, dataset.num_edges
         input_dim, classes = dataset.num_features, dataset.num_classes
     else:
-        sizes = (args.nodes, args.edges, args.input_dim, args.classes)
-        if any(v is None for v in sizes):
+        if None in sizes.values():
             raise UsageError(
                 "cost needs --dataset-dir or all of --nodes, --edges, --input-dim, --classes"
             )
-        n, edges, input_dim, classes = sizes
-    spec = method.spec_for()
+        n, edges, input_dim, classes = sizes.values()
+    spec = method.spec_for(hidden_dim=method.hidden)
     dim = _representative_dim(spec, input_dim)
     cost = estimate_cost(spec, n, edges, dim, classes)
     print(f"{method.label}: nodes={n} edges={edges} dim={dim} classes={classes}")

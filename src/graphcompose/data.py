@@ -367,7 +367,7 @@ def generate_splits(dataset: Dataset, base_seed: int) -> dict[tuple[int, int], D
     test_t = tuple(int(i) for i in test)
     for split_index in range(NUM_SPLITS):
         rng = np.random.default_rng(np.random.SeedSequence([base_seed, 1 + split_index]))
-        chosen: list[int] = []
+        picked = []
         for cls in range(dataset.num_classes):
             members = pool[pool_labels == cls]
             if members.size < _PER_CLASS:
@@ -375,24 +375,16 @@ def generate_splits(dataset: Dataset, base_seed: int) -> dict[tuple[int, int], D
                     f"class {cls} has only {members.size} nodes outside val/test; "
                     f"{_PER_CLASS} per class are required"
                 )
-            picked = rng.permutation(members)[:_PER_CLASS]
-            chosen.extend(int(i) for i in picked)
-        current = set(chosen)
-        remainder = rng.permutation(np.array(sorted(set(pool.tolist()) - current), dtype=np.int64))
-        consumed = 0
+            picked.append(rng.permutation(members)[:_PER_CLASS])
+        chosen = np.concatenate(picked)
+        # Every target is at least 20 per class, so each size extends the last.
+        remainder = rng.permutation(np.setdiff1d(pool, chosen))
         for size_index, target in enumerate(targets, start=1):
-            need = target - len(current)
-            if need < 0:
-                raise DataError(
-                    f"size targets are not nondecreasing for {dataset.name!r}: {targets}"
-                )
-            extra = remainder[consumed : consumed + need]
-            consumed += need
-            current.update(int(i) for i in extra)
+            train_ids = np.sort(np.concatenate([chosen, remainder[: target - chosen.size]]))
             splits[(size_index, split_index)] = DataSplit(
                 size_index=size_index,
                 split_index=split_index,
-                train=tuple(sorted(current)),
+                train=tuple(train_ids.tolist()),
                 val=val_t,
                 test=test_t,
             )

@@ -260,6 +260,14 @@ class TestErrorsAndExitCodes:
         assert main(["cost", "--method", "lpnn", "--nodes", "10", "--edges", "10",
                      "--input-dim", "4", "--classes", "2"]) == 1
 
+    def test_deeply_nested_spec_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(["cost", "--method", str(path), "--nodes", "10", "--edges", "10",
+                     "--input-dim", "4", "--classes", "2"]) == 1
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last.startswith(f"error: cannot read network spec {path}: ")
+
     def test_gradcheck_rejects_lpnn(self):
         assert main(["gradcheck", "--method", "lpnn"]) == 1
 
@@ -566,6 +574,14 @@ MALFORMED = [
     ("gradcheck-nodes-past-the-bound",
      lambda env, tmp: ["gradcheck", "--nodes", str(HUGE)],
      1, f"--nodes, --input-dim and --classes <= 4096, got {HUGE}, 5 and 3"),
+    ("train-standard-split-with-splits-dir",
+     lambda env, tmp: ["train", "--dataset-dir", str(env), "--standard-split", "--splits-dir",
+                       str(env / "splits"), "--method", "sgcn", "--out", str(tmp)],
+     1, "--standard-split conflicts with --splits-dir"),
+    ("cost-dataset-dir-with-sizes",
+     lambda env, tmp: ["cost", "--method", "sgcn", "--dataset-dir", str(env),
+                       "--nodes", "10", "--classes", "2"],
+     1, "--dataset-dir supplies the sizes; --nodes, --classes do not apply"),
 ]
 
 
@@ -982,6 +998,16 @@ class TestCompareCommand:
         root.mkdir()
         (root / "result.json").write_text("{not json")
         assert main(["compare", "--results-dir", str(root)]) == 2
+
+    def test_deeply_nested_result_is_data_error(self, tmp_path, capsys):
+        root = tmp_path / "res"
+        self.fake_result(root, "gcn", "d1", 1, 0, 0.9)
+        bad = root / "deep" / "result.json"
+        bad.parent.mkdir()
+        bad.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(["compare", "--results-dir", str(root)]) == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last.startswith(f"error: {bad}: not a valid result file: ")
 
     def test_malformed_record_names_its_file(self, tmp_path, capsys):
         root = tmp_path / "res"

@@ -1,16 +1,23 @@
-"""Seeded mutations of the text input files, driven through the CLI.
+"""Seeded mutations of the input files, driven through the CLI.
 
-Each case copies a scripts/make_synthetic.py dataset (or one of its split
-files), changes one line, token or byte of one file, and runs `splits` or a
-one-epoch `train` on it. Every case must return 0 or 2 without raising; a
-nonzero exit ends stderr with an `error: ` line that names the mutated file,
-and writes no result.json. The manifest is left out: its counts are what the
-other files are checked against, so a changed count is reported at the file
-that disagrees with it.
+Each text case copies a scripts/make_synthetic.py dataset (or one of its
+split files), changes one line, token or byte of one file, and runs `splits`
+or a one-epoch `train` on it. Every case must return 0 or 2 without raising;
+a nonzero exit ends stderr with an `error: ` line that names the mutated
+file, and writes no result.json. The manifest is left out: its counts are
+what the other files are checked against, so a changed count is reported at
+the file that disagrees with it.
+
+Each JSON case mutates a network spec file (run by `train --method <file>`)
+or one result.json of a two-method results tree (run by `compare`): it is
+truncated, has a field set to a value of another JSON type or dropped, gets
+an inserted byte that is not UTF-8, or has a field nested 100k deep. A spec
+failure exits 1 and a result failure exits 2, each naming the mutated file.
 """
 
 from __future__ import annotations
 
+import json
 import shutil
 from pathlib import Path
 
@@ -18,6 +25,7 @@ import numpy as np
 import pytest
 
 from graphcompose.cli import main
+from graphcompose.networks import preset, spec_to_dict
 
 from .conftest import make_synthetic
 
@@ -102,6 +110,96 @@ def test_mutated_input_fails_cleanly(pristine, tmp_path, capsys, name, mutation,
     code = main(argv)
     err = capsys.readouterr().err
     assert code in (0, 2), err
+    if code:
+        last = err.strip().splitlines()[-1]
+        assert last.startswith("error: ") and str(target) in last, last
+        assert not list(out.rglob("result.json"))
+
+
+JSON_MUTATIONS = ("truncate", "retype-field", "drop-field", "non-utf8-byte", "deep-nesting")
+# One value of each JSON type; a retyped field takes one of another type.
+JSON_VALUES = (None, True, 7, 0.5, "x", [], {})
+NESTING = 100_000
+JSON_DRAWS = 4
+
+
+def json_fields(doc, path=()):
+    """The path of every object field in doc, depth first."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield (*path, key)
+            yield from json_fields(value, (*path, key))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from json_fields(value, (*path, i))
+
+
+def mutate_json(data: bytes, mutation: str, rng: np.random.Generator) -> bytes:
+    """data truncated, with one byte inserted, or with one field (drawn from
+    rng) dropped, retyped or nested NESTING deep."""
+    if mutation == "truncate":
+        return data[: int(rng.integers(len(data)))]
+    if mutation == "non-utf8-byte":
+        at = int(rng.integers(len(data) + 1))
+        return data[:at] + b"\xff" + data[at:]
+    doc = json.loads(data)
+    paths = list(json_fields(doc))
+    *parents, key = paths[int(rng.integers(len(paths)))]
+    owner = doc
+    for step in parents:
+        owner = owner[step]
+    if mutation == "drop-field":
+        del owner[key]
+        return json.dumps(doc).encode()
+    if mutation == "retype-field":
+        others = [v for v in JSON_VALUES if type(v) is not type(owner[key])]
+        owner[key] = others[int(rng.integers(len(others)))]
+        return json.dumps(doc).encode()
+    owner[key] = "@nested@"
+    return json.dumps(doc).replace('"@nested@"', "[" * NESTING + "]" * NESTING).encode()
+
+
+def json_cases():
+    rng = np.random.default_rng(SEED + 1)
+    for name in ("spec", "result"):
+        for mutation in JSON_MUTATIONS:
+            for draw in range(JSON_DRAWS):
+                seed = int(rng.integers(2**32))
+                yield pytest.param(name, mutation, seed, id=f"{name}-{mutation}-{draw}")
+
+
+@pytest.fixture(scope="module")
+def results_tree(pristine, tmp_path_factory):
+    """Two one-epoch runs, of gcn and sgcn, on the standard split."""
+    root = tmp_path_factory.mktemp("results")
+    for method in ("gcn", "sgcn"):
+        assert main(["train", "--method", method, "--dataset-dir", str(pristine),
+                     "--standard-split", "--epochs", "1", "--out", str(root)]) == 0
+    return root
+
+
+@pytest.mark.parametrize("name, mutation, seed", list(json_cases()))
+def test_mutated_json_fails_cleanly(pristine, results_tree, tmp_path, capsys, name, mutation, seed):
+    rng = np.random.default_rng(seed)
+    out = tmp_path / "out"
+    if name == "spec":
+        target = tmp_path / "spec.json"
+        data = json.dumps(spec_to_dict(preset("gcn-lp"))).encode()
+        argv = ["train", "--method", str(target), "--dataset-dir", str(pristine),
+                "--standard-split", "--epochs", "1", "--out", str(out)]
+        expected = 1
+    else:
+        tree = tmp_path / "results"
+        shutil.copytree(results_tree, tree)
+        target = sorted(tree.rglob("result.json"))[int(rng.integers(2))]
+        data = target.read_bytes()
+        argv = ["compare", "--results-dir", str(tree)]
+        expected = 2
+    target.write_bytes(mutate_json(data, mutation, rng))
+
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, expected), err
     if code:
         last = err.strip().splitlines()[-1]
         assert last.startswith("error: ") and str(target) in last, last
