@@ -51,7 +51,7 @@ from .networks import (
     preset,
     spec_from_dict,
 )
-from .training import TrainConfig, gradient_check, train
+from .training import TrainConfig, _restrict_to, gradient_check, train
 
 __all__ = ["SweepTrial", "run_sweep", "sample_config", "main"]
 
@@ -224,8 +224,9 @@ class _Composed:
         params, history = train(net, dataset, split, config)
 
         def test() -> dict[str, float]:
-            out, _ = forward(net, params)
-            return {"test": accuracy(out, dataset.labels, split.test)}
+            net.restricted.clear()  # free training's copies before folding the test rows
+            part, labels = _restrict_to(net, dataset, split.test)
+            return {"test": accuracy(forward(part, params)[0], labels, part.positions)}
 
         return test, history
 
@@ -289,6 +290,8 @@ def _resolve_method(args, topology: GraphTopology | None = None, refusal: str | 
         hidden = DEFAULT_HIDDEN_DIM if args.hidden is None else args.hidden
         spec_for = partial(preset, name, depth=args.l, lp_layers=args.ll)
         samples_hidden = bool(spec_for(hidden_dim=hidden).hidden_dims)
+        if args.hidden is not None and not samples_hidden:
+            raise UsageError(f"--hidden does not apply to {name!r} at this depth: no hidden layer")
     elif path.is_file():
         if shape_flags:
             raise UsageError(
@@ -439,10 +442,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    dataset = load_dataset(args.dataset_dir)
-    method = _resolve_method(args, dataset.topology)
     if args.hidden is not None:
         raise UsageError("sweep samples the hidden width; --hidden does not apply")
+    dataset = load_dataset(args.dataset_dir)
+    method = _resolve_method(args, dataset.topology)
     split = _resolve_split(args, dataset)
 
     def run_one(cfg: dict, run_seed: int):
@@ -627,8 +630,11 @@ def cmd_propmodel_sweep(args) -> int:
     return 0
 
 
-def _toy_dataset(num_nodes: int, input_dim: int, num_classes: int, seed: int) -> Dataset:
-    """A small random-but-deterministic dataset for gradient checks."""
+def _toy_dataset(num_nodes, input_dim, num_classes, seed: int) -> Dataset:
+    """A small deterministic gradient-check dataset; None sizes are 12, 5, 3."""
+    num_nodes = 12 if num_nodes is None else num_nodes
+    input_dim = 5 if input_dim is None else input_dim
+    num_classes = 3 if num_classes is None else num_classes
     if num_nodes < 3:
         raise UsageError(f"gradient-check graph needs >= 3 nodes, got {num_nodes}")
     if input_dim < 1 or num_classes < 1:
@@ -656,11 +662,18 @@ def _toy_dataset(num_nodes: int, input_dim: int, num_classes: int, seed: int) ->
     )
 
 
+def _sizing_dataset(args, sizes: dict) -> Dataset | None:
+    """The --dataset-dir dataset, which supplies the sizes (so a size flag
+    beside it is a usage error), or None when no directory is given."""
+    given = [flag for flag, value in sizes.items() if value is not None]
+    if args.dataset_dir and given:
+        raise UsageError(f"--dataset-dir supplies the sizes; {', '.join(given)} do not apply")
+    return load_dataset(args.dataset_dir) if args.dataset_dir else None
+
+
 def cmd_gradcheck(args) -> int:
-    if args.dataset_dir:
-        dataset = load_dataset(args.dataset_dir)
-    else:
-        dataset = _toy_dataset(args.nodes, args.input_dim, args.classes, args.seed)
+    sizes = {"--nodes": args.nodes, "--input-dim": args.input_dim, "--classes": args.classes}
+    dataset = _sizing_dataset(args, sizes) or _toy_dataset(*sizes.values(), args.seed)
     method = _resolve_method(
         args, dataset.topology, "gradcheck covers the composed chains; 'lpnn' is not supported here"
     )
@@ -683,11 +696,8 @@ def cmd_cost(args) -> int:
     )
     sizes = {"--nodes": args.nodes, "--edges": args.edges,
              "--input-dim": args.input_dim, "--classes": args.classes}
-    if args.dataset_dir:
-        given = [flag for flag, value in sizes.items() if value is not None]
-        if given:
-            raise UsageError(f"--dataset-dir supplies the sizes; {', '.join(given)} do not apply")
-        dataset = load_dataset(args.dataset_dir)
+    dataset = _sizing_dataset(args, sizes)
+    if dataset is not None:
         n, edges = dataset.num_nodes, dataset.num_edges
         input_dim, classes = dataset.num_features, dataset.num_classes
     else:
@@ -860,9 +870,9 @@ def _build_parser() -> _Parser:
     _add_dataset_dir(p, required=False)
     _add_method_flags(p, default="gcn")
     _add_operator_flags(p)
-    p.add_argument("--nodes", type=int, default=12, help="toy graph size when no dataset given")
-    p.add_argument("--input-dim", type=int, default=5)
-    p.add_argument("--classes", type=int, default=3)
+    p.add_argument("--nodes", type=int, help="toy graph size when no dataset given (default 12)")
+    p.add_argument("--input-dim", type=int, help="toy input width (default 5)")
+    p.add_argument("--classes", type=int, help="toy class count (default 3)")
     p.add_argument("--tolerance", type=float, default=1e-5)
     p.add_argument("--seed", type=_seed, default=0)
 

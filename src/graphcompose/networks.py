@@ -2,11 +2,11 @@
 
 A NetworkSpec is an ordered list of stages: feature propagation (FP), MLP,
 linear classifier, GCN block, softmax, and label propagation (LP). Compilation
-validates the composition rules, folds any leading smoothing prefix into a
-precomputed input matrix when features are supplied, and produces a flat layer
-chain executed by forward/backward. A sparse folded input is held as a scipy
-CSR matrix (see SPARSE_INPUT_DENSITY). restrict() cuts a compiled network
-down to the rows a set of output rows depends on.
+validates the composition rules, splits any leading smoothing prefix off the
+chain when features are supplied, and produces a flat layer chain executed by
+forward/backward. restrict() cuts a compiled network down to the rows a set of
+output rows depends on and folds the prefix into those rows of its input,
+held as scipy CSR when it is sparse (see SPARSE_INPUT_DENSITY).
 
 The Primitives section holds each chain entry's math: spmm (smoothing) and
 the linear, relu, row-softmax and dropout forwards, each with its vjp. Chain
@@ -327,8 +327,9 @@ def spec_from_dict(doc: dict) -> NetworkSpec:
     for index, entry in enumerate(doc["stages"]):
         if not isinstance(entry, dict):
             raise UsageError(f"network spec stage {index} must be an object, got {entry!r}")
-        kind = entry.get("kind")
-        if not isinstance(kind, str) or kind not in _STAGE_KINDS:
+        if "kind" not in entry:
+            raise UsageError(f"network spec stage {index} is missing its 'kind' field")
+        if not isinstance(kind := entry["kind"], str) or kind not in _STAGE_KINDS:
             raise UsageError(f"unknown stage kind {kind!r} in network spec document")
         cls = _STAGE_KINDS[kind]
         types = {f.name: f.type for f in dataclasses.fields(cls)}
@@ -540,10 +541,11 @@ class CostEstimate:
 
 @dataclass(frozen=True, eq=False)
 class CompiledNetwork:
-    """The entry chain and its input (None for a network compiled without
-    features, which can be inspected but not run). A copy made by restrict()
-    computes only some output rows; its positions give where each requested
-    row sits in its output (None for a network over every node)."""
+    """The entry chain and its input: the features, with the smoothing prefix
+    to fold into them at the densify hop (see _fold_plan), or None for a
+    network compiled without features, which can be inspected but not run.
+    A copy made by restrict() (memoized in `restricted`) holds a folded input;
+    its positions map requested rows to output rows (None over every node)."""
 
     layers: tuple
     param_shapes: tuple[tuple[int, int], ...]
@@ -551,6 +553,9 @@ class CompiledNetwork:
     dropout: float
     cost: CostEstimate | None
     positions: np.ndarray | None = None
+    prefix: tuple = ()
+    densify: int | None = None
+    restricted: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
 
 def feature_csr(features) -> sp.csr_matrix:
@@ -592,9 +597,8 @@ def compile_network(
 
     operators maps the names used by stages (usually "symmetric" and "row") to
     built PropagationOperator instances. Features are the network's only
-    input: when they are given, the leading smoothing prefix is folded into a
-    precomputed input matrix (CSR when it is sparse, see _fold) that forward
-    and restrict run from.
+    input: when they are given, the leading smoothing prefix leaves the chain,
+    for restrict to fold into them over only the rows a pass reads.
     """
     validate_spec(spec)
     if input_dim < 1 or num_classes < 1:
@@ -667,8 +671,8 @@ def compile_network(
                 )
             chain += [_LabelProp(op.matrix)] * stage.layers
 
-    # Fold the leading smoothing run into a precomputed input when possible.
-    x_bar = None
+    # Split the leading smoothing run off the chain and plan its fold.
+    prefix, densify = (), None
     if features is not None:
         features = feature_csr(features)
         if features.shape[1] != input_dim:
@@ -681,12 +685,11 @@ def compile_network(
                 f"{num_nodes} nodes"
             )
         num_nodes = features.shape[0]
-        prefix = 0
-        while prefix < len(chain) and chain[prefix].kind == "smooth":
-            prefix += 1
+        while len(prefix) < len(chain) and chain[len(prefix)].kind == "smooth":
+            prefix += (chain[len(prefix)].matrix,)
         # Only a linear (or the dropout before it) can take a CSR input.
-        x_bar = _fold(features, [entry.matrix for entry in chain[:prefix]], sparse=bool(shapes))
-        chain = chain[prefix:]
+        densify = _fold_plan(features, prefix, sparse=bool(shapes))
+        chain = chain[len(prefix):]
 
     cost = None
     if num_edges is not None:
@@ -695,26 +698,24 @@ def compile_network(
         cost = estimate_cost(spec, n_for_cost, num_edges, d, num_classes)
 
     return CompiledNetwork(
-        layers=tuple(chain),
-        param_shapes=tuple(shapes),
-        x_bar=x_bar,
-        dropout=dropout,
-        cost=cost,
+        layers=tuple(chain), param_shapes=tuple(shapes), x_bar=features, dropout=dropout,
+        cost=cost, prefix=prefix, densify=densify,
     )
 
 
-def _fold(features: sp.csr_matrix, matrices, sparse: bool):
-    """S_k ... S_1 X over the folded operator matrices, from canonical CSR X.
+def _fold_plan(features: sp.csr_matrix, matrices, sparse: bool) -> int | None:
+    """How many hops of the fold S_k ... S_1 X of canonical CSR X run sparse
+    before it densifies, or None when it stays CSR; planned over all n rows.
 
-    The result is CSR when sparse is allowed and a bound on its density lies
-    below SPARSE_INPUT_DENSITY, and dense otherwise. The bound needs only row
-    counts: row i of S @ Y stores at most d entries and at most the summed
-    counts of the rows of Y that row i of S reads. A dense result is folded
-    with sparse products up to the first hop whose bound reaches
-    SPARSE_INPUT_DENSITY (X itself, if its own does), densified there and
-    finished with dense products, so dense features never sit beside a dense
-    output. It is bitwise the fold of dense X: a sparse product adds the same
-    nonzero terms in the same order and skips only zeros.
+    The fold stays CSR when sparse is allowed and a bound on its density lies
+    below SPARSE_INPUT_DENSITY. The bound needs only row counts: row i of
+    S @ Y stores at most d entries and at most the summed counts of the rows
+    of Y that row i of S reads. A dense result is folded with sparse products
+    up to the first hop whose bound reaches SPARSE_INPUT_DENSITY (X itself,
+    if its own does), densified there and finished with dense products, so
+    dense features never sit beside a dense output. Either way the fold is
+    bitwise that of dense X: a sparse product adds the same nonzero terms in
+    the same order and skips only zeros.
     """
     n, d = features.shape
     bound = np.diff(features.indptr)
@@ -723,18 +724,19 @@ def _fold(features: sp.csr_matrix, matrices, sparse: bool):
         pattern = sp.csr_matrix((np.ones(m.nnz), m.indices, m.indptr), shape=m.shape)
         bound = np.minimum(spmm(pattern, bound[:, None])[:, 0], d)
         reached.append(bound.sum() >= SPARSE_INPUT_DENSITY * n * d)
-    densify = None
-    if not sparse or reached[-1]:
-        densify = reached.index(True) if any(reached) else len(matrices)
-    x = features
-    for hop, m in enumerate(matrices):
-        if hop == densify:
-            x = x.toarray()
+    if sparse and not reached[-1]:
+        return None
+    return reached.index(True) if any(reached) else len(matrices)
+
+
+def _fold(x, matrices, densify: int | None):
+    """x folded through matrices, densified after the hops _fold_plan chose."""
+    x = x.toarray() if densify == 0 else x
+    for hop, m in enumerate(matrices, 1):
         x = spmm(m, x)
-    if densify is None:
+        x = x.toarray() if hop == densify else x
+    if densify is None and sp.issparse(x):
         x.sort_indices()
-    elif sp.issparse(x):
-        x = x.toarray()
     return x
 
 
@@ -767,6 +769,8 @@ def forward(net: CompiledNetwork, params, *, mode: str = "infer", rng=None):
     training = mode == "train"
     if training and net.dropout > 0.0 and rng is None:
         raise UsageError("a train-mode forward with dropout needs an explicit rng stream")
+    if net.prefix or net.densify is not None:  # fold once: run the copy over every row
+        net = restrict(net, np.arange(net.x_bar.shape[0]))
     h = net.x_bar
     caches: list = []
     for entry in net.layers:
@@ -783,6 +787,8 @@ def backward(net: CompiledNetwork, states: list | None, d_output):
     The pass ends at the first linear: nothing before it has parameters."""
     if states is None:
         raise UsageError("backward needs the states returned by a train-mode forward")
+    if net.prefix or net.densify is not None:  # forward ran its copy over every row
+        net = restrict(net, np.arange(net.x_bar.shape[0]))
     grads = [None] * len(net.param_shapes)
     u = np.asarray(d_output)
     for entry, cache in zip(reversed(net.layers), reversed(states)):
@@ -835,27 +841,28 @@ def restrict(net: CompiledNetwork, rows, dtype=np.float64) -> CompiledNetwork:
     The chain is walked backward from those rows. A smooth or lp entry widens
     the row set to the columns its matrix reads on the rows after it, and the
     copy holds the block S[rows_out][:, rows_in] as CSR; every other entry
-    acts row by row and keeps the row set. The copy's input is the network's
-    input on the first row set. Its output holds the rows np.unique(rows) in
-    order, and its positions field maps each requested row to its output row.
-    Rows outside the receptive field contribute nothing to the rows read, so
-    the copy's outputs on them and its parameter gradients equal the full
-    chain's. Train-mode dropout draws over the restricted rows only. The
-    blocks and the input are cast to dtype; a CSR input stays CSR.
-    """
-    source = net.x_bar
-    if source is None:
+    acts row by row and keeps the row set. The walk goes on through the
+    smoothing prefix, whose blocks fold the input on the last row set in
+    float64. The copy's output holds the rows np.unique(rows) in order, and
+    its positions field maps each requested row to its output row. Rows
+    outside the receptive field contribute nothing to the rows read, so the
+    copy's outputs on them and its parameter gradients equal the full chain's.
+    Train-mode dropout draws over the restricted rows only. The blocks and the
+    input are cast to dtype last; a CSR input stays CSR. The copy is memoized
+    on net by the rows as given and dtype."""
+    if net.x_bar is None:
         raise UsageError("network was compiled without features; it has no input to restrict")
     dtype = np.dtype(dtype)
     if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise UsageError(f"unsupported dtype {dtype}")
     rows = np.asarray(rows, dtype=np.int64).ravel()
-    if rows.size == 0 or rows.min() < 0 or rows.max() >= source.shape[0]:
-        raise UsageError(f"restrict needs a nonempty set of rows in [0, {source.shape[0]})")
-    kept = np.unique(rows)
-    needed = kept
-    layers = []
-    for entry in reversed(net.layers):
+    if (key := (rows.tobytes(), dtype.str)) in net.restricted:
+        return net.restricted[key]
+    if rows.size == 0 or rows.min() < 0 or rows.max() >= net.x_bar.shape[0]:
+        raise UsageError(f"restrict needs a nonempty set of rows in [0, {net.x_bar.shape[0]})")
+    needed = kept = np.unique(rows)
+    layers, blocks = [], []
+    for entry in (*reversed(net.layers), *map(_Smooth, reversed(net.prefix))):
         if isinstance(entry, _Smooth):
             block = entry.matrix[needed]
             cols = np.unique(block.indices)
@@ -864,13 +871,15 @@ def restrict(net: CompiledNetwork, rows, dtype=np.float64) -> CompiledNetwork:
             block = sp.csr_matrix(
                 (block.data, np.searchsorted(cols, block.indices), block.indptr),
                 shape=(needed.size, cols.size),
-            ).astype(dtype, copy=False)
-            entry = dataclasses.replace(entry, matrix=block)
+            )
             needed = cols
+            if len(layers) == len(net.layers):  # a prefix hop, folded below
+                blocks.insert(0, block)
+                continue
+            entry = dataclasses.replace(entry, matrix=block.astype(dtype, copy=False))
         layers.append(entry)
-    return dataclasses.replace(
-        net,
-        layers=tuple(reversed(layers)),
-        x_bar=source[needed].astype(dtype, copy=False),
-        positions=np.searchsorted(kept, rows),
-    )
+    x_bar = _fold(net.x_bar[needed], blocks, net.densify).astype(dtype, copy=False)
+    return net.restricted.setdefault(key, dataclasses.replace(
+        net, layers=tuple(reversed(layers)), x_bar=x_bar, positions=np.searchsorted(kept, rows),
+        prefix=(), densify=None,
+    ))

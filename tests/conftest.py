@@ -39,6 +39,13 @@ def entry_kinds(net) -> tuple[str, ...]:
     return tuple(entry.kind for entry in net.layers)
 
 
+def whole(net):
+    """net restricted to every row: its input folded over all nodes."""
+    from graphcompose.networks import restrict
+
+    return restrict(net, np.arange(net.x_bar.shape[0]))
+
+
 def with_input(net, features):
     """A network compiled without features, given them as its dense input
     unfolded: every smoothing stays in its chain. The reference for folded

@@ -9,11 +9,13 @@ that breaks either shows up here, not only as a nonzero
 import importlib
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import graphcompose as gc
+from graphcompose import networks
 from graphcompose.lpnn import build_g_network
 from graphcompose.networks import PRESET_NAMES
 
@@ -64,6 +66,36 @@ def test_benchmark_network_calls(name):
     assert net.cost is not None and net.cost.classifier > 0
     g_net = build_g_network(dataset.num_features, dataset.num_classes, dropout=0.5)
     assert g_net.param_shapes[-1][1] == dataset.num_classes
+
+
+def test_benchmark_training_folds_each_row_set_once(monkeypatch):
+    # perfbench/run.py compiles one network with features= and dropout=0.5,
+    # then calls train on it again and again, timing every call but the
+    # first. The first call folds the train and val receptive fields, each
+    # once and well under every node; later calls reuse the copies.
+    dataset = planted_dataset(200, 3, 8, seed=13, edges_per_node=2)
+    ops = {kind: gc.build_operator(dataset.topology, kind) for kind in ("symmetric", "row")}
+    split = stratified_split(dataset, per_class=3, val=10)
+    folds = []
+    original = networks._fold
+
+    def spy(x, matrices, densify):
+        out = original(x, matrices, densify)
+        folds.append((x.shape[0], out.shape))
+        return out
+
+    monkeypatch.setattr(networks, "_fold", spy)
+    net = gc.compile_network(
+        gc.preset("gcn-lp", depth=3, lp_layers=1), ops, dataset.num_features,
+        dataset.num_classes, features=dataset.features, dropout=0.5, num_edges=dataset.num_edges,
+    )
+    assert folds == [] and len(net.prefix) == 1
+    config = gc.TrainConfig(max_epochs=2, patience=2)
+    histories = [gc.train(net, dataset, split, replace(config, seed=s))[1] for s in (0, 1, 0)]
+    assert histories[0] == histories[2] != histories[1]
+    assert len(folds) == 2
+    for rows_in, (rows_out, width) in folds:
+        assert rows_out <= rows_in < dataset.num_nodes and width == dataset.num_features
 
 
 @pytest.mark.parametrize("caller", ["training", "lpnn"])

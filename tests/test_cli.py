@@ -27,7 +27,7 @@ from graphcompose.errors import NumericError, UsageError
 from graphcompose.graph import GraphTopology, build_operator
 from graphcompose.networks import compile_network, preset
 
-from .conftest import write_dataset_dir
+from .conftest import whole, write_dataset_dir
 
 
 @pytest.fixture(scope="session")
@@ -578,6 +578,25 @@ MALFORMED = [
      lambda env, tmp: ["train", "--dataset-dir", str(env), "--standard-split", "--splits-dir",
                        str(env / "splits"), "--method", "sgcn", "--out", str(tmp)],
      1, "--standard-split conflicts with --splits-dir"),
+    ("train-hidden-without-hidden-layer",
+     lambda env, tmp: quick_train_args(env, tmp, "sgcn", ["--hidden", "64"]),
+     1, "--hidden does not apply to 'sgcn' at this depth: no hidden layer"),
+    ("train-hidden-on-gcn-at-depth-1",
+     lambda env, tmp: quick_train_args(env, tmp, "gcn", ["--l", "1", "--hidden", "8"]),
+     1, "--hidden does not apply to 'gcn' at this depth: no hidden layer"),
+    ("gradcheck-hidden-on-linear-lp",
+     lambda env, tmp: ["gradcheck", "--method", "linear-lp", "--hidden", "8"],
+     1, "--hidden does not apply to 'linear-lp' at this depth: no hidden layer"),
+    ("spec-stage-without-kind",
+     lambda env, tmp: quick_train_args(env, tmp, spec_file(tmp, stages=[{"layers": 2}])),
+     1, "spec.json: network spec stage 0 is missing its 'kind' field"),
+    ("gradcheck-dataset-dir-with-sizes",
+     lambda env, tmp: ["gradcheck", "--dataset-dir", str(env), "--nodes", "5",
+                       "--input-dim", "2", "--classes", "9"],
+     1, "--dataset-dir supplies the sizes; --nodes, --input-dim, --classes do not apply"),
+    ("gradcheck-dataset-dir-with-input-dim",
+     lambda env, tmp: ["gradcheck", "--dataset-dir", str(env), "--input-dim", "5"],
+     1, "--dataset-dir supplies the sizes; --input-dim do not apply"),
     ("cost-dataset-dir-with-sizes",
      lambda env, tmp: ["cost", "--method", "sgcn", "--dataset-dir", str(env),
                        "--nodes", "10", "--classes", "2"],
@@ -764,7 +783,7 @@ class TestSparseInputRuns:
             preset("gcn"), ops, dataset.num_features, dataset.num_classes,
             features=dataset.features, dropout=0.5,
         )
-        assert sp.issparse(net.x_bar)
+        assert sp.issparse(whole(net).x_bar)
 
     def test_same_seed_gives_identical_history(self, sparse_cli_env, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -204,3 +204,7 @@ def test_mutated_json_fails_cleanly(pristine, results_tree, tmp_path, capsys, na
         last = err.strip().splitlines()[-1]
         assert last.startswith("error: ") and str(target) in last, last
         assert not list(out.rglob("result.json"))
+    if name == "spec" and mutation == "drop-field":
+        stages = json.loads(target.read_bytes()).get("stages", [])
+        if any("kind" not in stage for stage in stages):
+            assert code == 1 and "is missing its 'kind' field" in last, err

@@ -31,6 +31,7 @@ from .conftest import (
     planted_dataset,
     ring_topology,
     sparse_planted_dataset,
+    whole,
     with_input,
 )
 from .test_training import stratified_split
@@ -163,7 +164,7 @@ class TestGNetwork:
         dataset = sparse_planted_dataset(40, 3, 200, 0.01, seed=31)
         d, c = dataset.num_features, dataset.num_classes
         net = compile_network(G_SPEC, {}, d, c, features=dataset.features)
-        assert sp.issparse(net.x_bar)
+        assert sp.issparse(whole(net).x_bar)
         params = init_params(net, np.random.default_rng(3))
         out, _ = forward(net, params)
         ref, _ = forward(with_input(build_g_network(d, c), dataset.features), params)
@@ -207,7 +208,7 @@ class TestTrainLpnn:
         config = TrainConfig(dropout=0.0, max_epochs=12, patience=12, seed=4)
         weights = LpnnWeights(0.5, 1.0, 0.2, 1.0, 0.3)
         model, history = train_lpnn(dataset, split, config, weights)
-        assert sp.issparse(model.g_net.x_bar)
+        assert sp.issparse(whole(model.g_net).x_bar)
 
         g_net = with_input(
             build_g_network(dataset.num_features, dataset.num_classes), dataset.features

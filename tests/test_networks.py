@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from .conftest import (
     planted_dataset,
     ring_topology,
     sparse_planted_dataset,
+    whole,
     with_input,
 )
 
@@ -187,7 +189,7 @@ class TestCompile:
         unfolded = entry_kinds(compile_network(preset("sgcn"), ops, 5, 3))
         assert unfolded == ("smooth", "smooth", "linear", "softmax")
         s = dense(ops["symmetric"].matrix)
-        np.testing.assert_allclose(net.x_bar, s @ (s @ x14), atol=1e-12)
+        np.testing.assert_allclose(whole(net).x_bar, s @ (s @ x14), atol=1e-12)
 
     def test_gcn_chain_without_features(self, ops):
         net = compile_network(preset("gcn"), ops, 5, 3)
@@ -274,7 +276,7 @@ class TestCompile:
         for old, new in zip(before, (given.data, given.indices, given.indptr)):
             assert old.tobytes() == new.tobytes()
         ref = compile_network(preset("sgcn"), ops, 5, 3, features=dense(given))
-        assert net.x_bar.tobytes() == ref.x_bar.tobytes()
+        assert whole(net).x_bar.tobytes() == whole(ref).x_bar.tobytes()
 
     def test_param_count(self, ops):
         net = compile_network(preset("fp-mlp", hidden_dim=8), ops, 5, 3)
@@ -379,7 +381,7 @@ class TestPrecomputeFp:
     @staticmethod
     def folded(ops, x, layers):
         spec = NetworkSpec("fp", (Fp(layers), LinearClassifier(), Softmax()))
-        return compile_network(spec, ops, 5, 3, features=x).x_bar
+        return whole(compile_network(spec, ops, 5, 3, features=x)).x_bar
 
     def test_zero_layers_identity(self, ops, x14):
         np.testing.assert_array_equal(self.folded(ops, x14, 0), x14)
@@ -520,14 +522,14 @@ def compile_sparse(sparse_case, name, **kwargs):
 class TestSparseInput:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_low_density_folds_to_csr(self, sparse_case, name):
-        net = compile_sparse(sparse_case, name)
-        assert sp.issparse(net.x_bar) and net.x_bar.format == "csr"
-        assert net.x_bar.has_sorted_indices
+        x_bar = whole(compile_sparse(sparse_case, name)).x_bar
+        assert sp.issparse(x_bar) and x_bar.format == "csr"
+        assert x_bar.has_sorted_indices
 
     def test_dense_features_stay_dense(self, ops, x14):
         for name in PRESET_NAMES:
             net = compile_network(preset(name), ops, 5, 3, features=x14)
-            assert isinstance(net.x_bar, np.ndarray)
+            assert isinstance(whole(net).x_bar, np.ndarray)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_infer_matches_dense_input_path(self, sparse_case, name):
@@ -545,18 +547,19 @@ class TestSparseInput:
     def test_gradient_check_passes(self, sparse_case, name):
         dataset, _ = sparse_case
         net = compile_sparse(sparse_case, name, dropout=0.0)
-        assert sp.issparse(net.x_bar)
+        assert sp.issparse(whole(net).x_bar)
         assert gradient_check(net, dataset, seed=3).passed
 
     def test_train_mode_dropout_runs_on_stored_entries(self, sparse_case):
         net = compile_sparse(sparse_case, "gcn", dropout=0.5)
         params = init_params(net, np.random.default_rng(33))
         _, states = forward(net, params, mode="train", rng=np.random.default_rng(34))
+        x_bar = whole(net).x_bar
         assert net.layers[0].kind == "dropout"
-        assert states[0].shape == (net.x_bar.nnz,)
+        assert states[0].shape == (x_bar.nnz,)
         # The first linear caches, and so multiplies by, the survivors only.
-        assert states[1][0].nnz == states[0].sum() < net.x_bar.nnz
-        grads = backward(net, states, np.ones((net.x_bar.shape[0], net.param_shapes[-1][1])))
+        assert states[1][0].nnz == states[0].sum() < x_bar.nnz
+        grads = backward(net, states, np.ones((x_bar.shape[0], net.param_shapes[-1][1])))
         assert [g.shape for g in grads] == list(net.param_shapes)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -685,16 +688,110 @@ class TestFoldDensifies:
             return product(s, x)
 
         monkeypatch.setattr(networks, "spmm", spy)
-        net = compile_network(
+        x_bar = whole(compile_network(
             preset("sgcn", depth=depth), {"symmetric": op}, dataset.num_features,
             dataset.num_classes, features=dataset.features,
-        )
+        )).x_bar
         assert seen == operands
         reference = dataset.features.toarray()
         for _ in range(depth):
             reference = op.matrix @ reference
-        assert type(net.x_bar) is np.ndarray
-        assert net.x_bar.dtype == reference.dtype and net.x_bar.tobytes() == reference.tobytes()
+        assert type(x_bar) is np.ndarray
+        assert x_bar.dtype == reference.dtype and x_bar.tobytes() == reference.tobytes()
+
+
+def full_fold(features, matrix, depth, densify):
+    """The fold over every node, densified after `densify` hops (None: kept
+    CSR): the reference each restricted fold must match row by row."""
+    x = features
+    for hop in range(depth):
+        if hop == densify:
+            x = x.toarray()
+        x = matrix @ x
+    if densify is None:
+        x.sort_indices()
+    elif sp.issparse(x):
+        x = x.toarray()
+    return x
+
+
+class TestFoldOnDemand:
+    """compile_network only plans the fold; restrict folds the rows its copy
+    reads, bitwise those rows of the full fold, and memoizes the copy."""
+
+    @staticmethod
+    def sgcn(density):
+        dataset = sparse_planted_dataset(400, 3, 100, density, seed=44)
+        op = build_operator(dataset.topology, "symmetric")
+        net = compile_network(
+            preset("sgcn", depth=2), {"symmetric": op}, dataset.num_features,
+            dataset.num_classes, features=dataset.features,
+        )
+        return dataset, op, net
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize(
+        "density, densify",
+        [(0.002, None), (1.0, 0), (0.10, 1)],
+        ids=["csr", "dense", "densified-between-hops"],
+    )
+    def test_restricted_fold_is_bitwise_the_full_folds_rows(self, density, densify, dtype):
+        dataset, op, net = self.sgcn(density)
+        assert net.densify == densify and len(net.prefix) == 2
+        assert net.x_bar is dataset.features
+        full = full_fold(dataset.features, op.matrix, 2, densify)
+        for rows in (np.array([301, 7, 150, 7]), np.arange(dataset.num_nodes)):
+            x_bar = restrict(net, rows, dtype).x_bar
+            expected = full[np.unique(rows)].astype(dtype)
+            assert type(x_bar) is type(expected) and x_bar.dtype == dtype
+            if densify is None:
+                assert x_bar.has_sorted_indices
+                for got, ref in [(x_bar.data, expected.data), (x_bar.indices, expected.indices),
+                                 (x_bar.indptr, expected.indptr)]:
+                    assert got.tobytes() == ref.tobytes()
+            else:
+                assert x_bar.tobytes() == expected.tobytes()
+
+    def test_each_row_set_and_dtype_is_folded_once(self, monkeypatch):
+        dataset, _, net = self.sgcn(0.10)
+        folds = []
+        original = networks._fold
+
+        def spy(x, matrices, densify):
+            folds.append(x.shape[0])
+            return original(x, matrices, densify)
+
+        monkeypatch.setattr(networks, "_fold", spy)
+        part = restrict(net, [3, 1])
+        assert restrict(net, np.array([3, 1], dtype=np.int32)) is part
+        part32 = restrict(net, [3, 1], np.float32)
+        assert part32 is not part and restrict(net, [3, 1], "float32") is part32
+        # Keyed by the rows as given: another order is another copy.
+        assert restrict(net, [1, 3]) is not part
+        assert len(folds) == 3
+        # A whole-network pass runs the memoized copy over every row.
+        params = init_params(net, np.random.default_rng(48))
+        first, _ = forward(net, params)
+        second, _ = forward(net, params)
+        assert len(folds) == 4
+        assert restrict(net, np.arange(dataset.num_nodes)) is restrict(net, range(dataset.num_nodes))
+        assert len(folds) == 4
+        np.testing.assert_array_equal(first, second)
+        # A copy has its own memo, and nothing left to fold.
+        assert part.restricted == {} and part.prefix == () and part.densify is None
+
+    def test_dense_plan_compiles_without_a_nodes_by_features_array(self):
+        dataset = sparse_planted_dataset(2000, 3, 200, 0.10, seed=45)
+        ops = {"symmetric": build_operator(dataset.topology, "symmetric")}
+        tracemalloc.start()
+        try:
+            net = compile_network(preset("sgcn", depth=2), ops, 200, 3, features=dataset.features)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert net.densify == 1
+        dense_bytes = dataset.num_nodes * dataset.num_features * 8
+        assert peak < dense_bytes / 8  # the fold over every node would be dense_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +831,7 @@ def restrict_setup(restrict_data, case, name, dropout):
     )
     if case == "unfolded":
         net = with_input(net, dataset.features)
-    assert (case == "folded-csr") == sp.issparse(net.x_bar)
+    assert (case == "folded-csr") == sp.issparse(whole(net).x_bar)
     return net
 
 
@@ -826,7 +923,7 @@ class TestRestrict:
         restricted = forward(part, params, mode="train", rng=np.random.default_rng(46))
         monkeypatch.undo()
 
-        full_input = net.x_bar
+        full_input = whole(net).x_bar
         rows_in = entry_rows(net, ROWS)
         dropouts = [i for i, entry in enumerate(net.layers) if entry.kind == "dropout"]
         assert len(drawn) == len(dropouts) > 0

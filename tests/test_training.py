@@ -18,7 +18,7 @@ from graphcompose.training import (
 from graphcompose.evaluation import accuracy
 from graphcompose.lpnn import LpnnWeights, train_lpnn
 
-from .conftest import dense, planted_dataset, sparse_planted_dataset, with_input
+from .conftest import dense, planted_dataset, sparse_planted_dataset, whole, with_input
 
 
 def build_ops(dataset):
@@ -360,7 +360,7 @@ class TestRestrictedTraining:
             field = self.receptive_field(net, rows)
             assert field.size < dataset.num_nodes
             for net_ in (n for m, n in calls if m == mode):
-                np.testing.assert_array_equal(net_.x_bar, net.x_bar[field])
+                np.testing.assert_array_equal(net_.x_bar, whole(net).x_bar[field])
 
     @pytest.mark.parametrize("name", ["gcn", "sgcn-lp", "gcn-lp"])
     def test_dropout_free_run_matches_the_full_chain(self, sparse_graph, name):
