@@ -57,12 +57,12 @@ __all__ = [
 ]
 
 # A folded input whose density bound lies below this share is held as CSR.
-# Dropout on the stored entries plus the first linear's forward, weight vjp and
-# inference forward measured faster sparse than dense up to about 40% density
-# on 2708x1433 and 19717x500 inputs (2 cores; CHANGES.md has the numbers).
-# That was measured while dropout still stored its dropped entries as zeros.
-# It is not re-tuned for survivors-only dropout: moving it flips inputs
-# between the two paths, which changes their seeded masks.
+# Dropout (survivors only, 16-bit draw, rate 0.5) plus the first linear's forward,
+# weight vjp and inference forward ran faster sparse than dense below 0.30-0.40
+# density on a 2708x1433 input and below 0.40-0.45 on 19717x500 (2 cores, width
+# 16): sparse/dense time 0.95 at 0.35 and 1.03 at 0.40 on the first, 0.91 at 0.40
+# and 1.04 at 0.45 on the second (CHANGES.md has the rest). Moving the constant
+# flips inputs between the two paths, which changes their seeded masks.
 SPARSE_INPUT_DENSITY = 0.4
 
 # The hidden width of a preset, an Mlp and a GcnBlock unless one is given.
@@ -356,11 +356,12 @@ def spec_from_dict(doc: dict) -> NetworkSpec:
 # Each chain entry's math: a pure forward function and its vector-Jacobian
 # product (vjp). Smoothing is spmm, with spmm_transposed as its vjp. The
 # softmax vjp applies the full Jacobian rather than assuming a fused
-# cross-entropy, because lp smoothings may follow the softmax. Dropout and the
-# linear map also take a sparse folded input (see _fold); dropout then draws
-# over the stored entries and keeps only the survivors, so the first linear's
-# products skip the dropped ones. Canonical scipy CSR's sequential kernels make
-# every product bitwise deterministic. Nothing here checks its operands:
+# cross-entropy, because lp smoothings may follow the softmax. Dropout draws 16
+# random bits per entry. It and the linear map also take a sparse folded input
+# (see _fold); dropout then masks the stored entries and keeps only the
+# survivors, so the first linear's products skip the dropped ones. Canonical
+# scipy CSR's sequential kernels make every product bitwise deterministic.
+# Nothing here checks its operands:
 # compile_network fixes every shape and rate; forward checks what callers pass.
 
 
@@ -407,28 +408,37 @@ def softmax_rows_vjp(p, upstream) -> np.ndarray:
     return p * (upstream - dot)
 
 
+def _keep(rng, size: int, rate: float) -> np.ndarray:
+    """Keep flags for `size` entries, 16 random bits each (see dropout_forward)."""
+    bits = rng.bit_generator.random_raw(-(-size // 4)).view("<u2")[:size]
+    return bits >= round(rate * 65536)
+
+
 def dropout_forward(x, rate: float, rng, training: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Inverted dropout: survivors are scaled by 1/(1-rate) so inference needs
     no rescaling. Inference mode and rate 0 return x and no mask, drawing nothing.
+    Each entry draws 16 random bits and is kept when they reach t = round(rate *
+    65536), with probability (65536 - t)/65536: exactly 1 - rate at 0.5, and at
+    any other rate close enough that the survivors' expected scale is off by at
+    most 2^-17/(1 - rate). A t that rounds to 65536 drops every entry.
 
-    A canonical CSR input draws one uniform per stored entry (the mask covers
-    the stored entries only) and returns canonical CSR holding only the
-    survivors. For finite parameters a product with it is bitwise the product
-    with the dropped entries stored as zeros: scipy's CSR and CSC kernels
-    build each output element from +0.0 in stored order, a dropped term is
-    +-0.0, and under round-to-nearest such a running sum is never -0.0, so
-    adding +-0.0 leaves it unchanged.
+    A canonical CSR input draws per stored entry (the mask covers only those)
+    and returns canonical CSR holding only the survivors. For finite parameters
+    a product with it is bitwise the product with the dropped entries stored as
+    zeros: scipy's CSR and CSC kernels build each output element from +0.0 in
+    stored order, a dropped term is +-0.0, and under round-to-nearest such a
+    running sum is never -0.0, so adding +-0.0 changes nothing.
     """
     if not training or rate == 0.0:
         return x, None
     if sp.issparse(x):
-        mask = rng.random(x.nnz) >= rate
+        mask = _keep(rng, x.nnz, rate)
         # take() on survivor positions: boolean indexing is several times slower.
         kept = np.flatnonzero(mask)
         values = x.data.take(kept) / (1.0 - rate)
         indptr = np.searchsorted(kept, x.indptr)
         return sp.csr_matrix((values, x.indices.take(kept), indptr), shape=x.shape), mask
-    mask = rng.random(x.shape) >= rate
+    mask = _keep(rng, x.size, rate).reshape(x.shape)
     return x * mask / (1.0 - rate), mask
 
 

@@ -13,6 +13,11 @@ or one result.json of a two-method results tree (run by `compare`): it is
 truncated, has a field set to a value of another JSON type or dropped, gets
 an inserted byte that is not UTF-8, or has a field nested 100k deep. A spec
 failure exits 1 and a result failure exits 2, each naming the mutated file.
+
+Each output case points the `--out` of train, sweep, splits, compare or
+propmodel-sweep at a path that cannot be written: an existing directory, or
+a path beneath a regular file. Every case exits 2 with an `error: ` line
+naming the path, and leaves no result.json or temporary file behind.
 """
 
 from __future__ import annotations
@@ -208,3 +213,41 @@ def test_mutated_json_fails_cleanly(pristine, results_tree, tmp_path, capsys, na
         stages = json.loads(target.read_bytes()).get("stages", [])
         if any("kind" not in stage for stage in stages):
             assert code == 1 and "is missing its 'kind' field" in last, err
+
+
+OUT_COMMANDS = ("train", "sweep", "splits", "compare", "propmodel-sweep")
+
+
+@pytest.mark.parametrize("place", ["existing-directory", "beneath-a-file"])
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_unwritable_output_fails_cleanly(pristine, results_tree, tmp_path, capsys, command, place):
+    root = tmp_path / "out"
+    root.mkdir()
+    data = ["--dataset-dir", str(pristine)]
+    run = [*data, "--standard-split", "--epochs", "1"]
+    argv, first_file = {
+        "train": (["train", "--method", "gcn", *run], "{}_gcn_s0_p0/result.json"),
+        "sweep": (["sweep", "--method", "sgcn", "--budget", "2", *run],
+                  "{}_sgcn_s0_p0_sweep0/result.json"),
+        "splits": (["splits", *data], "1/0/split.txt"),
+        "compare": (["compare", "--results-dir", str(results_tree)], None),
+        "propmodel-sweep": (["propmodel-sweep", "--method", "sgcn", "--model", "mix",
+                             "--grid", "1,1", *run], None),
+    }[command]
+    if place == "beneath-a-file":
+        (root / "file").write_text("not a directory\n")
+        out = target = root / "file" / "below"
+    else:
+        # train, sweep and splits take --out as a directory and write files
+        # beneath it; for them the directory stands where their first file goes.
+        out = root / "dest"
+        target = out / first_file.format(pristine.name) if first_file else out
+        target.mkdir(parents=True)
+
+    code = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("error: ") and str(target) in last, last
+    assert not [p for p in root.rglob("result.json") if not p.is_dir()]
+    assert not list(root.rglob("*.tmp"))

@@ -54,6 +54,13 @@ def random_sparse(rng, rows, cols, density=0.3):
     return sp.csr_matrix(a), a
 
 
+def dropout_input(sparse):
+    """A 100k-entry dropout input: dense, or canonical CSR with 100k stored entries."""
+    if sparse:
+        return sp.random(1000, 400, density=0.25, format="csr", random_state=5)
+    return np.random.default_rng(18).normal(size=(400, 250))
+
+
 def compiled_chain(op, stages, width):
     spec = NetworkSpec("chain", (*stages, LinearClassifier(), Softmax()))
     return compile_network(spec, {"symmetric": op}, width, 2).layers
@@ -272,6 +279,34 @@ class TestDropout:
         # Inference passes the CSR input through untouched.
         same, none = dropout_forward(x, 0.4, None, training=False)
         assert same is x and none is None
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    @pytest.mark.parametrize("rate", [0.1, 0.5, 0.9, 0.3])
+    def test_keep_share_is_the_16_bit_probability(self, rate, sparse):
+        # An entry survives when its 16 bits reach t = round(rate * 65536).
+        _, mask = dropout_forward(dropout_input(sparse), rate, np.random.default_rng(15), True)
+        p = (65536 - round(rate * 65536)) / 65536
+        n = mask.size
+        assert mask.dtype == bool and n == 100_000
+        assert abs(mask.sum() - n * p) <= 5 * np.sqrt(n * p * (1 - p))
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_rate_zero_draws_nothing(self, sparse):
+        x, rng = dropout_input(sparse), np.random.default_rng(16)
+        before = rng.bit_generator.state
+        out, mask = dropout_forward(x, 0.0, rng, training=True)
+        assert out is x and mask is None and rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_rate_rounding_to_65536_drops_every_entry(self, sparse):
+        rate = 1 - 2**-18  # t = round(rate * 65536) is 65536, above every 16-bit draw
+        x = dropout_input(sparse)
+        out, mask = dropout_forward(x, rate, np.random.default_rng(17), training=True)
+        assert mask.dtype == bool and mask.size == 100_000 and not mask.any()
+        if sparse:
+            assert out.shape == x.shape and out.nnz == 0 and out.has_canonical_format
+        else:
+            assert out.shape == x.shape and not out.any()
 
     def test_requires_rng_in_training(self):
         # dropout_forward trusts its caller; forward refuses the train-mode

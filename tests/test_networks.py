@@ -863,16 +863,20 @@ def scatter_mask(mask, rows, num_rows, csr_input=None):
 
 
 class ReplayStream:
-    """Stands in for the dropout stream: each draw hands out the next mask as
-    uniforms, 1 where it keeps an entry and 0 where it drops one."""
+    """Stands in for the dropout stream: each raw draw hands out the next mask
+    as the 16-bit lanes of uint64 words, 0xFFFF where it keeps an entry and 0
+    where it drops one, so the mask replays through networks._keep itself."""
 
     def __init__(self, masks):
         self.masks = list(masks)
+        self.bit_generator = self
 
-    def random(self, size):
-        mask = self.masks.pop(0)
-        assert mask.size == np.prod(size)
-        return mask.reshape(size).astype(np.float64)
+    def random_raw(self, size):
+        mask = self.masks.pop(0).ravel()
+        assert size == -(-mask.size // 4)
+        lanes = np.zeros(4 * size, dtype="<u2")
+        lanes[: mask.size] = np.where(mask, 0xFFFF, 0)
+        return lanes.view(np.uint64)
 
 
 def upstream_on(num_rows, positions, g):
