@@ -46,10 +46,10 @@ NUM_SIZES = 5
 NUM_SPLITS = 10
 _PER_CLASS = 20
 
-# The largest feature count a manifest may declare. It is also the element
-# budget of the dense blocks the loader takes row norms over, so a block
-# always holds a whole row (8 MiB at most).
+# The largest feature count a manifest may declare. The loader's row-norm
+# block holds at least one whole row, so it is at most 8 MiB.
 MAX_FEATURES = 2**20
+_NORM_BLOCK = 2**17  # entries in the row-norm block (1 MiB, about an L2 cache)
 
 # Published per-dataset training counts, keyed by (20 * classes, |T|). The
 # interpolated interior sizes in circulation do not follow one rounding rule,
@@ -252,17 +252,24 @@ def _feature_rows(path: Path, n: int, m: int) -> np.ndarray:
 def _unit_rows(rows: np.ndarray, n: int, m: int) -> sp.csr_matrix:
     """The (node, feature)-ordered rows as CSR, each nonzero row divided by
     its Euclidean norm, bitwise as np.linalg.norm scales the dense matrix.
-    numpy's pairwise sum groups a row's squares by position, so each norm is
-    taken over a dense block of at most MAX_FEATURES entries, never over the
-    stored values alone. Dataset drops the values that are or become zero."""
+    numpy's pairwise sum groups a row's squares by position, so each group of
+    rows scatters its squares into a zeroed block of whole rows, sums along
+    them and zeroes the block again. Dataset drops the values that are or
+    become zero."""
     indptr = np.searchsorted(rows["node"], np.arange(n + 1))
     features = sp.csr_matrix((rows["value"].copy(), rows["feature"], indptr), shape=(n, m))
-    step = MAX_FEATURES // m
-    norms = np.concatenate([
-        np.linalg.norm(features[start : start + step].toarray(), axis=1)
-        for start in range(0, n, step)
-    ])
-    features.data /= np.repeat(np.where(norms == 0.0, 1.0, norms), np.diff(indptr))
+    step = min(max(_NORM_BLOCK // m, 1), n)
+    block = np.zeros(step * m)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        k, lo, hi = stop - start, indptr[start], indptr[stop]
+        counts = np.diff(indptr[start : stop + 1])
+        at = np.repeat(np.arange(0, k * m, m), counts) + features.indices[lo:hi]
+        values = features.data[lo:hi]
+        block[at] = values * values
+        norms = np.sqrt(np.add.reduce(block[: k * m].reshape(k, m), axis=1))
+        block[at] = 0.0
+        values /= np.repeat(np.where(norms == 0.0, 1.0, norms), counts)
     return features
 
 
@@ -314,6 +321,10 @@ def load_dataset(path) -> Dataset:
     # Every node is labeled exactly once, so past this call n is at most the
     # label file's row count.
     rows = _label_rows(root / "labels.txt", n, num_classes)
+    unused = np.flatnonzero(np.bincount(rows["class"], minlength=num_classes) == 0)
+    if unused.size:
+        raise DataError(f"{root / 'labels.txt'}: class count mismatch with manifest: {unused.size} "
+                        f"of {num_classes} classes label no node (first: {unused[0]})")
     labels = np.empty(n, dtype=np.int64)
     labels[rows["node"]] = rows["class"]
 

@@ -264,8 +264,6 @@ def gradient_check(
     """
     if not (0.0 < tolerance < math.inf):
         raise UsageError(f"gradient check tolerance must be finite and > 0, got {tolerance}")
-    if net.dropout:
-        raise UsageError("gradient check requires a network compiled with dropout=0")
     if labeled_set is None:
         labeled_set = np.arange(len(dataset.labels))
     part, labels = _restrict_to(net, dataset, labeled_set)

@@ -159,9 +159,12 @@ class TestLoadDataset:
              r"manifest\.txt: classes must be <= 4096, got 1000000000000$"),
             ("nodes 12\nfeatures 4\nclasses 2\nnodes 13\n",
              r"manifest\.txt:4: manifest key 'nodes' given twice$"),
+            ("nodes 12\nfeatures 4\nclasses 4\n",
+             r"labels\.txt: class count mismatch with manifest: 2 of 4 classes label no node "
+             r"\(first: 2\)$"),
         ],
         ids=["nodes-1e20", "nodes-1e12", "features-1e16", "features-1e20", "classes-1e12",
-             "repeated-key"],
+             "repeated-key", "unused-classes"],
     )
     def test_manifest_count_fails_cleanly_naming_the_file(self, tmp_path, capsys, manifest, message):
         # Checked before any array is sized from the count, so the command
@@ -301,17 +304,44 @@ class TestSparseFeatures:
         with pytest.raises(DataError, match=rf"node 3 feature 1 has non-finite value {value}$"):
             Dataset("x", ring_topology(5, seed=0), features, np.zeros(5, dtype=np.int64), 2)
 
-    def test_row_norms_are_bitwise_the_dense_ones(self, tmp_path, monkeypatch):
-        # Blocks of 3 rows: the norms still match one call over the dense matrix.
+    @pytest.mark.parametrize("rows_per_block", [0, 3, 10],
+                             ids=["one-row", "three-rows", "all-rows"])
+    def test_row_norms_are_bitwise_the_dense_ones(self, tmp_path, monkeypatch, rows_per_block):
+        # The norms match one call over the dense matrix whatever the block
+        # size (a block smaller than one row holds one row), on rows of more
+        # than 128 entries and with explicit 0 and -0.0 lines in the file.
         rng = np.random.default_rng(29)
         n, m = 10, 301
         x = np.where(rng.random((n, m)) < 0.3, rng.normal(size=(n, m)) * 1e3, 0.0)
         x[4] = 0.0  # an empty row stays empty
+        x[7] = rng.normal(size=m)
+        x[8, ::2] = rng.normal(size=151) * 1e-3
         root = features_dir(tmp_path, x)
-        monkeypatch.setattr(data, "MAX_FEATURES", 3 * m)
+        zeros = [(r, c) for r in (1, 4, 7) for c in range(0, m, 37) if x[r, c] == 0.0]
+        with open(root / "features.txt", "a") as f:
+            f.writelines(f"{r} {c} {'-0.0' if k % 2 else '0'}\n" for k, (r, c) in enumerate(zeros))
+        monkeypatch.setattr(data, "_NORM_BLOCK", rows_per_block * m or m - 1)
         loaded = load_dataset(root).features
         assert loaded.toarray().tobytes() == unit_rows(x).tobytes()
         assert loaded.indptr[5] == loaded.indptr[4]
+        assert np.count_nonzero(x[7]) == m and len(zeros) > 10
+
+    def test_row_norms_keep_no_dense_copy(self):
+        # A Cora-shaped input: 2708 x 1433 at 1.3% density, 11.8 MiB dense.
+        rng = np.random.default_rng(31)
+        n, m = 2708, 1433
+        keys = np.flatnonzero(rng.random(n * m) < 0.013)
+        rows = np.empty(keys.size, np.dtype([("node", np.int64), ("feature", np.int64),
+                                             ("value", np.float64)]))
+        rows["node"], rows["feature"] = np.divmod(keys, m)
+        rows["value"] = rng.random(keys.size)
+        tracemalloc.start()
+        try:
+            data._unit_rows(rows, n, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
     def test_load_allocates_nothing_of_nodes_by_features(self, tmp_path):
         n, m = 16, 1_000_000

@@ -4,9 +4,16 @@ Each text case copies a scripts/make_synthetic.py dataset (or one of its
 split files), changes one line, token or byte of one file, and runs `splits`
 or a one-epoch `train` on it. Every case must return 0 or 2 without raising;
 a nonzero exit ends stderr with an `error: ` line that names the mutated
-file, and writes no result.json. The manifest is left out: its counts are
-what the other files are checked against, so a changed count is reported at
-the file that disagrees with it.
+file, and writes no result.json.
+
+Each manifest case changes one count by 1, to 0 or past its cap, drops,
+repeats or adds a key, or makes a value a non-integer, and runs both
+`splits` and a one-epoch `train`. A malformed line, a missing key, a zero
+count or one past its cap fails naming manifest.txt. A count the other files
+disagree with fails naming that file: labels.txt for nodes +1, nodes -1 and
+far past the label count, and for classes +1 (a class that labels no node)
+and classes -1; features.txt for features -1. features +1 loads, as an
+all-zero feature column.
 
 Each JSON case mutates a network spec file (run by `train --method <file>`)
 or one result.json of a two-method results tree (run by `compare`): it is
@@ -118,6 +125,67 @@ def test_mutated_input_fails_cleanly(pristine, tmp_path, capsys, name, mutation,
     if code:
         last = err.strip().splitlines()[-1]
         assert last.startswith("error: ") and str(target) in last, last
+        assert not list(out.rglob("result.json"))
+
+
+# Manifest cases: (id, key, new value or None to drop, file named or None).
+# nodes has no cap of its own; 10**20 stands far past the label count.
+CAPS = {"nodes": 10**20, "features": 2**20 + 1, "classes": 4097}
+MANIFEST_CASES = (
+    ("nodes+1", "nodes", 1561, "labels.txt"),
+    ("nodes-1", "nodes", 1559, "labels.txt"),
+    ("features+1", "features", 13, None),
+    ("features-1", "features", 11, "features.txt"),
+    ("classes+1", "classes", 3, "labels.txt"),
+    ("classes-1", "classes", 1, "labels.txt"),
+    *((f"{key}-zero", key, 0, "manifest.txt") for key in CAPS),
+    ("nodes-over-cap", "nodes", CAPS["nodes"], "labels.txt"),
+    *((f"{key}-over-cap", key, CAPS[key], "manifest.txt") for key in ("features", "classes")),
+    *((f"{key}-dropped", key, None, "manifest.txt") for key in CAPS),
+    *((f"{key}-repeated", key, "repeat", "manifest.txt") for key in CAPS),
+    *((f"{key}-non-integer", key, "2.0", "manifest.txt") for key in CAPS),
+    ("unknown-key", "edges", 7, "manifest.txt"),
+)
+
+
+def mutate_manifest(text: str, key: str, value) -> str:
+    """text with key's line dropped (value None), repeated, or set to value;
+    a key text does not hold is appended."""
+    lines = text.splitlines(keepends=True)
+    given = [i for i, line in enumerate(lines) if line.split()[0] == key]
+    if value is None:
+        del lines[given[0]]
+    elif value == "repeat":
+        lines.append(lines[given[0]])
+    elif given:
+        lines[given[0]] = f"{key} {value}\n"
+    else:
+        lines.append(f"{key} {value}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("command", ["splits", "train"])
+@pytest.mark.parametrize("key, value, named", [pytest.param(*case[1:], id=case[0])
+                                                for case in MANIFEST_CASES])
+def test_mutated_manifest_fails_cleanly(pristine, tmp_path, capsys, command, key, value, named):
+    data = tmp_path / "data"
+    shutil.copytree(pristine, data, ignore=shutil.ignore_patterns("splits"))
+    manifest = data / "manifest.txt"
+    assert manifest.read_text() == "nodes 1560\nfeatures 12\nclasses 2\n"
+    manifest.write_text(mutate_manifest(manifest.read_text(), key, value))
+
+    out = tmp_path / "out"
+    argv = {
+        "splits": ["splits", "--dataset-dir", str(data), "--seed", "0"],
+        "train": ["train", "--method", "gcn", "--dataset-dir", str(data), "--standard-split",
+                  "--epochs", "1"],
+    }[command]
+    code = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == (2 if named else 0), err
+    if named:
+        last = err.strip().splitlines()[-1]
+        assert last.startswith("error: ") and str(data / named) in last, last
         assert not list(out.rglob("result.json"))
 
 

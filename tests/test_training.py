@@ -318,7 +318,7 @@ class TestGradientCheck:
         net = compile_network(
             preset("sgcn"), ops, 3, 2, features=dataset.features, dropout=0.5
         )
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="needs an explicit rng"):
             gradient_check(net, dataset)
 
 
