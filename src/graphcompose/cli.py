@@ -71,7 +71,7 @@ LEARNING_RATE_BAND = (1e-4, 1e-1)
 _LOSS_WEIGHT_KEYS = tuple(f.name for f in fields(LpnnWeights))
 
 
-def sample_config(rng, *, paper_space: bool, with_hidden: bool, with_loss_weights: bool) -> dict:
+def sample_config(rng, *, paper_space: bool, keys: tuple[str, ...] = ("hidden_dim",)) -> dict:
     if paper_space:
         learning_rate = float(rng.uniform(0.0, 1.0))
     else:
@@ -82,10 +82,10 @@ def sample_config(rng, *, paper_space: bool, with_hidden: bool, with_loss_weight
         "dropout": float(rng.uniform(0.0, 1.0)),
         "weight_decay": float(rng.uniform(0.0, 1.0)),
     }
-    if with_hidden:
-        cfg["hidden_dim"] = int(HIDDEN_WIDTHS[rng.integers(len(HIDDEN_WIDTHS))])
-    if with_loss_weights:
-        for key in _LOSS_WEIGHT_KEYS:
+    for key in keys:
+        if key == "hidden_dim":
+            cfg[key] = int(HIDDEN_WIDTHS[rng.integers(len(HIDDEN_WIDTHS))])
+        else:
             cfg[key] = float(rng.uniform(0.0, 1.0))
     return cfg
 
@@ -111,8 +111,7 @@ def run_sweep(
     jobs: int = 1,
     *,
     paper_space: bool = False,
-    with_hidden: bool = True,
-    with_loss_weights: bool = False,
+    keys: tuple[str, ...] = ("hidden_dim",),
 ):
     """Sample `budget` configs, score each by validation accuracy, and keep
     the best trial's model (ties go to the first sampled).
@@ -130,15 +129,7 @@ def run_sweep(
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    configs = [
-        sample_config(
-            rng,
-            paper_space=paper_space,
-            with_hidden=with_hidden,
-            with_loss_weights=with_loss_weights,
-        )
-        for _ in range(budget)
-    ]
+    configs = [sample_config(rng, paper_space=paper_space, keys=keys) for _ in range(budget)]
     lock = threading.Lock()
     best: SweepTrial | None = None
     best_model = None
@@ -193,22 +184,20 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class _Composed:
-    """A composed network: spec_for(hidden_dim=) gives its spec, shape the
-    shape and operator flags as a run records them, and operators the set
+    """A composed network: sampled holds the settings a sweep samples, each
+    with its flag value, and spec_for(**sampled) gives its spec; shape holds
+    the shape and operator flags as a run records them, and operators the set
     it compiles against (None until a topology is given)."""
 
     label: str
     spec_for: Callable[..., NetworkSpec]
-    hidden: int | None
-    samples_hidden: bool
+    sampled: dict
     shape: dict
     operators: dict | None
 
-    samples_loss_weights = False
-
-    def compile(self, dataset: Dataset, dropout: float, hidden_dim: int | None = None):
+    def compile(self, dataset: Dataset, dropout: float, cfg: dict):
         return compile_network(
-            self.spec_for(hidden_dim=self.hidden if hidden_dim is None else hidden_dim),
+            self.spec_for(**{key: cfg[key] for key in self.sampled}),
             self.operators,
             dataset.num_features,
             dataset.num_classes,
@@ -217,10 +206,10 @@ class _Composed:
         )
 
     def fit(self, dataset: Dataset, split, config: TrainConfig, cfg: dict):
-        """Train once, reading the hidden width from cfg (a sampled sweep
-        config, or the flags); return (test, history), where test() gives
-        the named test accuracies, the method's own first."""
-        net = self.compile(dataset, config.dropout, cfg.get("hidden_dim"))
+        """Train once, reading the sampled settings from cfg (a sweep config,
+        or the flags); return (test, history), where test() gives the named
+        test accuracies, the method's own first."""
+        net = self.compile(dataset, config.dropout, cfg)
         params, history = train(net, dataset, split, config)
 
         def test() -> dict[str, float]:
@@ -231,13 +220,14 @@ class _Composed:
         return test, history
 
 
+@dataclass(frozen=True)
 class _Lpnn:
-    """The joint label-field baseline; fit reads the loss weights from cfg."""
+    """The joint label-field baseline; it samples the loss weights, and fit
+    reads them from cfg."""
 
+    sampled: dict
     label = "lpnn"
-    samples_hidden = False
-    samples_loss_weights = True
-    shape: dict = {}
+    shape = {}
 
     def fit(self, dataset: Dataset, split, config: TrainConfig, cfg: dict):
         weights = LpnnWeights(*(cfg[key] for key in _LOSS_WEIGHT_KEYS))
@@ -272,14 +262,13 @@ def _resolve_method(args, topology: GraphTopology | None = None, refusal: str | 
             raise UsageError(f"{', '.join(shape_flags)} do not apply to method 'lpnn'")
         if refusal is not None:
             raise UsageError(refusal)
-        if topology is not None and (
-            args.operator != "symmetric" or args.alpha is not None or args.beta is not None
-        ):
+        if args.operator != "symmetric" or args.alpha is not None or args.beta is not None:
             raise UsageError(
                 "method 'lpnn' builds its own symmetric operator; "
                 "--operator/--alpha/--beta do not apply"
             )
-        return _Lpnn()
+        # sweep has no loss-weight flags: it samples every one.
+        return _Lpnn({key: getattr(args, key, None) for key in _LOSS_WEIGHT_KEYS})
     path = Path(name)
     if name in PRESET_NAMES:
         if args.ll is not None and not any(
@@ -287,11 +276,14 @@ def _resolve_method(args, topology: GraphTopology | None = None, refusal: str | 
         ):
             raise UsageError(f"--ll does not apply to preset {name!r}: it has no label propagation")
         label = name
-        hidden = DEFAULT_HIDDEN_DIM if args.hidden is None else args.hidden
         spec_for = partial(preset, name, depth=args.l, lp_layers=args.ll)
-        samples_hidden = bool(spec_for(hidden_dim=hidden).hidden_dims)
-        if args.hidden is not None and not samples_hidden:
-            raise UsageError(f"--hidden does not apply to {name!r} at this depth: no hidden layer")
+        sampled = {"hidden_dim": DEFAULT_HIDDEN_DIM if args.hidden is None else args.hidden}
+        if not spec_for(**sampled).hidden_dims:
+            if args.hidden is not None:
+                raise UsageError(
+                    f"--hidden does not apply to {name!r} at this depth: no hidden layer"
+                )
+            sampled = {}
     elif path.is_file():
         if shape_flags:
             raise UsageError(
@@ -303,8 +295,8 @@ def _resolve_method(args, topology: GraphTopology | None = None, refusal: str | 
             raise UsageError(f"cannot read network spec {path}: {exc}") from exc
         except UsageError as exc:
             raise UsageError(f"{path}: {exc}") from exc
-        label, hidden, samples_hidden = spec.name, None, False
-        spec_for = lambda hidden_dim: spec  # noqa: E731 - a spec file fixes its widths
+        label, sampled = spec.name, {}
+        spec_for = lambda: spec  # noqa: E731 - a spec file fixes its widths
     else:
         raise UsageError(
             f"unknown method {name!r}: expected one of {', '.join(PRESET_NAMES)}, "
@@ -316,7 +308,7 @@ def _resolve_method(args, topology: GraphTopology | None = None, refusal: str | 
         shape = {"operator": args.operator, "depth": args.l, "lp_layers": args.ll,
                  "alpha": args.alpha, "beta": args.beta}
         shape = {key: value for key, value in shape.items() if value is not None}
-    return _Composed(label, spec_for, hidden, samples_hidden, shape, operators)
+    return _Composed(label, spec_for, sampled, shape, operators)
 
 
 def _operator_set(topology: GraphTopology, operator: str, alpha, beta):
@@ -365,12 +357,8 @@ def _resolve_split(args, dataset: Dataset):
 
 def _flag_config(args, method) -> dict:
     """A flag-driven run's settings, with the keys a sweep would sample."""
-    cfg = {"learning_rate": args.lr, "dropout": args.dropout, "weight_decay": args.weight_decay}
-    if method.samples_hidden:
-        cfg["hidden_dim"] = method.hidden
-    if method.samples_loss_weights:
-        cfg.update((key, getattr(args, key)) for key in _LOSS_WEIGHT_KEYS)
-    return cfg
+    return {"learning_rate": args.lr, "dropout": args.dropout,
+            "weight_decay": args.weight_decay, **method.sampled}
 
 
 def _train_config(args, cfg: dict, seed: int) -> TrainConfig:
@@ -458,8 +446,7 @@ def cmd_sweep(args) -> int:
         args.seed,
         args.jobs,
         paper_space=args.paper_space,
-        with_hidden=method.samples_hidden,
-        with_loss_weights=method.samples_loss_weights,
+        keys=tuple(method.sampled),
     )
     test_accuracy = test()["test"]
     config = _train_config(args, best.config, best.seed)
@@ -677,7 +664,7 @@ def cmd_gradcheck(args) -> int:
     method = _resolve_method(
         args, dataset.topology, "gradcheck covers the composed chains; 'lpnn' is not supported here"
     )
-    net = method.compile(dataset, dropout=0.0)
+    net = method.compile(dataset, 0.0, method.sampled)
     report = gradient_check(net, dataset, tolerance=args.tolerance, seed=args.seed)
     for i, err in enumerate(report.per_param):
         print(f"parameter {i}: max relative error {err:.3e}")
@@ -706,7 +693,7 @@ def cmd_cost(args) -> int:
                 "cost needs --dataset-dir or all of --nodes, --edges, --input-dim, --classes"
             )
         n, edges, input_dim, classes = sizes.values()
-    spec = method.spec_for(hidden_dim=method.hidden)
+    spec = method.spec_for(**method.sampled)
     dim = _representative_dim(spec, input_dim)
     cost = estimate_cost(spec, n, edges, dim, classes)
     print(f"{method.label}: nodes={n} edges={edges} dim={dim} classes={classes}")

@@ -382,8 +382,9 @@ def generate_splits(dataset: Dataset, base_seed: int) -> dict[tuple[int, int], D
         for cls in range(dataset.num_classes):
             members = pool[pool_labels == cls]
             if members.size < _PER_CLASS:
+                where = f"{Path(dataset.source_dir) / 'labels.txt'}: " if dataset.source_dir else ""
                 raise DataError(
-                    f"class {cls} has only {members.size} nodes outside val/test; "
+                    f"{where}class {cls} has only {members.size} nodes outside val/test; "
                     f"{_PER_CLASS} per class are required"
                 )
             picked.append(rng.permutation(members)[:_PER_CLASS])

@@ -28,8 +28,6 @@ from .networks import (
     forward,
     softmax_rows_forward,
     softmax_rows_vjp,
-    spmm,
-    spmm_transposed,
 )
 from .training import PROB_FLOOR, AdamState, TrainConfig, _restrict_to, _seeded_start, adam_step, fit
 
@@ -86,13 +84,13 @@ def lpnn_loss(f, g_out, op: PropagationOperator, labels, labeled_set, weights: L
 
     # Smoothness: Tr(f^T (I - S) f) = ||f||^2 - <f, S f>.
     if weights.mu_g:
-        sf = spmm(op.matrix, f)
+        sf = op.matrix @ f
         trace = float((f * f).sum() - (f * sf).sum())
         scale = max(1.0, float((f * f).sum()))
         if trace < -1e-8 * scale:
             raise NumericError(f"smoothness trace term went negative: {trace}")
         loss += weights.mu_g * trace
-        d_f += weights.mu_g * (2.0 * f - sf - spmm_transposed(op.matrix, f))
+        d_f += weights.mu_g * (2.0 * f - sf - op.matrix.T @ f)
 
     one_hot = np.zeros((n, m), dtype=np.float64)
     one_hot[np.arange(n), labels] = 1.0

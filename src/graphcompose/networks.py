@@ -10,7 +10,7 @@ held as scipy CSR when it is sparse (see SPARSE_INPUT_DENSITY).
 
 The Primitives section holds each chain entry's math: spmm (smoothing) and
 the linear, relu, row-softmax and dropout forwards, each with its vjp. Chain
-entries call them as module globals; lpnn reuses the softmax and spmm pairs.
+entries call them as module globals; lpnn reuses the softmax pair.
 
 Composition rules enforced here: exactly one softmax; LP stages only after the
 softmax, and never with a symmetric operator (a row-normalized one keeps
@@ -212,6 +212,16 @@ def validate_spec(spec: NetworkSpec) -> None:
 
 PRESET_NAMES = ("gcn", "sgcn", "fp-mlp", "sgcn-lp", "gcn-lp", "linear-lp", "mlp-lp")
 
+# The feature side of each preset family, from the budget L, the smoothings
+# s = max(L - ll, 0) left to it, and its L - 1 hidden widths.
+_FEATURE_SIDE = {
+    "gcn": lambda length, s, hid: [GcnBlock(length, hid, smoothings=s)],
+    "sgcn": lambda length, s, hid: [Fp(s)] * (s > 0) + [LinearClassifier()],
+    "fp-mlp": lambda length, s, hid: [Fp(s), Mlp(hid), LinearClassifier()],
+    "linear": lambda length, s, hid: [LinearClassifier()],
+    "mlp": lambda length, s, hid: [Mlp(hid), LinearClassifier()],
+}
+
 
 def preset(
     name: str,
@@ -220,13 +230,14 @@ def preset(
     depth: int | None = None,
     lp_layers: int | None = None,
 ) -> NetworkSpec:
-    """Build one of the named network shapes.
+    """Build one of the named network shapes: a feature side that smooths
+    max(L - ll, 0) times, a softmax, then ll label propagation layers.
 
-    depth is the total propagation/feed-forward budget L (default 2). For the
-    split variants (sgcn-lp, gcn-lp) the budget is divided between the feature
-    side and lp_layers on the label side, so lp_layers=0 reduces them to their
-    propagation-free ancestors exactly. Stages keep their default operator
-    names ("symmetric" on the feature side, "row" for lp); the operator set a
+    depth is the total propagation/feed-forward budget L (default 2). A "-lp"
+    preset takes ll from lp_layers, by default 1 for sgcn-lp/gcn-lp and L for
+    linear-lp/mlp-lp; the others have ll = 0, so gcn and sgcn are gcn-lp and
+    sgcn-lp at lp_layers=0. Stages keep their default operator names
+    ("symmetric" on the feature side, "row" for lp); the operator set a
     network compiles against decides what each name means.
     """
     if name not in PRESET_NAMES:
@@ -236,38 +247,15 @@ def preset(
     _check_size("hidden width", hidden_dim, 1)
     if lp_layers is not None:
         _check_size("lp layers", lp_layers, 0)
+    ll = 0  # gcn, sgcn and fp-mlp have no label side
+    if name.endswith("-lp"):
+        ll = (1 if name in ("sgcn-lp", "gcn-lp") else length) if lp_layers is None else lp_layers
     hid = (hidden_dim,) * (length - 1)
-
-    def with_lp(stages: list[Stage], ll: int) -> tuple[Stage, ...]:
-        if ll > 0:
-            stages.append(Lp(layers=ll))
-        return tuple(stages)
-
-    if name == "gcn":
-        return NetworkSpec(name, (GcnBlock(length, hid, smoothings=length), Softmax()))
-    if name == "sgcn":
-        return NetworkSpec(name, (Fp(length), LinearClassifier(), Softmax()))
-    if name == "fp-mlp":
-        return NetworkSpec(name, (Fp(length), Mlp(hid), LinearClassifier(), Softmax()))
-    if name == "sgcn-lp":
-        ll = 1 if lp_layers is None else lp_layers
-        fp = max(length - ll, 0)
-        stages: list[Stage] = []
-        if fp > 0:
-            stages.append(Fp(fp))
-        stages += [LinearClassifier(), Softmax()]
-        return NetworkSpec(name, with_lp(stages, ll))
-    if name == "gcn-lp":
-        ll = 1 if lp_layers is None else lp_layers
-        s = max(length - ll, 0)
-        stages = [GcnBlock(length, hid, smoothings=s), Softmax()]
-        return NetworkSpec(name, with_lp(stages, ll))
-    if name == "linear-lp":
-        ll = length if lp_layers is None else lp_layers
-        return NetworkSpec(name, with_lp([LinearClassifier(), Softmax()], ll))
-    # mlp-lp
-    ll = length if lp_layers is None else lp_layers
-    return NetworkSpec(name, with_lp([Mlp(hid), LinearClassifier(), Softmax()], ll))
+    stages = _FEATURE_SIDE[name.removesuffix("-lp")](length, max(length - ll, 0), hid)
+    stages.append(Softmax())
+    if ll > 0:
+        stages.append(Lp(layers=ll))
+    return NetworkSpec(name, tuple(stages))
 
 
 # ---------------------------------------------------------------------------

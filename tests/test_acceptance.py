@@ -131,13 +131,8 @@ def sweep_test_accuracy(dataset, split, method_name, budget=200, sweep_seed=0, l
         params, history = train(net, dataset, split, config)
         return history.best_val_accuracy, lambda: forward(net, params)[0]
 
-    _, predict, _ = run_sweep(
-        run_one,
-        budget,
-        sweep_seed,
-        with_hidden=not is_lpnn,
-        with_loss_weights=is_lpnn,
-    )
+    keys = _LOSS_WEIGHT_KEYS if is_lpnn else ("hidden_dim",)
+    _, predict, _ = run_sweep(run_one, budget, sweep_seed, keys=keys)
     return accuracy(predict(), dataset.labels, split.test)
 
 

@@ -6,6 +6,7 @@ that breaks either shows up here, not only as a nonzero
 `trace.missing_layers` in a full benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -23,6 +24,7 @@ from .conftest import entry_kinds, planted_dataset
 from .test_training import stratified_split
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+RUN = TRACING.with_name("run.py")
 
 
 @pytest.fixture(scope="module")
@@ -48,9 +50,17 @@ def test_every_wrapped_name_is_a_callable_module_global(tracing):
 
 
 def test_package_names_the_benchmark_uses():
-    for name in ("LpnnWeights", "RunResult", "TrainConfig", "load_dataset",
-                 "load_standard_split", "train", "train_lpnn"):
-        assert hasattr(gc, name), name
+    # Every `gc.<name>` in perfbench/run.py, and every name it imports from
+    # the package, read from its source.
+    used = []
+    for node in ast.walk(ast.parse(RUN.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "gc":
+            used.append(("graphcompose", node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("graphcompose"):
+            used += [(node.module, alias.name) for alias in node.names]
+    assert {"build_operator", "compile_network", "preset"} <= {name for _, name in used}
+    for module_name, name in used:
+        assert hasattr(importlib.import_module(module_name), name), f"{module_name}.{name}"
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

@@ -14,6 +14,7 @@ import scipy.sparse as sp
 
 import graphcompose
 from graphcompose.cli import (
+    _LOSS_WEIGHT_KEYS,
     HIDDEN_WIDTHS,
     LEARNING_RATE_BAND,
     main,
@@ -76,7 +77,7 @@ def read_only_result(out_dir):
 class TestSampleConfig:
     def draws(self, seed, n=200, **kwargs):
         rng = np.random.default_rng(seed)
-        kwargs = {"paper_space": False, "with_hidden": True, "with_loss_weights": True, **kwargs}
+        kwargs = {"paper_space": False, "keys": ("hidden_dim", *_LOSS_WEIGHT_KEYS), **kwargs}
         return [sample_config(rng, **kwargs) for _ in range(n)]
 
     def test_log_sampling_in_bounds(self):
@@ -108,19 +109,14 @@ class TestSampleConfig:
         assert HIDDEN_WIDTHS == (8, 16, 32, 64, 128)
         assert set(widths) == set(HIDDEN_WIDTHS)
 
-    def test_keys(self):
-        base = {"learning_rate", "dropout", "weight_decay"}
-        loss_weights = {"mu_g", "mu_l", "mu_u", "lambda_l", "lambda_u"}
-        for with_hidden in (False, True):
-            for with_loss_weights in (False, True):
-                (cfg,) = self.draws(
-                    2, 1, with_hidden=with_hidden, with_loss_weights=with_loss_weights
-                )
-                assert set(cfg) == (
-                    base
-                    | ({"hidden_dim"} if with_hidden else set())
-                    | (loss_weights if with_loss_weights else set())
-                )
+    @pytest.mark.parametrize(
+        "keys",
+        [(), ("hidden_dim",), _LOSS_WEIGHT_KEYS],
+        ids=["none", "hidden_dim", "loss_weights"],
+    )
+    def test_keys(self, keys):
+        (cfg,) = self.draws(2, 1, keys=keys)
+        assert list(cfg) == ["learning_rate", "dropout", "weight_decay", *keys]
 
 
 class TestRunSweep:
@@ -641,6 +637,23 @@ def test_result_config_records_the_run_settings(cli_env, tmp_path, command, meth
 
 
 class TestSplitsCommand:
+    def test_short_class_names_the_labels_file(self, cli_env, capsys, tmp_path):
+        root = tmp_path / "short"
+        shutil.copytree(cli_env, root, ignore=shutil.ignore_patterns("splits"))
+        # Keep five nodes of class 1; the rest move to class 0.
+        lines, kept = [], 0
+        for line in (root / "labels.txt").read_text().splitlines():
+            node, cls = line.split()
+            if cls == "1":
+                kept += 1
+                cls = "1" if kept <= 5 else "0"
+            lines.append(f"{node} {cls}\n")
+        (root / "labels.txt").write_text("".join(lines))
+        assert main(["splits", "--dataset-dir", str(root), "--out", str(tmp_path / "s")]) == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last.startswith(f"error: {root}/labels.txt: class 1 has only")
+        assert not (tmp_path / "s").exists()
+
     def test_reports_counts_and_sizes(self, cli_env, capsys, tmp_path):
         code = main(
             ["splits", "--dataset-dir", str(cli_env), "--seed", "0",
@@ -928,6 +941,27 @@ class TestSweepCommand:
         assert main(self.sweep_args(cli_env, tmp_path, 1, budget=2, epochs=4)) == 0
         assert "hidden_dim" not in read_only_result(tmp_path)["config"]
         assert "hidden_dim" not in next(tmp_path.rglob("trials.txt")).read_text()
+
+    @pytest.mark.parametrize("method", ["spec-file", "sgcn --l 1", "gcn --l 1"])
+    def test_trials_sample_only_the_shared_settings(self, cli_env, tmp_path, method):
+        # A spec file fixes its widths, and these presets have no hidden layer.
+        if method == "spec-file":
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"name": "fixed", "stages": [
+                {"kind": "fp", "layers": 1}, {"kind": "mlp", "hidden_dims": [8]},
+                {"kind": "linear_classifier"}, {"kind": "softmax"},
+            ]}))
+            method, extra = str(spec), []
+        else:
+            method, *extra = method.split()
+        out = tmp_path / "out"
+        assert main(self.sweep_args(cli_env, out, 1, extra, method=method, budget=2, epochs=4)) == 0
+        rows = next(out.rglob("trials.txt")).read_text().splitlines()[1:]
+        assert len(rows) == 2
+        for row in rows:
+            assert list(json.loads(row.split("\t")[3])) == [
+                "dropout", "learning_rate", "weight_decay"
+            ]
 
 
 class TestCompareCommand:

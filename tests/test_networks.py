@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -135,6 +137,20 @@ class TestPresets:
     def test_depth_below_one_rejected(self):
         with pytest.raises(UsageError):
             preset("gcn", depth=0)
+
+    def test_grid_matches_the_hand_written_presets(self):
+        # Every preset at every depth, lp count (past the depth too) and width
+        # gives the specs the per-name constructions gave; the digest was taken
+        # from those constructions over this same grid.
+        docs = [
+            spec_to_dict(preset(name, hidden_dim=hidden, depth=depth, lp_layers=ll))
+            for name in PRESET_NAMES
+            for depth in (1, 2, 3, 4, 6)
+            for ll in (None, 0, 1, 2, 3, 5)
+            for hidden in (8, 16)
+        ]
+        digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+        assert digest == "715e1dcc5f9c506244dd59b10e0c0f3a36d0515df401647b6442cc2d3115a901"
 
 
 class TestSpecSerialization:
