@@ -29,7 +29,16 @@ from .networks import (
     softmax_rows_forward,
     softmax_rows_vjp,
 )
-from .training import PROB_FLOOR, AdamState, TrainConfig, _restrict_to, _seeded_start, adam_step, fit
+from .training import (
+    PROB_FLOOR,
+    AdamState,
+    TrainConfig,
+    _overlaps_validation,
+    _restrict_to,
+    _seeded_start,
+    adam_step,
+    fit,
+)
 
 __all__ = [
     "LpnnWeights",
@@ -152,7 +161,9 @@ def train_lpnn(dataset, split, config: TrainConfig, weights: LpnnWeights):
     accuracy, since g serves predictions by default. g is compiled with the
     features as its input (CSR when they are sparse); the step runs it on
     every node, since the loss reads them all, and validation on a copy
-    restricted to the val rows. Trains in float64 only."""
+    restricted to the val rows; that validation overlaps the next step under
+    the same conditions and with the same bytes as in train. Trains in
+    float64 only."""
     if config.precision != "float64":
         raise UsageError(
             "method 'lpnn' trains in float64 only; --precision float32 does not apply"
@@ -179,7 +190,7 @@ def train_lpnn(dataset, split, config: TrainConfig, weights: LpnnWeights):
     adam_f = AdamState.for_params([f])
     adam_g = AdamState.for_params(g_params)
 
-    def step() -> float:
+    def step():
         nonlocal f, g_params
         g_out, states = forward(g_net, g_params, mode="train", rng=dropout_rng)
         loss, d_f, d_g_out = lpnn_loss(f, g_out, op, dataset.labels, train_idx, weights)
@@ -187,11 +198,11 @@ def train_lpnn(dataset, split, config: TrainConfig, weights: LpnnWeights):
         # Weight decay shrinks only g's linear weights, never the label field.
         f = adam_step([f], [d_f], adam_f, config.learning_rate, 0.0)[0]
         g_params = adam_step(g_params, g_grads, adam_g, config.learning_rate, config.weight_decay)
-        return loss
+        return loss, (f, g_params)
 
-    def evaluate():
-        val_out, _ = forward(val_net, g_params)
-        return accuracy(val_out, val_labels, val_net.positions), (f, g_params)
+    def evaluate(state) -> float:
+        val_out, _ = forward(val_net, state[1])
+        return accuracy(val_out, val_labels, val_net.positions)
 
-    (best_f, best_g), history = fit(step, evaluate, config)
+    (best_f, best_g), history = fit(step, evaluate, config, overlap=_overlaps_validation(val_net))
     return LpnnModel(f=best_f, g_net=g_net, g_params=best_g), history

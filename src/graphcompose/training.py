@@ -8,10 +8,14 @@ propagation cannot blow up the loss.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import NumericError, UsageError
 from .evaluation import accuracy
@@ -148,17 +152,56 @@ def _seeded_start(net: CompiledNetwork, config: TrainConfig):
     return params, np.random.default_rng(dropout_stream)
 
 
-def fit(step, evaluate, config: TrainConfig):
+def _overlaps_validation(val_net: CompiledNetwork) -> bool:
+    """Whether fit should run each validation pass beside the next step: only
+    when the val copy's input is CSR and the caller is the main thread. scipy's
+    CSR product releases the GIL, so a pass built around it runs on the idle
+    core; a dense input's matrix products already use every BLAS thread, and a
+    trainer on a worker thread (a sweep's pool) already shares the cores."""
+    return sp.issparse(val_net.x_bar) and threading.current_thread() is threading.main_thread()
+
+
+def _sequential(step, evaluate, epochs: int):
+    for epoch in range(1, epochs + 1):
+        loss, state = step(epoch)
+        yield loss, evaluate(state), state
+
+
+def _overlapped(step, evaluate, epochs: int, pool: ThreadPoolExecutor):
+    """Epoch e's evaluate runs on the pool while epoch e + 1's step runs here.
+    That step is speculative: its result, or the exception it raised, is kept
+    until the consumer asks for epoch e + 1, and dropped if it never does."""
+    loss, state = step(1)
+    for epoch in range(2, epochs + 1):
+        pending = pool.submit(evaluate, state)
+        try:
+            ahead = step(epoch)
+        except Exception as exc:
+            ahead = exc
+        yield loss, pending.result(), state
+        if isinstance(ahead, Exception):
+            raise ahead
+        loss, state = ahead
+    yield loss, evaluate(state), state
+
+
+def fit(step, evaluate, config: TrainConfig, *, overlap: bool = False):
     """The early-stopping loop shared by every trainer.
 
-    Each epoch calls step(), which takes one optimizer update and returns the
-    training loss that update was computed from, then evaluate(), which
-    returns (validation accuracy, model state). A non-finite loss raises
-    NumericError.
+    Each epoch calls step(), which takes one optimizer update and returns
+    (training loss that update was computed from, model state after it), then
+    evaluate(state), which returns the validation accuracy. A non-finite loss
+    raises NumericError naming its epoch.
     Training stops after `patience` consecutive epochs without a strict
-    improvement. Returns the state from the best epoch and the history; the
-    state is kept by reference, so step must replace it rather than update it
-    in place.
+    improvement. Returns the state from the best epoch and the history.
+
+    With overlap, epoch e's evaluate runs on a helper thread while epoch
+    e + 1's step runs on the calling thread; the thread is joined before fit
+    returns. Outputs are byte-identical to the sequential order as long as
+    step never writes into a state it returned (states are kept and read by
+    reference) and evaluate draws no randomness. When epoch e stops training,
+    the step already taken for e + 1 is dropped, with any exception it raised;
+    no step runs past max_epochs.
     """
     losses: list[float] = []
     accs: list[float] = []
@@ -167,26 +210,34 @@ def fit(step, evaluate, config: TrainConfig):
     best_state = None
     stale = 0
     stopped = config.max_epochs
-    for epoch in range(1, config.max_epochs + 1):
-        loss = step()
+
+    def checked_step(epoch: int):
+        loss, state = step()
         if not np.isfinite(loss):
             raise NumericError(
                 f"non-finite training loss at epoch {epoch} "
                 f"(learning_rate={config.learning_rate})"
             )
-        val_acc, state = evaluate()
-        losses.append(loss)
-        accs.append(val_acc)
-        if val_acc > best_acc:
-            best_acc = val_acc
-            best_epoch = epoch
-            best_state = state
-            stale = 0
+        return loss, state
+
+    with ThreadPoolExecutor(max_workers=1) if overlap else contextlib.nullcontext() as pool:
+        if pool is None:
+            epochs = _sequential(checked_step, evaluate, config.max_epochs)
         else:
-            stale += 1
-            if stale >= config.patience:
-                stopped = epoch
-                break
+            epochs = _overlapped(checked_step, evaluate, config.max_epochs, pool)
+        for epoch, (loss, val_acc, state) in enumerate(epochs, start=1):
+            losses.append(loss)
+            accs.append(val_acc)
+            if val_acc > best_acc:
+                best_acc = val_acc
+                best_epoch = epoch
+                best_state = state
+                stale = 0
+            else:
+                stale += 1
+                if stale >= config.patience:
+                    stopped = epoch
+                    break
 
     history = TrainHistory(
         train_loss=tuple(losses),
@@ -207,7 +258,10 @@ def train(net: CompiledNetwork, dataset, split, config: TrainConfig):
     The step runs on a copy restricted to the train rows and the evaluation on
     one restricted to the val rows (see restrict), since the loss and the
     metric read nothing else; train-mode dropout draws over the restricted
-    rows only.
+    rows only. When the val copy's input is CSR and train is called on the
+    main thread (see _overlaps_validation), each evaluation runs on a helper
+    thread beside the next epoch's step, with the same output bytes; at an
+    early stop one extra step has run and is dropped.
     """
     if config.dropout != net.dropout:
         raise UsageError(
@@ -222,19 +276,19 @@ def train(net: CompiledNetwork, dataset, split, config: TrainConfig):
     params, dropout_rng = _seeded_start(net, config)
     adam = AdamState.for_params(params)
 
-    def step() -> float:
+    def step():
         nonlocal params
         out, states = forward(train_net, params, mode="train", rng=dropout_rng)
         loss, d_p = masked_cross_entropy(out, train_labels, train_net.positions)
         grads = backward(train_net, states, d_p)
         params = adam_step(params, grads, adam, config.learning_rate, config.weight_decay)
-        return loss
+        return loss, params
 
-    def evaluate():
-        val_out, _ = forward(val_net, params)
-        return accuracy(val_out, val_labels, val_net.positions), params
+    def evaluate(state) -> float:
+        val_out, _ = forward(val_net, state)
+        return accuracy(val_out, val_labels, val_net.positions)
 
-    return fit(step, evaluate, config)
+    return fit(step, evaluate, config, overlap=_overlaps_validation(val_net))
 
 
 @dataclass(frozen=True)

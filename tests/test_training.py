@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from graphcompose import lpnn as lpnn_module
 from graphcompose import training
 from graphcompose.data import DataSplit
 from graphcompose.errors import NumericError, UsageError
@@ -413,3 +417,190 @@ class TestFeaturesUntouched:
         after = (dataset.features.data, dataset.features.indices, dataset.features.indptr)
         for old, new in zip(before, after):
             assert old.dtype == new.dtype and old.tobytes() == new.tobytes()
+
+
+class TestFit:
+    """fit's loop with fake step/evaluate: states are epoch numbers, and the
+    accuracies follow a fixed schedule."""
+
+    @staticmethod
+    def fakes(accs, *, losses=None, fail_at=None, error=None):
+        """step() returns (loss, its call number); evaluate(state) returns
+        accs[state - 1]. Call number fail_at raises error."""
+        calls = {"step": 0, "seen": []}
+
+        def step():
+            calls["step"] += 1
+            k = calls["step"]
+            if k == fail_at:
+                raise error
+            return (losses[k - 1] if losses else 1.0 / k), k
+
+        def evaluate(state):
+            calls["seen"].append(state)
+            return accs[state - 1]
+
+        return step, evaluate, calls
+
+    @staticmethod
+    def fit(step, evaluate, epochs, patience, overlap):
+        config = TrainConfig(max_epochs=epochs, patience=patience)
+        return training.fit(step, evaluate, config, overlap=overlap)
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_full_budget_takes_max_epochs_steps(self, overlap):
+        step, evaluate, calls = self.fakes([0.1 * k for k in range(1, 7)])
+        best, history = self.fit(step, evaluate, 6, 2, overlap)
+        assert calls["step"] == 6
+        assert calls["seen"] == [1, 2, 3, 4, 5, 6]
+        assert best == 6 and history.best_epoch == 6 and history.stopped_epoch == 6
+        assert history.train_loss == tuple(1.0 / k for k in range(1, 7))
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_early_stop_takes_at_most_one_extra_step(self, overlap):
+        # Best at epoch 2, then two stale epochs: patience 2 stops at epoch 4.
+        step, evaluate, calls = self.fakes([0.5, 0.7, 0.6, 0.6, 0.9, 0.9])
+        best, history = self.fit(step, evaluate, 6, 2, overlap)
+        assert history.stopped_epoch == 4 and history.best_epoch == 2 and best == 2
+        assert calls["seen"] == [1, 2, 3, 4]
+        assert calls["step"] == (5 if overlap else 4)
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_failed_step_after_the_stop_epoch_is_dropped(self, overlap):
+        step, evaluate, calls = self.fakes(
+            [0.5, 0.7, 0.6, 0.6, 0.9], fail_at=5, error=RuntimeError("past the stop")
+        )
+        _, history = self.fit(step, evaluate, 6, 2, overlap)
+        assert history.stopped_epoch == 4 and len(history.train_loss) == 4
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_failed_step_while_training_continues_raises_that_exception(self, overlap):
+        error = RuntimeError("step 3")
+        step, evaluate, calls = self.fakes([0.1, 0.2, 0.3, 0.4], fail_at=3, error=error)
+        with pytest.raises(RuntimeError) as info:
+            self.fit(step, evaluate, 4, 4, overlap)
+        assert info.value is error
+        assert calls["seen"] == [1, 2]
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_non_finite_loss_names_its_own_epoch(self, overlap):
+        step, evaluate, calls = self.fakes([0.1] * 5, losses=[1.0, 0.9, 0.8, np.nan, 0.7])
+        with pytest.raises(NumericError, match="non-finite training loss at epoch 4 "):
+            self.fit(step, evaluate, 5, 5, overlap)
+        assert calls["seen"] == [1, 2, 3]
+
+    def test_non_finite_loss_after_the_stop_epoch_is_dropped(self):
+        step, evaluate, _ = self.fakes([0.5, 0.4, 0.3], losses=[1.0, 0.9, np.nan])
+        _, history = self.fit(step, evaluate, 3, 1, True)
+        assert history.stopped_epoch == 2
+
+    def test_helper_thread_is_joined_before_fit_returns(self):
+        before = threading.active_count()
+        step, evaluate, _ = self.fakes([0.1, 0.2, 0.3])
+        self.fit(step, evaluate, 3, 3, True)
+        assert threading.active_count() == before
+
+
+def on_worker_thread(fn, *args):
+    """fn(*args) called on a new thread (where training never overlaps)."""
+    out = {}
+
+    def target():
+        out["value"] = fn(*args)
+
+    worker = threading.Thread(target=target)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    return out["value"]
+
+
+class TestOverlappedValidation:
+    """On the main thread with a CSR val input, each epoch's validation runs
+    on a helper thread beside the next step; on a worker thread the loop runs
+    in order. Both must give the same bytes."""
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def sparse_setup():
+        dataset = sparse_planted_dataset(300, 3, 120, 0.03, seed=21)
+        return dataset, build_ops(dataset), stratified_split(dataset, per_class=6, val=60)
+
+    @staticmethod
+    def run(method, dataset, ops, split, config):
+        if method == "lpnn":
+            model, history = train_lpnn(dataset, split, config, LpnnWeights(1.0, 1.0, 1.0, 1.0, 1.0))
+            return [model.f, *model.g_params], history
+        net = compile_network(
+            preset(method), ops, dataset.num_features, dataset.num_classes,
+            features=dataset.features, dropout=config.dropout,
+        )
+        return train(net, dataset, split, config)
+
+    @staticmethod
+    def spy_threads(monkeypatch, method):
+        """Threads that ran each infer-mode forward of the trainer."""
+        module = lpnn_module if method == "lpnn" else training
+        original = module.forward
+        threads = []
+
+        def spy(net_, params, *, mode="infer", rng=None):
+            if mode == "infer":
+                threads.append(threading.get_ident())
+            return original(net_, params, mode=mode, rng=rng)
+
+        monkeypatch.setattr(module, "forward", spy)
+        return threads
+
+    def assert_same_bytes(self, method, dataset, ops, split, config, monkeypatch):
+        threads = self.spy_threads(monkeypatch, method)
+        params, history = self.run(method, dataset, ops, split, config)
+        overlapped = list(threads)
+        threads.clear()
+        ref_params, ref_history = on_worker_thread(self.run, method, dataset, ops, split, config)
+        worker = set(threads)
+        assert history.to_text() == ref_history.to_text()
+        assert history == ref_history
+        for a, b in zip(params, ref_params, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # Every epoch validates on the helper thread, except an epoch with no
+        # next step to overlap (the last of the budget); a worker thread
+        # validates itself.
+        main = threading.get_ident()
+        epochs = len(history.train_loss)
+        on_main = [t == main for t in overlapped]
+        assert on_main == [False] * (epochs - 1) + [epochs == config.max_epochs]
+        assert len(worker) == 1 and main not in worker
+        return history
+
+    @pytest.mark.parametrize("method", ["gcn", "lpnn"])
+    def test_overlap_keeps_every_byte(self, sparse_setup, method, monkeypatch):
+        dataset, ops, split = sparse_setup
+        config = TrainConfig(dropout=0.5, max_epochs=8, patience=8, seed=5)
+        self.assert_same_bytes(method, dataset, ops, split, config, monkeypatch)
+
+    def test_early_stop_keeps_every_byte(self, sparse_setup, monkeypatch):
+        dataset, ops, split = sparse_setup
+        config = TrainConfig(learning_rate=0.05, dropout=0.5, max_epochs=60, patience=3, seed=6)
+        history = self.assert_same_bytes("gcn", dataset, ops, split, config, monkeypatch)
+        assert history.stopped_epoch < config.max_epochs
+
+    def test_tiny_switch_interval_keeps_every_byte(self, sparse_setup, monkeypatch):
+        dataset, ops, split = sparse_setup
+        config = TrainConfig(dropout=0.5, max_epochs=6, patience=6, seed=7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.assert_same_bytes("gcn", dataset, ops, split, config, monkeypatch)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("method", ["gcn", "lpnn"])
+    def test_dense_input_validates_on_the_calling_thread(self, method, monkeypatch):
+        dataset = planted_dataset(120, 3, 10, seed=22)
+        ops = build_ops(dataset)
+        split = stratified_split(dataset)
+        threads = self.spy_threads(monkeypatch, method)
+        config = TrainConfig(dropout=0.5, max_epochs=4, patience=4)
+        self.run(method, dataset, ops, split, config)
+        assert threads == [threading.get_ident()] * 4
