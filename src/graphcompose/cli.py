@@ -122,7 +122,8 @@ def run_sweep(
     under one lock, keyed by (accuracy, -index): the winner is the first
     maximum in index order whatever order trials finish in, so the
     parallelism degree never changes the outcome, and a losing model is
-    dropped at once. Returns (best trial, its model, trials in index order).
+    dropped at once. With jobs 1 the trials run in order on the calling
+    thread. Returns (best trial, its model, trials in index order).
     """
     if budget < 1:
         raise UsageError(f"sweep budget must be >= 1, got {budget}")
@@ -148,8 +149,11 @@ def run_sweep(
                 best, best_model = trial, model
         return trial
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        trials = list(pool.map(attempt, range(budget)))
+    if jobs == 1:
+        trials = [attempt(index) for index in range(budget)]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            trials = list(pool.map(attempt, range(budget)))
     if best is None:
         raise NumericError(
             f"all {budget} sweep configurations failed; last error: {trials[-1].message}"
@@ -208,12 +212,12 @@ class _Composed:
     def fit(self, dataset: Dataset, split, config: TrainConfig, cfg: dict):
         """Train once, reading the sampled settings from cfg (a sweep config,
         or the flags); return (test, history), where test() gives the named
-        test accuracies, the method's own first."""
-        net = self.compile(dataset, config.dropout, cfg)
-        params, history = train(net, dataset, split, config)
+        test accuracies, the method's own first, on a freshly compiled network
+        (the trained one and the copies it memoized go when train returns)."""
+        params, history = train(self.compile(dataset, config.dropout, cfg), dataset, split, config)
 
         def test() -> dict[str, float]:
-            net.restricted.clear()  # free training's copies before folding the test rows
+            net = self.compile(dataset, config.dropout, cfg)
             part, labels = _restrict_to(net, dataset, split.test)
             return {"test": accuracy(forward(part, params)[0], labels, part.positions)}
 
@@ -564,9 +568,9 @@ def _parse_grid(text: str) -> tuple[tuple[float, float], ...]:
         try:
             points.append((float(parts[0]), float(parts[1])))
         except ValueError as exc:
-            raise UsageError(f"grid point {chunk!r} is not numeric") from exc
+            raise UsageError(f"--grid point {chunk!r} is not numeric") from exc
     if not points:
-        raise UsageError("empty propagation-model grid")
+        raise UsageError("--grid holds no alpha,beta point")
     return tuple(points)
 
 
@@ -623,7 +627,7 @@ def _toy_dataset(num_nodes, input_dim, num_classes, seed: int) -> Dataset:
     input_dim = 5 if input_dim is None else input_dim
     num_classes = 3 if num_classes is None else num_classes
     if num_nodes < 3:
-        raise UsageError(f"gradient-check graph needs >= 3 nodes, got {num_nodes}")
+        raise UsageError(f"gradient-check graph needs --nodes >= 3, got {num_nodes}")
     if input_dim < 1 or num_classes < 1:
         raise UsageError(
             f"gradient-check data needs --input-dim and --classes >= 1, "

@@ -16,7 +16,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .evaluation import accuracy
 from .graph import PropagationOperator, build_operator
 from .networks import (
     LinearClassifier,
@@ -33,11 +32,9 @@ from .training import (
     PROB_FLOOR,
     AdamState,
     TrainConfig,
-    _overlaps_validation,
-    _restrict_to,
+    _fit_validated,
     _seeded_start,
     adam_step,
-    fit,
 )
 
 __all__ = [
@@ -82,8 +79,7 @@ def lpnn_loss(f, g_out, op: PropagationOperator, labels, labeled_set, weights: L
     caller, as train_lpnn builds them once: f and g_out are float64 (n, m)
     arrays, labels and labeled_set int64 arrays, and op is symmetric.
     """
-    n, m = f.shape
-    labeled = np.zeros(n, dtype=bool)
+    labeled = np.zeros(f.shape[0], dtype=bool)
     labeled[labeled_set] = True
     unlabeled = ~labeled
 
@@ -99,13 +95,12 @@ def lpnn_loss(f, g_out, op: PropagationOperator, labels, labeled_set, weights: L
         if trace < -1e-8 * scale:
             raise NumericError(f"smoothness trace term went negative: {trace}")
         loss += weights.mu_g * trace
-        d_f += weights.mu_g * (2.0 * f - sf - op.matrix.T @ f)
-
-    one_hot = np.zeros((n, m), dtype=np.float64)
-    one_hot[np.arange(n), labels] = 1.0
+        # S is bitwise symmetric, so S^T f is bitwise S f.
+        d_f += weights.mu_g * (2.0 * f - sf - sf)
 
     if weights.mu_l and labeled.any():
-        diff = f[labeled] - one_hot[labeled]
+        diff = f[labeled]  # minus the one-hot labels
+        diff[np.arange(diff.shape[0]), labels[labeled]] -= 1.0
         loss += weights.mu_l * float((diff * diff).sum())
         d_f[labeled] += 2.0 * weights.mu_l * diff
 
@@ -156,21 +151,19 @@ def predict_from_f(model: LpnnModel) -> np.ndarray:
 
 
 def train_lpnn(dataset, split, config: TrainConfig, weights: LpnnWeights):
-    """Joint Adam optimization of f and g under the shared early-stopping loop
-    (training.fit). Validation and the returned best snapshot follow g's
-    accuracy, since g serves predictions by default. g is compiled with the
-    features as its input (CSR when they are sparse); the step runs it on
-    every node, since the loss reads them all, and validation on a copy
-    restricted to the val rows; that validation overlaps the next step under
-    the same conditions and with the same bytes as in train. Trains in
-    float64 only."""
+    """Joint Adam optimization of f and g under train's early-stopping loop
+    and validation (training._fit_validated). Validation and the returned
+    best snapshot follow g's accuracy, since g serves predictions by default.
+    g is compiled with the features as its input (CSR when they are sparse);
+    the step runs it on every node, since the loss reads them all, and
+    validation on g's copy restricted to the val rows, which overlaps the
+    next step as in train. Trains in float64 only."""
     if config.precision != "float64":
         raise UsageError(
             "method 'lpnn' trains in float64 only; --precision float32 does not apply"
         )
     train_idx = np.asarray(split.train, dtype=np.int64)
-    val_idx = np.asarray(split.val, dtype=np.int64)
-    if train_idx.size == 0 or val_idx.size == 0:
+    if train_idx.size == 0 or len(split.val) == 0:
         raise UsageError("train_lpnn needs nonempty train and val sets")
 
     op = build_operator(dataset.topology, "symmetric")
@@ -182,8 +175,6 @@ def train_lpnn(dataset, split, config: TrainConfig, weights: LpnnWeights):
         features=dataset.features,
         dropout=config.dropout,
     )
-    val_net, val_labels = _restrict_to(g_net, dataset, val_idx)
-
     g_params, dropout_rng = _seeded_start(g_net, config)
     f = np.zeros((dataset.num_nodes, dataset.num_classes), dtype=np.float64)
 
@@ -200,9 +191,7 @@ def train_lpnn(dataset, split, config: TrainConfig, weights: LpnnWeights):
         g_params = adam_step(g_params, g_grads, adam_g, config.learning_rate, config.weight_decay)
         return loss, (f, g_params)
 
-    def evaluate(state) -> float:
-        val_out, _ = forward(val_net, state[1])
-        return accuracy(val_out, val_labels, val_net.positions)
-
-    (best_f, best_g), history = fit(step, evaluate, config, overlap=_overlaps_validation(val_net))
+    (best_f, best_g), history = _fit_validated(
+        g_net, dataset, split.val, config, step, lambda state: state[1]
+    )
     return LpnnModel(f=best_f, g_net=g_net, g_params=best_g), history

@@ -152,15 +152,6 @@ def _seeded_start(net: CompiledNetwork, config: TrainConfig):
     return params, np.random.default_rng(dropout_stream)
 
 
-def _overlaps_validation(val_net: CompiledNetwork) -> bool:
-    """Whether fit should run each validation pass beside the next step: only
-    when the val copy's input is CSR and the caller is the main thread. scipy's
-    CSR product releases the GIL, so a pass built around it runs on the idle
-    core; a dense input's matrix products already use every BLAS thread, and a
-    trainer on a worker thread (a sweep's pool) already shares the cores."""
-    return sp.issparse(val_net.x_bar) and threading.current_thread() is threading.main_thread()
-
-
 def _sequential(step, evaluate, epochs: int):
     for epoch in range(1, epochs + 1):
         loss, state = step(epoch)
@@ -186,7 +177,7 @@ def _overlapped(step, evaluate, epochs: int, pool: ThreadPoolExecutor):
 
 
 def fit(step, evaluate, config: TrainConfig, *, overlap: bool = False):
-    """The early-stopping loop shared by every trainer.
+    """The early-stopping loop; every trainer reaches it through _fit_validated.
 
     Each epoch calls step(), which takes one optimizer update and returns
     (training loss that update was computed from, model state after it), then
@@ -249,6 +240,25 @@ def fit(step, evaluate, config: TrainConfig, *, overlap: bool = False):
     return best_state, history
 
 
+def _fit_validated(net: CompiledNetwork, dataset, val_rows, config: TrainConfig, step,
+                   params_of=lambda state: state):
+    """fit(step, ...) scored by accuracy on val_rows: every trainer's
+    validation. Each epoch runs net's copy restricted to val_rows in infer
+    mode on params_of(state). The pass overlaps the next step only when the
+    copy's input is CSR and the caller is the main thread: scipy's CSR product
+    releases the GIL, so the pass runs on the idle core, whereas a dense
+    input's matrix products already use every BLAS thread and a trainer on a
+    worker thread (a sweep's pool) already shares the cores."""
+    val_net, val_labels = _restrict_to(net, dataset, val_rows, config.precision)
+
+    def evaluate(state) -> float:
+        val_out, _ = forward(val_net, params_of(state))
+        return accuracy(val_out, val_labels, val_net.positions)
+
+    overlap = sp.issparse(val_net.x_bar) and threading.current_thread() is threading.main_thread()
+    return fit(step, evaluate, config, overlap=overlap)
+
+
 def train(net: CompiledNetwork, dataset, split, config: TrainConfig):
     """Full-batch training of a compiled network with early stopping on
     validation accuracy (see fit). Each epoch takes one Adam step and then
@@ -258,10 +268,11 @@ def train(net: CompiledNetwork, dataset, split, config: TrainConfig):
     The step runs on a copy restricted to the train rows and the evaluation on
     one restricted to the val rows (see restrict), since the loss and the
     metric read nothing else; train-mode dropout draws over the restricted
-    rows only. When the val copy's input is CSR and train is called on the
-    main thread (see _overlaps_validation), each evaluation runs on a helper
-    thread beside the next epoch's step, with the same output bytes; at an
-    early stop one extra step has run and is dropped.
+    rows only; both copies stay memoized on net. When the val copy's input is
+    CSR and train is called on the main thread (see _fit_validated, shared
+    with train_lpnn), each evaluation runs on a helper thread beside the next
+    epoch's step, with the same output bytes; at an early stop one extra step
+    has run and is dropped.
     """
     if config.dropout != net.dropout:
         raise UsageError(
@@ -271,8 +282,6 @@ def train(net: CompiledNetwork, dataset, split, config: TrainConfig):
     if len(split.train) == 0 or len(split.val) == 0:
         raise UsageError("train needs nonempty train and val sets")
     train_net, train_labels = _restrict_to(net, dataset, split.train, config.precision)
-    val_net, val_labels = _restrict_to(net, dataset, split.val, config.precision)
-
     params, dropout_rng = _seeded_start(net, config)
     adam = AdamState.for_params(params)
 
@@ -284,11 +293,7 @@ def train(net: CompiledNetwork, dataset, split, config: TrainConfig):
         params = adam_step(params, grads, adam, config.learning_rate, config.weight_decay)
         return loss, params
 
-    def evaluate(state) -> float:
-        val_out, _ = forward(val_net, state)
-        return accuracy(val_out, val_labels, val_net.positions)
-
-    return fit(step, evaluate, config, overlap=_overlaps_validation(val_net))
+    return _fit_validated(net, dataset, split.val, config, step)
 
 
 @dataclass(frozen=True)

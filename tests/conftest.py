@@ -6,6 +6,7 @@ import contextlib
 import dataclasses
 import importlib.util
 import io
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,23 @@ def whole(net):
     from graphcompose.networks import restrict
 
     return restrict(net, np.arange(net.x_bar.shape[0]))
+
+
+def spy_infer_threads(monkeypatch) -> list[int]:
+    """The threads that run each infer-mode forward from now on. Both
+    trainers validate through graphcompose.training's forward."""
+    from graphcompose import training
+
+    original = training.forward
+    threads = []
+
+    def spy(net_, params, *, mode="infer", rng=None):
+        if mode == "infer":
+            threads.append(threading.get_ident())
+        return original(net_, params, mode=mode, rng=rng)
+
+    monkeypatch.setattr(training, "forward", spy)
+    return threads
 
 
 def with_input(net, features):

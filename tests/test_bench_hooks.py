@@ -135,9 +135,13 @@ def test_forward_spans_carry_the_train_and_infer_modes(tracing, caller):
             gc.train_lpnn(dataset, split, config, gc.LpnnWeights(1.0, 1.0, 1.0, 1.0, 1.0))
     finally:
         tracer.restore()
+    # Both trainers validate through training's forward, so an lpnn run's
+    # train-mode spans (what lpnn.g_forward_ms reads) come from lpnn and its
+    # infer-mode spans from training.
     spans = [s for s in tracer.spans if s.name == "networks.forward"]
-    assert spans and all(s.attrs["caller"] == caller for s in spans)
-    assert {s.attrs["mode"] for s in spans} == {"train", "infer"}
+    callers = {mode: {s.attrs["caller"] for s in spans if s.attrs["mode"] == mode}
+               for mode in ("train", "infer")}
+    assert callers == {"train": {caller}, "infer": {"training"}}
     if caller == "training":
         entries = {(s.attrs["kind"], s.attrs["phase"]) for s in tracer.spans if s.name == "entry"}
         assert entries == {(kind, phase) for kind in tracing.ENTRY_KINDS for phase in ("fwd", "vjp")}

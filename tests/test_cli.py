@@ -28,7 +28,7 @@ from graphcompose.errors import NumericError, UsageError
 from graphcompose.graph import GraphTopology, build_operator
 from graphcompose.networks import compile_network, preset
 
-from .conftest import whole, write_dataset_dir
+from .conftest import spy_infer_threads, whole, write_dataset_dir
 
 
 @pytest.fixture(scope="session")
@@ -390,6 +390,22 @@ def spec_file(tmp, name="spec", stages=({"kind": "fp"},)):
     return str(path)
 
 
+def json_file(tmp, doc):
+    """doc written as tmp/spec.json."""
+    path = tmp / "spec.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def labels_dir_copy(env, tmp):
+    """A copy of the dataset whose labels.txt is a directory."""
+    root = tmp / "labels-dir"
+    shutil.copytree(env, root, ignore=shutil.ignore_patterns("splits"))
+    (root / "labels.txt").unlink()
+    (root / "labels.txt").mkdir()
+    return str(root)
+
+
 def run_args(command, env, extra=()):
     return [
         command, "--dataset-dir", str(env), "--size", "1", "--split", "0",
@@ -597,6 +613,27 @@ MALFORMED = [
      lambda env, tmp: ["cost", "--method", "sgcn", "--dataset-dir", str(env),
                        "--nodes", "10", "--classes", "2"],
      1, "--dataset-dir supplies the sizes; --nodes, --classes do not apply"),
+    ("train-general-without-exponents",
+     lambda env, tmp: quick_train_args(env, tmp, "sgcn", ["--operator", "general"]),
+     1, "--operator general requires --alpha and --beta exponents"),
+    ("split-out-of-range",
+     lambda env, tmp: run_args("train", env, ["--split", "10", "--out", str(tmp)]),
+     1, "--split must lie in [0, 9], got 10"),
+    ("propmodel-sweep-grid-without-points",
+     lambda env, tmp: run_args("propmodel-sweep", env, ["--model", "mix", "--grid", " ; "]),
+     1, "--grid holds no alpha,beta point"),
+    ("propmodel-sweep-grid-point-not-numeric",
+     lambda env, tmp: run_args("propmodel-sweep", env, ["--model", "mix", "--grid", "1,1; ;x,1"]),
+     1, "--grid point 'x,1' is not numeric"),
+    ("gradcheck-two-nodes",
+     lambda env, tmp: ["gradcheck", "--nodes", "2"],
+     1, "gradient-check graph needs --nodes >= 3, got 2"),
+    ("spec-stages-not-a-list",
+     lambda env, tmp: quick_train_args(env, tmp, json_file(tmp, {"name": "s", "stages": {}})),
+     1, "spec.json: network spec 'stages' must be a list, got {}"),
+    ("splits-labels-file-is-a-directory",
+     lambda env, tmp: ["splits", "--dataset-dir", labels_dir_copy(env, tmp), "--out", str(tmp / "s")],
+     2, "labels.txt: [Errno 21] Is a directory"),
 ]
 
 
@@ -851,8 +888,17 @@ class TestSweepCommand:
         for out, jobs in ((a, 1), (b, 3)):
             args = self.sweep_args(env, out, jobs, method=method, budget=budget, epochs=epochs)
             assert main(args) == 0
-        for name in ("trials.txt", "result.json"):
+        for name in ("trials.txt", "result.json", "history.txt"):
             assert next(a.rglob(name)).read_bytes() == next(b.rglob(name)).read_bytes()
+
+    def test_jobs_1_validates_beside_the_next_step(self, sparse_cli_env, tmp_path, monkeypatch):
+        # At --jobs 1 the trials run on the calling thread, so on CSR features
+        # each epoch but the budget's last validates on fit's helper thread.
+        threads = spy_infer_threads(monkeypatch)
+        args = self.sweep_args(sparse_cli_env, tmp_path, 1, method="gcn", budget=2, epochs=4)
+        assert main(args) == 0
+        on_main = [t == threading.get_ident() for t in threads]
+        assert on_main == [False, False, False, True] * 2
 
     @pytest.mark.parametrize("method", ["gcn", "lpnn"])
     def test_each_trial_trains_once(self, cli_env, tmp_path, monkeypatch, method):
@@ -1061,6 +1107,25 @@ class TestCompareCommand:
         assert main(["compare", "--results-dir", str(root)]) == 2
         last = capsys.readouterr().err.strip().splitlines()[-1]
         assert last.startswith(f"error: {bad}: not a valid result file: ")
+
+    def test_missing_or_empty_results_dir_is_data_error_naming_it(self, tmp_path, capsys):
+        absent, empty = tmp_path / "absent", tmp_path / "empty"
+        empty.mkdir()
+        (empty / "notes.json").write_text("{}")
+        for root, message in ((absent, f"results directory {absent} does not exist"),
+                              (empty, f"no run results found under {empty}")):
+            assert main(["compare", "--results-dir", str(root)]) == 2
+            assert capsys.readouterr().err.strip().splitlines()[-1] == f"error: {message}"
+
+    def test_result_holding_a_list_is_data_error_naming_its_file(self, tmp_path, capsys):
+        root = tmp_path / "res"
+        self.fake_result(root, "gcn", "d1", 1, 0, 0.9)
+        bad = root / "listed" / "result.json"
+        bad.parent.mkdir()
+        bad.write_text("[1, 2]")
+        assert main(["compare", "--results-dir", str(root)]) == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last == f"error: {bad}: malformed run result record: expected an object, got [1, 2]"
 
     def test_malformed_record_names_its_file(self, tmp_path, capsys):
         root = tmp_path / "res"

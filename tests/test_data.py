@@ -534,6 +534,16 @@ class TestGenerateSplits:
 
 
 class TestSplitPersistence:
+    @pytest.mark.parametrize(
+        "sections, message",
+        [(((1, 1), (2,), (3,)), "split sections must not contain repeated node ids"),
+         (((1, 2), (2,), (3,)), "train/val/test sets must be pairwise disjoint")],
+        ids=["repeat", "overlap"],
+    )
+    def test_in_memory_split_is_checked(self, sections, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            DataSplit(1, 0, *sections)
+
     def test_text_roundtrip(self, tmp_path):
         split = DataSplit(2, 3, (5, 9, 11), (1, 2), (0, 4))
         text = split_to_text(split)

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from graphcompose.cli import _LOSS_WEIGHT_KEYS
 from graphcompose.errors import UsageError
-from graphcompose.graph import build_operator
+from graphcompose.graph import GraphTopology, build_operator
 from graphcompose.lpnn import (
     G_HIDDEN_DIMS,
     G_SPEC,
@@ -121,6 +121,24 @@ class TestLpnnLoss:
         w = LpnnWeights(0, 0, 0, 0, 1.0)
         loss, _, _ = lpnn_loss(f, g_out, op, labels, labeled, w)
         assert loss >= 0.0
+
+    @pytest.mark.parametrize("shape", ["planted", "cora", "pubmed"])
+    def test_symmetric_operator_is_bitwise_symmetric(self, shape):
+        # lpnn_loss takes S^T f to be S f, bit for bit. Cora and Pubmed
+        # shapes get their node and edge counts and a few hubs.
+        rng = np.random.default_rng(31)
+        if shape == "planted":
+            topology = planted_dataset(300, 3, 4, seed=5, edges_per_node=4).topology
+        else:
+            n, e = {"cora": (2708, 5278), "pubmed": (19717, 44324)}[shape]
+            pairs = np.column_stack([rng.integers(n, size=e), (n * rng.random(e) ** 4).astype(int)])
+            topology = GraphTopology(n, pairs[pairs[:, 0] != pairs[:, 1]])
+        s = build_operator(topology, "symmetric").matrix
+        t = s.T.tocsr()
+        for a, b in ((t.indptr, s.indptr), (t.indices, s.indices), (t.data, s.data)):
+            assert a.tobytes() == b.tobytes()
+        f = rng.normal(size=(s.shape[0], 7)) * 10.0 ** rng.uniform(-5, 5, size=(s.shape[0], 1))
+        assert (s.T @ f).tobytes() == (s @ f).tobytes()
 
     def test_gradients_match_finite_differences(self):
         op, f, g_out, labels, labeled = problem(seed=7)

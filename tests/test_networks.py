@@ -253,6 +253,15 @@ class TestCompile:
         with pytest.raises(UsageError, match="colwise"):
             compile_network(spec, ops, 5, 3)
 
+    def test_sizes_must_be_positive(self, ops):
+        with pytest.raises(UsageError, match=r"need positive input_dim and num_classes, got 0, 3$"):
+            compile_network(preset("sgcn"), ops, 0, 3)
+
+    def test_operators_must_share_a_node_count(self, ops):
+        other = {**ops, "row": build_operator(ring_topology(9, seed=1), "row")}
+        with pytest.raises(UsageError, match=r"operators disagree on node count: 14 vs 9$"):
+            compile_network(preset("sgcn-lp"), other, 5, 3)
+
     def test_softmax_dimension_check(self, ops):
         spec = NetworkSpec("dim", (Mlp((16,)), Softmax()))
         with pytest.raises(UsageError):
@@ -357,6 +366,12 @@ class TestForwardBackward:
         net = compile_network(preset("gcn"), ops, 5, 3)
         with pytest.raises(UsageError):
             forward(net, init_params(net, np.random.default_rng(8)))
+
+    def test_forward_refuses_an_unknown_mode(self, ops, x14):
+        net = compile_network(preset("gcn"), ops, 5, 3, features=x14)
+        params = init_params(net, np.random.default_rng(8))
+        with pytest.raises(UsageError, match="forward mode must be 'train' or 'infer', got 'eval'"):
+            forward(net, params, mode="eval")
 
     def test_forward_checks_param_count(self, ops, x14):
         net = compile_network(preset("gcn"), ops, 5, 3, features=x14)

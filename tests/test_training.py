@@ -4,7 +4,6 @@ import threading
 import numpy as np
 import pytest
 
-from graphcompose import lpnn as lpnn_module
 from graphcompose import training
 from graphcompose.data import DataSplit
 from graphcompose.errors import NumericError, UsageError
@@ -22,7 +21,14 @@ from graphcompose.training import (
 from graphcompose.evaluation import accuracy
 from graphcompose.lpnn import LpnnWeights, train_lpnn
 
-from .conftest import dense, planted_dataset, sparse_planted_dataset, whole, with_input
+from .conftest import (
+    dense,
+    planted_dataset,
+    sparse_planted_dataset,
+    spy_infer_threads,
+    whole,
+    with_input,
+)
 
 
 def build_ops(dataset):
@@ -537,23 +543,8 @@ class TestOverlappedValidation:
         )
         return train(net, dataset, split, config)
 
-    @staticmethod
-    def spy_threads(monkeypatch, method):
-        """Threads that ran each infer-mode forward of the trainer."""
-        module = lpnn_module if method == "lpnn" else training
-        original = module.forward
-        threads = []
-
-        def spy(net_, params, *, mode="infer", rng=None):
-            if mode == "infer":
-                threads.append(threading.get_ident())
-            return original(net_, params, mode=mode, rng=rng)
-
-        monkeypatch.setattr(module, "forward", spy)
-        return threads
-
     def assert_same_bytes(self, method, dataset, ops, split, config, monkeypatch):
-        threads = self.spy_threads(monkeypatch, method)
+        threads = spy_infer_threads(monkeypatch)
         params, history = self.run(method, dataset, ops, split, config)
         overlapped = list(threads)
         threads.clear()
@@ -600,7 +591,7 @@ class TestOverlappedValidation:
         dataset = planted_dataset(120, 3, 10, seed=22)
         ops = build_ops(dataset)
         split = stratified_split(dataset)
-        threads = self.spy_threads(monkeypatch, method)
+        threads = spy_infer_threads(monkeypatch)
         config = TrainConfig(dropout=0.5, max_epochs=4, patience=4)
         self.run(method, dataset, ops, split, config)
         assert threads == [threading.get_ident()] * 4
