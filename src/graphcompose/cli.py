@@ -51,7 +51,7 @@ from .networks import (
     preset,
     spec_from_dict,
 )
-from .training import TrainConfig, _restrict_to, gradient_check, train
+from .training import TrainConfig, _one_blas_thread, _restrict_to, gradient_check, train
 
 __all__ = ["SweepTrial", "run_sweep", "sample_config", "main"]
 
@@ -123,7 +123,11 @@ def run_sweep(
     maximum in index order whatever order trials finish in, so the
     parallelism degree never changes the outcome, and a losing model is
     dropped at once. With jobs 1 the trials run in order on the calling
-    thread. Returns (best trial, its model, trials in index order).
+    thread. With more, they run on a pool, widest hidden_dim first (in index
+    order among equals) so that no wide trial is left to run alone at the
+    end, with numpy's OpenBLAS at one thread while the pool runs (a
+    process-wide setting; see training._one_blas_thread). Returns (best trial,
+    its model, trials in index order).
     """
     if budget < 1:
         raise UsageError(f"sweep budget must be >= 1, got {budget}")
@@ -152,8 +156,9 @@ def run_sweep(
     if jobs == 1:
         trials = [attempt(index) for index in range(budget)]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            trials = list(pool.map(attempt, range(budget)))
+        widest_first = sorted(range(budget), key=lambda i: -configs[i].get("hidden_dim", 0))
+        with _one_blas_thread(), ThreadPoolExecutor(max_workers=jobs) as pool:
+            trials = sorted(pool.map(attempt, widest_first), key=lambda trial: trial.index)
     if best is None:
         raise NumericError(
             f"all {budget} sweep configurations failed; last error: {trials[-1].message}"
@@ -564,7 +569,7 @@ def _parse_grid(text: str) -> tuple[tuple[float, float], ...]:
             continue
         parts = chunk.split(",")
         if len(parts) != 2:
-            raise UsageError(f"grid point {chunk!r} is not of the form alpha,beta")
+            raise UsageError(f"--grid point {chunk!r} is not of the form alpha,beta")
         try:
             points.append((float(parts[0]), float(parts[1])))
         except ValueError as exc:
@@ -575,12 +580,12 @@ def _parse_grid(text: str) -> tuple[tuple[float, float], ...]:
 
 
 def cmd_propmodel_sweep(args) -> int:
+    grid = _parse_grid(args.grid) if args.grid is not None else DEFAULT_PROP_GRID
     dataset = load_dataset(args.dataset_dir)
     method = _resolve_method(
         args, refusal="propmodel-sweep applies to composed networks, not 'lpnn'"
     )
     split = _resolve_split(args, dataset)
-    grid = _parse_grid(args.grid) if args.grid else DEFAULT_PROP_GRID
     cfg = _flag_config(args, method)
     config = _train_config(args, cfg, args.seed)
     operator = "mix" if args.model == "mix" else "general"

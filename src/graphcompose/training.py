@@ -9,13 +9,14 @@ propagation cannot blow up the loss.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NumericError, UsageError
 from .evaluation import accuracy
@@ -152,6 +153,50 @@ def _seeded_start(net: CompiledNetwork, config: TrainConfig):
     return params, np.random.default_rng(dropout_stream)
 
 
+@functools.cache
+def _openblas():
+    """The OpenBLAS library numpy bundles (numpy.libs/*openblas*), opened with
+    ctypes on first use, or None when numpy bundles none (a system BLAS)."""
+    import ctypes
+
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            return ctypes.CDLL(str(path))
+        except OSError:
+            continue
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS at one thread, then restore the
+    count it had. For the package's own threads (fit's validation helper, a
+    sweep's pool): each then runs its matrix products on one core instead of
+    contending with the other for every BLAS thread. Outputs are the same
+    bytes at any BLAS thread count, so only the speed changes.
+
+    The setting is process-wide: it holds for every thread's BLAS calls while
+    the block runs. Blocks nest on one thread. Without a bundled OpenBLAS that
+    exports the thread control, this does nothing."""
+    import ctypes
+
+    lib = _openblas()
+    set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    get_threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    if set_threads is None or get_threads is None:
+        yield
+        return
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    previous = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(previous)
+
+
 def _sequential(step, evaluate, epochs: int):
     for epoch in range(1, epochs + 1):
         loss, state = step(epoch)
@@ -187,12 +232,13 @@ def fit(step, evaluate, config: TrainConfig, *, overlap: bool = False):
     improvement. Returns the state from the best epoch and the history.
 
     With overlap, epoch e's evaluate runs on a helper thread while epoch
-    e + 1's step runs on the calling thread; the thread is joined before fit
-    returns. Outputs are byte-identical to the sequential order as long as
-    step never writes into a state it returned (states are kept and read by
-    reference) and evaluate draws no randomness. When epoch e stops training,
-    the step already taken for e + 1 is dropped, with any exception it raised;
-    no step runs past max_epochs.
+    e + 1's step runs on the calling thread, with numpy's OpenBLAS at one
+    thread (see _one_blas_thread); the helper is joined and the thread count
+    restored before fit returns or raises. Outputs are byte-identical to the
+    sequential order as long as step never writes into a state it returned
+    (states are kept and read by reference) and evaluate draws no randomness.
+    When epoch e stops training, the step already taken for e + 1 is dropped,
+    with any exception it raised; no step runs past max_epochs.
     """
     losses: list[float] = []
     accs: list[float] = []
@@ -211,11 +257,13 @@ def fit(step, evaluate, config: TrainConfig, *, overlap: bool = False):
             )
         return loss, state
 
-    with ThreadPoolExecutor(max_workers=1) if overlap else contextlib.nullcontext() as pool:
-        if pool is None:
-            epochs = _sequential(checked_step, evaluate, config.max_epochs)
-        else:
+    with contextlib.ExitStack() as held:
+        if overlap:
+            held.enter_context(_one_blas_thread())
+            pool = held.enter_context(ThreadPoolExecutor(max_workers=1))
             epochs = _overlapped(checked_step, evaluate, config.max_epochs, pool)
+        else:
+            epochs = _sequential(checked_step, evaluate, config.max_epochs)
         for epoch, (loss, val_acc, state) in enumerate(epochs, start=1):
             losses.append(loss)
             accs.append(val_acc)
@@ -244,18 +292,17 @@ def _fit_validated(net: CompiledNetwork, dataset, val_rows, config: TrainConfig,
                    params_of=lambda state: state):
     """fit(step, ...) scored by accuracy on val_rows: every trainer's
     validation. Each epoch runs net's copy restricted to val_rows in infer
-    mode on params_of(state). The pass overlaps the next step only when the
-    copy's input is CSR and the caller is the main thread: scipy's CSR product
-    releases the GIL, so the pass runs on the idle core, whereas a dense
-    input's matrix products already use every BLAS thread and a trainer on a
-    worker thread (a sweep's pool) already shares the cores."""
+    mode on params_of(state). The pass overlaps the next step when the caller
+    is the main thread: scipy's sparse products and numpy's one-thread BLAS
+    release the GIL, so the pass runs on the second core, whereas a trainer
+    on a worker thread (a sweep's pool) already shares the cores."""
     val_net, val_labels = _restrict_to(net, dataset, val_rows, config.precision)
 
     def evaluate(state) -> float:
         val_out, _ = forward(val_net, params_of(state))
         return accuracy(val_out, val_labels, val_net.positions)
 
-    overlap = sp.issparse(val_net.x_bar) and threading.current_thread() is threading.main_thread()
+    overlap = threading.current_thread() is threading.main_thread()
     return fit(step, evaluate, config, overlap=overlap)
 
 
@@ -268,11 +315,10 @@ def train(net: CompiledNetwork, dataset, split, config: TrainConfig):
     The step runs on a copy restricted to the train rows and the evaluation on
     one restricted to the val rows (see restrict), since the loss and the
     metric read nothing else; train-mode dropout draws over the restricted
-    rows only; both copies stay memoized on net. When the val copy's input is
-    CSR and train is called on the main thread (see _fit_validated, shared
-    with train_lpnn), each evaluation runs on a helper thread beside the next
-    epoch's step, with the same output bytes; at an early stop one extra step
-    has run and is dropped.
+    rows only; both copies stay memoized on net. When train is called on the
+    main thread (see _fit_validated, shared with train_lpnn), each evaluation
+    runs on a helper thread beside the next epoch's step, with the same output
+    bytes; at an early stop one extra step has run and is dropped.
     """
     if config.dropout != net.dropout:
         raise UsageError(

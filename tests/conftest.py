@@ -64,6 +64,30 @@ def spy_infer_threads(monkeypatch) -> list[int]:
     return threads
 
 
+@pytest.fixture()
+def two_blas_threads():
+    """Sets numpy's OpenBLAS to two threads for one test, restoring the count
+    after it, and returns a reader of the current count. Skips when numpy
+    bundles no OpenBLAS with thread control."""
+    import ctypes
+
+    from graphcompose.training import _openblas
+
+    lib = _openblas()
+    get_threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get_threads is None or set_threads is None:
+        pytest.skip("numpy bundles no OpenBLAS with thread control")
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    previous = get_threads()
+    set_threads(2)
+    try:
+        yield get_threads
+    finally:
+        set_threads(previous)
+
+
 def with_input(net, features):
     """A network compiled without features, given them as its dense input
     unfolded: every smoothing stays in its chain. The reference for folded

@@ -218,6 +218,44 @@ class TestRunSweep:
         with pytest.raises(UsageError):
             run_sweep(lambda c, s: (0.0, None), 1, seed=0, jobs=0)
 
+    @pytest.mark.parametrize("keys", [("hidden_dim",), ()], ids=["widths", "no-width"])
+    def test_pool_starts_widest_first_and_returns_index_order(self, keys):
+        budget = 8
+        index_of = {trial_seed(4, i): i for i in range(budget)}
+        started = []
+        pair = threading.Barrier(2, timeout=10)
+
+        def run_one(cfg, seed):
+            started.append(index_of[seed])
+            pair.wait()
+            return 0.5, None
+
+        best, _, trials = run_sweep(run_one, budget, seed=4, jobs=2, keys=keys)
+        assert [t.index for t in trials] == list(range(budget))
+        assert best.index == 0
+        widths = [t.config.get("hidden_dim", 0) for t in trials]
+        order = sorted(range(budget), key=lambda i: (-widths[i], i))
+        # Two trials run at once and meet at the barrier before either
+        # returns, so trials start in pairs in the order they were submitted.
+        pairs = range(0, budget, 2)
+        assert [set(started[k:k + 2]) for k in pairs] == [set(order[k:k + 2]) for k in pairs]
+
+    def test_pool_holds_one_blas_thread_and_restores_it(self, two_blas_threads):
+        seen = []
+
+        def run_one(cfg, seed):
+            seen.append(two_blas_threads())
+            raise RuntimeError("trial bug")
+
+        with pytest.raises(RuntimeError, match="trial bug"):
+            run_sweep(run_one, 3, seed=0, jobs=2)
+        assert seen and set(seen) == {1}
+        assert two_blas_threads() == 2
+        seen.clear()
+        with pytest.raises(RuntimeError, match="trial bug"):
+            run_sweep(run_one, 3, seed=0, jobs=1)
+        assert seen == [2]
+
     def test_trials_text_holds_no_test_numbers(self):
         _, _, trials = run_sweep(lambda cfg, seed: (0.4, None), 3, seed=2)
         text = trials_to_text(trials)
@@ -625,6 +663,15 @@ MALFORMED = [
     ("propmodel-sweep-grid-point-not-numeric",
      lambda env, tmp: run_args("propmodel-sweep", env, ["--model", "mix", "--grid", "1,1; ;x,1"]),
      1, "--grid point 'x,1' is not numeric"),
+    ("propmodel-sweep-empty-grid",
+     lambda env, tmp: run_args("propmodel-sweep", env, ["--model", "mix", "--grid", ""]),
+     1, "--grid holds no alpha,beta point"),
+    ("propmodel-sweep-grid-point-not-a-pair",
+     lambda env, tmp: run_args("propmodel-sweep", env, ["--model", "mix", "--grid", "1,2,3"]),
+     1, "--grid point '1,2,3' is not of the form alpha,beta"),
+    ("propmodel-sweep-grid-refused-before-load",
+     lambda env, tmp: run_args("propmodel-sweep", tmp / "missing", ["--model", "mix", "--grid", ""]),
+     1, "--grid holds no alpha,beta point"),
     ("gradcheck-two-nodes",
      lambda env, tmp: ["gradcheck", "--nodes", "2"],
      1, "gradient-check graph needs --nodes >= 3, got 2"),
@@ -866,6 +913,39 @@ class TestBlasThreads:
             outs.append(out)
         for name in ("history.txt", "result.json"):
             assert next(outs[0].rglob(name)).read_bytes() == next(outs[1].rglob(name)).read_bytes()
+
+
+    @pytest.mark.parametrize(
+        "command",
+        [["train", "--method", "sgcn"], ["sweep", "--method", "gcn", "--jobs", "2", "--budget", "4"]],
+        ids=["train-dense-sgcn", "sweep-jobs-2"],
+    )
+    def test_threaded_paths_keep_their_bytes(self, cli_env, tmp_path, command):
+        # Dense training overlaps its validation and a two-job sweep runs a
+        # pool, each holding numpy's OpenBLAS at one thread for a while; the
+        # count the process started with must not show in any byte.
+        src = str(Path(graphcompose.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            child_env = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "OMP_NUM_THREADS": threads,
+                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            }
+            argv = [*command, "--dataset-dir", str(cli_env), "--size", "1", "--split", "0",
+                    "--epochs", "12", "--patience", "12", "--seed", "3", "--out", str(out)]
+            proc = subprocess.run(
+                [sys.executable, "-m", "graphcompose.cli", *argv],
+                env=child_env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append({
+                path.relative_to(out): path.read_bytes() for path in out.rglob("*") if path.is_file()
+            })
+        assert outs[0] == outs[1]
+        assert ("trials.txt" in {path.name for path in outs[0]}) == (command[0] == "sweep")
 
 
 class TestSweepCommand:

@@ -365,7 +365,9 @@ class TestRestrictedTraining:
 
         monkeypatch.setattr(training, "forward", spy)
         train(net, dataset, split, TrainConfig(dropout=0.0, max_epochs=3, patience=3))
-        assert [mode for mode, _ in calls] == ["train", "infer"] * 3
+        # Validation overlaps the next step, so the two modes interleave in
+        # whatever order the threads reach forward.
+        assert sorted(mode for mode, _ in calls) == ["infer"] * 3 + ["train"] * 3
         for mode, rows in (("train", split.train), ("infer", split.val)):
             field = self.receptive_field(net, rows)
             assert field.size < dataset.num_nodes
@@ -522,9 +524,9 @@ def on_worker_thread(fn, *args):
 
 
 class TestOverlappedValidation:
-    """On the main thread with a CSR val input, each epoch's validation runs
-    on a helper thread beside the next step; on a worker thread the loop runs
-    in order. Both must give the same bytes."""
+    """On the main thread each epoch's validation runs on a helper thread
+    beside the next step, on CSR and dense inputs alike; on a worker thread
+    the loop runs in order. Both must give the same bytes."""
 
     @pytest.fixture(scope="class")
     @staticmethod
@@ -587,11 +589,54 @@ class TestOverlappedValidation:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("method", ["gcn", "lpnn"])
-    def test_dense_input_validates_on_the_calling_thread(self, method, monkeypatch):
+    def test_dense_input_overlaps_with_the_same_bytes(self, method, monkeypatch):
         dataset = planted_dataset(120, 3, 10, seed=22)
         ops = build_ops(dataset)
         split = stratified_split(dataset)
-        threads = spy_infer_threads(monkeypatch)
         config = TrainConfig(dropout=0.5, max_epochs=4, patience=4)
-        self.run(method, dataset, ops, split, config)
-        assert threads == [threading.get_ident()] * 4
+        self.assert_same_bytes(method, dataset, ops, split, config, monkeypatch)
+
+
+class TestOneBlasThread:
+    """While fit overlaps, numpy's OpenBLAS runs at one thread; the count it
+    had comes back however fit ends."""
+
+    def test_count_is_restored_after_fit_returns(self, two_blas_threads, monkeypatch):
+        dataset = planted_dataset(120, 3, 10, seed=22)
+        net = compile_network(
+            preset("gcn"), build_ops(dataset), dataset.num_features, dataset.num_classes,
+            features=dataset.features, dropout=0.5,
+        )
+        seen = []
+        original = training.forward
+
+        def spy(net_, params, *, mode="infer", rng=None):
+            seen.append(two_blas_threads())
+            return original(net_, params, mode=mode, rng=rng)
+
+        monkeypatch.setattr(training, "forward", spy)
+        train(net, dataset, stratified_split(dataset), TrainConfig(max_epochs=4, patience=4))
+        assert seen == [1] * 8
+        assert two_blas_threads() == 2
+
+    @pytest.mark.parametrize("overlap, inside", [(True, 1), (False, 2)])
+    def test_count_is_restored_after_a_step_raises(self, two_blas_threads, overlap, inside):
+        losses = iter([1.0, 0.5, float("nan"), 0.25])
+        seen = []
+
+        def step():
+            seen.append(two_blas_threads())
+            return next(losses), None
+
+        config = TrainConfig(max_epochs=4, patience=4)
+        with pytest.raises(NumericError, match="epoch 3"):
+            training.fit(step, lambda state: 0.5, config, overlap=overlap)
+        assert seen == [inside] * 3
+        assert two_blas_threads() == 2
+
+    @pytest.mark.parametrize("lib", [None, object()], ids=["no-library", "no-symbol"])
+    def test_does_nothing_without_thread_control(self, two_blas_threads, monkeypatch, lib):
+        monkeypatch.setattr(training, "_openblas", lambda: lib)
+        with training._one_blas_thread():
+            assert two_blas_threads() == 2
+        assert two_blas_threads() == 2

@@ -34,6 +34,7 @@ import scipy
 
 from graphcompose.cli import main
 from graphcompose.networks import PRESET_NAMES
+from graphcompose.training import _openblas
 
 from .conftest import make_synthetic
 
@@ -56,15 +57,13 @@ CORE_RUNS = ("fp-mlp-float32", "gradcheck/toy")
 
 def blas_core() -> str:
     """The CPU core OpenBLAS picked its kernels for (it follows
-    OPENBLAS_CORETYPE), read from the library numpy bundles; "?" when none
-    of its libraries reports one."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*openblas*")):
-        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
-        if corename is not None:
-            corename.argtypes, corename.restype = [], ctypes.c_char_p
-            return corename().decode()
-    return "?"
+    OPENBLAS_CORETYPE), read from the library numpy bundles, the one whose
+    thread count the package sets; "?" when it reports none."""
+    corename = getattr(_openblas(), "scipy_openblas_get_corename64_", None)
+    if corename is None:
+        return "?"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 def environment() -> dict:
