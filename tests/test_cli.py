@@ -972,8 +972,8 @@ class TestSweepCommand:
             assert next(a.rglob(name)).read_bytes() == next(b.rglob(name)).read_bytes()
 
     def test_jobs_1_validates_beside_the_next_step(self, sparse_cli_env, tmp_path, monkeypatch):
-        # At --jobs 1 the trials run on the calling thread, so on CSR features
-        # each epoch but the budget's last validates on fit's helper thread.
+        # At --jobs 1 the trials run on the calling thread, so each epoch but
+        # the budget's last validates on fit's helper thread.
         threads = spy_infer_threads(monkeypatch)
         args = self.sweep_args(sparse_cli_env, tmp_path, 1, method="gcn", budget=2, epochs=4)
         assert main(args) == 0
