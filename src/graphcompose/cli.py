@@ -518,27 +518,14 @@ def cmd_compare(args) -> int:
     methods = sorted(
         {m for m, _ in by_cell}, key=lambda m: (_METHOD_ORDER.get(m, len(_METHOD_ORDER)), m)
     )
-    datasets = sorted({d for _, d in by_cell})
     if len(methods) < 2:
         raise UsageError("compare needs results for at least 2 methods")
-    missing = [(m, d) for m in methods for d in datasets if (m, d) not in by_cell]
-    if missing:
-        cells = ", ".join(f"({m}, {d})" for m, d in missing)
-        raise DataError(f"comparison table is incomplete; missing cells: {cells}")
 
-    stats: dict[str, dict] = {}
-    means: dict[str, dict] = {}
-    for m in methods:
-        stats[m] = {}
-        means[m] = {}
-        for d in datasets:
-            values = by_cell[(m, d)]
-            if len(values) >= 2:
-                mean, std = aggregate(values)
-            else:
-                mean, std = values[0], None
-            stats[m][d] = (mean, std)
-            means[m][d] = mean
+    # Each method's datasets in name order; average_rank names missing cells.
+    stats: dict[str, dict] = {m: {} for m in methods}
+    for (m, d), values in sorted(by_cell.items()):
+        stats[m][d] = aggregate(values) if len(values) >= 2 else (values[0], None)
+    means = {m: {d: mean for d, (mean, _) in row.items()} for m, row in stats.items()}
     report = render_report(stats, average_rank(means))
     print(report, end="")
     if args.out:
@@ -604,7 +591,8 @@ def cmd_propmodel_sweep(args) -> int:
             continue
         point = replace(method, operators=operators)
         test, history = point.fit(dataset, split, config, cfg)
-        test_accuracy = test()["test"]
+        with _one_blas_thread():  # a two-thread product leaves a BLAS worker spinning into the next fit
+            test_accuracy = test()["test"]
         rows.append((alpha, beta, history.best_val_accuracy, test_accuracy))
         print(
             f"alpha={alpha:g} beta={beta:g}: val {100 * history.best_val_accuracy:.1f}, "

@@ -149,13 +149,15 @@ def _write_atomic(path: Path, text: str) -> None:
         raise DataError(f"cannot write {path}: {exc}") from exc
 
 
-def _parse_lines(path: Path, expected_fields: int):
+def _parse_lines(path: Path, expected_fields: int | None = None):
+    """(line number, fields) of each line that is not blank or a comment; a
+    line of another field count than expected_fields, when given, is refused."""
     for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()
-        if len(fields) != expected_fields:
+        if expected_fields is not None and len(fields) != expected_fields:
             raise DataError(
                 f"{path}:{lineno}: expected {expected_fields} fields, got {len(fields)}"
             )
@@ -167,6 +169,18 @@ def _parse_int(path: Path, lineno: int, token: str, what: str) -> int:
         return int(token)
     except ValueError as exc:
         raise DataError(f"{path}:{lineno}: {what} {token!r} is not an integer") from exc
+
+
+def _parse_id(path: Path, lineno: int, token: str, what: str, bound: int) -> int:
+    """token as an id in [0, bound). A valid token costs one int() call: split
+    files hold one per node."""
+    try:
+        value = int(token)
+    except ValueError:
+        value = _parse_int(path, lineno, token, what)  # raises, naming the token
+    if not 0 <= value < bound:
+        raise DataError(f"{path}:{lineno}: {what} {value} outside [0, {bound})")
+    return value
 
 
 def _load_rows(path: Path, dtype: np.dtype, bounds: tuple[int, ...]):
@@ -196,12 +210,8 @@ def _label_rows(path: Path, n: int, num_classes: int) -> np.ndarray:
     rows = []
     labeled: set[int] = set()
     for lineno, (node_s, class_s) in _parse_lines(path, 2):
-        node = _parse_int(path, lineno, node_s, "node id")
-        cls = _parse_int(path, lineno, class_s, "class id")
-        if not (0 <= node < n):
-            raise DataError(f"{path}:{lineno}: node id {node} outside [0, {n})")
-        if not (0 <= cls < num_classes):
-            raise DataError(f"{path}:{lineno}: class id {cls} outside [0, {num_classes})")
+        node = _parse_id(path, lineno, node_s, "node id", n)
+        cls = _parse_id(path, lineno, class_s, "class id", num_classes)
         if node in labeled:
             raise DataError(f"{path}:{lineno}: node {node} labeled twice")
         labeled.add(node)
@@ -229,16 +239,12 @@ def _feature_rows(path: Path, n: int, m: int) -> np.ndarray:
     rows = []
     given: set[int] = set()
     for lineno, (node_s, feat_s, value_s) in _parse_lines(path, 3):
+        node = _parse_id(path, lineno, node_s, "node id", n)
+        feat = _parse_id(path, lineno, feat_s, "feature id", m)
         try:
-            node, feat, value = int(node_s), int(feat_s), float(value_s)
+            value = float(value_s)
         except ValueError as exc:
-            _parse_int(path, lineno, node_s, "node id")
-            _parse_int(path, lineno, feat_s, "feature id")
             raise DataError(f"{path}:{lineno}: bad feature value {value_s!r}") from exc
-        if not (0 <= node < n):
-            raise DataError(f"{path}:{lineno}: node id {node} outside [0, {n})")
-        if not (0 <= feat < m):
-            raise DataError(f"{path}:{lineno}: feature id {feat} outside [0, {m})")
         if not math.isfinite(value):
             raise DataError(f"{path}:{lineno}: non-finite feature value {value_s!r}")
         if node * m + feat in given:
@@ -280,11 +286,8 @@ def _edge_rows(path: Path, n: int) -> np.ndarray:
         return rows
     rows = []
     for lineno, (u_s, v_s) in _parse_lines(path, 2):
-        u = _parse_int(path, lineno, u_s, "node id")
-        v = _parse_int(path, lineno, v_s, "node id")
-        for node in (u, v):
-            if not (0 <= node < n):
-                raise DataError(f"{path}:{lineno}: node id {node} outside [0, {n})")
+        u = _parse_id(path, lineno, u_s, "node id", n)
+        v = _parse_id(path, lineno, v_s, "node id", n)
         if u == v:
             raise DataError(f"{path}:{lineno}: self-loop edge ({u}, {v}) is not allowed")
         rows.append((u, v))
@@ -420,19 +423,14 @@ def _parse_split_text(
     sections: dict[str, list[int]] = {"train": [], "val": [], "test": []}
     section_of: dict[int, str] = {}
     active: str | None = None
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line in ("train:", "val:", "test:"):
-            active = line[:-1]
+    for lineno, fields in _parse_lines(path):
+        if len(fields) == 1 and fields[0] in ("train:", "val:", "test:"):
+            active = fields[0][:-1]
             continue
         if active is None:
             raise DataError(f"{path}:{lineno}: node id before any section header")
-        for token in line.split():
-            node = _parse_int(path, lineno, token, "node id")
-            if not 0 <= node < num_nodes:
-                raise DataError(f"{path}:{lineno}: node id {node} outside [0, {num_nodes})")
+        for token in fields:
+            node = _parse_id(path, lineno, token, "node id", num_nodes)
             first = section_of.get(node)
             if first == active:
                 raise DataError(

@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, _is_int
 
 __all__ = [
     "RunResult",
@@ -46,10 +46,6 @@ def format_cell(mean: float, std: float | None = None) -> str:
     return f"{100.0 * mean:.1f} ({100.0 * std:.1f})"
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _is_fraction(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v <= 1
 
@@ -83,6 +79,8 @@ class RunResult:
                 raise DataError(
                     f"malformed run result record: field {name!r} must be {expected}, got {value!r}"
                 )
+        for name in ("size_index", "split_index"):  # a numpy integer is no JSON number
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -121,23 +119,16 @@ def _fractional_ranks(column: np.ndarray) -> np.ndarray:
 
 def average_rank(mean_table) -> RankTable:
     """mean_table maps method -> dataset -> mean accuracy. Every method must
-    cover every dataset; the missing (method, dataset) pair is named otherwise."""
+    cover every dataset any method has; the missing cells are named otherwise."""
     methods = tuple(mean_table)
     if not methods:
         raise UsageError("average_rank needs at least one method")
-    datasets = tuple(mean_table[methods[0]])
-    means = np.empty((len(methods), len(datasets)), dtype=np.float64)
-    for i, m in enumerate(methods):
-        for j, d in enumerate(datasets):
-            if d not in mean_table[m]:
-                raise DataError(f"rank table is missing a result for ({m}, {d})")
-            means[i, j] = mean_table[m][d]
-    for m in methods:
-        extra = set(mean_table[m]) - set(datasets)
-        if extra:
-            raise DataError(
-                f"method {m!r} has results for unexpected datasets {sorted(extra)}"
-            )
+    datasets = tuple(dict.fromkeys(d for m in methods for d in mean_table[m]))
+    missing = [(m, d) for m in methods for d in datasets if d not in mean_table[m]]
+    if missing:
+        cells = ", ".join(f"({m}, {d})" for m, d in missing)
+        raise DataError(f"comparison table is incomplete; missing cells: {cells}")
+    means = np.array([[mean_table[m][d] for d in datasets] for m in methods], dtype=np.float64)
     ranks = np.column_stack([_fractional_ranks(means[:, j]) for j in range(len(datasets))])
     return RankTable(
         methods=methods,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, _is_int
 
 __all__ = ["GraphTopology", "PropagationOperator", "build_operator"]
 
@@ -44,7 +44,7 @@ class GraphTopology:
             raise DataError(f"edges must be (u, v) pairs, got shape {e.shape}")
         if e.dtype.kind not in "iu":  # an object array of ids past int64 may pass
             for pair in self.edges:
-                if not all(isinstance(x, (int, np.integer)) and type(x) is not bool for x in pair):
+                if not all(map(_is_int, pair)):
                     pair = tuple(np.asarray(pair, dtype=object).tolist())
                     raise DataError(f"edge {pair} has a non-integer node id")
         lo, hi = e.min(axis=1), e.max(axis=1)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, _is_int
 from .graph import PropagationOperator
 
 __all__ = [
@@ -73,11 +73,15 @@ DEFAULT_HIDDEN_DIM = 16
 MAX_SIZE = 4096
 
 
-def _check_size(what: str, value: int, low: int) -> None:
+def _check_size(what: str, value: int, low: int) -> int:
+    """value as a Python int, if it is an integer in [low, MAX_SIZE]."""
+    if not _is_int(value):
+        raise UsageError(f"{what} must be an integer, got {value!r}")
     if value < low:
         raise UsageError(f"{what} must be >= {low}, got {value}")
     if value > MAX_SIZE:
         raise UsageError(f"{what} must be <= {MAX_SIZE}, got {value}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +96,7 @@ class Fp:
     operator: str = "symmetric"
 
     def __post_init__(self) -> None:
-        _check_size("fp layers", self.layers, 0)
+        object.__setattr__(self, "layers", _check_size("fp layers", self.layers, 0))
 
 
 @dataclass(frozen=True)
@@ -103,9 +107,8 @@ class Mlp:
     activation: str = "relu"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
-        for d in self.hidden_dims:
-            _check_size("mlp hidden width", d, 1)
+        widths = tuple(_check_size("mlp hidden width", d, 1) for d in self.hidden_dims)
+        object.__setattr__(self, "hidden_dims", widths)
         if self.activation not in ("relu", "identity"):
             raise UsageError(f"unknown mlp activation {self.activation!r}")
 
@@ -127,19 +130,20 @@ class GcnBlock:
     smoothings: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
-        _check_size("gcn block layers", self.layers, 1)
-        if len(self.hidden_dims) != self.layers - 1:
+        object.__setattr__(self, "layers", _check_size("gcn block layers", self.layers, 1))
+        widths = tuple(_check_size("gcn hidden width", d, 1) for d in self.hidden_dims)
+        object.__setattr__(self, "hidden_dims", widths)
+        if len(widths) != self.layers - 1:
             raise UsageError(
                 f"gcn block with {self.layers} layers needs {self.layers - 1} hidden dims, "
-                f"got {len(self.hidden_dims)}"
+                f"got {len(widths)}"
             )
-        for d in self.hidden_dims:
-            _check_size("gcn hidden width", d, 1)
-        if not (0 <= self.effective_smoothings <= self.layers):
+        if not (_is_int(self.effective_smoothings) and 0 <= self.effective_smoothings <= self.layers):
             raise UsageError(
                 f"gcn block smoothings must lie in [0, {self.layers}], got {self.smoothings}"
             )
+        if self.smoothings is not None:
+            object.__setattr__(self, "smoothings", int(self.smoothings))
 
     @property
     def effective_smoothings(self) -> int:
@@ -159,7 +163,7 @@ class Lp:
     operator: str = "row"
 
     def __post_init__(self) -> None:
-        _check_size("lp layers", self.layers, 0)
+        object.__setattr__(self, "layers", _check_size("lp layers", self.layers, 0))
 
 
 Stage = Fp | Mlp | LinearClassifier | GcnBlock | Softmax | Lp
@@ -283,10 +287,6 @@ def spec_to_dict(spec: NetworkSpec) -> dict:
             doc[f.name] = list(value) if isinstance(value, tuple) else value
         stages.append(doc)
     return {"name": spec.name, "stages": stages}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # The JSON value each stage field annotation accepts, and how to name it.

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericError, UsageError
+from .errors import NumericError, UsageError, _is_int
 from .evaluation import accuracy
 from .networks import CompiledNetwork, backward, forward, init_params, restrict
 
@@ -64,8 +64,9 @@ class TrainConfig:
             raise UsageError(f"dropout must lie in [0, 1), got {self.dropout}")
         if not (0.0 <= self.weight_decay < math.inf):
             raise UsageError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if self.max_epochs < 1 or self.patience < 1:
-            raise UsageError("max_epochs and patience must be >= 1")
+        for name, low in (("max_epochs", 1), ("patience", 1), ("seed", 0)):
+            if not (_is_int(value := getattr(self, name)) and value >= low):
+                raise UsageError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.precision not in ("float32", "float64"):
             raise UsageError(f"precision must be float32 or float64, got {self.precision!r}")
 

@@ -13,6 +13,7 @@ import pytest
 import scipy.sparse as sp
 
 import graphcompose
+from graphcompose import cli
 from graphcompose.cli import (
     _LOSS_WEIGHT_KEYS,
     HIDDEN_WIDTHS,
@@ -26,7 +27,7 @@ from graphcompose.cli import (
 from graphcompose.data import Dataset, load_dataset
 from graphcompose.errors import NumericError, UsageError
 from graphcompose.graph import GraphTopology, build_operator
-from graphcompose.networks import compile_network, preset
+from graphcompose.networks import compile_network, forward, preset
 
 from .conftest import spy_infer_threads, whole, write_dataset_dir
 
@@ -1157,6 +1158,16 @@ class TestCompareCommand:
         assert main(["compare", "--results-dir", str(root)]) == 2
         assert "(sgcn, d2)" in capsys.readouterr().err
 
+    def test_first_method_missing_a_dataset_names_the_cell(self, tmp_path, capsys):
+        root = tmp_path / "res"
+        self.fake_result(root, "gcn", "d2", 1, 0, 0.9)
+        self.fake_result(root, "sgcn", "d1", 1, 0, 0.8)
+        self.fake_result(root, "sgcn", "d2", 1, 0, 0.7)
+        assert main(["compare", "--results-dir", str(root)]) == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1] == (
+            "error: comparison table is incomplete; missing cells: (gcn, d1)"
+        )
+
     def test_single_method_rejected(self, tmp_path):
         root = tmp_path / "res"
         self.fake_result(root, "gcn", "d1", 1, 0, 0.9)
@@ -1304,6 +1315,20 @@ class TestPropmodelSweep:
     def test_exponents_grid(self, cli_env, capsys):
         assert main(self.base_args(cli_env, "exponents", "0.5,0.5")) == 0
         assert "alpha=0.5 beta=0.5" in capsys.readouterr().out
+
+    def test_test_pass_holds_one_blas_thread(self, cli_env, monkeypatch, two_blas_threads):
+        # A two-thread product leaves OpenBLAS's worker spinning into the next
+        # point's overlapped fit, which then loses the second core.
+        counts = []
+
+        def spy(net, params, **kwargs):
+            counts.append(two_blas_threads())
+            return forward(net, params, **kwargs)
+
+        monkeypatch.setattr(cli, "forward", spy)
+        assert main(self.base_args(cli_env, "mix", "1,1;0.5,0.5")) == 0
+        assert counts == [1, 1]
+        assert two_blas_threads() == 2
 
     def test_rejects_lpnn(self, cli_env):
         args = self.base_args(cli_env, "mix", "1,1")

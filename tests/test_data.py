@@ -277,6 +277,41 @@ class TestLoadDataset:
             load_dataset(root)
 
 
+# Every id column of every data file: the text of a file whose second data line
+# holds the bad token, and the message naming it.
+ID_TOKEN_CASES = [
+    ("labels.txt", "0 1\nzz 0\n", "node id 'zz' is not an integer"),
+    ("labels.txt", "0 1\n12 0\n", "node id 12 outside [0, 12)"),
+    ("labels.txt", "0 1\n1 c\n", "class id 'c' is not an integer"),
+    ("labels.txt", "0 1\n1 2\n", "class id 2 outside [0, 2)"),
+    ("features.txt", "0 0 1.0\nzz 1 1.0\n", "node id 'zz' is not an integer"),
+    ("features.txt", "0 0 1.0\n-1 1 1.0\n", "node id -1 outside [0, 12)"),
+    ("features.txt", "0 0 1.0\n1 1.0 1.0\n", "feature id '1.0' is not an integer"),
+    ("features.txt", "0 0 1.0\n1 4 1.0\n", "feature id 4 outside [0, 4)"),
+    ("graph.txt", "0 1\nzz 2\n", "node id 'zz' is not an integer"),
+    ("graph.txt", "0 1\n12 2\n", "node id 12 outside [0, 12)"),
+    ("graph.txt", "0 1\n2 zz\n", "node id 'zz' is not an integer"),
+    ("graph.txt", "0 1\n2 -3\n", "node id -3 outside [0, 12)"),
+    ("standard_split.txt", "train:\n0\nval:\n2 zz\ntest:\n4\n", "node id 'zz' is not an integer"),
+    ("standard_split.txt", "train:\n0\nval:\n2 12\ntest:\n4\n", "node id 12 outside [0, 12)"),
+]
+
+
+class TestIdTokens:
+    @pytest.mark.parametrize(
+        "name, text, message", ID_TOKEN_CASES,
+        ids=[f"{c[0].split('.')[0]}-{i}" for i, c in enumerate(ID_TOKEN_CASES)],
+    )
+    def test_bad_id_names_file_and_line(self, tmp_path, name, text, message):
+        root = write_dataset_dir(tmp_path / "ids", planted_dataset(12, 2, 4, seed=30))
+        (root / "standard_split.txt").write_text("train:\n0\nval:\n2\ntest:\n4\n")
+        (root / name).write_text(text)
+        line = 4 if name == "standard_split.txt" else 2
+        with pytest.raises(DataError) as info:
+            load_standard_split(load_dataset(root))
+        assert str(info.value) == f"{root / name}:{line}: {message}"
+
+
 class TestSparseFeatures:
     def test_dense_features_are_converted_once(self):
         d = planted_dataset(30, 3, 4, seed=1)

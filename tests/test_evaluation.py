@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,11 @@ class TestRunResult:
         with pytest.raises(DataError):
             RunResult("gcn", "cora", 1, 0, 1.5, 0.8, {})
 
+    def test_numpy_integer_indices_stay_json_numbers(self):
+        r = RunResult("gcn", "cora", np.int64(2), np.int32(3), 0.8, 0.7, {})
+        assert json.loads(json.dumps(r.to_dict()))["size_index"] == 2
+        assert type(r.split_index) is int
+
     def test_malformed_record(self):
         with pytest.raises(DataError):
             RunResult.from_dict({"method": "gcn"})
@@ -107,6 +114,20 @@ class TestAverageRank:
         table = {"a": {"d1": 0.9}, "b": {"d1": 0.8, "d2": 0.7}}
         with pytest.raises(DataError):
             average_rank(table)
+
+    def test_first_method_missing_a_dataset_names_the_cell(self):
+        table = {"a": {"d2": 0.9}, "b": {"d1": 0.8, "d2": 0.7}, "c": {"d3": 0.5}}
+        with pytest.raises(DataError) as info:
+            average_rank(table)
+        assert str(info.value) == (
+            "comparison table is incomplete; missing cells: "
+            "(a, d1), (a, d3), (b, d3), (c, d2), (c, d1)"
+        )
+
+    def test_datasets_keep_first_seen_order(self):
+        table = average_rank({"a": {"d2": 0.9, "d1": 0.8}, "b": {"d1": 0.7, "d2": 0.6}})
+        assert table.datasets == ("d2", "d1")
+        np.testing.assert_array_equal(table.means, [[0.9, 0.8], [0.6, 0.7]])
 
     def test_empty_rejected(self):
         with pytest.raises(UsageError):

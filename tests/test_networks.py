@@ -95,6 +95,35 @@ class TestStageValidation:
         with pytest.raises(UsageError):
             GcnBlock(layers=2, hidden_dims=(16,), smoothings=3)
 
+    # A count that is not an integer is refused before any use, never
+    # truncated or left to fail inside compile.
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Fp(1.5), "fp layers must be an integer, got 1.5"),
+            (lambda: Lp(1.5), "lp layers must be an integer, got 1.5"),
+            (lambda: preset("sgcn", depth=2.0), "network depth must be an integer, got 2.0"),
+            (lambda: preset("gcn", hidden_dim=1.5), "hidden width must be an integer, got 1.5"),
+            (lambda: Mlp((2.9,)), "mlp hidden width must be an integer, got 2.9"),
+            (lambda: GcnBlock(2, (True,)), "gcn hidden width must be an integer, got True"),
+            (lambda: GcnBlock(2, (16,), smoothings=1.5),
+             "gcn block smoothings must lie in [0, 2], got 1.5"),
+        ],
+        ids=["fp", "lp", "preset-depth", "preset-hidden", "mlp-width", "gcn-width", "smoothings"],
+    )
+    def test_non_integer_counts_refused(self, make, message):
+        with pytest.raises(UsageError) as info:
+            make()
+        assert str(info.value) == message
+
+    def test_numpy_integer_counts_become_python_ints(self):
+        stages = [Fp(np.int64(2)), Mlp((np.int64(8),)),
+                  GcnBlock(np.int64(2), (np.int32(4),), smoothings=np.int8(1)), Lp(np.uint8(1))]
+        doc = spec_to_dict(NetworkSpec("n", stages + [Softmax()]))
+        assert json.loads(json.dumps(doc)) == doc
+        assert [type(s.layers) for s in (stages[0], stages[2], stages[3])] == [int] * 3
+        assert Mlp(d for d in (4, 5)).hidden_dims == (4, 5)
+
 
 class TestPresets:
     def test_all_names_build_and_validate(self):

@@ -180,6 +180,28 @@ class TestTrainConfig:
         with pytest.raises(UsageError):
             TrainConfig(precision="float16")
 
+    # Refused here, not inside train: a nan patience would never stop early,
+    # and numpy refuses a float or negative seed with its own error.
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("patience", float("nan"), "patience must be an integer >= 1, got nan"),
+            ("max_epochs", 2.5, "max_epochs must be an integer >= 1, got 2.5"),
+            ("max_epochs", True, "max_epochs must be an integer >= 1, got True"),
+            ("seed", 1.5, "seed must be an integer >= 0, got 1.5"),
+            ("seed", -1, "seed must be an integer >= 0, got -1"),
+        ],
+        ids=["nan-patience", "float-epochs", "bool-epochs", "float-seed", "negative-seed"],
+    )
+    def test_counts_and_seed_are_integers(self, field, value, message):
+        with pytest.raises(UsageError) as info:
+            TrainConfig(**{field: value})
+        assert str(info.value) == message
+
+    def test_numpy_integers_accepted(self):
+        config = TrainConfig(max_epochs=np.int64(3), patience=np.int32(2), seed=np.uint32(7))
+        assert (config.max_epochs, config.patience, config.seed) == (3, 2, 7)
+
 
 class TestTrain:
     @pytest.fixture(scope="class")
