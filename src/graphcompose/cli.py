@@ -223,7 +223,7 @@ class _Composed:
 
         def test() -> dict[str, float]:
             net = self.compile(dataset, config.dropout, cfg)
-            part, labels = _restrict_to(net, dataset, split.test)
+            part, labels = _restrict_to(net, dataset, split.test, mode="infer")
             return {"test": accuracy(forward(part, params)[0], labels, part.positions)}
 
         return test, history

@@ -165,19 +165,21 @@ def _parse_lines(path: Path, expected_fields: int | None = None):
 
 
 def _parse_int(path: Path, lineno: int, token: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError as exc:
-        raise DataError(f"{path}:{lineno}: {what} {token!r} is not an integer") from exc
+    """token spelled as np.loadtxt reads an integer: an optional sign, then
+    ASCII digits. int() alone would also take 1_0 and non-ASCII digits."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise DataError(f"{path}:{lineno}: {what} {token!r} is not an integer")
+    return int(token)
 
 
 def _parse_id(path: Path, lineno: int, token: str, what: str, bound: int) -> int:
-    """token as an id in [0, bound). A valid token costs one int() call: split
-    files hold one per node."""
-    try:
+    """token as an id in [0, bound). An unsigned one costs one int() call and
+    no _parse_int call: split files hold one per node."""
+    if token.isascii() and token.isdigit():
         value = int(token)
-    except ValueError:
-        value = _parse_int(path, lineno, token, what)  # raises, naming the token
+    else:
+        value = _parse_int(path, lineno, token, what)
     if not 0 <= value < bound:
         raise DataError(f"{path}:{lineno}: {what} {value} outside [0, {bound})")
     return value
@@ -243,8 +245,10 @@ def _feature_rows(path: Path, n: int, m: int) -> np.ndarray:
         feat = _parse_id(path, lineno, feat_s, "feature id", m)
         try:
             value = float(value_s)
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: bad feature value {value_s!r}") from exc
+        except ValueError:
+            value = None
+        if value is None or "_" in value_s or not value_s.isascii():  # as np.loadtxt reads
+            raise DataError(f"{path}:{lineno}: bad feature value {value_s!r}")
         if not math.isfinite(value):
             raise DataError(f"{path}:{lineno}: non-finite feature value {value_s!r}")
         if node * m + feat in given:

@@ -6,7 +6,8 @@ validates the composition rules, splits any leading smoothing prefix off the
 chain when features are supplied, and produces a flat layer chain executed by
 forward/backward. restrict() cuts a compiled network down to the rows a set of
 output rows depends on and folds the prefix into those rows of its input,
-held as scipy CSR when it is sparse (see SPARSE_INPUT_DENSITY).
+held as scipy CSR when it is sparse (see SPARSE_INPUT_DENSITY); a copy for
+inference on a CSR fold instead smooths after the first linear.
 
 The Primitives section holds each chain entry's math: spmm (smoothing) and
 the linear, relu, row-softmax and dropout forwards, each with its vjp. Chain
@@ -542,8 +543,10 @@ class CompiledNetwork:
     """The entry chain and its input: the features, with the smoothing prefix
     to fold into them at the densify hop (see _fold_plan), or None for a
     network compiled without features, which can be inspected but not run.
-    A copy made by restrict() (memoized in `restricted`) holds a folded input;
-    its positions map requested rows to output rows (None over every node)."""
+    A copy made by restrict() (memoized in `restricted`) holds a folded input,
+    or, when infer_only, the raw feature rows with the prefix blocks run after
+    the first linear; its positions map requested rows to output rows (None
+    over every node)."""
 
     layers: tuple
     param_shapes: tuple[tuple[int, int], ...]
@@ -553,6 +556,7 @@ class CompiledNetwork:
     positions: np.ndarray | None = None
     prefix: tuple = ()
     densify: int | None = None
+    infer_only: bool = False
     restricted: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
 
@@ -752,6 +756,12 @@ def init_params(net: CompiledNetwork, rng, dtype=np.float64) -> list[np.ndarray]
     return params
 
 
+_INFER_ONLY = (
+    "this copy was restricted for infer mode: it smooths after the first linear, "
+    "so train-mode dropout would fall on unsmoothed features"
+)
+
+
 def forward(net: CompiledNetwork, params, *, mode: str = "infer", rng=None):
     """Run the chain from the network's input. Returns (output, states):
     states is the list of entry caches in chain order, which backward takes,
@@ -765,6 +775,8 @@ def forward(net: CompiledNetwork, params, *, mode: str = "infer", rng=None):
     if shapes != net.param_shapes:
         raise UsageError(f"expected parameter shapes {net.param_shapes}, got {shapes}")
     training = mode == "train"
+    if training and net.infer_only:
+        raise UsageError(_INFER_ONLY)
     if training and net.dropout > 0.0 and rng is None:
         raise UsageError("a train-mode forward with dropout needs an explicit rng stream")
     if net.prefix or net.densify is not None:  # fold once: run the copy over every row
@@ -785,6 +797,8 @@ def backward(net: CompiledNetwork, states: list | None, d_output):
     The pass ends at the first linear: nothing before it has parameters."""
     if states is None:
         raise UsageError("backward needs the states returned by a train-mode forward")
+    if net.infer_only:
+        raise UsageError(_INFER_ONLY)
     if net.prefix or net.densify is not None:  # forward ran its copy over every row
         net = restrict(net, np.arange(net.x_bar.shape[0]))
     grads = [None] * len(net.param_shapes)
@@ -801,8 +815,9 @@ def estimate_cost(spec: NetworkSpec, n: int, num_edges: int, d: int, num_classes
 
     Convention: L is the total feed-forward layer count; the in-training
     feature smoothing term L*N_E*d appears only for GCN blocks (propagation
-    folded into a precomputed input is a one-time cost, not charged here); the
-    hidden term L*n*d^2 appears only when hidden layers exist; the classifier
+    folded into a precomputed input is a one-time cost of training, not
+    charged here; an inference copy of a CSR fold plan smooths on every pass
+    instead, see restrict); the hidden term L*n*d^2 appears only when hidden layers exist; the classifier
     term n*d*M is always present; label propagation charges L_l*N_E*M.
     """
     if n < 1 or d < 1 or num_classes < 1 or num_edges < 0:
@@ -832,9 +847,9 @@ def estimate_cost(spec: NetworkSpec, n: int, num_edges: int, d: int, num_classes
     )
 
 
-def restrict(net: CompiledNetwork, rows, dtype=np.float64) -> CompiledNetwork:
+def restrict(net: CompiledNetwork, rows, dtype=np.float64, mode: str = "train") -> CompiledNetwork:
     """A copy of net, in precision dtype (float32 or float64), that computes
-    only the output rows `rows` and what they read.
+    only the output rows `rows` and what they read, for forwards in mode.
 
     The chain is walked backward from those rows. A smooth or lp entry widens
     the row set to the columns its matrix reads on the rows after it, and the
@@ -846,15 +861,26 @@ def restrict(net: CompiledNetwork, rows, dtype=np.float64) -> CompiledNetwork:
     outside the receptive field contribute nothing to the rows read, so the
     copy's outputs on them and its parameter gradients equal the full chain's.
     Train-mode dropout draws over the restricted rows only. The blocks and the
-    input are cast to dtype last; a CSR input stays CSR. The copy is memoized
-    on net by the rows as given and dtype."""
+    input are cast to dtype last; a CSR input stays CSR.
+
+    An infer-mode copy of a network whose fold stays CSR (densify None) does
+    not fold: with no dropout, (S_k ... S_1 X) W equals S_k ... S_1 (X W), so
+    it keeps the raw rows of X as its input and runs the prefix blocks as
+    smooth entries straight after the first linear, which multiplies fewer
+    stored entries. Its outputs match the fold's to rounding, not bitwise,
+    and it refuses train-mode passes. Any other infer-mode copy is the
+    train-mode one. The copy is memoized on net by the rows as given, dtype
+    and mode."""
     if net.x_bar is None:
         raise UsageError("network was compiled without features; it has no input to restrict")
     dtype = np.dtype(dtype)
     if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
         raise UsageError(f"unsupported dtype {dtype}")
+    if mode not in ("train", "infer"):
+        raise UsageError(f"restrict mode must be 'train' or 'infer', got {mode!r}")
+    infer_only = mode == "infer" and bool(net.prefix) and net.densify is None
     rows = np.asarray(rows, dtype=np.int64).ravel()
-    if (key := (rows.tobytes(), dtype.str)) in net.restricted:
+    if (key := (rows.tobytes(), dtype.str, infer_only)) in net.restricted:
         return net.restricted[key]
     if rows.size == 0 or rows.min() < 0 or rows.max() >= net.x_bar.shape[0]:
         raise UsageError(f"restrict needs a nonempty set of rows in [0, {net.x_bar.shape[0]})")
@@ -876,8 +902,15 @@ def restrict(net: CompiledNetwork, rows, dtype=np.float64) -> CompiledNetwork:
                 continue
             entry = dataclasses.replace(entry, matrix=block.astype(dtype, copy=False))
         layers.append(entry)
-    x_bar = _fold(net.x_bar[needed], blocks, net.densify).astype(dtype, copy=False)
+    layers.reverse()
+    x_bar = net.x_bar[needed]
+    if infer_only:
+        first = next(i for i, entry in enumerate(layers) if entry.kind == "linear") + 1
+        layers[first:first] = [_Smooth(block.astype(dtype, copy=False)) for block in blocks]
+    else:
+        x_bar = _fold(x_bar, blocks, net.densify)
     return net.restricted.setdefault(key, dataclasses.replace(
-        net, layers=tuple(reversed(layers)), x_bar=x_bar, positions=np.searchsorted(kept, rows),
-        prefix=(), densify=None,
+        net, layers=tuple(layers), x_bar=x_bar.astype(dtype, copy=False),
+        positions=np.searchsorted(kept, rows), prefix=(), densify=None,
+        infer_only=infer_only or net.infer_only,
     ))

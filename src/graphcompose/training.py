@@ -141,9 +141,9 @@ class TrainHistory:
         return "\n".join(lines) + "\n"
 
 
-def _restrict_to(net: CompiledNetwork, dataset, rows, dtype=np.float64):
-    """restrict(net, rows, dtype) and the labels of the copy's output rows."""
-    part = restrict(net, rows, dtype)
+def _restrict_to(net: CompiledNetwork, dataset, rows, dtype=np.float64, mode="train"):
+    """restrict(net, rows, dtype, mode) and the labels of the copy's output rows."""
+    part = restrict(net, rows, dtype, mode)
     return part, dataset.labels[np.unique(np.asarray(rows, dtype=np.int64))]
 
 
@@ -292,12 +292,13 @@ def fit(step, evaluate, config: TrainConfig, *, overlap: bool = False):
 def _fit_validated(net: CompiledNetwork, dataset, val_rows, config: TrainConfig, step,
                    params_of=lambda state: state):
     """fit(step, ...) scored by accuracy on val_rows: every trainer's
-    validation. Each epoch runs net's copy restricted to val_rows in infer
-    mode on params_of(state). The pass overlaps the next step when the caller
-    is the main thread: scipy's sparse products and numpy's one-thread BLAS
-    release the GIL, so the pass runs on the second core, whereas a trainer
-    on a worker thread (a sweep's pool) already shares the cores."""
-    val_net, val_labels = _restrict_to(net, dataset, val_rows, config.precision)
+    validation. Each epoch runs net's infer-mode copy restricted to val_rows
+    (see restrict) on params_of(state). The pass overlaps the next step when
+    the caller is the main thread: scipy's sparse products and numpy's
+    one-thread BLAS release the GIL, so the pass runs on the second core,
+    whereas a trainer on a worker thread (a sweep's pool) already shares the
+    cores."""
+    val_net, val_labels = _restrict_to(net, dataset, val_rows, config.precision, "infer")
 
     def evaluate(state) -> float:
         val_out, _ = forward(val_net, params_of(state))
@@ -316,10 +317,13 @@ def train(net: CompiledNetwork, dataset, split, config: TrainConfig):
     The step runs on a copy restricted to the train rows and the evaluation on
     one restricted to the val rows (see restrict), since the loss and the
     metric read nothing else; train-mode dropout draws over the restricted
-    rows only; both copies stay memoized on net. When train is called on the
-    main thread (see _fit_validated, shared with train_lpnn), each evaluation
-    runs on a helper thread beside the next epoch's step, with the same output
-    bytes; at an early stop one extra step has run and is dropped.
+    rows only, on the train copy's folded input. The val copy is built for
+    infer mode: on a CSR fold plan it multiplies the raw feature rows by the
+    first weight before smoothing, so only the train rows are folded. Both
+    copies stay memoized on net. When train is called on the main thread
+    (see _fit_validated, shared with train_lpnn), each evaluation runs on a
+    helper thread beside the next epoch's step, with the same output bytes;
+    at an early stop one extra step has run and is dropped.
     """
     if config.dropout != net.dropout:
         raise UsageError(

@@ -20,7 +20,7 @@ from graphcompose import networks
 from graphcompose.lpnn import build_g_network
 from graphcompose.networks import PRESET_NAMES
 
-from .conftest import entry_kinds, planted_dataset
+from .conftest import entry_kinds, planted_dataset, sparse_planted_dataset
 from .test_training import stratified_split
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -108,19 +108,54 @@ def test_benchmark_training_folds_each_row_set_once(monkeypatch):
         assert rows_out <= rows_in < dataset.num_nodes and width == dataset.num_features
 
 
-@pytest.mark.parametrize("caller", ["training", "lpnn"])
+def test_benchmark_training_on_a_csr_plan_folds_the_train_rows_only(monkeypatch):
+    # As above on about 1%-dense features, whose fold stays CSR: the val copy
+    # is built for infer mode and multiplies before it smooths, so only the
+    # train copy folds, once over all the repeated calls.
+    dataset = sparse_planted_dataset(200, 3, 200, 0.01, seed=13, edges_per_node=2)
+    ops = {kind: gc.build_operator(dataset.topology, kind) for kind in ("symmetric", "row")}
+    split = stratified_split(dataset, per_class=3, val=10)
+    folds = []
+    original = networks._fold
+
+    def spy(x, matrices, densify):
+        out = original(x, matrices, densify)
+        folds.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(networks, "_fold", spy)
+    net = gc.compile_network(
+        gc.preset("gcn-lp", depth=3, lp_layers=1), ops, dataset.num_features,
+        dataset.num_classes, features=dataset.features, dropout=0.5, num_edges=dataset.num_edges,
+    )
+    assert net.densify is None and len(net.prefix) == 1
+    config = gc.TrainConfig(max_epochs=2, patience=2)
+    histories = [gc.train(net, dataset, split, replace(config, seed=s))[1] for s in (0, 1, 0)]
+    assert histories[0] == histories[2] != histories[1]
+    train_copy = networks.restrict(net, split.train)
+    assert folds == [train_copy.x_bar.shape[0]] and len(net.restricted) == 2
+    (val_copy,) = (copy for copy in net.restricted.values() if copy.infer_only)
+    assert val_copy.x_bar.nnz < dataset.features.nnz
+
+
+@pytest.mark.parametrize("caller", ["training", "lpnn", "training-csr"])
 def test_forward_spans_carry_the_train_and_infer_modes(tracing, caller):
     # The tracer reads the forward mode from the fourth positional argument
     # or the mode keyword, and splits epochs at train-mode forwards. After
     # folding, gcn-lp at depth 3 with one lp layer has every entry kind, and
-    # each must show up as an entry span in both phases.
-    dataset = planted_dataset(40, 2, 6, seed=3)
+    # each must show up as an entry span in both phases. On a CSR fold plan
+    # (training-csr) the val copy smooths after its first linear; those
+    # blocks must be traced as smooth entries, in chain order.
+    if caller == "training-csr":
+        dataset = sparse_planted_dataset(60, 2, 200, 0.01, seed=3, edges_per_node=2)
+    else:
+        dataset = planted_dataset(40, 2, 6, seed=3)
     split = stratified_split(dataset)
     config = gc.TrainConfig(max_epochs=2, patience=2)
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        if caller == "training":
+        if caller != "lpnn":
             net = gc.compile_network(
                 gc.preset("gcn-lp", depth=3, lp_layers=1),
                 {kind: gc.build_operator(dataset.topology, kind) for kind in ("symmetric", "row")},
@@ -141,7 +176,21 @@ def test_forward_spans_carry_the_train_and_infer_modes(tracing, caller):
     spans = [s for s in tracer.spans if s.name == "networks.forward"]
     callers = {mode: {s.attrs["caller"] for s in spans if s.attrs["mode"] == mode}
                for mode in ("train", "infer")}
-    assert callers == {"train": {caller}, "infer": {"training"}}
-    if caller == "training":
+    assert callers == {"train": {caller.removesuffix("-csr")}, "infer": {"training"}}
+    if caller != "lpnn":
         entries = {(s.attrs["kind"], s.attrs["phase"]) for s in tracer.spans if s.name == "entry"}
         assert entries == {(kind, phase) for kind in tracing.ENTRY_KINDS for phase in ("fwd", "vjp")}
+    if caller == "training-csr":
+        assert net.densify is None
+        (val_copy,) = (copy for copy in net.restricted.values() if copy.infer_only)
+        first = entry_kinds(val_copy).index("linear") + 1
+        assert entry_kinds(val_copy)[first:first + len(net.prefix)] == ("smooth",) * len(net.prefix)
+        for span in (s for s in spans if s.attrs["mode"] == "infer"):
+            kinds = [s.attrs["kind"] for s in sorted(tracer.spans, key=lambda s: s.start)
+                     if s.parent == span.id]
+            assert tuple(kinds) == entry_kinds(val_copy)
+        # Outside a forward or backward only the compile's fold plan and the
+        # train copy's fold smooth: one span per prefix hop each.
+        wrapped = {f"networks.{attr}" for _, attr, _, kind, _ in tracing.WRAPS if kind}
+        unclassified = [s.name for s in tracer.spans if s.name in wrapped]
+        assert unclassified == ["networks.spmm"] * 2 * len(net.prefix)

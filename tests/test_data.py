@@ -220,6 +220,14 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="bad feature value"):
             load_dataset(root)
 
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "\u0661.5"])
+    def test_feature_value_spelled_as_numpy_refuses_it(self, tmp_path, value):
+        # float() reads each of these; np.loadtxt, and so the loader, does not.
+        root = write_dataset_dir(tmp_path / "fs", planted_dataset(12, 2, 4, seed=18))
+        (root / "features.txt").write_text(f"0 0 1.0\n1 2 {value}\n")
+        with pytest.raises(DataError, match=rf"features\.txt:2: bad feature value '{value}'"):
+            load_dataset(root)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
     def test_non_finite_feature_value_names_line(self, tmp_path, value):
         root = write_dataset_dir(tmp_path / "nf", planted_dataset(12, 2, 4, seed=18))
@@ -294,6 +302,12 @@ ID_TOKEN_CASES = [
     ("graph.txt", "0 1\n2 -3\n", "node id -3 outside [0, 12)"),
     ("standard_split.txt", "train:\n0\nval:\n2 zz\ntest:\n4\n", "node id 'zz' is not an integer"),
     ("standard_split.txt", "train:\n0\nval:\n2 12\ntest:\n4\n", "node id 12 outside [0, 12)"),
+    # int() reads these two spellings; np.loadtxt and the line parser do not.
+    ("graph.txt", "0 1\n1_0 2\n", "node id '1_0' is not an integer"),
+    ("labels.txt", "0 1\n1 \u0661\n", "class id '\u0661' is not an integer"),
+    ("features.txt", "0 0 1.0\n1 \u0661 1.0\n", "feature id '\u0661' is not an integer"),
+    ("standard_split.txt", "train:\n0\nval:\n2 1_0\ntest:\n4\n",
+     "node id '1_0' is not an integer"),
 ]
 
 
@@ -310,6 +324,13 @@ class TestIdTokens:
         with pytest.raises(DataError) as info:
             load_standard_split(load_dataset(root))
         assert str(info.value) == f"{root / name}:{line}: {message}"
+
+    def test_signs_and_leading_zeros_load(self, tmp_path):
+        # What np.loadtxt reads as an integer: an optional sign, then ASCII digits.
+        root = write_dataset_dir(tmp_path / "ids", planted_dataset(12, 2, 4, seed=30))
+        (root / "standard_split.txt").write_text("train:\n+0\nval:\n002\ntest:\n4\n")
+        split = load_standard_split(load_dataset(root))
+        assert (split.train, split.val, split.test) == ((0,), (2,), (4,))
 
 
 class TestSparseFeatures:
@@ -730,8 +751,8 @@ def _write_unusual(root, case):
             text = text.rstrip("\n")
         elif case == "plus-signs":
             text = "\n".join("+" + line for line in text.splitlines()) + "\n"
-        elif case == "underscores" and name == "labels.txt":
-            text = text.replace("10 ", "1_0 ", 1)
+        elif case == "leading-zeros" and name == "labels.txt":
+            text = text.replace("10 ", "010 ", 1)
         path.write_bytes(text.encode())
     return root
 
@@ -744,7 +765,7 @@ UNUSUAL_CASES = [
     ("comment-lines", ["labels.txt", "features.txt", "graph.txt"]),
     ("no-final-newline", []),
     ("plus-signs", []),
-    ("underscores", ["labels.txt"]),
+    ("leading-zeros", []),
     ("exponents-and-17-digits", []),
     ("explicit-zeros", []),
     ("reversed-lines", []),
@@ -831,5 +852,5 @@ class TestParserEquivalence:
     def test_malformed_file_falls_back_to_name_its_line(self, tmp_path):
         root = write_dataset_dir(tmp_path / "bad", planted_dataset(12, 2, 4, seed=27))
         (root / "features.txt").write_text("0 0 1.0\r\n\t1 2 0.5\n1 3 1_0\n2 5 1.0\n")
-        with pytest.raises(DataError, match=r"features\.txt:4: feature id 5 outside \[0, 4\)"):
+        with pytest.raises(DataError, match=r"features\.txt:3: bad feature value '1_0'"):
             load_dataset(root)

@@ -4,12 +4,14 @@ Each text case copies a scripts/make_synthetic.py dataset (or one of its
 split files), changes one line, token or byte of one file, and runs `splits`
 or a one-epoch `train` on it. Every case must return 0 or 2 without raising;
 a nonzero exit ends stderr with an `error: ` line that names the mutated
-file, and writes no result.json.
+file, and writes no result.json. A token spelled `1_0` or with a non-ASCII
+digit must exit 2, naming the file and the mutated line.
 
 Each manifest case changes one count by 1, to 0 or past its cap, drops,
-repeats or adds a key, or makes a value a non-integer, and runs both
-`splits` and a one-epoch `train`. A malformed line, a missing key, a zero
-count or one past its cap fails naming manifest.txt. A count the other files
+repeats or adds a key, or makes a value a non-integer (`2.0`, `1_0`, a
+non-ASCII digit), and runs both `splits` and a one-epoch `train`. A
+malformed line, a missing key, a zero count or one past its cap fails naming
+manifest.txt (and its line, for the last two spellings). A count the other files
 disagree with fails naming that file: labels.txt for nodes +1, nodes -1 and
 far past the label count, and for classes +1 (a class that labels no node)
 and classes -1; features.txt for features -1. features +1 loads, as an
@@ -54,7 +56,11 @@ TOKENS = {
     "nan": b"nan",
     "inf": b"inf",
     "empty": b"",
+    "underscore": b"1_0",
+    "arabic-indic-digit": "\u0661".encode(),
 }
+# int() and float() read these, np.loadtxt does not; so must every line parser.
+REFUSED_TOKENS = ("underscore", "arabic-indic-digit")
 MUTATIONS = ("drop-line", "repeat-line", "swap-lines", *TOKENS, "non-utf8-byte", "vertical-tab")
 DRAWS = 2
 SEED = 20260
@@ -107,7 +113,8 @@ def test_mutated_input_fails_cleanly(pristine, tmp_path, capsys, name, mutation,
     (data / SPLIT).parent.mkdir(parents=True)
     shutil.copyfile(pristine / SPLIT, data / SPLIT)
     target = data / name
-    target.write_bytes(mutate(target.read_bytes(), mutation, np.random.default_rng(seed)))
+    before = target.read_bytes()
+    target.write_bytes(mutate(before, mutation, np.random.default_rng(seed)))
 
     out = tmp_path / "out"
     if name == str(SPLIT):
@@ -126,6 +133,10 @@ def test_mutated_input_fails_cleanly(pristine, tmp_path, capsys, name, mutation,
         last = err.strip().splitlines()[-1]
         assert last.startswith("error: ") and str(target) in last, last
         assert not list(out.rglob("result.json"))
+    if mutation in REFUSED_TOKENS:
+        changed = next(i for i, (a, b) in enumerate(zip(before.split(b"\n"),
+                                                        target.read_bytes().split(b"\n"))) if a != b)
+        assert code == 2 and f"{target}:{changed + 1}:" in last, err
 
 
 # Manifest cases: (id, key, new value or None to drop, file named or None).
@@ -144,6 +155,9 @@ MANIFEST_CASES = (
     *((f"{key}-dropped", key, None, "manifest.txt") for key in CAPS),
     *((f"{key}-repeated", key, "repeat", "manifest.txt") for key in CAPS),
     *((f"{key}-non-integer", key, "2.0", "manifest.txt") for key in CAPS),
+    *((f"{key}-{spelling}", key, token, f"manifest.txt:{line}")
+      for line, key in enumerate(CAPS, start=1)
+      for spelling, token in (("underscore", "1_0"), ("arabic-indic-digit", "\u0661"))),
     ("unknown-key", "edges", 7, "manifest.txt"),
 )
 

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from graphcompose import networks
+from graphcompose.data import load_dataset, load_standard_split
 from graphcompose.errors import DataError, UsageError
 from graphcompose.graph import GraphTopology, build_operator
 from graphcompose.networks import (
@@ -36,6 +37,7 @@ from graphcompose.training import gradient_check
 from .conftest import (
     dense,
     entry_kinds,
+    make_synthetic,
     np_relu,
     np_softmax,
     planted_dataset,
@@ -852,6 +854,134 @@ class TestFoldOnDemand:
         assert net.densify == 1
         dense_bytes = dataset.num_nodes * dataset.num_features * 8
         assert peak < dense_bytes / 8  # the fold over every node would be dense_bytes
+
+
+# Presets whose prefix is then followed by a linear: sgcn at each depth, gcn,
+# gcn-lp and fp-mlp.
+INFER_CASES = [("sgcn", 1), ("sgcn", 2), ("sgcn", 3), ("gcn", 2), ("gcn-lp", 3), ("fp-mlp", 2)]
+
+
+class TestInferCopy:
+    """On a CSR fold plan an infer-mode copy keeps the raw feature rows and
+    smooths after the first linear; it matches the train-form copy's infer
+    output to rounding and never folds. Anywhere else it is that copy."""
+
+    ROWS = np.array([97, 3, 50, 3, 11])
+
+    @staticmethod
+    def csr_plan(name, depth, rate=0.5):
+        dataset = sparse_planted_dataset(150, 3, 600, 0.005, seed=49, edges_per_node=2)
+        ops = {kind: build_operator(dataset.topology, kind) for kind in ("symmetric", "row")}
+        spec = preset(name, hidden_dim=8, depth=depth, lp_layers=1)
+        net = compile_network(spec, ops, dataset.num_features, dataset.num_classes,
+                              features=dataset.features, dropout=rate)
+        assert net.densify is None and net.prefix
+        unfolded = with_input(compile_network(spec, ops, dataset.num_features,
+                                              dataset.num_classes, dropout=rate), dataset.features)
+        return dataset, net, unfolded
+
+    @staticmethod
+    def spy_folds(monkeypatch) -> list:
+        folds = []
+        original = networks._fold
+
+        def spy(x, matrices, densify):
+            folds.append(x.shape[0])
+            return original(x, matrices, densify)
+
+        monkeypatch.setattr(networks, "_fold", spy)
+        return folds
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)],
+                             ids=["float64", "float32"])
+    @pytest.mark.parametrize("name, depth", INFER_CASES, ids=[f"{n}-L{d}" for n, d in INFER_CASES])
+    def test_matches_the_train_form_copy(self, monkeypatch, name, depth, dtype, rtol):
+        dataset, net, unfolded = self.csr_plan(name, depth)
+        folds = self.spy_folds(monkeypatch)
+        infer = restrict(net, self.ROWS, dtype, mode="infer")
+        assert folds == [] and infer.infer_only
+        # The raw rows the whole chain reads, cast to dtype, and the prefix's
+        # blocks straight after the first linear.
+        raw = dataset.features[entry_rows(unfolded, self.ROWS)[0]]
+        assert sp.issparse(infer.x_bar) and infer.x_bar.dtype == dtype
+        assert infer.x_bar.nnz == raw.nnz
+        assert abs(infer.x_bar - raw.astype(dtype)).max() == 0
+        first = entry_kinds(infer).index("linear") + 1
+        assert entry_kinds(infer)[first:first + len(net.prefix)] == ("smooth",) * len(net.prefix)
+        assert len(infer.layers) == len(net.layers) + len(net.prefix)
+
+        train_form = restrict(net, self.ROWS, dtype)
+        assert folds == [raw.shape[0]] and not train_form.infer_only
+        np.testing.assert_array_equal(infer.positions, train_form.positions)
+        params = init_params(net, np.random.default_rng(50), dtype)
+        got, _ = forward(infer, params)
+        expected, _ = forward(train_form, params)
+        assert got.dtype == expected.dtype == dtype
+        np.testing.assert_allclose(got, expected, rtol=rtol, atol=0)
+        np.testing.assert_array_equal(got.argmax(axis=1), expected.argmax(axis=1))
+
+    @pytest.mark.parametrize("density", [1.0, 0.10], ids=["dense", "densified-between-hops"])
+    def test_dense_plan_infer_copy_is_the_train_form_copy(self, monkeypatch, density):
+        _, _, net = TestFoldOnDemand.sgcn(density)
+        assert net.densify is not None
+        folds = self.spy_folds(monkeypatch)
+        infer = restrict(net, self.ROWS, mode="infer")
+        assert infer is restrict(net, self.ROWS) and not infer.infer_only
+        assert len(folds) == 1 and len(net.restricted) == 1
+
+    def test_no_prefix_infer_copy_is_the_train_form_copy(self):
+        dataset, _, _ = self.csr_plan("sgcn", 1)
+        ops = {"row": build_operator(dataset.topology, "row")}
+        net = compile_network(preset("linear-lp"), ops, dataset.num_features,
+                              dataset.num_classes, features=dataset.features)
+        assert net.prefix == ()
+        assert restrict(net, self.ROWS, mode="infer") is restrict(net, self.ROWS)
+
+    def test_memo_holds_train_and_infer_copies_apart(self, monkeypatch):
+        _, net, _ = self.csr_plan("gcn", 2)
+        folds = self.spy_folds(monkeypatch)
+        infer = restrict(net, self.ROWS, mode="infer")
+        train_form = restrict(net, self.ROWS)
+        assert infer is not train_form and len(net.restricted) == 2
+        assert restrict(net, list(self.ROWS), mode="infer") is infer
+        assert restrict(net, self.ROWS, mode="train") is train_form
+        assert len(folds) == 1
+        with pytest.raises(UsageError, match="restrict mode must be"):
+            restrict(net, self.ROWS, mode="eval")
+
+    def test_train_mode_passes_are_refused(self):
+        _, net, _ = self.csr_plan("gcn", 2)
+        infer = restrict(net, self.ROWS, mode="infer")
+        params = init_params(net, np.random.default_rng(51))
+        with pytest.raises(UsageError, match="unsmoothed features"):
+            forward(infer, params, mode="train", rng=np.random.default_rng(52))
+        _, states = forward(restrict(net, self.ROWS), params, mode="train",
+                            rng=np.random.default_rng(52))
+        with pytest.raises(UsageError, match="unsmoothed features"):
+            backward(infer, states, np.zeros((np.unique(self.ROWS).size, 3)))
+        # A whole-network pass still folds, in either mode.
+        assert forward(net, params, mode="train", rng=np.random.default_rng(52))[1] is not None
+
+    def test_cora_shaped_val_copy_stores_less_than_the_fold(self, tmp_path):
+        root = tmp_path / "cora"
+        make_synthetic(["--out", str(root), "--nodes", "2708", "--classes", "7",
+                        "--features", "1433", "--edges-per-node", "4", "--density", "0.013",
+                        "--standard-split", "--seed", "1"])
+        dataset = load_dataset(root)
+        val = load_standard_split(dataset).val
+        ops = {"symmetric": build_operator(dataset.topology, "symmetric")}
+        net = compile_network(preset("gcn"), ops, dataset.num_features, dataset.num_classes,
+                              features=dataset.features, dropout=0.5)
+        assert net.densify is None
+        tracemalloc.start()
+        try:
+            restrict(net, val, mode="infer")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        folded = restrict(net, val).x_bar
+        stored = folded.data.nbytes + folded.indices.nbytes + folded.indptr.nbytes
+        assert peak < stored
 
 
 # ---------------------------------------------------------------------------
