@@ -37,7 +37,7 @@ from .data import (
 from .errors import DataError, GraphComposeError, NumericError, UsageError
 from .evaluation import RunResult, accuracy, aggregate, average_rank, render_report
 from .graph import GraphTopology, build_operator
-from .lpnn import LpnnWeights, predict_from_f, predict_from_g, train_lpnn
+from .lpnn import LpnnWeights, predict_from_f, train_lpnn
 from .networks import (
     DEFAULT_HIDDEN_DIM,
     MAX_SIZE,
@@ -223,8 +223,7 @@ class _Composed:
 
         def test() -> dict[str, float]:
             net = self.compile(dataset, config.dropout, cfg)
-            part, labels = _restrict_to(net, dataset, split.test, mode="infer")
-            return {"test": accuracy(forward(part, params)[0], labels, part.positions)}
+            return {"test": _test_accuracy(net, params, dataset, split, config)}
 
         return test, history
 
@@ -243,13 +242,22 @@ class _Lpnn:
         model, history = train_lpnn(dataset, split, config, weights)
 
         def test() -> dict[str, float]:
-            labels = dataset.labels
             return {
-                "test": accuracy(predict_from_g(model), labels, split.test),
-                "label-field test": accuracy(predict_from_f(model), labels, split.test),
+                "test": _test_accuracy(model.g_net, model.g_params, dataset, split, config),
+                "label-field test": accuracy(predict_from_f(model), dataset.labels, split.test),
             }
 
         return test, history
+
+
+def _test_accuracy(net, params, dataset: Dataset, split, config: TrainConfig) -> float:
+    """Accuracy on the test rows of net's infer-mode copy restricted to them
+    in config.precision (see restrict): every test pass the CLI runs. numpy's
+    OpenBLAS holds one thread for it, so a two-thread product leaves no BLAS
+    worker spinning into whatever runs next (propmodel-sweep's next fit)."""
+    part, labels = _restrict_to(net, dataset, split.test, config.precision, "infer")
+    with _one_blas_thread():
+        return accuracy(forward(part, params)[0], labels, part.positions)
 
 
 def _resolve_method(args, topology: GraphTopology | None = None, refusal: str | None = None):
@@ -483,6 +491,7 @@ def cmd_compare(args) -> int:
     if not root.is_dir():
         raise DataError(f"results directory {root} does not exist")
     results: dict[tuple, tuple[Path, RunResult]] = {}
+    precisions: dict[str, tuple[Path, str]] = {}
     for path in sorted(root.rglob("result.json")):
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
@@ -503,6 +512,14 @@ def cmd_compare(args) -> int:
                 f"(size {r.size_index}, split {r.split_index}); keep one of them"
             )
         results[key] = (path, r)
+        # A run recorded before precision was a setting trained in float64.
+        precision = r.config.get("precision", "float64")
+        first, first_precision = precisions.setdefault(r.method, (path, precision))
+        if precision != first_precision:
+            raise DataError(
+                f"{first} ({first_precision}) and {path} ({precision}) hold {r.method} "
+                "runs at different precisions; compare them apart"
+            )
     if not results:
         raise DataError(f"no run results found under {root}")
     sizes = sorted({size for _, _, size, _ in results})
@@ -591,8 +608,7 @@ def cmd_propmodel_sweep(args) -> int:
             continue
         point = replace(method, operators=operators)
         test, history = point.fit(dataset, split, config, cfg)
-        with _one_blas_thread():  # a two-thread product leaves a BLAS worker spinning into the next fit
-            test_accuracy = test()["test"]
+        test_accuracy = test()["test"]
         rows.append((alpha, beta, history.best_val_accuracy, test_accuracy))
         print(
             f"alpha={alpha:g} beta={beta:g}: val {100 * history.best_val_accuracy:.1f}, "

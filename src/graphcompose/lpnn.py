@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import NumericError, UsageError
-from .graph import PropagationOperator, build_operator
+from .graph import build_operator
 from .networks import (
     LinearClassifier,
     Mlp,
@@ -25,6 +25,7 @@ from .networks import (
     backward,
     compile_network,
     forward,
+    restrict,
     softmax_rows_forward,
     softmax_rows_vjp,
 )
@@ -71,13 +72,16 @@ def _clamped_log(p: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(p, PROB_FLOOR))
 
 
-def lpnn_loss(f, g_out, op: PropagationOperator, labels, labeled_set, weights: LpnnWeights):
+def lpnn_loss(f, g_out, s, labels, labeled_set, weights: LpnnWeights):
     """Evaluate the joint loss and its analytic gradients.
 
     Returns (loss, d_f, d_g_out) where d_g_out is the gradient with respect to
     g's softmax output (the caller chains it through g's layers). Trusts its
-    caller, as train_lpnn builds them once: f and g_out are float64 (n, m)
-    arrays, labels and labeled_set int64 arrays, and op is symmetric.
+    caller, as train_lpnn builds them once: f and g_out are (n, m) arrays and
+    s is the symmetric operator's CSR matrix, all in one precision (float32 or
+    float64); labels and labeled_set are int64 arrays, and s is bitwise
+    symmetric. The smoothness trace is summed in float64 whatever the
+    precision, so float32 rounding in the sums cannot cross its guard.
     """
     labeled = np.zeros(f.shape[0], dtype=bool)
     labeled[labeled_set] = True
@@ -89,10 +93,11 @@ def lpnn_loss(f, g_out, op: PropagationOperator, labels, labeled_set, weights: L
 
     # Smoothness: Tr(f^T (I - S) f) = ||f||^2 - <f, S f>.
     if weights.mu_g:
-        sf = op.matrix @ f
-        trace = float((f * f).sum() - (f * sf).sum())
-        scale = max(1.0, float((f * f).sum()))
-        if trace < -1e-8 * scale:
+        sf = s @ f
+        f64, sf64 = f.astype(np.float64, copy=False), sf.astype(np.float64, copy=False)
+        norm = float((f64 * f64).sum())
+        trace = norm - float((f64 * sf64).sum())
+        if trace < -1e-8 * max(1.0, norm):
             raise NumericError(f"smoothness trace term went negative: {trace}")
         loss += weights.mu_g * trace
         # S is bitwise symmetric, so S^T f is bitwise S f.
@@ -140,9 +145,9 @@ class LpnnModel:
 
 
 def predict_from_g(model: LpnnModel) -> np.ndarray:
-    """g's class distributions on every node."""
-    out, _ = forward(model.g_net, model.g_params)
-    return out
+    """g's class distributions on every node, in the model's precision."""
+    g_all = restrict(model.g_net, np.arange(model.f.shape[0]), model.f.dtype)
+    return forward(g_all, model.g_params)[0]
 
 
 def predict_from_f(model: LpnnModel) -> np.ndarray:
@@ -155,18 +160,17 @@ def train_lpnn(dataset, split, config: TrainConfig, weights: LpnnWeights):
     and validation (training._fit_validated). Validation and the returned
     best snapshot follow g's accuracy, since g serves predictions by default.
     g is compiled with the features as its input (CSR when they are sparse);
-    the step runs it on every node, since the loss reads them all, and
-    validation on g's copy restricted to the val rows, which overlaps the
-    next step as in train. Trains in float64 only."""
-    if config.precision != "float64":
-        raise UsageError(
-            "method 'lpnn' trains in float64 only; --precision float32 does not apply"
-        )
+    the step runs g's copy restricted to every node (see restrict), since the
+    loss reads them all, and validation g's copy restricted to the val rows,
+    which overlaps the next step as in train. f, the symmetric operator and
+    both copies are in config.precision; the operator is built in float64 and
+    cast. The returned model's g_net is the compiled g."""
     train_idx = np.asarray(split.train, dtype=np.int64)
     if train_idx.size == 0 or len(split.val) == 0:
         raise UsageError("train_lpnn needs nonempty train and val sets")
 
-    op = build_operator(dataset.topology, "symmetric")
+    dtype = np.dtype(config.precision)
+    s = build_operator(dataset.topology, "symmetric").matrix.astype(dtype, copy=False)
     g_net = compile_network(
         G_SPEC,
         {},
@@ -175,17 +179,18 @@ def train_lpnn(dataset, split, config: TrainConfig, weights: LpnnWeights):
         features=dataset.features,
         dropout=config.dropout,
     )
+    g_train = restrict(g_net, np.arange(dataset.num_nodes), dtype)
     g_params, dropout_rng = _seeded_start(g_net, config)
-    f = np.zeros((dataset.num_nodes, dataset.num_classes), dtype=np.float64)
+    f = np.zeros((dataset.num_nodes, dataset.num_classes), dtype=dtype)
 
     adam_f = AdamState.for_params([f])
     adam_g = AdamState.for_params(g_params)
 
     def step():
         nonlocal f, g_params
-        g_out, states = forward(g_net, g_params, mode="train", rng=dropout_rng)
-        loss, d_f, d_g_out = lpnn_loss(f, g_out, op, dataset.labels, train_idx, weights)
-        g_grads = backward(g_net, states, d_g_out)
+        g_out, states = forward(g_train, g_params, mode="train", rng=dropout_rng)
+        loss, d_f, d_g_out = lpnn_loss(f, g_out, s, dataset.labels, train_idx, weights)
+        g_grads = backward(g_train, states, d_g_out)
         # Weight decay shrinks only g's linear weights, never the label field.
         f = adam_step([f], [d_f], adam_f, config.learning_rate, 0.0)[0]
         g_params = adam_step(g_params, g_grads, adam_g, config.learning_rate, config.weight_decay)

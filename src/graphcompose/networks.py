@@ -861,7 +861,8 @@ def restrict(net: CompiledNetwork, rows, dtype=np.float64, mode: str = "train") 
     outside the receptive field contribute nothing to the rows read, so the
     copy's outputs on them and its parameter gradients equal the full chain's.
     Train-mode dropout draws over the restricted rows only. The blocks and the
-    input are cast to dtype last; a CSR input stays CSR.
+    input are cast to dtype last, so set-up stays float64 whatever the copy's
+    precision; a CSR input stays CSR.
 
     An infer-mode copy of a network whose fold stays CSR (densify None) does
     not fold: with no dropout, (S_k ... S_1 X) W equals S_k ... S_1 (X W), so

@@ -47,13 +47,20 @@ FINITE_DIFF_STEP = 1e-5
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One training run's settings. precision ("float32", the default, or
+    "float64") is the dtype of the parameters, the optimizer state and every
+    copy a run trains, validates and tests on; set-up (loading, operators,
+    compiling and the fold inside restrict) runs in float64 either way.
+    float64 reproduces, byte for byte, the runs of versions whose default it
+    was."""
+
     learning_rate: float = 0.01
     dropout: float = 0.5
     weight_decay: float = 5e-4
     max_epochs: int = 500
     patience: int = 25
     seed: int = 0
-    precision: str = "float64"
+    precision: str = "float32"
 
     def __post_init__(self) -> None:
         # The search space draws these from (0, 1); zero is still accepted so a
@@ -320,10 +327,11 @@ def train(net: CompiledNetwork, dataset, split, config: TrainConfig):
     rows only, on the train copy's folded input. The val copy is built for
     infer mode: on a CSR fold plan it multiplies the raw feature rows by the
     first weight before smoothing, so only the train rows are folded. Both
-    copies stay memoized on net. When train is called on the main thread
-    (see _fit_validated, shared with train_lpnn), each evaluation runs on a
-    helper thread beside the next epoch's step, with the same output bytes;
-    at an early stop one extra step has run and is dropped.
+    copies are in config.precision and stay memoized on net. When train is
+    called on the main thread (see _fit_validated, shared with train_lpnn),
+    each evaluation runs on a helper thread beside the next epoch's step,
+    with the same output bytes; at an early stop one extra step has run and
+    is dropped.
     """
     if config.dropout != net.dropout:
         raise UsageError(

@@ -132,7 +132,7 @@ def test_benchmark_training_on_a_csr_plan_folds_the_train_rows_only(monkeypatch)
     config = gc.TrainConfig(max_epochs=2, patience=2)
     histories = [gc.train(net, dataset, split, replace(config, seed=s))[1] for s in (0, 1, 0)]
     assert histories[0] == histories[2] != histories[1]
-    train_copy = networks.restrict(net, split.train)
+    train_copy = networks.restrict(net, split.train, config.precision)
     assert folds == [train_copy.x_bar.shape[0]] and len(net.restricted) == 2
     (val_copy,) = (copy for copy in net.restricted.values() if copy.infer_only)
     assert val_copy.x_bar.nnz < dataset.features.nnz

@@ -367,21 +367,6 @@ class TestErrorsAndExitCodes:
         assert main(["splits", "--dataset-dir", str(root)]) == 2
         assert message in capsys.readouterr().err
 
-    def test_lpnn_rejects_float32(self, cli_env, tmp_path, capsys):
-        code = main(quick_train_args(cli_env, tmp_path, "lpnn", ["--precision", "float32"]))
-        assert code == 1
-        assert "float64 only" in capsys.readouterr().err
-        assert not list(Path(tmp_path).rglob("result.json"))
-
-    def test_lpnn_sweep_rejects_float32(self, cli_env, tmp_path, capsys):
-        code = main(
-            ["sweep", "--dataset-dir", str(cli_env), "--size", "1", "--split", "0",
-             "--method", "lpnn", "--budget", "1", "--epochs", "2",
-             "--precision", "float32", "--out", str(tmp_path)]
-        )
-        assert code == 1
-        assert "float64 only" in capsys.readouterr().err
-
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
@@ -803,6 +788,26 @@ class TestTrainCommand:
         doc = read_only_result(tmp_path)
         assert doc["config"]["mu_g"] == 1.0
 
+    @pytest.mark.parametrize("precision", ["float32", "float64"])
+    @pytest.mark.parametrize("method", ["gcn", "lpnn"])
+    def test_test_pass_runs_at_the_run_precision(
+        self, cli_env, tmp_path, monkeypatch, method, precision
+    ):
+        # Both methods train at either precision, and the test copy's input
+        # and the trained weights it reads share it (lpnn's through g).
+        seen = []
+        original = graphcompose.cli.forward
+
+        def spy(net, params, **kwargs):
+            seen.append({net.x_bar.dtype, *(p.dtype for p in params)})
+            return original(net, params, **kwargs)
+
+        monkeypatch.setattr(graphcompose.cli, "forward", spy)
+        argv = quick_train_args(cli_env, tmp_path, method, ["--precision", precision])
+        assert main(argv) == 0
+        assert seen == [{np.dtype(precision)}]
+        assert read_only_result(tmp_path)["config"]["precision"] == precision
+
     def test_standard_split_run(self, cli_env, tmp_path):
         args = [
             "train", "--dataset-dir", str(cli_env), "--standard-split",
@@ -972,6 +977,12 @@ class TestSweepCommand:
         for name in ("trials.txt", "result.json", "history.txt"):
             assert next(a.rglob(name)).read_bytes() == next(b.rglob(name)).read_bytes()
 
+    def test_lpnn_sweeps_at_float32(self, cli_env, tmp_path):
+        args = self.sweep_args(cli_env, tmp_path, 2, ["--precision", "float32"],
+                               method="lpnn", budget=2, epochs=2)
+        assert main(args) == 0
+        assert read_only_result(tmp_path)["config"]["precision"] == "float32"
+
     def test_jobs_1_validates_beside_the_next_step(self, sparse_cli_env, tmp_path, monkeypatch):
         # At --jobs 1 the trials run on the calling thread, so each epoch but
         # the budget's last validates on fit's helper thread.
@@ -1093,7 +1104,7 @@ class TestSweepCommand:
 
 class TestCompareCommand:
     @staticmethod
-    def fake_result(root, method, dataset, size, split, test, val=0.5):
+    def fake_result(root, method, dataset, size, split, test, val=0.5, config=None):
         doc = {
             "method": method,
             "dataset": dataset,
@@ -1101,7 +1112,7 @@ class TestCompareCommand:
             "split_index": split,
             "test_accuracy": test,
             "best_val_accuracy": val,
-            "config": {},
+            "config": config or {},
         }
         d = root / f"{dataset}_{method}_s{size}_p{split}"
         d.mkdir(parents=True, exist_ok=True)
@@ -1274,6 +1285,26 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         first, second = sorted(root.rglob("d1_gcn_s1_p0/result.json"))
         assert str(first) in err and str(second) in err
+
+    def test_mixed_precisions_are_data_error_naming_two_files(self, tmp_path, capsys):
+        # float64 runs written before float32 became the default, beside a
+        # float32 run of the same method: never one averaged cell.
+        root = tmp_path / "res"
+        self.fake_result(root, "gcn", "d1", 1, 0, 0.9)
+        self.fake_result(root, "gcn", "d1", 1, 1, 0.8, config={"precision": "float64"})
+        for split in (0, 1, 2):
+            self.fake_result(root, "sgcn", "d1", 1, split, 0.7)
+        self.fake_result(root, "gcn", "d1", 1, 2, 0.7, config={"precision": "float32"})
+        assert main(["compare", "--results-dir", str(root)]) == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        first, _, mixed = sorted(root.rglob("d1_gcn_s1_p*/result.json"))
+        assert last == (
+            f"error: {first} (float64) and {mixed} (float32) hold gcn runs at different "
+            "precisions; compare them apart"
+        )
+        # A config without the key reads as float64, so the two older runs agree.
+        (mixed.parent / "result.json").unlink()
+        assert main(["compare", "--results-dir", str(root)]) == 0
 
     def test_mixed_sizes_need_size_flag(self, tmp_path, capsys):
         root = tmp_path / "res"

@@ -64,7 +64,7 @@ class TestLpnnWeights:
 class TestLpnnLoss:
     def test_zero_weights_zero_everything(self):
         op, f, g_out, labels, labeled = problem()
-        loss, d_f, d_g = lpnn_loss(f, g_out, op, labels, labeled, W0)
+        loss, d_f, d_g = lpnn_loss(f, g_out, op.matrix, labels, labeled, W0)
         assert loss == 0.0
         np.testing.assert_array_equal(d_f, np.zeros_like(f))
         np.testing.assert_array_equal(d_g, np.zeros_like(g_out))
@@ -72,7 +72,7 @@ class TestLpnnLoss:
     def test_smoothness_term_dense_oracle(self):
         op, f, g_out, labels, labeled = problem(seed=1)
         w = LpnnWeights(0.7, 0, 0, 0, 0)
-        loss, d_f, d_g = lpnn_loss(f, g_out, op, labels, labeled, w)
+        loss, d_f, d_g = lpnn_loss(f, g_out, op.matrix, labels, labeled, w)
         s = dense(op.matrix)
         expected = 0.7 * ((f * f).sum() - (f * (s @ f)).sum())
         assert loss == pytest.approx(expected, rel=1e-12)
@@ -83,7 +83,7 @@ class TestLpnnLoss:
         op, _, g_out, labels, labeled = problem(seed=2)
         f = np.zeros((7, 3))
         w = LpnnWeights(0, 2.0, 0, 0, 0)
-        loss, d_f, _ = lpnn_loss(f, g_out, op, labels, labeled, w)
+        loss, d_f, _ = lpnn_loss(f, g_out, op.matrix, labels, labeled, w)
         # Each labeled row misses its one-hot target by exactly 1 in one slot.
         assert loss == pytest.approx(2.0 * len(labeled))
         for i in labeled:
@@ -93,7 +93,7 @@ class TestLpnnLoss:
     def test_unlabeled_shrinkage(self):
         op, f, g_out, labels, labeled = problem(seed=3)
         w = LpnnWeights(0, 0, 0.5, 0, 0)
-        loss, d_f, _ = lpnn_loss(f, g_out, op, labels, labeled, w)
+        loss, d_f, _ = lpnn_loss(f, g_out, op.matrix, labels, labeled, w)
         unlabeled = [i for i in range(7) if i not in labeled]
         assert loss == pytest.approx(0.5 * (f[unlabeled] ** 2).sum(), rel=1e-12)
         np.testing.assert_allclose(d_f[unlabeled], f[unlabeled], atol=1e-12)
@@ -102,7 +102,7 @@ class TestLpnnLoss:
     def test_labeled_kl_is_log_loss_on_g(self):
         op, f, g_out, labels, labeled = problem(seed=4)
         w = LpnnWeights(0, 0, 0, 1.5, 0)
-        loss, d_f, d_g = lpnn_loss(f, g_out, op, labels, labeled, w)
+        loss, d_f, d_g = lpnn_loss(f, g_out, op.matrix, labels, labeled, w)
         expected = -1.5 * sum(np.log(g_out[i, labels[i]]) for i in labeled)
         assert loss == pytest.approx(expected, rel=1e-12)
         assert np.all(d_f == 0.0)
@@ -113,13 +113,13 @@ class TestLpnnLoss:
         op, f, _, labels, labeled = problem(seed=5)
         g_out = softmax_rows_forward(f)
         w = LpnnWeights(0, 0, 0, 0, 1.0)
-        loss, _, _ = lpnn_loss(f, g_out, op, labels, labeled, w)
+        loss, _, _ = lpnn_loss(f, g_out, op.matrix, labels, labeled, w)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_unlabeled_kl_nonnegative(self):
         op, f, g_out, labels, labeled = problem(seed=6)
         w = LpnnWeights(0, 0, 0, 0, 1.0)
-        loss, _, _ = lpnn_loss(f, g_out, op, labels, labeled, w)
+        loss, _, _ = lpnn_loss(f, g_out, op.matrix, labels, labeled, w)
         assert loss >= 0.0
 
     @pytest.mark.parametrize("shape", ["planted", "cora", "pubmed"])
@@ -140,14 +140,27 @@ class TestLpnnLoss:
         f = rng.normal(size=(s.shape[0], 7)) * 10.0 ** rng.uniform(-5, 5, size=(s.shape[0], 1))
         assert (s.T @ f).tobytes() == (s @ f).tobytes()
 
+    def test_float32_inputs_keep_float32_and_match_float64(self):
+        # The trace is summed in float64; everything else stays in float32.
+        op, f, g_out, labels, labeled = problem(seed=8)
+        w = LpnnWeights(0.9, 0.8, 0.3, 1.1, 0.7)
+        f32, g32, s32 = f.astype(np.float32), g_out.astype(np.float32), op.matrix.astype(np.float32)
+        loss, d_f, d_g = lpnn_loss(f32, g32, s32, labels, labeled, w)
+        assert d_f.dtype == d_g.dtype == np.float32
+        ref = lpnn_loss(f32.astype(np.float64), g32.astype(np.float64),
+                        s32.astype(np.float64), labels, labeled, w)
+        assert loss == pytest.approx(ref[0], rel=1e-6)
+        np.testing.assert_allclose(d_f, ref[1], rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(d_g, ref[2], rtol=1e-5, atol=1e-6)
+
     def test_gradients_match_finite_differences(self):
         op, f, g_out, labels, labeled = problem(seed=7)
         w = LpnnWeights(0.9, 0.8, 0.3, 1.1, 0.7)
-        _, d_f, d_g = lpnn_loss(f, g_out, op, labels, labeled, w)
+        _, d_f, d_g = lpnn_loss(f, g_out, op.matrix, labels, labeled, w)
         eps = 1e-6
 
         def loss_at(fv, gv):
-            return lpnn_loss(fv, gv, op, labels, labeled, w)[0]
+            return lpnn_loss(fv, gv, op.matrix, labels, labeled, w)[0]
 
         worst = 0.0
         for arr, grad, which in ((f, d_f, "f"), (g_out, d_g, "g")):
@@ -194,7 +207,7 @@ class TestTrainLpnn:
     @staticmethod
     def trained(small_dataset):
         split = stratified_split(small_dataset)
-        config = TrainConfig(dropout=0.0, max_epochs=60, patience=60, seed=1)
+        config = TrainConfig(dropout=0.0, max_epochs=60, patience=60, seed=1, precision="float64")
         weights = LpnnWeights(1.0, 1.0, 1.0, 1.0, 1.0)
         model, history = train_lpnn(small_dataset, split, config, weights)
         return small_dataset, split, model, history
@@ -223,7 +236,7 @@ class TestTrainLpnn:
         # every node.
         dataset = sparse_planted_dataset(90, 3, 60, 0.05, seed=8)
         split = stratified_split(dataset, val=30)
-        config = TrainConfig(dropout=0.0, max_epochs=12, patience=12, seed=4)
+        config = TrainConfig(dropout=0.0, max_epochs=12, patience=12, seed=4, precision="float64")
         weights = LpnnWeights(0.5, 1.0, 0.2, 1.0, 0.3)
         model, history = train_lpnn(dataset, split, config, weights)
         assert sp.issparse(whole(model.g_net).x_bar)
@@ -240,7 +253,7 @@ class TestTrainLpnn:
         for _ in range(config.max_epochs):
             g_out, states = forward(g_net, g_params, mode="train")
             loss, d_f, d_g = lpnn_loss(
-                f, g_out, op, dataset.labels, np.asarray(split.train), weights
+                f, g_out, op.matrix, dataset.labels, np.asarray(split.train), weights
             )
             g_grads = backward(g_net, states, d_g)
             f = adam_step([f], [d_f], adam_f, config.learning_rate, 0.0)[0]
@@ -255,7 +268,7 @@ class TestTrainLpnn:
 
     def test_deterministic(self, small_dataset):
         split = stratified_split(small_dataset)
-        config = TrainConfig(dropout=0.0, max_epochs=8, patience=8, seed=9)
+        config = TrainConfig(dropout=0.0, max_epochs=8, patience=8, seed=9, precision="float64")
         weights = LpnnWeights(0.5, 1.0, 0.2, 1.0, 0.3)
         m1, h1 = train_lpnn(small_dataset, split, config, weights)
         m2, h2 = train_lpnn(small_dataset, split, config, weights)
@@ -272,8 +285,22 @@ class TestTrainLpnn:
         with pytest.raises(UsageError):
             train_lpnn(small_dataset, bad, TrainConfig(), LpnnWeights(1, 1, 1, 1, 1))
 
-    def test_float32_refused(self, small_dataset):
+    def test_float32_run(self, small_dataset):
+        # f, g's copies and the operator run in float32; the run learns as
+        # the float64 one does and its test pass reads g in float32.
         split = stratified_split(small_dataset)
-        config = TrainConfig(max_epochs=2, patience=2, precision="float32")
-        with pytest.raises(UsageError, match="float64 only"):
-            train_lpnn(small_dataset, split, config, LpnnWeights(1, 1, 1, 1, 1))
+        runs = {}
+        for precision in ("float32", "float64"):
+            config = TrainConfig(dropout=0.0, max_epochs=60, patience=60, seed=1,
+                                 precision=precision)
+            runs[precision] = train_lpnn(small_dataset, split, config, LpnnWeights(1, 1, 1, 1, 1))
+        model, history = runs["float32"]
+        assert model.f.dtype == np.float32
+        assert all(p.dtype == np.float32 for p in model.g_params)
+        assert np.all(np.isfinite(history.train_loss))
+        preds = predict_from_g(model)
+        assert preds.dtype == np.float32
+        assert accuracy(preds, small_dataset.labels, np.asarray(split.test)) > 0.45
+        wide = runs["float64"][1]
+        assert abs(history.best_val_accuracy - wide.best_val_accuracy) <= 0.05
+        np.testing.assert_allclose(history.train_loss[:10], wide.train_loss[:10], rtol=1e-4)

@@ -1,5 +1,6 @@
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,7 +169,7 @@ class TestTrainConfig:
         assert c.weight_decay == 5e-4
         assert c.max_epochs == 500
         assert c.patience == 25
-        assert c.precision == "float64"
+        assert c.precision == "float32"
 
     def test_validation(self):
         with pytest.raises(UsageError):
@@ -220,7 +221,7 @@ class TestTrain:
 
     def test_learns_above_chance(self, setup):
         dataset, split, net = setup
-        config = TrainConfig(dropout=0.0, max_epochs=80, patience=80, seed=1)
+        config = TrainConfig(dropout=0.0, max_epochs=80, patience=80, seed=1, precision="float64")
         params, history = train(net, dataset, split, config)
         test_out, _ = forward(net, params)
         acc = accuracy(test_out, dataset.labels, np.asarray(split.test))
@@ -229,7 +230,7 @@ class TestTrain:
 
     def test_returns_best_epoch_params(self, setup):
         dataset, split, net = setup
-        config = TrainConfig(dropout=0.0, max_epochs=40, patience=40, seed=2)
+        config = TrainConfig(dropout=0.0, max_epochs=40, patience=40, seed=2, precision="float64")
         params, history = train(net, dataset, split, config)
         out, _ = forward(net, params)
         val_acc = accuracy(out, dataset.labels, np.asarray(split.val))
@@ -240,7 +241,7 @@ class TestTrain:
 
     def test_deterministic(self, setup):
         dataset, split, net = setup
-        config = TrainConfig(dropout=0.0, max_epochs=15, patience=15, seed=3)
+        config = TrainConfig(dropout=0.0, max_epochs=15, patience=15, seed=3, precision="float64")
         p1, h1 = train(net, dataset, split, config)
         p2, h2 = train(net, dataset, split, config)
         assert h1 == h2
@@ -249,15 +250,16 @@ class TestTrain:
 
     def test_seed_changes_run(self, setup):
         dataset, split, net = setup
-        h1 = train(net, dataset, split, TrainConfig(dropout=0.0, max_epochs=10, patience=10, seed=4))[1]
-        h2 = train(net, dataset, split, TrainConfig(dropout=0.0, max_epochs=10, patience=10, seed=5))[1]
+        config = TrainConfig(dropout=0.0, max_epochs=10, patience=10, seed=4, precision="float64")
+        h1 = train(net, dataset, split, config)[1]
+        h2 = train(net, dataset, split, replace(config, seed=5))[1]
         assert h1.train_loss != h2.train_loss
 
     def test_frozen_run_stops_at_epoch_two(self, setup):
         # lr=0 never improves after the first epoch, so patience=1 trips
         # immediately: strict improvement is required to reset the counter.
         dataset, split, net = setup
-        config = TrainConfig(learning_rate=0.0, dropout=0.0, patience=1, max_epochs=50, seed=6)
+        config = TrainConfig(learning_rate=0.0, dropout=0.0, patience=1, max_epochs=50, seed=6, precision="float64")
         _, history = train(net, dataset, split, config)
         assert history.stopped_epoch == 2
         assert history.best_epoch == 1
@@ -265,7 +267,7 @@ class TestTrain:
 
     def test_stops_within_patience_budget(self, setup):
         dataset, split, net = setup
-        config = TrainConfig(dropout=0.0, max_epochs=300, patience=5, seed=7)
+        config = TrainConfig(dropout=0.0, max_epochs=300, patience=5, seed=7, precision="float64")
         _, history = train(net, dataset, split, config)
         assert history.stopped_epoch <= 300
         assert len(history.train_loss) == history.stopped_epoch
@@ -306,7 +308,8 @@ class TestTrain:
 
     def test_history_text_layout(self, setup):
         dataset, split, net = setup
-        _, history = train(net, dataset, split, TrainConfig(dropout=0.0, max_epochs=3, patience=3, seed=9))
+        config = TrainConfig(dropout=0.0, max_epochs=3, patience=3, seed=9, precision="float64")
+        _, history = train(net, dataset, split, config)
         text = history.to_text()
         lines = text.strip().splitlines()
         assert lines[0] == "epoch\ttrain_loss\tval_accuracy"
@@ -386,7 +389,7 @@ class TestRestrictedTraining:
             return original(net_, params, mode=mode, rng=rng)
 
         monkeypatch.setattr(training, "forward", spy)
-        train(net, dataset, split, TrainConfig(dropout=0.0, max_epochs=3, patience=3))
+        train(net, dataset, split, TrainConfig(dropout=0.0, max_epochs=3, patience=3, precision="float64"))
         # Validation overlaps the next step, so the two modes interleave in
         # whatever order the threads reach forward.
         assert sorted(mode for mode, _ in calls) == ["infer"] * 3 + ["train"] * 3
@@ -405,7 +408,7 @@ class TestRestrictedTraining:
             preset(name, depth=3, lp_layers=1), ops, dataset.num_features,
             dataset.num_classes, features=dataset.features,
         )
-        config = TrainConfig(dropout=0.0, max_epochs=8, patience=8, seed=14)
+        config = TrainConfig(dropout=0.0, max_epochs=8, patience=8, seed=14, precision="float64")
         params, history = train(net, dataset, split, config)
 
         init_stream, _ = np.random.SeedSequence(config.seed).spawn(2)

@@ -48,11 +48,17 @@ SMALL = ["--nodes", "400", "--classes", "4", "--features", "48", "--seed", "3",
 SPARSE = ["--nodes", "1600", "--classes", "3", "--features", "300", "--density", "0.02",
           "--seed", "4"]
 EPOCHS = ["--epochs", "12", "--patience", "12"]
+# Every run pinned before float32 became the default names float64, so its
+# digests still hold.
+F64 = ["--precision", "float64"]
 
-# The runs whose bytes change with the OpenBLAS core (fp-mlp's float32 matrix
-# products, and the toy gradient check's printed errors). sparse/gcn-float32
-# was checked to give the same bytes under SkylakeX, Haswell and SandyBridge.
-CORE_RUNS = ("fp-mlp-float32", "gradcheck/toy")
+# The runs whose bytes change with the OpenBLAS core: float32 runs whose
+# dense matrix products go through BLAS, and the toy gradient check's printed
+# errors. sparse/gcn-float32, default/linear-lp and default/sweep/gcn-lp were
+# checked to give the same bytes under SkylakeX, Haswell and SandyBridge.
+CORE_RUNS = ("fp-mlp-float32", "gradcheck/toy", "default/fp-mlp", "default/gcn",
+             "default/gcn-lp", "default/lpnn", "default/mlp-lp", "default/sgcn",
+             "default/sgcn-lp")
 
 
 def blas_core() -> str:
@@ -95,27 +101,28 @@ def matrix(small: Path, sparse: Path, out: Path) -> dict[str, list[str]]:
 
     def propmodel(name, model, grid):
         return name, ["propmodel-sweep", "--method", "sgcn", *std, "--model", model,
-                      "--grid", grid, "--out", str(out / name / "table.txt")]
+                      "--grid", grid, *F64, "--out", str(out / name / "table.txt")]
 
     return dict([
         ("splits", ["splits", "--dataset-dir", str(sparse), "--seed", "0",
                     "--out", str(out / "splits")]),
-        *(train(f"presets/{name}", name, std) for name in PRESET_NAMES + ("lpnn",)),
-        train("sgcn-row", "sgcn", std, "--operator", "row"),
-        train("gcn-lp-mix", "gcn-lp", std, "--operator", "mix", "--alpha", "0.3", "--beta", "0.7"),
+        *(train(f"presets/{name}", name, std, *F64) for name in PRESET_NAMES + ("lpnn",)),
+        train("sgcn-row", "sgcn", std, "--operator", "row", *F64),
+        train("gcn-lp-mix", "gcn-lp", std, "--operator", "mix", "--alpha", "0.3", "--beta", "0.7",
+              *F64),
         train("gcn-lp-general", "gcn-lp", std, "--l", "3", "--ll", "1",
-              "--operator", "general", "--alpha", "0.5", "--beta", "0.5"),
+              "--operator", "general", "--alpha", "0.5", "--beta", "0.5", *F64),
         train("fp-mlp-float32", "fp-mlp", std, "--precision", "float32"),
         train("lpnn-weights", "lpnn", std, "--mu-g", "0.5", "--mu-l", "2", "--mu-u", "0.25",
-              "--lambda-l", "0.75", "--lambda-u", "1.5"),
-        train("sparse/gcn", "gcn", split),
-        train("sparse/sgcn", "sgcn", split),
+              "--lambda-l", "0.75", "--lambda-u", "1.5", *F64),
+        train("sparse/gcn", "gcn", split, *F64),
+        train("sparse/sgcn", "sgcn", split, *F64),
         train("sparse/gcn-float32", "gcn", split, "--precision", "float32"),
-        sweep("sweep/gcn-lp", "gcn-lp", 3, "--jobs", "2"),
-        sweep("sweep/lpnn", "lpnn", 2, "--jobs", "2"),
-        sweep("sweep/paper-space", "gcn", 3, "--paper-space"),
+        sweep("sweep/gcn-lp", "gcn-lp", 3, "--jobs", "2", *F64),
+        sweep("sweep/lpnn", "lpnn", 2, "--jobs", "2", *F64),
+        sweep("sweep/paper-space", "gcn", 3, "--paper-space", *F64),
         sweep("sweep/sgcn-lp-general", "sgcn-lp", 2, "--operator", "general",
-              "--alpha", "0.5", "--beta", "0.5"),
+              "--alpha", "0.5", "--beta", "0.5", *F64),
         propmodel("propmodel/mix", "mix", "0.5,0.5;1,1"),
         propmodel("propmodel/exponents", "exponents", "0.5,0.5;1,0"),
         ("compare", ["compare", "--results-dir", str(out / "presets"),
@@ -123,6 +130,9 @@ def matrix(small: Path, sparse: Path, out: Path) -> dict[str, list[str]]:
         ("gradcheck/toy", ["gradcheck", "--method", "gcn-lp", "--nodes", "16", "--seed", "2"]),
         ("gradcheck/dataset", ["gradcheck", "--method", "gcn", "--dataset-dir", str(small)]),
         ("cost/dataset", ["cost", "--method", "gcn-lp", "--dataset-dir", str(small)]),
+        # The same presets and a pool sweep at the default precision (float32).
+        *(train(f"default/{name}", name, std) for name in PRESET_NAMES + ("lpnn",)),
+        sweep("default/sweep/gcn-lp", "gcn-lp", 3, "--jobs", "2"),
     ])
 
 
