@@ -81,7 +81,8 @@ def lpnn_loss(f, g_out, s, labels, labeled_set, weights: LpnnWeights):
     s is the symmetric operator's CSR matrix, all in one precision (float32 or
     float64); labels and labeled_set are int64 arrays, and s is bitwise
     symmetric. The smoothness trace is summed in float64 whatever the
-    precision, so float32 rounding in the sums cannot cross its guard.
+    precision, and its guard allows twice the error that rounding S and S f
+    to f's precision can make.
     """
     labeled = np.zeros(f.shape[0], dtype=bool)
     labeled[labeled_set] = True
@@ -97,7 +98,12 @@ def lpnn_loss(f, g_out, s, labels, labeled_set, weights: LpnnWeights):
         f64, sf64 = f.astype(np.float64, copy=False), sf.astype(np.float64, copy=False)
         norm = float((f64 * f64).sum())
         trace = norm - float((f64 * sf64).sum())
-        if trace < -1e-8 * max(1.0, norm):
+        # Rounding S and each row sum of S f to f's precision moves <f, S f>
+        # by at most about (1 + k) eps/2 ||f||^2, for k the most entries in a
+        # row of S (nonnegative, with spectral norm 1). The slack is twice
+        # that; in float64 it stays at 1e-8.
+        slack = max(1e-8, (1 + np.diff(s.indptr).max()) * np.finfo(f.dtype).eps)
+        if trace < -slack * max(1.0, norm):
             raise NumericError(f"smoothness trace term went negative: {trace}")
         loss += weights.mu_g * trace
         # S is bitwise symmetric, so S^T f is bitwise S f.

@@ -6,15 +6,28 @@ import contextlib
 import dataclasses
 import importlib.util
 import io
+import tempfile
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from graphcompose.data import Dataset
 from graphcompose.graph import GraphTopology
+
+# Property tests draw the same examples on every run and save none, so a
+# failure replays by running its test again. hypothesis still caches the
+# constants it reads from the package's modules, in .hypothesis/ under the
+# working directory unless told otherwise; its plugin reads them while
+# collecting, before any fixture runs.
+settings.register_profile(
+    "graphcompose", derandomize=True, database=None, max_examples=200, deadline=None
+)
+settings.load_profile("graphcompose")
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "graphcompose-hypothesis")
 
 
 def dense(m) -> np.ndarray:
@@ -86,15 +99,6 @@ def two_blas_threads():
         yield get_threads
     finally:
         set_threads(previous)
-
-
-def with_input(net, features):
-    """A network compiled without features, given them as its dense input
-    unfolded: every smoothing stays in its chain. The reference for folded
-    inputs."""
-    if sp.issparse(features):
-        features = features.toarray()
-    return dataclasses.replace(net, x_bar=features)
 
 
 def ring_topology(num_nodes: int, extra_edges: int = 0, seed: int = 0) -> GraphTopology:

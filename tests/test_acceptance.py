@@ -26,7 +26,7 @@ from graphcompose.data import (
 )
 from graphcompose.evaluation import accuracy, average_rank
 from graphcompose.graph import build_operator
-from graphcompose.lpnn import LpnnWeights, build_g_network, lpnn_loss, predict_from_g, train_lpnn
+from graphcompose.lpnn import G_SPEC, LpnnWeights, lpnn_loss, predict_from_g, train_lpnn
 from graphcompose.networks import (
     PRESET_NAMES,
     backward,
@@ -46,7 +46,6 @@ from .conftest import (
     np_softmax,
     planted_dataset,
     ring_topology,
-    with_input,
 )
 
 # ---------------------------------------------------------------------------
@@ -175,8 +174,8 @@ def test_criterion_01_gradient_suite_covers_every_preset_and_the_joint_field():
     dataset = planted_dataset(8, 3, 4, seed=40, edges_per_node=3)
     op = build_operator(dataset.topology, "symmetric")
     weights = LpnnWeights(0.7, 0.9, 0.4, 1.1, 0.6)
-    g_net = with_input(
-        build_g_network(dataset.num_features, dataset.num_classes), dataset.features
+    g_net = compile_network(
+        G_SPEC, {}, dataset.num_features, dataset.num_classes, features=dataset.features
     )
     rng = np.random.default_rng(41)
     g_params = init_params(g_net, rng)
@@ -240,21 +239,18 @@ def test_criterion_02_closed_form_equivalences():
     rng = np.random.default_rng(51)
     x = rng.normal(size=(30, 6))
 
-    # Layered two-smoothing linear chain against the explicit precomputed
+    # The folded two-smoothing linear chain against the explicit precomputed
     # form softmax((S(SX))W): identical spmm sequences, so exact equality.
     folded = compile_network(preset("sgcn"), ops, 6, 3, features=x)
-    layered = with_input(compile_network(preset("sgcn"), ops, 6, 3), x)
     params = init_params(folded, np.random.default_rng(52))
     out_folded, _ = forward(folded, params)
-    out_layered, _ = forward(layered, params)
-    np.testing.assert_array_equal(out_folded, out_layered)
     manual = softmax_rows_forward(spmm(ops["symmetric"].matrix, spmm(ops["symmetric"].matrix, x)) @ params[0])
     np.testing.assert_array_equal(out_folded, manual)
 
     # Dense closed forms, all within 1e-10.
     np.testing.assert_allclose(out_folded, np_softmax(s @ s @ x @ params[0]), atol=1e-10)
 
-    gcn = with_input(compile_network(preset("gcn"), ops, 6, 3), x)
+    gcn = compile_network(preset("gcn"), ops, 6, 3, features=x)
     p_gcn = init_params(gcn, np.random.default_rng(53))
     out_gcn, _ = forward(gcn, p_gcn)
     np.testing.assert_allclose(
@@ -273,7 +269,7 @@ def test_criterion_02_closed_form_equivalences():
     out_ll, _ = forward(linlp, p_ll)
     np.testing.assert_allclose(out_ll, r @ r @ np_softmax(x @ p_ll[0]), atol=1e-10)
 
-    print("\n[criterion 2] PASS (exact layered/precomputed match, closed forms at 1e-10)")
+    print("\n[criterion 2] PASS (exact precomputed match, closed forms at 1e-10)")
 
 
 def test_criterion_03_row_normalization_is_stochastic_on_100_random_graphs():

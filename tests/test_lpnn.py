@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from graphcompose.cli import _LOSS_WEIGHT_KEYS
-from graphcompose.errors import UsageError
+from graphcompose.errors import NumericError, UsageError
 from graphcompose.graph import GraphTopology, build_operator
 from graphcompose.lpnn import (
     G_HIDDEN_DIMS,
@@ -16,7 +16,6 @@ from graphcompose.lpnn import (
     train_lpnn,
 )
 from graphcompose.networks import (
-    backward,
     compile_network,
     forward,
     init_params,
@@ -32,8 +31,8 @@ from .conftest import (
     ring_topology,
     sparse_planted_dataset,
     whole,
-    with_input,
 )
+from .reference import run, unroll
 from .test_training import stratified_split
 
 W0 = LpnnWeights(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -153,6 +152,24 @@ class TestLpnnLoss:
         np.testing.assert_allclose(d_f, ref[1], rtol=1e-5, atol=1e-6)
         np.testing.assert_allclose(d_g, ref[2], rtol=1e-5, atol=1e-6)
 
+    def test_trace_guard_passes_the_smoothest_field_and_refuses_a_scaled_operator(self):
+        # f along S's top eigenvector, the square root of the augmented
+        # degrees, has trace zero. In float32 the rounding of S and S f once
+        # made it read slightly negative on 76 of these 200 graphs. 1.01 S
+        # gives the same field a trace of -0.01 ||f||^2.
+        weights = LpnnWeights(1.0, 0.0, 0.0, 0.0, 0.0)
+        labels, labeled = np.zeros(60, dtype=np.int64), np.array([0])
+        for seed in range(200):
+            topology = ring_topology(60, 40, seed)
+            s = build_operator(topology, "symmetric").matrix
+            degrees = np.bincount(topology.edges.ravel(), minlength=60) + 1.0
+            field = np.repeat(10.0 * np.sqrt(degrees)[:, None], 3, axis=1)
+            for dtype in (np.float32, np.float64):
+                f, g_out = field.astype(dtype), np.full((60, 3), 1 / 3, dtype)
+                lpnn_loss(f, g_out, s.astype(dtype), labels, labeled, weights)
+                with pytest.raises(NumericError, match="went negative"):
+                    lpnn_loss(f, g_out, (1.01 * s).astype(dtype), labels, labeled, weights)
+
     def test_gradients_match_finite_differences(self):
         op, f, g_out, labels, labeled = problem(seed=7)
         w = LpnnWeights(0.9, 0.8, 0.3, 1.1, 0.7)
@@ -198,7 +215,7 @@ class TestGNetwork:
         assert sp.issparse(whole(net).x_bar)
         params = init_params(net, np.random.default_rng(3))
         out, _ = forward(net, params)
-        ref, _ = forward(with_input(build_g_network(d, c), dataset.features), params)
+        ref, _ = run(unroll(G_SPEC, {}), dataset.features, params)
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
 
 
@@ -232,8 +249,7 @@ class TestTrainLpnn:
 
     def test_dropout_free_run_matches_a_full_g_reference_loop(self):
         # train_lpnn runs g on its CSR input and validates on the val rows
-        # only; the reference runs g on the dense features and validates on
-        # every node.
+        # only; the loop below runs the dense reference's g over every node.
         dataset = sparse_planted_dataset(90, 3, 60, 0.05, seed=8)
         split = stratified_split(dataset, val=30)
         config = TrainConfig(dropout=0.0, max_epochs=12, patience=12, seed=4, precision="float64")
@@ -241,27 +257,25 @@ class TestTrainLpnn:
         model, history = train_lpnn(dataset, split, config, weights)
         assert sp.issparse(whole(model.g_net).x_bar)
 
-        g_net = with_input(
-            build_g_network(dataset.num_features, dataset.num_classes), dataset.features
-        )
+        g = unroll(G_SPEC, {})
         op = build_operator(dataset.topology, "symmetric")
         init_stream, _ = np.random.SeedSequence(config.seed).spawn(2)
-        g_params = init_params(g_net, np.random.default_rng(init_stream))
+        g_params = init_params(model.g_net, np.random.default_rng(init_stream))
         f = np.zeros((dataset.num_nodes, dataset.num_classes))
         adam_f, adam_g = AdamState.for_params([f]), AdamState.for_params(g_params)
         losses, accs = [], []
         for _ in range(config.max_epochs):
-            g_out, states = forward(g_net, g_params, mode="train")
+            g_out, g_vjp = run(g, dataset.features, g_params)
             loss, d_f, d_g = lpnn_loss(
                 f, g_out, op.matrix, dataset.labels, np.asarray(split.train), weights
             )
-            g_grads = backward(g_net, states, d_g)
+            g_grads = g_vjp(d_g)
             f = adam_step([f], [d_f], adam_f, config.learning_rate, 0.0)[0]
             g_params = adam_step(
                 g_params, g_grads, adam_g, config.learning_rate, config.weight_decay
             )
             losses.append(loss)
-            accs.append(accuracy(forward(g_net, g_params)[0], dataset.labels, split.val))
+            accs.append(accuracy(run(g, dataset.features, g_params)[0], dataset.labels, split.val))
         np.testing.assert_allclose(history.train_loss, losses, rtol=1e-9, atol=0)
         assert history.val_accuracy == tuple(accs)
         assert len(set(accs)) > 1

@@ -2,15 +2,19 @@ import dataclasses
 import hashlib
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from graphcompose import networks
 from graphcompose.data import load_dataset, load_standard_split
 from graphcompose.errors import DataError, UsageError
 from graphcompose.graph import GraphTopology, build_operator
+from graphcompose.lpnn import G_SPEC
 from graphcompose.networks import (
     Fp,
     GcnBlock,
@@ -32,20 +36,16 @@ from graphcompose.networks import (
     spec_to_dict,
     validate_spec,
 )
-from graphcompose.training import gradient_check
 
 from .conftest import (
     dense,
     entry_kinds,
     make_synthetic,
-    np_relu,
-    np_softmax,
-    planted_dataset,
     ring_topology,
     sparse_planted_dataset,
     whole,
-    with_input,
 )
+from .reference import rows_read, run, unroll
 
 
 @pytest.fixture(scope="module")
@@ -341,43 +341,6 @@ class TestCompile:
 
 
 class TestForwardBackward:
-    def test_sgcn_closed_form(self, ops, x14):
-        net = compile_network(preset("sgcn"), ops, 5, 3, features=x14)
-        params = init_params(net, np.random.default_rng(0))
-        out, _ = forward(net, params)
-        s = dense(ops["symmetric"].matrix)
-        np.testing.assert_allclose(out, np_softmax(s @ s @ x14 @ params[0]), atol=1e-12)
-
-    def test_sgcn_layered_equals_folded_exactly(self, ops, x14):
-        # Same spmm sequence either way, so the floats must agree bitwise.
-        folded = compile_network(preset("sgcn"), ops, 5, 3, features=x14)
-        layered = with_input(compile_network(preset("sgcn"), ops, 5, 3), x14)
-        params = init_params(folded, np.random.default_rng(1))
-        out_f, _ = forward(folded, params)
-        out_l, _ = forward(layered, params)
-        np.testing.assert_array_equal(out_f, out_l)
-
-    def test_gcn_closed_form(self, ops, x14):
-        net = with_input(compile_network(preset("gcn"), ops, 5, 3), x14)
-        params = init_params(net, np.random.default_rng(2))
-        out, _ = forward(net, params)
-        s = dense(ops["symmetric"].matrix)
-        expected = np_softmax(s @ np_relu(s @ x14 @ params[0]) @ params[1])
-        np.testing.assert_allclose(out, expected, atol=1e-12)
-
-    def test_linear_lp_closed_form(self, ops, x14):
-        net = compile_network(preset("linear-lp", lp_layers=2), ops, 5, 3, features=x14)
-        params = init_params(net, np.random.default_rng(3))
-        out, _ = forward(net, params)
-        r = dense(ops["row"].matrix)
-        np.testing.assert_allclose(out, r @ r @ np_softmax(x14 @ params[0]), atol=1e-12)
-
-    def test_lp_preserves_row_stochasticity(self, ops, x14):
-        net = compile_network(preset("mlp-lp", lp_layers=3), ops, 5, 3, features=x14)
-        params = init_params(net, np.random.default_rng(4))
-        out, _ = forward(net, params)
-        np.testing.assert_allclose(out.sum(axis=1), np.ones(14), atol=1e-9)
-
     def test_train_mode_returns_states_infer_does_not(self, ops, x14):
         net = compile_network(preset("gcn"), ops, 5, 3, features=x14)
         params = init_params(net, np.random.default_rng(5))
@@ -409,28 +372,6 @@ class TestForwardBackward:
         with pytest.raises(UsageError):
             forward(net, [])
 
-    def test_backward_matches_finite_differences(self, ops, x14):
-        net = compile_network(preset("gcn-lp", hidden_dim=4), ops, 5, 3, features=x14)
-        rng = np.random.default_rng(9)
-        params = init_params(net, rng)
-        direction = rng.normal(size=(14, 3))
-
-        def loss_at(ps):
-            out, _ = forward(net, ps)
-            return float((out * direction).sum())
-
-        _, states = forward(net, params, mode="train")
-        grads = backward(net, states, direction)
-        eps = 1e-6
-        for k, p in enumerate(params):
-            for idx in [(0, 0), (p.shape[0] - 1, p.shape[1] - 1)]:
-                bumped = [q.copy() for q in params]
-                bumped[k][idx] += eps
-                dipped = [q.copy() for q in params]
-                dipped[k][idx] -= eps
-                numeric = (loss_at(bumped) - loss_at(dipped)) / (2 * eps)
-                assert abs(grads[k][idx] - numeric) < 1e-6
-
     def test_backward_requires_states(self, ops, x14):
         net = compile_network(preset("sgcn"), ops, 5, 3, features=x14)
         with pytest.raises(UsageError):
@@ -438,23 +379,9 @@ class TestForwardBackward:
 
 
 class TestPrecomputeFp:
-    """Feature propagation is precomputed by folding the leading fp stage."""
-
-    @staticmethod
-    def folded(ops, x, layers):
-        spec = NetworkSpec("fp", (Fp(layers), LinearClassifier(), Softmax()))
-        return whole(compile_network(spec, ops, 5, 3, features=x)).x_bar
-
-    def test_zero_layers_identity(self, ops, x14):
-        np.testing.assert_array_equal(self.folded(ops, x14, 0), x14)
-
-    def test_matches_dense_power(self, ops, x14):
-        s = dense(ops["symmetric"].matrix)
-        np.testing.assert_allclose(self.folded(ops, x14, 3), s @ s @ s @ x14, atol=1e-12)
-
-    def test_negative_rejected(self, ops, x14):
+    def test_negative_rejected(self):
         with pytest.raises(UsageError):
-            self.folded(ops, x14, -1)
+            Fp(-1)
 
 
 class TestCost:
@@ -593,63 +520,6 @@ class TestSparseInput:
             net = compile_network(preset(name), ops, 5, 3, features=x14)
             assert isinstance(whole(net).x_bar, np.ndarray)
 
-    @pytest.mark.parametrize("name", PRESET_NAMES)
-    def test_infer_matches_dense_input_path(self, sparse_case, name):
-        dataset, ops = sparse_case
-        net = compile_sparse(sparse_case, name)
-        unfolded = compile_network(
-            preset(name, hidden_dim=4), ops, dataset.num_features, dataset.num_classes
-        )
-        params = init_params(net, np.random.default_rng(32))
-        out, _ = forward(net, params)
-        ref, _ = forward(with_input(unfolded, dataset.features), params)
-        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("name", ["gcn", "sgcn"])
-    def test_gradient_check_passes(self, sparse_case, name):
-        dataset, _ = sparse_case
-        net = compile_sparse(sparse_case, name, dropout=0.0)
-        assert sp.issparse(whole(net).x_bar)
-        assert gradient_check(net, dataset, seed=3).passed
-
-    def test_train_mode_dropout_runs_on_stored_entries(self, sparse_case):
-        net = compile_sparse(sparse_case, "gcn", dropout=0.5)
-        params = init_params(net, np.random.default_rng(33))
-        _, states = forward(net, params, mode="train", rng=np.random.default_rng(34))
-        x_bar = whole(net).x_bar
-        assert net.layers[0].kind == "dropout"
-        assert states[0].shape == (x_bar.nnz,)
-        # The first linear caches, and so multiplies by, the survivors only.
-        assert states[1][0].nnz == states[0].sum() < x_bar.nnz
-        grads = backward(net, states, np.ones((x_bar.shape[0], net.param_shapes[-1][1])))
-        assert [g.shape for g in grads] == list(net.param_shapes)
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("rate", [0.3, 0.5, 0.857, 0.999])
-    def test_first_linear_is_bitwise_the_stored_zeros_product(self, sparse_case, rate, dtype):
-        net = compile_sparse(sparse_case, "gcn", dropout=rate)
-        net = restrict(net, np.arange(net.x_bar.shape[0]), dtype=dtype)
-        x = net.x_bar.copy()
-        x.data[::2] *= -1.0
-        params = init_params(net, np.random.default_rng(40), dtype=dtype)
-        params[0][::3] = 0.0  # products of negative entries with +0.0 give -0.0
-        width = net.param_shapes[0][1]
-        upstream = np.random.default_rng(41).normal(size=(x.shape[0], width)).astype(dtype)
-        upstream[::5] = 0.0
-        dropout, linear = net.layers[:2]
-        out, mask = dropout.forward(x, params, np.random.default_rng(42), True)
-        z, cache = linear.forward(out, params, None, True)
-        grads = [None] * len(params)
-        linear.vjp(cache, upstream, grads)
-        stored_zeros = sp.csr_matrix((x.data * mask / (1 - rate), x.indices, x.indptr), shape=x.shape)
-        ref_z = networks.linear_forward(stored_zeros, params[0])
-        _, ref_grad = linear_vjp(stored_zeros, params[0], upstream, False)
-        assert out.nnz == mask.sum() and z.dtype == ref_z.dtype == dtype
-        assert z.tobytes() == ref_z.tobytes()
-        assert grads[0].dtype == ref_grad.dtype and grads[0].tobytes() == ref_grad.tobytes()
-        if rate == 0.999:  # whole rows drop
-            assert np.diff(out.indptr).min() == 0 < np.diff(x.indptr).min()
-
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_a_draw_that_drops_every_entry(self, dtype):
         x = sp.csr_matrix(np.array([[0.0, -1.5, 0.0], [2.0, 0.0, -0.25]], dtype=dtype))
@@ -665,44 +535,8 @@ class TestSparseInput:
             assert got.dtype == ref.dtype == dtype and got.tobytes() == ref.tobytes()
             assert not np.signbit(got).any()
 
-    def test_with_dtype_float32_keeps_csr(self, sparse_case):
-        net = compile_sparse(sparse_case, "gcn")
-        net32 = restrict(net, np.arange(net.x_bar.shape[0]), dtype=np.float32)
-        assert sp.issparse(net32.x_bar) and net32.x_bar.format == "csr"
-        assert net32.x_bar.dtype == np.float32
-        assert net.x_bar.dtype == np.float64
-
-
-def full_reverse(net, states, d_output):
-    """Every entry's vjp in reverse, the first linear's input gradient too."""
-    grads = [np.zeros(s) for s in net.param_shapes]
-    u = d_output
-    for entry, cache in zip(reversed(net.layers), reversed(states)):
-        if entry.kind == "linear":
-            u, dw = linear_vjp(*cache, u)
-            grads[entry.index] += dw
-        else:
-            u = entry.vjp(cache, u, grads)
-    return grads, u
-
 
 class TestBackwardStopsAtFirstLinear:
-    @pytest.mark.parametrize("folded", [True, False], ids=["folded", "unfolded"])
-    @pytest.mark.parametrize("name", PRESET_NAMES)
-    def test_bitwise_equal_to_full_reverse_pass(self, ops, x14, name, folded):
-        features = x14 if folded else None
-        net = compile_network(preset(name), ops, 5, 3, features=features, dropout=0.5)
-        if not folded:
-            net = with_input(net, x14)
-        params = init_params(net, np.random.default_rng(35))
-        _, states = forward(net, params, mode="train", rng=np.random.default_rng(36))
-        d_output = np.random.default_rng(37).normal(size=(14, 3))
-        expected, d_input = full_reverse(net, states, d_output)
-        assert d_input.shape == x14.shape
-        got = backward(net, states, d_output)
-        for g, e in zip(got, expected):
-            np.testing.assert_array_equal(g, e)
-
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_first_dropout_vjp_never_runs(self, ops, x14, name, monkeypatch):
         net = compile_network(preset(name), ops, 5, 3, features=x14, dropout=0.5)
@@ -762,24 +596,9 @@ class TestFoldDensifies:
         assert x_bar.dtype == reference.dtype and x_bar.tobytes() == reference.tobytes()
 
 
-def full_fold(features, matrix, depth, densify):
-    """The fold over every node, densified after `densify` hops (None: kept
-    CSR): the reference each restricted fold must match row by row."""
-    x = features
-    for hop in range(depth):
-        if hop == densify:
-            x = x.toarray()
-        x = matrix @ x
-    if densify is None:
-        x.sort_indices()
-    elif sp.issparse(x):
-        x = x.toarray()
-    return x
-
-
 class TestFoldOnDemand:
     """compile_network only plans the fold; restrict folds the rows its copy
-    reads, bitwise those rows of the full fold, and memoizes the copy."""
+    reads and memoizes the copy."""
 
     @staticmethod
     def sgcn(density):
@@ -789,33 +608,10 @@ class TestFoldOnDemand:
             preset("sgcn", depth=2), {"symmetric": op}, dataset.num_features,
             dataset.num_classes, features=dataset.features,
         )
-        return dataset, op, net
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize(
-        "density, densify",
-        [(0.002, None), (1.0, 0), (0.10, 1)],
-        ids=["csr", "dense", "densified-between-hops"],
-    )
-    def test_restricted_fold_is_bitwise_the_full_folds_rows(self, density, densify, dtype):
-        dataset, op, net = self.sgcn(density)
-        assert net.densify == densify and len(net.prefix) == 2
-        assert net.x_bar is dataset.features
-        full = full_fold(dataset.features, op.matrix, 2, densify)
-        for rows in (np.array([301, 7, 150, 7]), np.arange(dataset.num_nodes)):
-            x_bar = restrict(net, rows, dtype).x_bar
-            expected = full[np.unique(rows)].astype(dtype)
-            assert type(x_bar) is type(expected) and x_bar.dtype == dtype
-            if densify is None:
-                assert x_bar.has_sorted_indices
-                for got, ref in [(x_bar.data, expected.data), (x_bar.indices, expected.indices),
-                                 (x_bar.indptr, expected.indptr)]:
-                    assert got.tobytes() == ref.tobytes()
-            else:
-                assert x_bar.tobytes() == expected.tobytes()
+        return dataset, net
 
     def test_each_row_set_and_dtype_is_folded_once(self, monkeypatch):
-        dataset, _, net = self.sgcn(0.10)
+        dataset, net = self.sgcn(0.10)
         folds = []
         original = networks._fold
 
@@ -856,29 +652,22 @@ class TestFoldOnDemand:
         assert peak < dense_bytes / 8  # the fold over every node would be dense_bytes
 
 
-# Presets whose prefix is then followed by a linear: sgcn at each depth, gcn,
-# gcn-lp and fp-mlp.
-INFER_CASES = [("sgcn", 1), ("sgcn", 2), ("sgcn", 3), ("gcn", 2), ("gcn-lp", 3), ("fp-mlp", 2)]
-
-
 class TestInferCopy:
     """On a CSR fold plan an infer-mode copy keeps the raw feature rows and
-    smooths after the first linear; it matches the train-form copy's infer
-    output to rounding and never folds. Anywhere else it is that copy."""
+    smooths after the first linear, so it never folds. Anywhere else it is the
+    train-form copy."""
 
     ROWS = np.array([97, 3, 50, 3, 11])
 
     @staticmethod
-    def csr_plan(name, depth, rate=0.5):
+    def csr_plan(name, depth):
         dataset = sparse_planted_dataset(150, 3, 600, 0.005, seed=49, edges_per_node=2)
         ops = {kind: build_operator(dataset.topology, kind) for kind in ("symmetric", "row")}
         spec = preset(name, hidden_dim=8, depth=depth, lp_layers=1)
         net = compile_network(spec, ops, dataset.num_features, dataset.num_classes,
-                              features=dataset.features, dropout=rate)
+                              features=dataset.features, dropout=0.5)
         assert net.densify is None and net.prefix
-        unfolded = with_input(compile_network(spec, ops, dataset.num_features,
-                                              dataset.num_classes, dropout=rate), dataset.features)
-        return dataset, net, unfolded
+        return dataset, net
 
     @staticmethod
     def spy_folds(monkeypatch) -> list:
@@ -892,37 +681,9 @@ class TestInferCopy:
         monkeypatch.setattr(networks, "_fold", spy)
         return folds
 
-    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)],
-                             ids=["float64", "float32"])
-    @pytest.mark.parametrize("name, depth", INFER_CASES, ids=[f"{n}-L{d}" for n, d in INFER_CASES])
-    def test_matches_the_train_form_copy(self, monkeypatch, name, depth, dtype, rtol):
-        dataset, net, unfolded = self.csr_plan(name, depth)
-        folds = self.spy_folds(monkeypatch)
-        infer = restrict(net, self.ROWS, dtype, mode="infer")
-        assert folds == [] and infer.infer_only
-        # The raw rows the whole chain reads, cast to dtype, and the prefix's
-        # blocks straight after the first linear.
-        raw = dataset.features[entry_rows(unfolded, self.ROWS)[0]]
-        assert sp.issparse(infer.x_bar) and infer.x_bar.dtype == dtype
-        assert infer.x_bar.nnz == raw.nnz
-        assert abs(infer.x_bar - raw.astype(dtype)).max() == 0
-        first = entry_kinds(infer).index("linear") + 1
-        assert entry_kinds(infer)[first:first + len(net.prefix)] == ("smooth",) * len(net.prefix)
-        assert len(infer.layers) == len(net.layers) + len(net.prefix)
-
-        train_form = restrict(net, self.ROWS, dtype)
-        assert folds == [raw.shape[0]] and not train_form.infer_only
-        np.testing.assert_array_equal(infer.positions, train_form.positions)
-        params = init_params(net, np.random.default_rng(50), dtype)
-        got, _ = forward(infer, params)
-        expected, _ = forward(train_form, params)
-        assert got.dtype == expected.dtype == dtype
-        np.testing.assert_allclose(got, expected, rtol=rtol, atol=0)
-        np.testing.assert_array_equal(got.argmax(axis=1), expected.argmax(axis=1))
-
     @pytest.mark.parametrize("density", [1.0, 0.10], ids=["dense", "densified-between-hops"])
     def test_dense_plan_infer_copy_is_the_train_form_copy(self, monkeypatch, density):
-        _, _, net = TestFoldOnDemand.sgcn(density)
+        _, net = TestFoldOnDemand.sgcn(density)
         assert net.densify is not None
         folds = self.spy_folds(monkeypatch)
         infer = restrict(net, self.ROWS, mode="infer")
@@ -930,7 +691,7 @@ class TestInferCopy:
         assert len(folds) == 1 and len(net.restricted) == 1
 
     def test_no_prefix_infer_copy_is_the_train_form_copy(self):
-        dataset, _, _ = self.csr_plan("sgcn", 1)
+        dataset, _ = self.csr_plan("sgcn", 1)
         ops = {"row": build_operator(dataset.topology, "row")}
         net = compile_network(preset("linear-lp"), ops, dataset.num_features,
                               dataset.num_classes, features=dataset.features)
@@ -938,7 +699,7 @@ class TestInferCopy:
         assert restrict(net, self.ROWS, mode="infer") is restrict(net, self.ROWS)
 
     def test_memo_holds_train_and_infer_copies_apart(self, monkeypatch):
-        _, net, _ = self.csr_plan("gcn", 2)
+        _, net = self.csr_plan("gcn", 2)
         folds = self.spy_folds(monkeypatch)
         infer = restrict(net, self.ROWS, mode="infer")
         train_form = restrict(net, self.ROWS)
@@ -950,7 +711,7 @@ class TestInferCopy:
             restrict(net, self.ROWS, mode="eval")
 
     def test_train_mode_passes_are_refused(self):
-        _, net, _ = self.csr_plan("gcn", 2)
+        _, net = self.csr_plan("gcn", 2)
         infer = restrict(net, self.ROWS, mode="infer")
         params = init_params(net, np.random.default_rng(51))
         with pytest.raises(UsageError, match="unsmoothed features"):
@@ -984,158 +745,14 @@ class TestInferCopy:
         assert peak < stored
 
 
-# ---------------------------------------------------------------------------
-# Row restriction
-
-
-@pytest.fixture(scope="module")
-def restrict_data():
-    """60 nodes of average degree about 2, so a few rows read well under every
-    node, with dense features and with 1%-dense ones (which fold to CSR)."""
-    sets = {
-        "dense": planted_dataset(60, 3, 5, seed=41, edges_per_node=2),
-        "sparse": sparse_planted_dataset(60, 3, 200, 0.01, seed=42, edges_per_node=2),
-    }
-    return {
-        key: (ds, {kind: build_operator(ds.topology, kind) for kind in ("symmetric", "row")})
-        for key, ds in sets.items()
-    }
-
-
-RESTRICT_CASES = ("folded-dense", "folded-csr", "unfolded")
-# Unsorted, with a repeat: the restricted output holds each row once.
-ROWS = np.array([41, 7, 23, 7])
-
-
-def restrict_setup(restrict_data, case, name, dropout):
-    """The network for one restriction case; the unfolded one keeps every
-    smoothing in its chain and runs on the features."""
-    dataset, ops = restrict_data["sparse" if case == "folded-csr" else "dense"]
-    net = compile_network(
-        preset(name, hidden_dim=4, depth=3, lp_layers=1),
-        ops,
-        dataset.num_features,
-        dataset.num_classes,
-        features=None if case == "unfolded" else dataset.features,
-        dropout=dropout,
-    )
-    if case == "unfolded":
-        net = with_input(net, dataset.features)
-    assert (case == "folded-csr") == sp.issparse(whole(net).x_bar)
-    return net
-
-
-def entry_rows(net, rows):
-    """The rows each entry of net reads when only `rows` of its output are
-    needed: a smooth or lp entry reads every node its operator links to the
-    rows after it."""
-    needed = np.unique(rows)
-    out = []
-    for entry in reversed(net.layers):
-        if entry.kind in ("smooth", "lp"):
-            needed = np.flatnonzero(dense(entry.matrix)[needed].any(axis=0))
-        out.append(needed)
-    return out[::-1]
-
-
-def scatter_mask(mask, rows, num_rows, csr_input=None):
-    """The full-chain mask that equals `mask` on `rows` and keeps the rest;
-    on a CSR input it covers the stored entries."""
-    if csr_input is not None:
-        ip = csr_input.indptr
-        where = np.concatenate([np.arange(ip[r], ip[r + 1]) for r in rows])
-        full = np.ones(csr_input.nnz, dtype=bool)
-    else:
-        where = rows
-        full = np.ones((num_rows, mask.shape[1]), dtype=bool)
-    full[where] = mask
-    return full
-
-
-class ReplayStream:
-    """Stands in for the dropout stream: each raw draw hands out the next mask
-    as the 16-bit lanes of uint64 words, 0xFFFF where it keeps an entry and 0
-    where it drops one, so the mask replays through networks._keep itself."""
-
-    def __init__(self, masks):
-        self.masks = list(masks)
-        self.bit_generator = self
-
-    def random_raw(self, size):
-        mask = self.masks.pop(0).ravel()
-        assert size == -(-mask.size // 4)
-        lanes = np.zeros(4 * size, dtype="<u2")
-        lanes[: mask.size] = np.where(mask, 0xFFFF, 0)
-        return lanes.view(np.uint64)
-
-
-def upstream_on(num_rows, positions, g):
-    d = np.zeros((num_rows, g.shape[1]))
-    np.add.at(d, positions, g)
-    return d
-
-
-def assert_matches_full_chain(net, full, part, restricted, rows):
-    """Outputs on the requested rows and parameter gradients of the
-    restricted pass equal the full chain's."""
-    (full_out, full_states), (out, states) = full, restricted
-    np.testing.assert_allclose(out[part.positions], full_out[rows], rtol=0, atol=1e-12)
-    g = np.random.default_rng(44).normal(size=(rows.size, net.param_shapes[-1][1]))
-    expected = backward(net, full_states, upstream_on(full_out.shape[0], rows, g))
-    got = backward(part, states, upstream_on(out.shape[0], part.positions, g))
-    for a, b in zip(got, expected):
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
-
-
 class TestRestrict:
-    @pytest.mark.parametrize("case", RESTRICT_CASES)
-    @pytest.mark.parametrize("name", PRESET_NAMES)
-    def test_matches_full_chain_without_dropout(self, restrict_data, case, name):
-        net = restrict_setup(restrict_data, case, name, 0.0)
-        part = restrict(net, ROWS)
-        assert part.x_bar.shape[0] == entry_rows(net, ROWS)[0].size < net.x_bar.shape[0]
-        assert np.array_equal(np.unique(ROWS)[part.positions], ROWS)
-        params = init_params(net, np.random.default_rng(43))
-        full = forward(net, params, mode="train")
-        assert_matches_full_chain(net, full, part, forward(part, params, mode="train"), ROWS)
-
-    @pytest.mark.parametrize("case", RESTRICT_CASES)
-    @pytest.mark.parametrize("name", PRESET_NAMES)
-    def test_replayed_masks_match_full_chain(self, restrict_data, case, name, monkeypatch):
-        net = restrict_setup(restrict_data, case, name, 0.5)
-        part = restrict(net, ROWS)
-        params = init_params(net, np.random.default_rng(45))
-        drawn = []
-        original = networks.dropout_forward
-
-        def spy(x, rate, rng, training):
-            out, mask = original(x, rate, rng, training)
-            drawn.append(mask)
-            return out, mask
-
-        monkeypatch.setattr(networks, "dropout_forward", spy)
-        restricted = forward(part, params, mode="train", rng=np.random.default_rng(46))
-        monkeypatch.undo()
-
-        full_input = whole(net).x_bar
-        rows_in = entry_rows(net, ROWS)
-        dropouts = [i for i, entry in enumerate(net.layers) if entry.kind == "dropout"]
-        assert len(drawn) == len(dropouts) > 0
-        csr_input = full_input if sp.issparse(full_input) else None
-        replay = [
-            scatter_mask(mask, rows_in[i], full_input.shape[0], csr_input if i == 0 else None)
-            for i, mask in zip(dropouts, drawn)
-        ]
-        full = forward(net, params, mode="train", rng=ReplayStream(replay))
-        assert_matches_full_chain(net, full, part, restricted, ROWS)
-
     def test_each_smoothing_widens_by_one_hop_on_a_path(self):
         n = 30
         path = GraphTopology(n, [(i, i + 1) for i in range(n - 1)])
         ops = {kind: build_operator(path, kind) for kind in ("symmetric", "row")}
-        spec = NetworkSpec("path", (Fp(2), LinearClassifier(), Softmax(), Lp(2)))
+        spec = NetworkSpec("path", (GcnBlock(2, (4,)), Softmax(), Lp(2)))
         features = np.random.default_rng(47).normal(size=(n, 3))
-        net = with_input(compile_network(spec, ops, 3, 2), features)
+        net = compile_network(spec, ops, 3, 2, features=features)
         operator = {"smooth": dense(ops["symmetric"].matrix), "lp": dense(ops["row"].matrix)}
 
         def hops(rows, k):
@@ -1143,11 +760,14 @@ class TestRestrict:
 
         for rows in (np.array([10]), np.array([0, n - 1])):
             part = restrict(net, rows)
-            np.testing.assert_array_equal(part.x_bar, features[hops(rows, 4)])
+            # The leading smoothing is folded into the input rows three hops
+            # out, which read the features four hops out.
+            folded = ops["symmetric"].matrix @ features
+            np.testing.assert_array_equal(part.x_bar, folded[hops(rows, 3)])
             blocks = [e for e in part.layers if e.kind in ("smooth", "lp")]
-            assert len(blocks) == 4
+            assert len(blocks) == 3
             for j, entry in enumerate(blocks):
-                out_rows, in_rows = hops(rows, 3 - j), hops(rows, 4 - j)
+                out_rows, in_rows = hops(rows, 2 - j), hops(rows, 3 - j)
                 np.testing.assert_array_equal(
                     dense(entry.matrix), operator[entry.kind][np.ix_(out_rows, in_rows)]
                 )
@@ -1156,9 +776,10 @@ class TestRestrict:
         unfolded = compile_network(preset("gcn"), ops, 5, 3)
         with pytest.raises(UsageError, match="without features"):
             restrict(unfolded, [0])
+        net = compile_network(preset("gcn"), ops, 5, 3, features=x14)
         for rows in ([], [14], [-1]):
             with pytest.raises(UsageError, match="nonempty set of rows"):
-                restrict(with_input(unfolded, x14), rows)
+                restrict(net, rows)
 
     def test_with_dtype_keeps_the_restriction(self, ops, x14):
         net = compile_network(preset("gcn"), ops, 5, 3, features=x14)
@@ -1173,3 +794,211 @@ class TestRestrict:
                 np.testing.assert_array_equal(
                     entry32.matrix.toarray(), entry.matrix.astype(np.float32).toarray()
                 )
+
+
+# ---------------------------------------------------------------------------
+# Every executor path against the dense reference (tests/reference.py)
+
+
+FEATURE_OPERATORS = ("symmetric", "row", "general")
+LABEL_OPERATORS = ("row", "general")
+
+
+@dataclasses.dataclass(frozen=True)
+class Case:
+    """One drawn network, graph, input and row set. The features are `width`
+    normal columns, each entry kept with probability `density` and at least
+    one kept, drawn from `seed`, so a printed case rebuilds its inputs."""
+
+    spec: NetworkSpec
+    nodes: int
+    edges: tuple
+    width: int
+    density: float
+    classes: int
+    rows: tuple
+    dtype: str
+    rate: float
+    seed: int = 0
+
+    def features(self) -> np.ndarray:
+        rng = np.random.default_rng(self.seed)
+        values = rng.normal(size=(self.nodes, self.width))
+        keep = rng.random(values.shape) < self.density
+        keep.flat[rng.integers(keep.size)] = True  # never all zeros
+        return np.where(keep, values, 0.0)
+
+
+def case_of(spec, nodes=8, **changes) -> Case:
+    """A case on a ring with one chord, with 4 features of density 0.2 and 3
+    classes, asking for rows 6, 1 and 6 in float64 with dropout 0.5."""
+    ring = tuple((i, (i + 1) % nodes) for i in range(nodes)) + ((0, nodes // 2),)
+    return dataclasses.replace(
+        Case(spec, nodes, ring, 4, 0.2, 3, (6, 1, 6), "float64", 0.5), **changes
+    )
+
+
+# Sparse enough on 24 nodes that two hops of folding stay CSR.
+SPARSE = {"nodes": 24, "width": 12, "density": 0.03}
+
+
+@st.composite
+def gcn_blocks(draw):
+    layers = draw(st.integers(1, 3))
+    hidden = tuple(draw(st.integers(1, 4)) for _ in range(layers - 1))
+    operator = draw(st.sampled_from(FEATURE_OPERATORS))
+    return GcnBlock(layers, hidden, operator, draw(st.none() | st.integers(0, layers)))
+
+
+FP_STAGES = st.lists(st.builds(Fp, st.integers(0, 2), st.sampled_from(FEATURE_OPERATORS)), max_size=2)
+BODIES = st.lists(
+    st.builds(Mlp, st.lists(st.integers(1, 4), min_size=1, max_size=2).map(tuple),
+              st.sampled_from(("relu", "identity")))
+    | gcn_blocks()
+    | st.just(LinearClassifier()),
+    max_size=3,
+)
+LP_STAGES = st.lists(st.builds(Lp, st.integers(0, 2), st.sampled_from(LABEL_OPERATORS)), max_size=2)
+
+
+@st.composite
+def cases(draw):
+    """Specs validate_spec accepts: fp stages, then mlp, gcn and linear
+    stages that end at the class width, the softmax and lp stages; on a
+    random graph of 2 to 9 nodes, possibly isolated."""
+    body = draw(BODIES)
+    if body and isinstance(body[-1], Mlp):
+        body.append(LinearClassifier())
+    stages = (*draw(FP_STAGES), *body, Softmax(), *draw(LP_STAGES))
+    nodes, classes = draw(st.integers(2, 9)), draw(st.integers(2, 3))
+    pairs = st.tuples(st.integers(0, nodes - 1), st.integers(1, nodes - 1))
+    return Case(
+        spec=NetworkSpec("drawn", stages),
+        nodes=nodes,
+        edges=tuple((u, (u + k) % nodes) for u, k in draw(st.lists(pairs, max_size=2 * nodes))),
+        # A network without linears keeps the input width up to its softmax.
+        width=draw(st.integers(1, 5)) if body else classes,
+        density=draw(st.sampled_from((0.05, 0.2, 0.5, 1.0))),
+        classes=classes,
+        rows=tuple(draw(st.lists(st.integers(0, nodes - 1), min_size=1, max_size=nodes + 2))),
+        dtype=draw(st.sampled_from(("float64", "float32"))),
+        rate=draw(st.sampled_from((0.0, 0.3, 0.5, 0.999))),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+def assert_close(got, want, dtype):
+    tol = 1e-12 if dtype == np.float64 else 1e-4
+    np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max(initial=0.0))
+
+
+@given(cases())
+# Compositions no preset builds, then presets on the fold plans: CSR, dense
+# from the features, densified between hops and at the last hop.
+@example(case_of(NetworkSpec("identity-mlp", (Mlp((3,), "identity"), LinearClassifier(), Softmax()))))
+@example(case_of(NetworkSpec("fp-gcn", (Fp(1), GcnBlock(2, (3,)), Softmax())), **SPARSE))
+@example(case_of(NetworkSpec("mlp-mlp", (Mlp((3,)), Mlp((2,), "identity"), LinearClassifier(),
+                                         Softmax())), density=1.0, dtype="float32"))
+@example(case_of(NetworkSpec("fp0-lp0", (Fp(0), LinearClassifier(), Softmax(), Lp(0)))))
+@example(case_of(NetworkSpec("general-lp", (LinearClassifier(), Softmax(), Lp(2, "general")))))
+@example(case_of(G_SPEC, dtype="float32"))
+@example(case_of(preset("sgcn", depth=2), rows=(20, 3, 20, 11), **SPARSE))
+@example(case_of(preset("gcn-lp", depth=3), dtype="float32", **SPARSE))
+@example(case_of(preset("sgcn", depth=3), density=0.1))
+@example(case_of(preset("sgcn", depth=1), rate=0.999))
+def test_restricted_passes_equal_the_dense_reference(case):
+    """restrict plus forward and backward, in train and in infer mode, give
+    the dense reference's outputs on the rows asked for and its weight
+    gradients, within a tolerance by dtype. Bitwise: a folded input's rows
+    equal the CSR-product fold of the dense features, and the survivors-only
+    first linear equals its product with the dropped entries stored as
+    zeros."""
+    topology = GraphTopology(case.nodes, case.edges)
+    ops = {kind: build_operator(topology, kind) for kind in ("symmetric", "row")}
+    ops["general"] = build_operator(topology, "general", alpha=0.25, beta=0.5)
+    x = case.features()
+    net = compile_network(case.spec, ops, case.width, case.classes, features=x, dropout=case.rate)
+    steps = unroll(case.spec, ops)
+    hops = next(i for i, step in enumerate(steps) if step[0] != "smooth")
+    assert len(net.prefix) == hops
+    for mode in ("train", "infer"):
+        check_copy(case, x, net, steps, mode)
+
+
+def check_copy(case, x, net, steps, mode):
+    """One restricted copy of net, for mode, against the reference steps."""
+    rows, dtype, hops = np.array(case.rows), np.dtype(case.dtype), len(net.prefix)
+    read = rows_read(steps, rows)
+    with mock.patch.object(networks, "spmm", wraps=networks.spmm) as product:
+        part = restrict(net, rows, dtype, mode)
+
+    # A train copy folds with sparse products up to the planned hop. An infer
+    # copy of a CSR fold plan runs the prefix after the first linear instead;
+    # any other infer copy is the train copy, from the memo.
+    assert part.infer_only == (mode == "infer" and hops > 0 and net.densify is None)
+    kinds = [entry.kind for entry in net.layers]
+    if part.infer_only:
+        at = kinds.index("linear") + 1
+        kinds[at:at] = ["smooth"] * hops
+    assert [entry.kind for entry in part.layers] == kinds
+    sparse_hops = hops if net.densify is None else net.densify
+    operands = [True] * sparse_hops + [False] * (hops - sparse_hops) if mode == "train" else []
+    assert [sp.issparse(call.args[1]) for call in product.call_args_list] == operands
+
+    folded = x
+    for step in [] if part.infer_only else steps[:hops]:
+        folded = step[1] @ folded
+    expected = folded[read[0 if part.infer_only else hops]].astype(dtype)
+    x_bar = part.x_bar
+    assert sp.issparse(x_bar) == (net.densify is None) and x_bar.dtype == dtype
+    if sp.issparse(x_bar):
+        assert x_bar.has_canonical_format
+        x_bar = x_bar.toarray()
+    assert x_bar.shape == expected.shape and x_bar.tobytes() == expected.tobytes()
+
+    params = init_params(net, np.random.default_rng(case.seed), dtype)
+    out, states = forward(part, params, mode=mode, rng=np.random.default_rng(case.seed + 1))
+    masks = None
+    if states is not None and case.rate > 0:
+        # The executor's own draws, scattered over every node; the rows it
+        # does not read keep everything.
+        drawn = [state for entry, state in zip(part.layers, states) if entry.kind == "dropout"]
+        linears = [p for p, step in enumerate(steps) if step[0] == "linear"]
+        assert len(drawn) == len(linears)
+        masks = []
+        for i, (mask, p) in enumerate(zip(drawn, linears)):
+            full = np.ones((case.nodes, params[i].shape[0]), dtype=bool)
+            if mask.ndim == 1:  # over the stored entries of a CSR input
+                stored_rows = np.repeat(np.arange(part.x_bar.shape[0]), np.diff(part.x_bar.indptr))
+                full[read[p][stored_rows], part.x_bar.indices] = mask
+            else:
+                full[read[p]] = mask
+            masks.append(full)
+    ref, vjp = run(steps, x, params, masks, case.rate)
+    assert out.dtype == dtype
+    assert_close(out[part.positions], ref[rows], dtype)
+    if states is None:
+        return
+
+    g = np.random.default_rng(case.seed + 2).normal(size=(rows.size, case.classes))
+    d_out = np.zeros(out.shape, dtype)
+    np.add.at(d_out, part.positions, g.astype(dtype))
+    d_ref = np.zeros(ref.shape)
+    np.add.at(d_ref, rows, g)
+    for got, want in zip(backward(part, states, d_out), vjp(d_ref), strict=True):
+        assert got.dtype == dtype
+        assert_close(got, want, dtype)
+
+    if masks and sp.issparse(part.x_bar):
+        x_in, mask, (survivors, w) = part.x_bar, states[0], states[1]
+        stored = sp.csr_matrix(
+            (x_in.data * mask / (1.0 - case.rate), x_in.indices, x_in.indptr), shape=x_in.shape
+        )
+        assert mask.shape == (x_in.nnz,) and survivors.nnz == mask.sum()
+        u = np.random.default_rng(case.seed + 3).normal(size=(x_in.shape[0], w.shape[1]))
+        u = u.astype(dtype)
+        for got, want in [
+            (part.layers[1].forward(survivors, params, None, True)[0], stored @ w),
+            (linear_vjp(survivors, w, u, False)[1], stored.T @ u),
+        ]:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

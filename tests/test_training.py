@@ -28,7 +28,6 @@ from .conftest import (
     sparse_planted_dataset,
     spy_infer_threads,
     whole,
-    with_input,
 )
 
 
@@ -336,14 +335,12 @@ class TestGradientCheck:
         report = gradient_check(net, dataset, labeled_set=[0, 3, 5], seed=2)
         assert report.passed
 
-    @pytest.mark.parametrize("folded", [True, False], ids=["folded", "unfolded"])
-    def test_unsorted_subset_through_the_restricted_copy(self, folded):
+    def test_unsorted_subset_through_the_restricted_copy(self):
         dataset = planted_dataset(8, 2, 3, seed=4, edges_per_node=3)
         ops = build_ops(dataset)
-        features = dataset.features if folded else None
-        net = compile_network(preset("gcn-lp", hidden_dim=3), ops, 3, 2, features=features)
-        if not folded:
-            net = with_input(net, dataset.features)
+        net = compile_network(
+            preset("gcn-lp", hidden_dim=3), ops, 3, 2, features=dataset.features
+        )
         report = gradient_check(net, dataset, labeled_set=[5, 0, 3], seed=2)
         assert report.passed
 
