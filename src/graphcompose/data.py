@@ -194,6 +194,7 @@ def _load_rows(path: Path, dtype: np.dtype, bounds: tuple[int, ...]):
         # str.splitlines() ends a line at these bytes; np.loadtxt reads them as spaces.
         if not raw.isascii() or any(c in raw for c in b"\v\f\x1c\x1d\x1e"):
             return None
+        del raw  # np.loadtxt reads the file itself; its bytes need not stay beside it
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # "input contained no data"
             rows = np.loadtxt(path, dtype=dtype, comments=None, ndmin=1, encoding="utf-8")
@@ -233,11 +234,12 @@ def _feature_rows(path: Path, n: int, m: int) -> np.ndarray:
     rows = _load_rows(path, dtype, (n, m))
     if rows is not None and np.isfinite(rows["value"]).all():
         key = rows["node"] * m + rows["feature"]  # n * m fits: n is at most the label rows
-        if np.any(key[1:] <= key[:-1]):  # out of order; sorted, a repeat sits beside its first
-            order = np.argsort(key, kind="stable")
-            rows, key = rows[order], key[order]
-        if np.all(key[1:] > key[:-1]):
+        if not np.any(key[1:] <= key[:-1]):  # in order, with no repeats
             return rows
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        if np.all(key[1:] > key[:-1]):  # sorted, a repeat sits beside its first
+            return rows[order]
     rows = []
     given: set[int] = set()
     for lineno, (node_s, feat_s, value_s) in _parse_lines(path, 3):

@@ -66,6 +66,11 @@ __all__ = [
 # flips inputs between the two paths, which changes their seeded masks.
 SPARSE_INPUT_DENSITY = 0.4
 
+# Output entries per block of a densified fold hop (1 MiB in float64, as
+# data._NORM_BLOCK): a block's sparse product and its dense form are the fold's
+# only temporaries beside its input and output.
+_FOLD_BLOCK = 2**17
+
 # The hidden width of a preset, an Mlp and a GcnBlock unless one is given.
 DEFAULT_HIDDEN_DIM = 16
 
@@ -731,14 +736,33 @@ def _fold_plan(features: sp.csr_matrix, matrices, sparse: bool) -> int | None:
     return reached.index(True) if any(reached) else len(matrices)
 
 
-def _fold(x, matrices, densify: int | None):
-    """x folded through matrices, densified after the hops _fold_plan chose."""
-    x = x.toarray() if densify == 0 else x
-    for hop, m in enumerate(matrices, 1):
+def _fold(x, matrices, densify: int | None, dtype):
+    """x folded through matrices as _fold_plan chose, in dtype. From the
+    densify hop on, each hop runs over blocks of _FOLD_BLOCK output entries
+    and writes them into one array, in dtype at the last hop and in float64
+    before it; the arithmetic is float64 throughout. A product's rows depend
+    only on their own rows of the matrix and a float64 to float32 cast is
+    elementwise, so the result is bitwise the whole products' cast to dtype,
+    without a whole sparse product or a float64 twin of the result."""
+    if densify is None:  # x may be a copy's dense input, restricted again
+        for m in matrices:
+            x = spmm(m, x)
+        if sp.issparse(x):
+            x.sort_indices()
+        return x.astype(dtype, copy=False)
+    whole = max(densify - 1, 0)
+    for m in matrices[:whole]:
         x = spmm(m, x)
-        x = x.toarray() if hop == densify else x
-    if densify is None and sp.issparse(x):
-        x.sort_indices()
+    # At densify 0 a first blocked pass densifies the features themselves.
+    hops = ([None] if densify == 0 else []) + list(matrices[whole:])
+    step = max(_FOLD_BLOCK // x.shape[1], 1)
+    for i, m in enumerate(hops, 1):
+        rows = x.shape[0] if m is None else m.shape[0]
+        out = np.empty((rows, x.shape[1]), dtype if i == len(hops) else np.float64)
+        for start in range(0, rows, step):
+            part = x[start : start + step] if m is None else spmm(m[start : start + step], x)
+            out[start : start + step] = part.toarray() if sp.issparse(part) else part
+        x = out
     return x
 
 
@@ -847,6 +871,15 @@ def estimate_cost(spec: NetworkSpec, n: int, num_edges: int, d: int, num_classes
     )
 
 
+def _row_ids(rows, what: str) -> np.ndarray:
+    """rows as a flat int64 array. Python and numpy integers pass; floats and
+    bools, which numpy would truncate or read as 0 and 1, are a UsageError."""
+    ids = np.asarray(rows)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise UsageError(f"{what} needs integer row ids, got {ids.dtype} values")
+    return ids.astype(np.int64, copy=False).ravel()
+
+
 def restrict(net: CompiledNetwork, rows, dtype=np.float64, mode: str = "train") -> CompiledNetwork:
     """A copy of net, in precision dtype (float32 or float64), that computes
     only the output rows `rows` and what they read, for forwards in mode.
@@ -855,14 +888,16 @@ def restrict(net: CompiledNetwork, rows, dtype=np.float64, mode: str = "train") 
     the row set to the columns its matrix reads on the rows after it, and the
     copy holds the block S[rows_out][:, rows_in] as CSR; every other entry
     acts row by row and keeps the row set. The walk goes on through the
-    smoothing prefix, whose blocks fold the input on the last row set in
-    float64. The copy's output holds the rows np.unique(rows) in order, and
+    smoothing prefix, whose blocks fold the input on the last row set (see
+    _fold). The copy's output holds the rows np.unique(rows) in order, and
     its positions field maps each requested row to its output row. Rows
     outside the receptive field contribute nothing to the rows read, so the
     copy's outputs on them and its parameter gradients equal the full chain's.
-    Train-mode dropout draws over the restricted rows only. The blocks and the
-    input are cast to dtype last, so set-up stays float64 whatever the copy's
-    precision; a CSR input stays CSR.
+    Train-mode dropout draws over the restricted rows only. The fold computes
+    in float64 and writes its dense rows in dtype block by block; the blocks
+    and a CSR input are cast to dtype once built. Either way each value is
+    its float64 value rounded once to dtype, and a CSR input stays CSR.
+    Row ids that are not integers (floats, bools) are a UsageError.
 
     An infer-mode copy of a network whose fold stays CSR (densify None) does
     not fold: with no dropout, (S_k ... S_1 X) W equals S_k ... S_1 (X W), so
@@ -880,7 +915,7 @@ def restrict(net: CompiledNetwork, rows, dtype=np.float64, mode: str = "train") 
     if mode not in ("train", "infer"):
         raise UsageError(f"restrict mode must be 'train' or 'infer', got {mode!r}")
     infer_only = mode == "infer" and bool(net.prefix) and net.densify is None
-    rows = np.asarray(rows, dtype=np.int64).ravel()
+    rows = _row_ids(rows, "restrict")
     if (key := (rows.tobytes(), dtype.str, infer_only)) in net.restricted:
         return net.restricted[key]
     if rows.size == 0 or rows.min() < 0 or rows.max() >= net.x_bar.shape[0]:
@@ -890,11 +925,13 @@ def restrict(net: CompiledNetwork, rows, dtype=np.float64, mode: str = "train") 
     for entry in (*reversed(net.layers), *map(_Smooth, reversed(net.prefix))):
         if isinstance(entry, _Smooth):
             block = entry.matrix[needed]
-            cols = np.unique(block.indices)
+            read = np.zeros(block.shape[1], dtype=bool)
+            read[block.indices] = True
+            cols = np.flatnonzero(read)
             # Renumbering columns in sorted order keeps each row's entries
             # sorted, so the block stays canonical.
             block = sp.csr_matrix(
-                (block.data, np.searchsorted(cols, block.indices), block.indptr),
+                (block.data, (np.cumsum(read) - 1)[block.indices], block.indptr),
                 shape=(needed.size, cols.size),
             )
             needed = cols
@@ -908,10 +945,11 @@ def restrict(net: CompiledNetwork, rows, dtype=np.float64, mode: str = "train") 
     if infer_only:
         first = next(i for i, entry in enumerate(layers) if entry.kind == "linear") + 1
         layers[first:first] = [_Smooth(block.astype(dtype, copy=False)) for block in blocks]
+        x_bar = x_bar.astype(dtype, copy=False)
     else:
-        x_bar = _fold(x_bar, blocks, net.densify)
+        x_bar = _fold(x_bar, blocks, net.densify, dtype)
     return net.restricted.setdefault(key, dataclasses.replace(
-        net, layers=tuple(layers), x_bar=x_bar.astype(dtype, copy=False),
+        net, layers=tuple(layers), x_bar=x_bar,
         positions=np.searchsorted(kept, rows), prefix=(), densify=None,
         infer_only=infer_only or net.infer_only,
     ))

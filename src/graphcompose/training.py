@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NumericError, UsageError, _is_int
 from .evaluation import accuracy
-from .networks import CompiledNetwork, backward, forward, init_params, restrict
+from .networks import CompiledNetwork, _row_ids, backward, forward, init_params, restrict
 
 __all__ = [
     "PROB_FLOOR",
@@ -86,7 +86,7 @@ def masked_cross_entropy(p_bar, labels, labeled_set):
     """
     p_bar = np.asarray(p_bar)
     labels = np.asarray(labels)
-    idx = np.asarray(labeled_set, dtype=np.int64).ravel()
+    idx = _row_ids(labeled_set, "masked cross-entropy")
     if idx.size == 0:
         raise UsageError("masked cross-entropy needs a nonempty labeled set")
     true = labels[idx]

@@ -89,8 +89,8 @@ def test_benchmark_training_folds_each_row_set_once(monkeypatch):
     folds = []
     original = networks._fold
 
-    def spy(x, matrices, densify):
-        out = original(x, matrices, densify)
+    def spy(x, matrices, densify, dtype):
+        out = original(x, matrices, densify, dtype)
         folds.append((x.shape[0], out.shape))
         return out
 
@@ -118,8 +118,8 @@ def test_benchmark_training_on_a_csr_plan_folds_the_train_rows_only(monkeypatch)
     folds = []
     original = networks._fold
 
-    def spy(x, matrices, densify):
-        out = original(x, matrices, densify)
+    def spy(x, matrices, densify, dtype):
+        out = original(x, matrices, densify, dtype)
         folds.append(out.shape[0])
         return out
 

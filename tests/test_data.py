@@ -419,6 +419,28 @@ class TestSparseFeatures:
         assert peak < dense_bytes / 4, peak
         assert loaded.features.nnz == sum(len(range(i, m, 99_991)) for i in range(n))
 
+    def test_numpy_pass_does_not_hold_the_file_bytes(self, tmp_path, monkeypatch):
+        # The loader checks the features file's bytes, then drops them before
+        # np.loadtxt reads the file again.
+        root = write_dataset_dir(tmp_path / "d", planted_dataset(200, 3, 300, seed=3))
+        size = (root / "features.txt").stat().st_size
+        held = []
+        loadtxt = np.loadtxt
+
+        def spy(path, *args, **kwargs):
+            if path.name == "features.txt":
+                held.append(tracemalloc.get_traced_memory()[0])
+            return loadtxt(path, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        tracemalloc.start()
+        try:
+            load_dataset(root)
+        finally:
+            tracemalloc.stop()
+        assert size > 2**20 and len(held) == 1
+        assert held[0] < size / 4, (held, size)
+
     @pytest.mark.parametrize("method", ["gcn", "lpnn"])
     def test_explicit_zero_lines_train_the_same_history(self, tmp_path, method):
         plain, zeros = tmp_path / "plain", tmp_path / "zeros"

@@ -595,6 +595,44 @@ class TestFoldDensifies:
         assert type(x_bar) is np.ndarray
         assert x_bar.dtype == reference.dtype and x_bar.tobytes() == reference.tobytes()
 
+    @pytest.mark.parametrize(
+        "density, depth, dtype",
+        [
+            (0.10, 1, np.float32),  # the densify hop is the last: written in float32
+            (0.10, 2, np.float32),  # a float64 densify hop, then a dense hop
+            (0.10, 2, np.float64),
+            (1.0, 2, np.float32),  # the features themselves densified by blocks
+        ],
+        ids=["last-hop-cast", "then-dense", "then-dense-float64", "features"],
+    )
+    def test_blocked_hops_are_bitwise_the_whole_products(self, monkeypatch, density, depth, dtype):
+        dataset = sparse_planted_dataset(400, 3, 100, density, seed=44)
+        op = build_operator(dataset.topology, "symmetric")
+        net = compile_network(
+            preset("sgcn", depth=depth), {"symmetric": op}, dataset.num_features,
+            dataset.num_classes, features=dataset.features,
+        )
+        assert net.densify == (0 if density == 1.0 else 1)
+        blocks = []
+        product = networks.spmm
+
+        def spy(s, x):
+            if x.shape[1] == dataset.num_features:
+                blocks.append(s.shape[0])
+            return product(s, x)
+
+        monkeypatch.setattr(networks, "spmm", spy)
+        monkeypatch.setattr(networks, "_FOLD_BLOCK", 700)  # 7 rows a block, the last one short
+        rows = np.arange(0, 400, 2)
+        x_bar = restrict(net, rows, dtype).x_bar
+        assert blocks.count(7) > 20 and blocks.count(7) < len(blocks)
+        reference = dataset.features.toarray()
+        for _ in range(depth):
+            reference = op.matrix @ reference
+        expected = reference[rows].astype(dtype)
+        assert type(x_bar) is np.ndarray and x_bar.dtype == dtype
+        assert x_bar.tobytes() == expected.tobytes()
+
 
 class TestFoldOnDemand:
     """compile_network only plans the fold; restrict folds the rows its copy
@@ -615,9 +653,9 @@ class TestFoldOnDemand:
         folds = []
         original = networks._fold
 
-        def spy(x, matrices, densify):
+        def spy(x, matrices, densify, dtype):
             folds.append(x.shape[0])
-            return original(x, matrices, densify)
+            return original(x, matrices, densify, dtype)
 
         monkeypatch.setattr(networks, "_fold", spy)
         part = restrict(net, [3, 1])
@@ -651,6 +689,29 @@ class TestFoldOnDemand:
         dense_bytes = dataset.num_nodes * dataset.num_features * 8
         assert peak < dense_bytes / 8  # the fold over every node would be dense_bytes
 
+    def test_float32_dense_copy_holds_no_float64_fold(self):
+        # A Pubmed-like gcn-lp val copy, folded at its only prefix hop: the
+        # sparse product and its float64 form exist a block at a time.
+        dataset = sparse_planted_dataset(4000, 3, 500, 0.10, seed=45)
+        ops = {kind: build_operator(dataset.topology, kind) for kind in ("symmetric", "row")}
+        net = compile_network(preset("gcn-lp", depth=3, lp_layers=1), ops, 500, 3,
+                              features=dataset.features, dropout=0.5)
+        assert net.densify == 1 and len(net.prefix) == 1
+        rows = np.arange(0, dataset.num_nodes, 4)
+        tracemalloc.start()
+        try:
+            part = restrict(net, rows, np.float32, "infer")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        read = rows  # the feature rows the fold reads: past lp and two smoothings
+        for m in (ops["row"].matrix, ops["symmetric"].matrix, ops["symmetric"].matrix):
+            read = np.unique(m[read].indices)
+        features = dataset.features[read]
+        feature_bytes = features.data.nbytes + features.indices.nbytes + features.indptr.nbytes
+        assert part.x_bar.dtype == np.float32
+        assert peak < part.x_bar.size * 8 + feature_bytes, (peak, part.x_bar.size * 8)
+
 
 class TestInferCopy:
     """On a CSR fold plan an infer-mode copy keeps the raw feature rows and
@@ -674,9 +735,9 @@ class TestInferCopy:
         folds = []
         original = networks._fold
 
-        def spy(x, matrices, densify):
+        def spy(x, matrices, densify, dtype):
             folds.append(x.shape[0])
-            return original(x, matrices, densify)
+            return original(x, matrices, densify, dtype)
 
         monkeypatch.setattr(networks, "_fold", spy)
         return folds
@@ -781,6 +842,22 @@ class TestRestrict:
             with pytest.raises(UsageError, match="nonempty set of rows"):
                 restrict(net, rows)
 
+    @pytest.mark.parametrize("rows", [[1.7, 2.2], [True, False], np.array([3.0]), [1, 2.5]],
+                             ids=["floats", "bools", "float-array", "mixed"])
+    def test_rejects_row_ids_that_are_not_integers(self, ops, x14, rows):
+        # numpy would run [1.7, 2.2] as rows [1, 2] and [True, False] as [1, 0].
+        net = compile_network(preset("gcn"), ops, 5, 3, features=x14)
+        with pytest.raises(UsageError, match="restrict needs integer row ids"):
+            restrict(net, rows)
+        assert net.restricted == {}
+
+    def test_integer_row_ids_of_any_width_share_one_copy(self, ops, x14):
+        net = compile_network(preset("gcn"), ops, 5, 3, features=x14)
+        part = restrict(net, [2, 1])
+        for rows in (np.array([2, 1], dtype=np.int32), np.array([2, 1], dtype=np.uint16),
+                     range(2, 0, -1), (np.int64(2), 1)):
+            assert restrict(net, rows) is part
+
     def test_with_dtype_keeps_the_restriction(self, ops, x14):
         net = compile_network(preset("gcn"), ops, 5, 3, features=x14)
         part = restrict(net, [3, 1])
@@ -808,7 +885,8 @@ LABEL_OPERATORS = ("row", "general")
 class Case:
     """One drawn network, graph, input and row set. The features are `width`
     normal columns, each entry kept with probability `density` and at least
-    one kept, drawn from `seed`, so a printed case rebuilds its inputs."""
+    one kept, drawn from `seed`, so a printed case rebuilds its inputs. A
+    dense fold runs its blocked hops over `fold_block` entries a block."""
 
     spec: NetworkSpec
     nodes: int
@@ -820,6 +898,7 @@ class Case:
     dtype: str
     rate: float
     seed: int = 0
+    fold_block: int = networks._FOLD_BLOCK
 
     def features(self) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
@@ -906,6 +985,11 @@ def assert_close(got, want, dtype):
 @example(case_of(preset("gcn-lp", depth=3), dtype="float32", **SPARSE))
 @example(case_of(preset("sgcn", depth=3), density=0.1))
 @example(case_of(preset("sgcn", depth=1), rate=0.999))
+# Blocked fold hops, a row or two a block: densified between hops, at the
+# last hop, and from the features.
+@example(case_of(preset("sgcn", depth=3), density=0.1, dtype="float32", fold_block=8))
+@example(case_of(preset("gcn-lp", depth=3), dtype="float32", fold_block=4))
+@example(case_of(preset("gcn", depth=2), density=0.5, fold_block=4))
 def test_restricted_passes_equal_the_dense_reference(case):
     """restrict plus forward and backward, in train and in infer mode, give
     the dense reference's outputs on the rows asked for and its weight
@@ -921,8 +1005,9 @@ def test_restricted_passes_equal_the_dense_reference(case):
     steps = unroll(case.spec, ops)
     hops = next(i for i, step in enumerate(steps) if step[0] != "smooth")
     assert len(net.prefix) == hops
-    for mode in ("train", "infer"):
-        check_copy(case, x, net, steps, mode)
+    with mock.patch.object(networks, "_FOLD_BLOCK", case.fold_block):
+        for mode in ("train", "infer"):
+            check_copy(case, x, net, steps, mode)
 
 
 def check_copy(case, x, net, steps, mode):
@@ -932,9 +1017,10 @@ def check_copy(case, x, net, steps, mode):
     with mock.patch.object(networks, "spmm", wraps=networks.spmm) as product:
         part = restrict(net, rows, dtype, mode)
 
-    # A train copy folds with sparse products up to the planned hop. An infer
-    # copy of a CSR fold plan runs the prefix after the first linear instead;
-    # any other infer copy is the train copy, from the memo.
+    # A train copy folds with sparse products up to the planned hop, and from
+    # the densify hop on runs each hop over blocks of fold_block output
+    # entries. An infer copy of a CSR fold plan runs the prefix after the
+    # first linear instead; any other infer copy is the train copy, from the memo.
     assert part.infer_only == (mode == "infer" and hops > 0 and net.densify is None)
     kinds = [entry.kind for entry in net.layers]
     if part.infer_only:
@@ -942,7 +1028,12 @@ def check_copy(case, x, net, steps, mode):
         kinds[at:at] = ["smooth"] * hops
     assert [entry.kind for entry in part.layers] == kinds
     sparse_hops = hops if net.densify is None else net.densify
-    operands = [True] * sparse_hops + [False] * (hops - sparse_hops) if mode == "train" else []
+    step = max(case.fold_block // case.width, 1)
+    operands = [
+        hop <= sparse_hops
+        for hop in range(1, hops + 1)
+        for _ in range(1 if hop < sparse_hops or net.densify is None else -(-read[hop].size // step))
+    ] if mode == "train" else []
     assert [sp.issparse(call.args[1]) for call in product.call_args_list] == operands
 
     folded = x

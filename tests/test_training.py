@@ -84,6 +84,21 @@ class TestMaskedCrossEntropy:
         with pytest.raises(UsageError):
             masked_cross_entropy(np.ones((2, 2)) / 2, np.array([0, 1]), [])
 
+    @pytest.mark.parametrize("ids", [[1.7, 0.2], [True, False], np.array([0.0, 1.0])],
+                             ids=["floats", "bools", "float-array"])
+    def test_non_integer_ids_rejected(self, ids):
+        # numpy would read [1.7, 0.2] as rows [1, 0] and [True, False] as [1, 0].
+        with pytest.raises(UsageError, match="integer row ids"):
+            masked_cross_entropy(np.ones((2, 2)) / 2, np.array([0, 1]), ids)
+
+    def test_integer_ids_of_any_width_agree(self):
+        p = np.array([[0.5, 0.5], [0.25, 0.75], [0.9, 0.1]])
+        labels = np.array([0, 1, 0])
+        want = masked_cross_entropy(p, labels, [2, 1])
+        for ids in (np.array([2, 1], dtype=np.int32), np.array([2, 1], dtype=np.uint8), range(2, 0, -1)):
+            got = masked_cross_entropy(p, labels, ids)
+            assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         z = rng.random((5, 3)) + 0.1
