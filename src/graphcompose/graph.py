@@ -47,7 +47,8 @@ class GraphTopology:
                 if not all(map(_is_int, pair)):
                     pair = tuple(np.asarray(pair, dtype=object).tolist())
                     raise DataError(f"edge {pair} has a non-integer node id")
-        lo, hi = e.min(axis=1), e.max(axis=1)
+        # Column-wise, not a reduce over axis 1: numpy's loop over two-entry rows is slow.
+        lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
         bad = (lo == hi) | (lo < 0) | (hi >= n)
         if bad.any():
             u, v = (int(x) for x in e[np.argmax(bad)])

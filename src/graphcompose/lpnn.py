@@ -167,10 +167,12 @@ def train_lpnn(dataset, split, config: TrainConfig, weights: LpnnWeights):
     best snapshot follow g's accuracy, since g serves predictions by default.
     g is compiled with the features as its input (CSR when they are sparse);
     the step runs g's copy restricted to every node (see restrict), since the
-    loss reads them all, and validation g's copy restricted to the val rows,
-    which overlaps the next step as in train. f, the symmetric operator and
-    both copies are in config.precision; the operator is built in float64 and
-    cast. The returned model's g_net is the compiled g."""
+    loss reads them all, and validation g's copy restricted to the val rows.
+    As in train, validation overlaps the next step on the main thread when
+    the features are dense, and runs in order at one BLAS thread when they
+    are CSR. f, the symmetric operator and both copies are in
+    config.precision; the operator is built in float64 and cast. The
+    returned model's g_net is the compiled g."""
     train_idx = np.asarray(split.train, dtype=np.int64)
     if train_idx.size == 0 or len(split.val) == 0:
         raise UsageError("train_lpnn needs nonempty train and val sets")

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import NumericError, UsageError, _is_int
 from .evaluation import accuracy
@@ -179,14 +180,17 @@ def _openblas():
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the block with numpy's OpenBLAS at one thread, then restore the
-    count it had. For the package's own threads (fit's validation helper, a
-    sweep's pool): each then runs its matrix products on one core instead of
-    contending with the other for every BLAS thread. Outputs are the same
-    bytes at any BLAS thread count, so only the speed changes.
+    count it had. A main-thread fit holds it (see _fit_validated), and so
+    does a sweep's pool: each thread then runs its matrix products on one
+    core instead of contending for every BLAS thread, and no multi-threaded
+    product leaves OpenBLAS's worker spinning. Outputs are the same bytes at
+    any BLAS thread count, so only the speed changes.
 
     The setting is process-wide: it holds for every thread's BLAS calls while
-    the block runs. Blocks nest on one thread. Without a bundled OpenBLAS that
-    exports the thread control, this does nothing."""
+    the block runs, so worker threads never enter it (two entering and
+    leaving at once could leave the count at 1). Blocks nest on one thread.
+    Without a bundled OpenBLAS that exports the thread control, this does
+    nothing."""
     import ctypes
 
     lib = _openblas()
@@ -246,7 +250,9 @@ def fit(step, evaluate, config: TrainConfig, *, overlap: bool = False):
     sequential order as long as step never writes into a state it returned
     (states are kept and read by reference) and evaluate draws no randomness.
     When epoch e stops training, the step already taken for e + 1 is dropped,
-    with any exception it raised; no step runs past max_epochs.
+    with any exception it raised; no step runs past max_epochs. Without
+    overlap, fit starts no thread and leaves the BLAS thread count alone.
+    _fit_validated decides which order a trainer gets.
     """
     losses: list[float] = []
     accs: list[float] = []
@@ -300,19 +306,26 @@ def _fit_validated(net: CompiledNetwork, dataset, val_rows, config: TrainConfig,
                    params_of=lambda state: state):
     """fit(step, ...) scored by accuracy on val_rows: every trainer's
     validation. Each epoch runs net's infer-mode copy restricted to val_rows
-    (see restrict) on params_of(state). The pass overlaps the next step when
-    the caller is the main thread: scipy's sparse products and numpy's
-    one-thread BLAS release the GIL, so the pass runs on the second core,
-    whereas a trainer on a worker thread (a sweep's pool) already shares the
-    cores."""
+    (see restrict) on params_of(state). On the main thread, at one BLAS
+    thread (see _one_blas_thread), the pass overlaps the next step when the
+    copy's input is dense (a dense fold plan or dense features): its dense
+    products release the GIL, so it runs on the second core. A CSR input's
+    pass is too small to pay for the handoff and the helper's malloc arena,
+    so it runs in order. On a worker thread (a sweep's pool), which already
+    shares the cores, the loop runs in order and leaves the BLAS thread count
+    alone. The output bytes are the same in every case."""
     val_net, val_labels = _restrict_to(net, dataset, val_rows, config.precision, "infer")
 
     def evaluate(state) -> float:
         val_out, _ = forward(val_net, params_of(state))
         return accuracy(val_out, val_labels, val_net.positions)
 
-    overlap = threading.current_thread() is threading.main_thread()
-    return fit(step, evaluate, config, overlap=overlap)
+    if threading.current_thread() is not threading.main_thread():
+        return fit(step, evaluate, config)
+    if not sp.issparse(val_net.x_bar):
+        return fit(step, evaluate, config, overlap=True)
+    with _one_blas_thread():
+        return fit(step, evaluate, config)
 
 
 def train(net: CompiledNetwork, dataset, split, config: TrainConfig):
@@ -328,10 +341,11 @@ def train(net: CompiledNetwork, dataset, split, config: TrainConfig):
     infer mode: on a CSR fold plan it multiplies the raw feature rows by the
     first weight before smoothing, so only the train rows are folded. Both
     copies are in config.precision and stay memoized on net. When train is
-    called on the main thread (see _fit_validated, shared with train_lpnn),
-    each evaluation runs on a helper thread beside the next epoch's step,
-    with the same output bytes; at an early stop one extra step has run and
-    is dropped.
+    called on the main thread and the val copy's input is dense (see
+    _fit_validated, shared with train_lpnn), each evaluation runs on a helper
+    thread beside the next epoch's step, with the same output bytes; at an
+    early stop one extra step has run and is dropped. On a CSR input it runs
+    in order, at one BLAS thread.
     """
     if config.dropout != net.dropout:
         raise UsageError(

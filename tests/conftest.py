@@ -60,9 +60,11 @@ def whole(net):
     return restrict(net, np.arange(net.x_bar.shape[0]))
 
 
-def spy_infer_threads(monkeypatch) -> list[int]:
-    """The threads that run each infer-mode forward from now on. Both
-    trainers validate through graphcompose.training's forward."""
+def spy_infer_threads(monkeypatch, blas_threads=lambda: None) -> list[tuple]:
+    """(thread, blas_threads()) for each infer-mode forward from now on: the
+    thread that runs it, and the BLAS thread count it runs at when given a
+    reader (the two_blas_threads fixture). Both trainers validate through
+    graphcompose.training's forward."""
     from graphcompose import training
 
     original = training.forward
@@ -70,7 +72,7 @@ def spy_infer_threads(monkeypatch) -> list[int]:
 
     def spy(net_, params, *, mode="infer", rng=None):
         if mode == "infer":
-            threads.append(threading.get_ident())
+            threads.append((threading.get_ident(), blas_threads()))
         return original(net_, params, mode=mode, rng=rng)
 
     monkeypatch.setattr(training, "forward", spy)

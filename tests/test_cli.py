@@ -983,14 +983,24 @@ class TestSweepCommand:
         assert main(args) == 0
         assert read_only_result(tmp_path)["config"]["precision"] == "float32"
 
-    def test_jobs_1_validates_beside_the_next_step(self, sparse_cli_env, tmp_path, monkeypatch):
-        # At --jobs 1 the trials run on the calling thread, so each epoch but
-        # the budget's last validates on fit's helper thread.
-        threads = spy_infer_threads(monkeypatch)
+    def test_jobs_1_validates_beside_the_next_step(self, cli_env, tmp_path, monkeypatch):
+        # At --jobs 1 the trials run on the calling thread, so on dense inputs
+        # each epoch but the budget's last validates on fit's helper thread.
+        calls = spy_infer_threads(monkeypatch)
+        args = self.sweep_args(cli_env, tmp_path, 1, method="gcn", budget=2, epochs=4)
+        assert main(args) == 0
+        on_main = [t == threading.get_ident() for t, _ in calls]
+        assert on_main == [False, False, False, True] * 2
+
+    def test_jobs_1_validates_csr_inputs_in_order(self, sparse_cli_env, tmp_path, monkeypatch,
+                                                  two_blas_threads):
+        # On a CSR input every validation runs on the calling thread, at one
+        # BLAS thread, and the count comes back after each trial.
+        calls = spy_infer_threads(monkeypatch, two_blas_threads)
         args = self.sweep_args(sparse_cli_env, tmp_path, 1, method="gcn", budget=2, epochs=4)
         assert main(args) == 0
-        on_main = [t == threading.get_ident() for t in threads]
-        assert on_main == [False, False, False, True] * 2
+        assert calls == [(threading.get_ident(), 1)] * 8
+        assert two_blas_threads() == 2
 
     @pytest.mark.parametrize("method", ["gcn", "lpnn"])
     def test_each_trial_trains_once(self, cli_env, tmp_path, monkeypatch, method):

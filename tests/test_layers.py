@@ -5,6 +5,8 @@ import scipy.sparse as sp
 from graphcompose.errors import UsageError
 from graphcompose.graph import build_operator
 from graphcompose.networks import (
+    _Dropout,
+    _Relu,
     Fp,
     LinearClassifier,
     Mlp,
@@ -237,6 +239,74 @@ class TestSoftmaxRows:
         p = softmax_rows_forward(np.random.default_rng(9).normal(size=(3, 4)))
         out = softmax_rows_vjp(p, np.ones((3, 4)))
         np.testing.assert_allclose(out, np.zeros((3, 4)), atol=1e-14)
+
+
+def hard_rows(m, dtype, rows=600):
+    """Logits and upstreams of width m that tell summation orders apart:
+    magnitudes from 1e-20 to 1e20 with mixed signs, plus rows of ties, of
+    +0.0 and -0.0, and of huge logits."""
+    rng = np.random.default_rng(np.random.SeedSequence([m, 31]))
+
+    def draw():
+        a = rng.standard_normal((rows, m)) * 10.0 ** rng.uniform(-20, 20, (rows, m))
+        a[0::10] = rng.standard_normal((rows // 10, m)) * 3.0  # ordinary logits
+        a[1::10] = np.where(rng.random((rows // 10, m)) < 0.5, 0.0, -0.0)
+        a[2::10] = np.round(rng.standard_normal((rows // 10, m)))  # ties
+        a[3::10] = rng.choice([-1e30, 1e30], (rows // 10, m))
+        a[4::10, :] = a[4::10, :1]  # every entry tied
+        return a.astype(dtype)
+
+    return draw(), draw()
+
+
+def row_sum_left_to_right(a):
+    out = a[:, :1] + 0.0
+    for j in range(1, a.shape[1]):
+        out += a[:, j : j + 1]
+    return out
+
+
+class TestShortClassRows:
+    """Below 8 classes the softmax reduces its rows column by column; the
+    bytes must be those of numpy's row reduce, for every width."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 16])
+    def test_forward_and_vjp_keep_the_row_reduce_bytes(self, m, dtype):
+        z, u = hard_rows(m, dtype)
+        p = softmax_rows_forward(z)
+        assert p.dtype == dtype and p.tobytes() == np_softmax(z).tobytes()
+        products = u * p
+        expected = p * (u - products.sum(axis=1, keepdims=True))
+        assert softmax_rows_vjp(p, u).tobytes() == expected.tobytes()
+        # The rows must tell the orders apart: a right-to-left sum differs
+        # from numpy's below 8 columns, and a left-to-right one from 8 on.
+        if m >= 3:
+            reordered = row_sum_left_to_right(products[:, ::-1] if m < 8 else products)
+            assert reordered.tobytes() != products.sum(axis=1, keepdims=True).tobytes()
+
+
+class TestTrainModeCaches:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5, 0.9])
+    def test_relu_and_dropout_keep_the_formula_bytes(self, rate, dtype):
+        # relu caches a bool mask and dropout divides its product in place;
+        # forward and vjp must equal the plain formulas byte for byte.
+        rng = np.random.default_rng(20)
+        h = (rng.standard_normal((300, 16)) * 10.0 ** rng.uniform(-5, 5, (300, 16))).astype(dtype)
+        h[::7, 3], h[::5, 2] = 0.0, -0.0
+        u = rng.standard_normal((300, 16)).astype(dtype)
+        relu = _Relu()
+        out, cache = relu.forward(h, [], None, True)
+        assert out.tobytes() == np.maximum(h, 0.0).tobytes() and out.dtype == dtype
+        assert cache.dtype == bool
+        assert relu.vjp(cache, u, []).tobytes() == (u * (h > 0.0)).tobytes()
+        assert relu.forward(h, [], None, False)[1] is None
+        drop = _Dropout(rate)
+        out, mask = drop.forward(h, [], np.random.default_rng(21), True)
+        assert out.dtype == dtype and out.tobytes() == (h * mask / (1.0 - rate)).tobytes()
+        grad = drop.vjp(mask, u, [])
+        assert grad.dtype == dtype and grad.tobytes() == (u * mask / (1.0 - rate)).tobytes()
 
 
 class TestDropout:

@@ -562,13 +562,20 @@ def on_worker_thread(fn, *args):
 
 class TestOverlappedValidation:
     """On the main thread each epoch's validation runs on a helper thread
-    beside the next step, on CSR and dense inputs alike; on a worker thread
-    the loop runs in order. Both must give the same bytes."""
+    beside the next step when the val copy's input is dense, and in order at
+    one BLAS thread when it is CSR; on a worker thread the loop runs in order
+    and leaves the BLAS thread count alone. All must give the same bytes."""
 
     @pytest.fixture(scope="class")
     @staticmethod
     def sparse_setup():
         dataset = sparse_planted_dataset(300, 3, 120, 0.03, seed=21)
+        return dataset, build_ops(dataset), stratified_split(dataset, per_class=6, val=60)
+
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def dense_setup():
+        dataset = planted_dataset(300, 3, 12, seed=21)
         return dataset, build_ops(dataset), stratified_split(dataset, per_class=6, val=60)
 
     @staticmethod
@@ -582,56 +589,67 @@ class TestOverlappedValidation:
         )
         return train(net, dataset, split, config)
 
-    def assert_same_bytes(self, method, dataset, ops, split, config, monkeypatch):
-        threads = spy_infer_threads(monkeypatch)
-        params, history = self.run(method, dataset, ops, split, config)
-        overlapped = list(threads)
-        threads.clear()
-        ref_params, ref_history = on_worker_thread(self.run, method, dataset, ops, split, config)
-        worker = set(threads)
+    def same_bytes(self, method, setup, config, monkeypatch, blas_threads=lambda: None):
+        """The run on the main thread and on a worker thread, which must give
+        the same bytes. Returns the history and each run's spied validations
+        (see spy_infer_threads)."""
+        calls = spy_infer_threads(monkeypatch, blas_threads)
+        params, history = self.run(method, *setup, config)
+        on_main = list(calls)
+        calls.clear()
+        ref_params, ref_history = on_worker_thread(self.run, method, *setup, config)
         assert history.to_text() == ref_history.to_text()
         assert history == ref_history
         for a, b in zip(params, ref_params, strict=True):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        main = threading.get_ident()
+        # A worker thread validates itself.
+        assert len({t for t, _ in calls}) == 1 and calls[0][0] != main
+        return history, on_main, calls
+
+    def assert_overlapped(self, method, setup, config, monkeypatch):
+        history, on_main, _ = self.same_bytes(method, setup, config, monkeypatch)
         # Every epoch validates on the helper thread, except an epoch with no
-        # next step to overlap (the last of the budget); a worker thread
-        # validates itself.
+        # next step to overlap (the last of the budget).
         main = threading.get_ident()
         epochs = len(history.train_loss)
-        on_main = [t == main for t in overlapped]
-        assert on_main == [False] * (epochs - 1) + [epochs == config.max_epochs]
-        assert len(worker) == 1 and main not in worker
+        assert [t == main for t, _ in on_main] == (
+            [False] * (epochs - 1) + [epochs == config.max_epochs]
+        )
         return history
 
     @pytest.mark.parametrize("method", ["gcn", "lpnn"])
-    def test_overlap_keeps_every_byte(self, sparse_setup, method, monkeypatch):
-        dataset, ops, split = sparse_setup
+    def test_csr_input_validates_in_order(self, sparse_setup, method, monkeypatch,
+                                          two_blas_threads):
         config = TrainConfig(dropout=0.5, max_epochs=8, patience=8, seed=5)
-        self.assert_same_bytes(method, dataset, ops, split, config, monkeypatch)
+        history, on_main, on_worker = self.same_bytes(
+            method, sparse_setup, config, monkeypatch, two_blas_threads
+        )
+        main = threading.get_ident()
+        assert on_main == [(main, 1)] * len(history.train_loss)
+        assert {count for _, count in on_worker} == {2}
+        assert two_blas_threads() == 2
 
-    def test_early_stop_keeps_every_byte(self, sparse_setup, monkeypatch):
-        dataset, ops, split = sparse_setup
+    def test_early_stop_keeps_every_byte(self, dense_setup, monkeypatch):
         config = TrainConfig(learning_rate=0.05, dropout=0.5, max_epochs=60, patience=3, seed=6)
-        history = self.assert_same_bytes("gcn", dataset, ops, split, config, monkeypatch)
+        history = self.assert_overlapped("gcn", dense_setup, config, monkeypatch)
         assert history.stopped_epoch < config.max_epochs
 
-    def test_tiny_switch_interval_keeps_every_byte(self, sparse_setup, monkeypatch):
-        dataset, ops, split = sparse_setup
+    def test_tiny_switch_interval_keeps_every_byte(self, dense_setup, monkeypatch):
         config = TrainConfig(dropout=0.5, max_epochs=6, patience=6, seed=7)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            self.assert_same_bytes("gcn", dataset, ops, split, config, monkeypatch)
+            self.assert_overlapped("gcn", dense_setup, config, monkeypatch)
         finally:
             sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("method", ["gcn", "lpnn"])
     def test_dense_input_overlaps_with_the_same_bytes(self, method, monkeypatch):
         dataset = planted_dataset(120, 3, 10, seed=22)
-        ops = build_ops(dataset)
-        split = stratified_split(dataset)
+        setup = dataset, build_ops(dataset), stratified_split(dataset)
         config = TrainConfig(dropout=0.5, max_epochs=4, patience=4)
-        self.assert_same_bytes(method, dataset, ops, split, config, monkeypatch)
+        self.assert_overlapped(method, setup, config, monkeypatch)
 
 
 class TestOneBlasThread:
