@@ -809,7 +809,7 @@ _INFER_ONLY = (
 
 def forward(net: CompiledNetwork, params, *, mode: str = "infer", rng=None):
     """Run the chain from the network's input. Returns (output, states):
-    states is the list of entry caches in chain order, which backward takes,
+    states is the list of entry caches in chain order, which backward consumes,
     or None in infer mode. The parameters must have the network's shapes, and
     a train-mode pass of a network compiled with dropout needs its rng."""
     if net.x_bar is None:
@@ -839,19 +839,24 @@ def backward(net: CompiledNetwork, states: list | None, d_output):
     """Gradients for every linear parameter, via the chain's vjps in reverse.
     Label propagation backpropagates through the transposed operator, which is
     how neighboring class distributions enter each labeled node's gradient.
-    The pass ends at the first linear: nothing before it has parameters."""
+    The pass ends at the first linear: nothing before it has parameters.
+    It consumes states (one backward per train-mode forward): each cache is
+    popped as its vjp runs, freeing it then, and the list is left empty."""
     if states is None:
         raise UsageError("backward needs the states returned by a train-mode forward")
     if net.infer_only:
         raise UsageError(_INFER_ONLY)
     if net.prefix or net.densify is not None:  # forward ran its copy over every row
         net = restrict(net, np.arange(net.x_bar.shape[0]))
+    if len(states) != len(net.layers):  # another chain's states, or a consumed list
+        raise UsageError(f"backward got {len(states)} states for {len(net.layers)} chain entries")
     grads = [None] * len(net.param_shapes)
     u = np.asarray(d_output)
-    for entry, cache in zip(reversed(net.layers), reversed(states)):
-        u = entry.vjp(cache, u, grads)
+    for entry in reversed(net.layers):
+        u = entry.vjp(states.pop(), u, grads)
         if u is None:
             break
+    states.clear()
     return grads
 
 

@@ -114,7 +114,8 @@ class AdamState:
 
 def adam_step(params, grads, state: AdamState, lr: float, weight_decay: float = 0.0):
     """One bias-corrected Adam update; weight decay enters as an added
-    gradient term decay * w. Returns new parameter arrays."""
+    gradient term decay * w. Updates state.m and state.v in place, writes
+    into neither params nor grads, and returns new parameter arrays."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise UsageError("adam_step: params, grads, and state sizes disagree")
     state.step += 1
@@ -122,14 +123,22 @@ def adam_step(params, grads, state: AdamState, lr: float, weight_decay: float = 
     c1 = 1.0 - ADAM_BETA1**t
     c2 = 1.0 - ADAM_BETA2**t
     out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
+    for p, g, m, v in zip(params, grads, state.m, state.v):
         if weight_decay:
             g = g + weight_decay * p
-        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * g
-        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = state.m[i] / c1
-        v_hat = state.v[i] / c2
-        out.append(p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        sq = g * g
+        sq *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
+        v += sq
+        step = m / c1
+        step *= lr
+        den = np.divide(v, c2, out=sq)  # sq is dead once v holds it
+        np.sqrt(den, out=den)
+        den += ADAM_EPS
+        step /= den
+        out.append(p - step)
     return out
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from graphcompose.cli import _LOSS_WEIGHT_KEYS
 from graphcompose.errors import NumericError, UsageError
@@ -195,6 +196,36 @@ class TestLpnnLoss:
                 denom = max(abs(grad[idx]), abs(numeric), 1e-6)
                 worst = max(worst, abs(grad[idx] - numeric) / denom)
         assert worst < 1e-5
+
+    def test_field_optimizer_reaches_the_quadratic_optimum(self):
+        # With both KL weights at 0 the loss in f is quadratic, and its minimum
+        # solves (mu_g (I - S) + mu_l L + mu_u U) f = mu_l L Y, for L and U the
+        # labeled and unlabeled diagonal masks. f takes train_lpnn's step:
+        # lpnn_loss, then adam_step on f alone from zeros. At a constant rate
+        # Adam hovers in a neighbourhood of the optimum whose radius scales
+        # with the rate: 4e-4 to 1.6e-3 at 0.01 over steps 1000 to 20000, and
+        # 8e-5 to 3e-4 at 0.003.
+        n, m = 60, 3
+        s = build_operator(ring_topology(n, extra_edges=20, seed=3), "symmetric").matrix
+        rng = np.random.default_rng(5)
+        labels = rng.integers(m, size=n)
+        labeled = np.sort(rng.choice(n, size=12, replace=False))
+        w = LpnnWeights(1.0, 1.0, 0.1, 0.0, 0.0)
+        g_out = np.full((n, m), 1.0 / m)  # unread: both KL weights are 0
+
+        f = np.zeros((n, m))
+        adam = AdamState.for_params([f])
+        for _ in range(3000):
+            _, d_f, _ = lpnn_loss(f, g_out, s, labels, labeled, w)
+            f = adam_step([f], [d_f], adam, 0.003, 0.0)[0]
+
+        mask_l = np.isin(np.arange(n), labeled).astype(float)
+        system = w.mu_g * (sp.identity(n) - s) + sp.diags(w.mu_l * mask_l + w.mu_u * (1 - mask_l))
+        target = w.mu_l * mask_l[:, None] * np.eye(m)[labels]
+        optimum = np.column_stack(
+            [spsolve(system.tocsc(), target[:, c]) for c in range(m)]
+        )
+        assert np.abs(f - optimum).max() < 1e-3
 
 
 class TestGNetwork:

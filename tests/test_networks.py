@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -376,6 +377,44 @@ class TestForwardBackward:
         net = compile_network(preset("sgcn"), ops, 5, 3, features=x14)
         with pytest.raises(UsageError):
             backward(net, None, np.zeros((14, 3)))
+
+    def test_backward_consumes_states(self, ops, x14, monkeypatch):
+        net = compile_network(preset("gcn"), ops, 5, 3, features=x14, dropout=0.5)
+        params = init_params(net, np.random.default_rng(8))
+        out, states = forward(net, params, mode="train", rng=np.random.default_rng(9))
+        # Dropout and relu masks, softmax outputs, and each linear's input.
+        arrays = [c[0] if isinstance(c, tuple) else c for c in states]
+        refs = [(i, weakref.ref(a)) for i, a in enumerate(arrays) if a is not None]
+        assert len(refs) == len(net.layers) - entry_kinds(net).count("smooth")
+        del out, arrays
+        # When the first linear's vjp runs, every later entry's vjp is done.
+        first = entry_kinds(net).index("linear")
+        alive_then = []
+        original = networks.linear_vjp
+
+        def spy(x, w, upstream, input_grad=True):
+            if not input_grad:
+                alive_then.append([i for i, r in refs if i > first and r() is not None])
+            return original(x, w, upstream, input_grad)
+
+        monkeypatch.setattr(networks, "linear_vjp", spy)
+        backward(net, states, np.ones((14, 3)))
+        assert states == [] and alive_then == [[]]
+        assert [i for i, r in refs if r() is not None] == []
+
+    def test_backward_refuses_states_of_another_length(self, ops, x14):
+        net = compile_network(preset("gcn"), ops, 5, 3, features=x14)
+        params = init_params(net, np.random.default_rng(8))
+        _, states = forward(net, params, mode="train")
+        entries = len(net.layers)
+        backward(net, states, np.ones((14, 3)))
+        with pytest.raises(UsageError, match=f"got 0 states for {entries} chain entries"):
+            backward(net, states, np.ones((14, 3)))
+        other = compile_network(preset("sgcn"), ops, 5, 3, features=x14)
+        _, states = forward(other, init_params(other, np.random.default_rng(8)), mode="train")
+        assert len(states) != entries
+        with pytest.raises(UsageError, match=f"got {len(states)} states for {entries} chain"):
+            backward(net, states, np.ones((14, 3)))
 
 
 class TestPrecomputeFp:
@@ -1076,12 +1115,13 @@ def check_copy(case, x, net, steps, mode):
     np.add.at(d_out, part.positions, g.astype(dtype))
     d_ref = np.zeros(ref.shape)
     np.add.at(d_ref, rows, g)
+    kept = states[:2]  # backward consumes states
     for got, want in zip(backward(part, states, d_out), vjp(d_ref), strict=True):
         assert got.dtype == dtype
         assert_close(got, want, dtype)
 
     if masks and sp.issparse(part.x_bar):
-        x_in, mask, (survivors, w) = part.x_bar, states[0], states[1]
+        x_in, mask, (survivors, w) = part.x_bar, kept[0], kept[1]
         stored = sp.csr_matrix(
             (x_in.data * mask / (1.0 - case.rate), x_in.indices, x_in.indptr), shape=x_in.shape
         )

@@ -152,6 +152,54 @@ class TestAdam:
         for a, b in zip(ps, expected):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
+    @staticmethod
+    def out_of_place_step(params, grads, m, v, t, lr, wd):
+        """adam_step's update with a new array for every result: the same
+        operations on the same operands in the same order."""
+        c1, c2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+        out = []
+        for i, (p, g) in enumerate(zip(params, grads)):
+            if wd:
+                g = g + wd * p
+            m[i] = 0.9 * m[i] + (1.0 - 0.9) * g
+            v[i] = 0.999 * v[i] + (1.0 - 0.999) * (g * g)
+            out.append(p - lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + 1e-8))
+        return out
+
+    @pytest.mark.parametrize("wd", [0.0, 5e-4])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_moments_equal_the_out_of_place_update_bytewise(self, dtype, wd):
+        rng = np.random.default_rng(3)
+        params = [rng.normal(size=s).astype(dtype) for s in ((5, 4), (4, 3), (3,))]
+        ref = [p.copy() for p in params]
+        m, v = [np.zeros_like(p) for p in ref], [np.zeros_like(p) for p in ref]
+        state = AdamState.for_params(params)
+        moments = [*state.m, *state.v]
+        for t in range(1, 5):
+            grads = [rng.normal(size=p.shape).astype(dtype) for p in params]
+            params = adam_step(params, grads, state, lr=0.05, weight_decay=wd)
+            ref = self.out_of_place_step(ref, grads, m, v, t, 0.05, wd)
+            for got, want in zip([*params, *state.m, *state.v], [*ref, *m, *v], strict=True):
+                assert got.dtype == want.dtype == dtype
+                assert got.tobytes() == want.tobytes()
+        assert all(a is b for a, b in zip([*state.m, *state.v], moments))
+
+    @pytest.mark.parametrize("wd", [0.0, 0.3])
+    def test_leaves_params_and_grads_alone_and_returns_fresh_arrays(self, wd):
+        rng = np.random.default_rng(4)
+        params = [rng.normal(size=(4, 3)), rng.normal(size=(3, 2)).astype(np.float32)]
+        grads = [rng.normal(size=p.shape).astype(p.dtype) for p in params]
+        before = [a.copy() for a in (*params, *grads)]
+        state = AdamState.for_params(params)
+        for _ in range(3):
+            out = adam_step(params, grads, state, lr=0.1, weight_decay=wd)
+            for a, b in zip((*params, *grads), before, strict=True):
+                assert a.tobytes() == b.tobytes()
+            for new in out:
+                assert not any(
+                    np.shares_memory(new, a) for a in (*params, *grads, *state.m, *state.v)
+                )
+
     def test_first_step_magnitude(self):
         # With bias correction the first update is close to lr per coordinate.
         params = [np.zeros((1, 1))]
@@ -695,3 +743,23 @@ class TestOneBlasThread:
         with training._one_blas_thread():
             assert two_blas_threads() == 2
         assert two_blas_threads() == 2
+
+    def test_no_loadable_library_means_no_thread_control(self, two_blas_threads, monkeypatch):
+        # numpy.libs holds an OpenBLAS file that fails to load: _openblas
+        # answers None, and the block leaves the thread count alone.
+        import ctypes
+
+        def refuse(path, *args, **kwargs):
+            raise OSError(f"cannot load {path}")
+
+        training._openblas.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(ctypes, "CDLL", refuse)
+                assert training._openblas() is None
+                with training._one_blas_thread():
+                    assert two_blas_threads() == 2
+            assert two_blas_threads() == 2
+        finally:
+            training._openblas.cache_clear()
+        assert training._openblas() is not None
