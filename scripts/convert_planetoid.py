@@ -15,7 +15,8 @@ gaps (present in citeseer) become zero rows with label 0, matching the usual
 reconstruction. The standard split is train = the first len(y) nodes,
 val = the next 500, test = the test.index nodes.
 
-This is a data-prep utility, not part of the package API or its test surface.
+This is a data-prep utility, not part of the package API;
+tests/test_convert_planetoid.py runs it on a tiny file family.
 """
 
 from __future__ import annotations

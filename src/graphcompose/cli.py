@@ -492,6 +492,7 @@ def cmd_compare(args) -> int:
         raise DataError(f"results directory {root} does not exist")
     results: dict[tuple, tuple[Path, RunResult]] = {}
     precisions: dict[str, tuple[Path, str]] = {}
+    other_sizes: set[int] = set()
     for path in sorted(root.rglob("result.json")):
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
@@ -502,6 +503,7 @@ def cmd_compare(args) -> int:
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from exc
         if args.size is not None and r.size_index != args.size:
+            other_sizes.add(r.size_index)
             continue
         # A train and a sweep on one split (or two copies of a run) are not
         # two samples of that cell.
@@ -520,6 +522,9 @@ def cmd_compare(args) -> int:
                 f"{first} ({first_precision}) and {path} ({precision}) hold {r.method} "
                 "runs at different precisions; compare them apart"
             )
+    if not results and other_sizes:
+        present = ", ".join(map(str, sorted(other_sizes)))
+        raise DataError(f"no run results at size {args.size} under {root} (sizes present: {present})")
     if not results:
         raise DataError(f"no run results found under {root}")
     sizes = sorted({size for _, _, size, _ in results})

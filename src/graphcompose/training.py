@@ -118,6 +118,11 @@ def adam_step(params, grads, state: AdamState, lr: float, weight_decay: float = 
     into neither params nor grads, and returns new parameter arrays."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise UsageError("adam_step: params, grads, and state sizes disagree")
+    for i, (p, g) in enumerate(zip(params, grads)):
+        if g.shape != p.shape:
+            raise UsageError(f"adam_step: gradient {i} has shape {g.shape}, its parameter {p.shape}")
+        if g.dtype != p.dtype:
+            raise UsageError(f"adam_step: gradient {i} has dtype {g.dtype}, its parameter {p.dtype}")
     state.step += 1
     t = state.step
     c1 = 1.0 - ADAM_BETA1**t

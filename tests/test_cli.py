@@ -1326,6 +1326,17 @@ class TestCompareCommand:
         assert "sizes 1, 5" in err and "--size" in err
         assert main(["compare", "--results-dir", str(root), "--size", "5"]) == 0
 
+    def test_size_with_no_runs_names_the_sizes_present(self, tmp_path, capsys):
+        root = tmp_path / "res"
+        for split in (0, 1):
+            self.fake_result(root, "gcn", "d1", 1, split, 0.9)
+            self.fake_result(root, "sgcn", "d1", 4, split, 0.8)
+        for size in ("3", "0"):
+            assert main(["compare", "--results-dir", str(root), "--size", size]) == 2
+            assert capsys.readouterr().err.strip().splitlines()[-1] == (
+                f"error: no run results at size {size} under {root} (sizes present: 1, 4)"
+            )
+
     def test_report_written_to_file(self, tmp_path, capsys):
         root = tmp_path / "res"
         self.fake_result(root, "gcn", "d1", 1, 0, 0.9)

@@ -222,6 +222,25 @@ class TestAdam:
         with pytest.raises(UsageError):
             adam_step([np.zeros((2, 2))], [], state, lr=0.1)
 
+    @pytest.mark.parametrize(
+        "grad, words",
+        [
+            (np.ones((1, 2), dtype=np.float32), ["gradient 1", "(1, 2)", "(3, 2)"]),
+            (np.ones((3, 2), dtype=np.float64), ["gradient 1", "float64", "float32"]),
+        ],
+        ids=["broadcastable-shape", "float64-for-float32"],
+    )
+    def test_refuses_a_mismatched_gradient_before_changing_state(self, grad, words):
+        params = [np.ones((2, 2), dtype=np.float32), np.ones((3, 2), dtype=np.float32)]
+        state = AdamState.for_params(params)
+        adam_step(params, [np.ones_like(p) for p in params], state, lr=0.1)
+        before = [a.tobytes() for a in (*state.m, *state.v)]
+        with pytest.raises(UsageError) as info:
+            adam_step(params, [np.ones_like(params[0]), grad], state, lr=0.1)
+        assert all(w in str(info.value) for w in words)
+        assert state.step == 1
+        assert [a.tobytes() for a in (*state.m, *state.v)] == before
+
 
 class TestTrainConfig:
     def test_defaults(self):
