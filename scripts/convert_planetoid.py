@@ -80,7 +80,7 @@ def convert(src: Path, name: str, out: Path, val_size: int = 500) -> None:
     (out / "graph.txt").write_text("".join(f"{u} {v}\n" for u, v in sorted(edges)))
     coo = features.tocoo()
     (out / "features.txt").write_text(
-        "".join(f"{r} {c} {v:.6g}\n" for r, c, v in zip(coo.row, coo.col, coo.data))
+        "".join(f"{r} {c} {float(v)!r}\n" for r, c, v in zip(coo.row, coo.col, coo.data))
     )
     (out / "labels.txt").write_text(
         "".join(f"{i} {int(c)}\n" for i, c in enumerate(labels))

@@ -49,9 +49,10 @@ from .networks import (
     estimate_cost,
     forward,
     preset,
+    restrict,
     spec_from_dict,
 )
-from .training import TrainConfig, _one_blas_thread, _restrict_to, gradient_check, train
+from .training import TrainConfig, _one_blas_thread, gradient_check, train
 
 __all__ = ["SweepTrial", "run_sweep", "sample_config", "main"]
 
@@ -255,9 +256,9 @@ def _test_accuracy(net, params, dataset: Dataset, split, config: TrainConfig) ->
     in config.precision (see restrict): every test pass the CLI runs. numpy's
     OpenBLAS holds one thread for it, so a two-thread product leaves no BLAS
     worker spinning into whatever runs next (propmodel-sweep's next fit)."""
-    part, labels = _restrict_to(net, dataset, split.test, config.precision, "infer")
+    part = restrict(net, split.test, config.precision, "infer")
     with _one_blas_thread():
-        return accuracy(forward(part, params)[0], labels, part.positions)
+        return accuracy(forward(part, params)[0], dataset.labels[part.rows], part.positions)
 
 
 def _resolve_method(args, topology: GraphTopology | None = None, refusal: str | None = None):

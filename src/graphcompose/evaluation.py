@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DataError, UsageError, _is_int
+from .errors import DataError, UsageError, _is_int, _row_ids
 
 __all__ = [
     "RunResult",
@@ -22,10 +22,9 @@ __all__ = [
 def accuracy(p_bar, labels, node_set) -> float:
     """Fraction of nodes whose argmax class matches the label. Argmax ties
     resolve to the lowest class index."""
-    idx = np.asarray(node_set, dtype=np.int64).ravel()
-    if idx.size == 0:
-        raise UsageError("accuracy needs a nonempty node set")
-    preds = np.argmax(np.asarray(p_bar)[idx], axis=1)
+    p_bar = np.asarray(p_bar)
+    idx = _row_ids(node_set, "accuracy", p_bar.shape[0])
+    preds = np.argmax(p_bar[idx], axis=1)
     return float(np.mean(preds == np.asarray(labels)[idx]))
 
 

@@ -3,11 +3,11 @@
 A NetworkSpec is an ordered list of stages: feature propagation (FP), MLP,
 linear classifier, GCN block, softmax, and label propagation (LP). Compilation
 validates the composition rules, splits any leading smoothing prefix off the
-chain when features are supplied, and produces a flat layer chain executed by
-forward/backward. restrict() cuts a compiled network down to the rows a set of
-output rows depends on and folds the prefix into those rows of its input,
-held as scipy CSR when it is sparse (see SPARSE_INPUT_DENSITY); a copy for
-inference on a CSR fold instead smooths after the first linear.
+chain when features are supplied, and produces a flat layer chain. restrict()
+cuts it down to the rows a set of output rows depends on and folds the prefix
+into those rows of its input, held as scipy CSR when it is sparse (see
+SPARSE_INPUT_DENSITY); forward/backward run only such a copy, and one for
+inference on a CSR fold smooths after the first linear instead.
 
 The Primitives section holds each chain entry's math: spmm (smoothing) and
 the linear, relu, row-softmax and dropout forwards, each with its vjp. Chain
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DataError, UsageError, _is_int
+from .errors import DataError, UsageError, _is_int, _row_ids
 from .graph import PropagationOperator
 
 __all__ = [
@@ -569,10 +569,10 @@ class CompiledNetwork:
     """The entry chain and its input: the features, with the smoothing prefix
     to fold into them at the densify hop (see _fold_plan), or None for a
     network compiled without features, which can be inspected but not run.
-    A copy made by restrict() (memoized in `restricted`) holds a folded input,
-    or, when infer_only, the raw feature rows with the prefix blocks run after
-    the first linear; its positions map requested rows to output rows (None
-    over every node)."""
+    Only a copy made by restrict() (memoized in `restricted`) runs: it holds
+    a folded input, or, when infer_only, the raw feature rows with the prefix
+    blocks run after the first linear. Its `rows` are its output rows and
+    `positions` maps requested rows to them (both None on a compiled network)."""
 
     layers: tuple
     param_shapes: tuple[tuple[int, int], ...]
@@ -580,6 +580,7 @@ class CompiledNetwork:
     dropout: float
     cost: CostEstimate | None
     positions: np.ndarray | None = None
+    rows: np.ndarray | None = None
     prefix: tuple = ()
     densify: int | None = None
     infer_only: bool = False
@@ -765,11 +766,10 @@ def _fold(x, matrices, densify: int | None, dtype):
     only on their own rows of the matrix and a float64 to float32 cast is
     elementwise, so the result is bitwise the whole products' cast to dtype,
     without a whole sparse product or a float64 twin of the result."""
-    if densify is None:  # x may be a copy's dense input, restricted again
+    if densify is None:
         for m in matrices:
             x = spmm(m, x)
-        if sp.issparse(x):
-            x.sort_indices()
+        x.sort_indices()
         return x.astype(dtype, copy=False)
     whole = max(densify - 1, 0)
     for m in matrices[:whole]:
@@ -805,15 +805,16 @@ _INFER_ONLY = (
     "this copy was restricted for infer mode: it smooths after the first linear, "
     "so train-mode dropout would fall on unsmoothed features"
 )
+_UNRESTRICTED = "only a copy made by restrict(net, rows) runs, not a compiled network"
 
 
 def forward(net: CompiledNetwork, params, *, mode: str = "infer", rng=None):
-    """Run the chain from the network's input. Returns (output, states):
+    """Run the chain of a copy made by restrict. Returns (output, states):
     states is the list of entry caches in chain order, which backward consumes,
     or None in infer mode. The parameters must have the network's shapes, and
     a train-mode pass of a network compiled with dropout needs its rng."""
-    if net.x_bar is None:
-        raise UsageError("network was compiled without features; it has no input to run")
+    if net.positions is None:
+        raise UsageError(_UNRESTRICTED)
     if mode not in ("train", "infer"):
         raise UsageError(f"forward mode must be 'train' or 'infer', got {mode!r}")
     shapes = tuple(np.shape(p) for p in params)
@@ -824,8 +825,6 @@ def forward(net: CompiledNetwork, params, *, mode: str = "infer", rng=None):
         raise UsageError(_INFER_ONLY)
     if training and net.dropout > 0.0 and rng is None:
         raise UsageError("a train-mode forward with dropout needs an explicit rng stream")
-    if net.prefix or net.densify is not None:  # fold once: run the copy over every row
-        net = restrict(net, np.arange(net.x_bar.shape[0]))
     h = net.x_bar
     caches: list = []
     for entry in net.layers:
@@ -842,12 +841,12 @@ def backward(net: CompiledNetwork, states: list | None, d_output):
     The pass ends at the first linear: nothing before it has parameters.
     It consumes states (one backward per train-mode forward): each cache is
     popped as its vjp runs, freeing it then, and the list is left empty."""
+    if net.positions is None:
+        raise UsageError(_UNRESTRICTED)
     if states is None:
         raise UsageError("backward needs the states returned by a train-mode forward")
     if net.infer_only:
         raise UsageError(_INFER_ONLY)
-    if net.prefix or net.densify is not None:  # forward ran its copy over every row
-        net = restrict(net, np.arange(net.x_bar.shape[0]))
     if len(states) != len(net.layers):  # another chain's states, or a consumed list
         raise UsageError(f"backward got {len(states)} states for {len(net.layers)} chain entries")
     grads = [None] * len(net.param_shapes)
@@ -897,15 +896,6 @@ def estimate_cost(spec: NetworkSpec, n: int, num_edges: int, d: int, num_classes
     )
 
 
-def _row_ids(rows, what: str) -> np.ndarray:
-    """rows as a flat int64 array. Python and numpy integers pass; floats and
-    bools, which numpy would truncate or read as 0 and 1, are a UsageError."""
-    ids = np.asarray(rows)
-    if ids.size and ids.dtype.kind not in "iu":
-        raise UsageError(f"{what} needs integer row ids, got {ids.dtype} values")
-    return ids.astype(np.int64, copy=False).ravel()
-
-
 def restrict(net: CompiledNetwork, rows, dtype=np.float64, mode: str = "train") -> CompiledNetwork:
     """A copy of net, in precision dtype (float32 or float64), that computes
     only the output rows `rows` and what they read, for forwards in mode.
@@ -915,15 +905,16 @@ def restrict(net: CompiledNetwork, rows, dtype=np.float64, mode: str = "train") 
     copy holds the block S[rows_out][:, rows_in] as CSR; every other entry
     acts row by row and keeps the row set. The walk goes on through the
     smoothing prefix, whose blocks fold the input on the last row set (see
-    _fold). The copy's output holds the rows np.unique(rows) in order, and
-    its positions field maps each requested row to its output row. Rows
-    outside the receptive field contribute nothing to the rows read, so the
-    copy's outputs on them and its parameter gradients equal the full chain's.
+    _fold). The copy's output rows, np.unique(rows) in order, are its `rows`,
+    and its positions map each requested row to its output row. Rows outside
+    the receptive field contribute nothing to the rows read, so the copy's
+    outputs on them and its parameter gradients equal the full chain's.
     Train-mode dropout draws over the restricted rows only. The fold computes
     in float64 and writes its dense rows in dtype block by block; the blocks
     and a CSR input are cast to dtype once built. Either way each value is
-    its float64 value rounded once to dtype, and a CSR input stays CSR.
-    Row ids that are not integers (floats, bools) are a UsageError.
+    its float64 value rounded once to dtype, and a CSR input stays CSR. Row
+    ids that are not integers or lie outside [0, n), a copy, and a network
+    compiled without features are a UsageError.
 
     An infer-mode copy of a network whose fold stays CSR (densify None) does
     not fold: with no dropout, (S_k ... S_1 X) W equals S_k ... S_1 (X W), so
@@ -933,6 +924,8 @@ def restrict(net: CompiledNetwork, rows, dtype=np.float64, mode: str = "train") 
     and it refuses train-mode passes. Any other infer-mode copy is the
     train-mode one. The copy is memoized on net by the rows as given, dtype
     and mode."""
+    if net.positions is not None:
+        raise UsageError("restrict takes a compiled network, not a copy restrict made")
     if net.x_bar is None:
         raise UsageError("network was compiled without features; it has no input to restrict")
     dtype = np.dtype(dtype)
@@ -941,11 +934,9 @@ def restrict(net: CompiledNetwork, rows, dtype=np.float64, mode: str = "train") 
     if mode not in ("train", "infer"):
         raise UsageError(f"restrict mode must be 'train' or 'infer', got {mode!r}")
     infer_only = mode == "infer" and bool(net.prefix) and net.densify is None
-    rows = _row_ids(rows, "restrict")
+    rows = _row_ids(rows, "restrict", net.x_bar.shape[0])
     if (key := (rows.tobytes(), dtype.str, infer_only)) in net.restricted:
         return net.restricted[key]
-    if rows.size == 0 or rows.min() < 0 or rows.max() >= net.x_bar.shape[0]:
-        raise UsageError(f"restrict needs a nonempty set of rows in [0, {net.x_bar.shape[0]})")
     needed = kept = np.unique(rows)
     layers, blocks = [], []
     for entry in (*reversed(net.layers), *map(_Smooth, reversed(net.prefix))):
@@ -976,6 +967,6 @@ def restrict(net: CompiledNetwork, rows, dtype=np.float64, mode: str = "train") 
         x_bar = _fold(x_bar, blocks, net.densify, dtype)
     return net.restricted.setdefault(key, dataclasses.replace(
         net, layers=tuple(layers), x_bar=x_bar,
-        positions=np.searchsorted(kept, rows), prefix=(), densify=None,
-        infer_only=infer_only or net.infer_only,
+        positions=np.searchsorted(kept, rows), rows=kept, prefix=(), densify=None,
+        infer_only=infer_only,
     ))

@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import NumericError, UsageError, _is_int
+from .errors import NumericError, UsageError, _is_int, _row_ids
 from .evaluation import accuracy
-from .networks import CompiledNetwork, _row_ids, backward, forward, init_params, restrict
+from .networks import CompiledNetwork, backward, forward, init_params, restrict
 
 __all__ = [
     "PROB_FLOOR",
@@ -87,9 +87,7 @@ def masked_cross_entropy(p_bar, labels, labeled_set):
     """
     p_bar = np.asarray(p_bar)
     labels = np.asarray(labels)
-    idx = _row_ids(labeled_set, "masked cross-entropy")
-    if idx.size == 0:
-        raise UsageError("masked cross-entropy needs a nonempty labeled set")
+    idx = _row_ids(labeled_set, "masked cross-entropy", p_bar.shape[0])
     true = labels[idx]
     p = np.maximum(p_bar[idx, true], PROB_FLOOR)
     loss = float(-np.log(p).mean())
@@ -161,12 +159,6 @@ class TrainHistory:
             lines.append(f"{e}\t{loss:.10g}\t{acc:.10g}")
         lines.append(f"# best_epoch {self.best_epoch} best_val {self.best_val_accuracy:.10g}")
         return "\n".join(lines) + "\n"
-
-
-def _restrict_to(net: CompiledNetwork, dataset, rows, dtype=np.float64, mode="train"):
-    """restrict(net, rows, dtype, mode) and the labels of the copy's output rows."""
-    part = restrict(net, rows, dtype, mode)
-    return part, dataset.labels[np.unique(np.asarray(rows, dtype=np.int64))]
 
 
 def _seeded_start(net: CompiledNetwork, config: TrainConfig):
@@ -328,7 +320,8 @@ def _fit_validated(net: CompiledNetwork, dataset, val_rows, config: TrainConfig,
     so it runs in order. On a worker thread (a sweep's pool), which already
     shares the cores, the loop runs in order and leaves the BLAS thread count
     alone. The output bytes are the same in every case."""
-    val_net, val_labels = _restrict_to(net, dataset, val_rows, config.precision, "infer")
+    val_net = restrict(net, val_rows, config.precision, "infer")
+    val_labels = dataset.labels[val_net.rows]
 
     def evaluate(state) -> float:
         val_out, _ = forward(val_net, params_of(state))
@@ -368,7 +361,8 @@ def train(net: CompiledNetwork, dataset, split, config: TrainConfig):
         )
     if len(split.train) == 0 or len(split.val) == 0:
         raise UsageError("train needs nonempty train and val sets")
-    train_net, train_labels = _restrict_to(net, dataset, split.train, config.precision)
+    train_net = restrict(net, split.train, config.precision)
+    train_labels = dataset.labels[train_net.rows]
     params, dropout_rng = _seeded_start(net, config)
     adam = AdamState.for_params(params)
 
@@ -412,7 +406,8 @@ def gradient_check(
         raise UsageError(f"gradient check tolerance must be finite and > 0, got {tolerance}")
     if labeled_set is None:
         labeled_set = np.arange(len(dataset.labels))
-    part, labels = _restrict_to(net, dataset, labeled_set)
+    part = restrict(net, labeled_set)
+    labels = dataset.labels[part.rows]
     params = init_params(net, np.random.default_rng(np.random.SeedSequence(seed)), np.float64)
 
     out, states = forward(part, params, mode="train")

@@ -46,6 +46,7 @@ from .conftest import (
     np_softmax,
     planted_dataset,
     ring_topology,
+    whole,
 )
 
 # ---------------------------------------------------------------------------
@@ -140,7 +141,7 @@ def sweep_test_accuracy(dataset, split, method_name, budget=200, sweep_seed=0, l
             dropout=config.dropout,
         )
         params, history = train(net, dataset, split, config)
-        return history.best_val_accuracy, lambda: forward(net, params)[0]
+        return history.best_val_accuracy, lambda: forward(whole(net), params)[0]
 
     keys = _LOSS_WEIGHT_KEYS if is_lpnn else ("hidden_dim",)
     _, predict, _ = run_sweep(run_one, budget, sweep_seed, keys=keys)
@@ -183,12 +184,12 @@ def test_criterion_01_gradient_suite_covers_every_preset_and_the_joint_field():
     labeled = [0, 2, 5]
 
     def total_loss(fv, ps):
-        g_out, _ = forward(g_net, ps)
+        g_out, _ = forward(whole(g_net), ps)
         return lpnn_loss(fv, g_out, op.matrix, dataset.labels, labeled, weights)[0]
 
-    g_out, states = forward(g_net, g_params, mode="train")
+    g_out, states = forward(whole(g_net), g_params, mode="train")
     base_loss, d_f, d_g_out = lpnn_loss(f, g_out, op.matrix, dataset.labels, labeled, weights)
-    d_params = backward(g_net, states, d_g_out)
+    d_params = backward(whole(g_net), states, d_g_out)
 
     # The loss here is ~40, so central differences on entries whose gradient
     # is near zero bottom out at the float64 noise floor; scale the relative
@@ -243,7 +244,7 @@ def test_criterion_02_closed_form_equivalences():
     # form softmax((S(SX))W): identical spmm sequences, so exact equality.
     folded = compile_network(preset("sgcn"), ops, 6, 3, features=x)
     params = init_params(folded, np.random.default_rng(52))
-    out_folded, _ = forward(folded, params)
+    out_folded, _ = forward(whole(folded), params)
     manual = softmax_rows_forward(spmm(ops["symmetric"].matrix, spmm(ops["symmetric"].matrix, x)) @ params[0])
     np.testing.assert_array_equal(out_folded, manual)
 
@@ -252,21 +253,21 @@ def test_criterion_02_closed_form_equivalences():
 
     gcn = compile_network(preset("gcn"), ops, 6, 3, features=x)
     p_gcn = init_params(gcn, np.random.default_rng(53))
-    out_gcn, _ = forward(gcn, p_gcn)
+    out_gcn, _ = forward(whole(gcn), p_gcn)
     np.testing.assert_allclose(
         out_gcn, np_softmax(s @ np_relu(s @ x @ p_gcn[0]) @ p_gcn[1]), atol=1e-10
     )
 
     fpmlp = compile_network(preset("fp-mlp"), ops, 6, 3, features=x)
     p_fp = init_params(fpmlp, np.random.default_rng(54))
-    out_fp, _ = forward(fpmlp, p_fp)
+    out_fp, _ = forward(whole(fpmlp), p_fp)
     np.testing.assert_allclose(
         out_fp, np_softmax(np_relu(s @ s @ x @ p_fp[0]) @ p_fp[1]), atol=1e-10
     )
 
     linlp = compile_network(preset("linear-lp", lp_layers=2), ops, 6, 3, features=x)
     p_ll = init_params(linlp, np.random.default_rng(55))
-    out_ll, _ = forward(linlp, p_ll)
+    out_ll, _ = forward(whole(linlp), p_ll)
     np.testing.assert_allclose(out_ll, r @ r @ np_softmax(x @ p_ll[0]), atol=1e-10)
 
     print("\n[criterion 2] PASS (exact precomputed match, closed forms at 1e-10)")
@@ -314,8 +315,8 @@ def test_criterion_04_propagation_model_special_cases():
     with_lp = compile_network(preset("linear-lp", lp_layers=3), ops_identity, 5, 3, features=x)
     without_lp = compile_network(preset("linear-lp", lp_layers=0), ops_plain, 5, 3, features=x)
     params = init_params(with_lp, np.random.default_rng(82))
-    out_lp, _ = forward(with_lp, params)
-    out_plain, _ = forward(without_lp, params)
+    out_lp, _ = forward(whole(with_lp), params)
+    out_plain, _ = forward(whole(without_lp), params)
     np.testing.assert_allclose(out_lp, out_plain, atol=1e-12)
 
     print("\n[criterion 4] PASS (special cases bitwise equal, identity-mix lp is a no-op)")

@@ -35,7 +35,7 @@ def write_raw(src: Path):
         [1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 1], [1, 1, 0, 0], [0, 0, 0, 1], [1, 0, 1, 0],
     ], dtype=np.float64))
     ally = one_hot([0, 1, 2, 0, 1, 2])
-    tx = sp.csr_matrix(np.array([[0, 2, 0, 1], [1, 0, 0, 0], [0, 1, 1, 1]], dtype=np.float64))
+    tx = sp.csr_matrix(np.array([[0, 2, 0, 0.0123456789], [1, 0, 0, 0], [0, 1, 1, 1]]))
     ty = one_hot([2, 1, 1])
     test_index = [9, 6, 8]
     # 0-0 is a self-loop; 0-1 is listed from both ends and twice from 0.
@@ -70,7 +70,7 @@ def test_converted_dataset_loads_with_its_standard_split(tmp_path):
     dense = ds.features.toarray()
     rows = tx.toarray()
     for i, node in enumerate(test_index):
-        np.testing.assert_allclose(dense[node], rows[i] / np.linalg.norm(rows[i]), rtol=1e-6)
+        np.testing.assert_allclose(dense[node], rows[i] / np.linalg.norm(rows[i]), rtol=1e-12)
         assert ds.labels[node] == np.argmax(ty[i])
     gap = 7
     assert not dense[gap].any()

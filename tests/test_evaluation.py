@@ -31,6 +31,19 @@ class TestAccuracy:
         with pytest.raises(UsageError):
             accuracy(np.ones((2, 2)), np.array([0, 1]), [])
 
+    @pytest.mark.parametrize("ids", [[1.7], [True, False], np.array([0.0, 1.0])],
+                             ids=["floats", "bools", "float-array"])
+    def test_rejects_node_ids_that_are_not_integers(self, ids):
+        # numpy would read [1.7] as row 1 and [True, False] as rows [1, 0].
+        with pytest.raises(UsageError, match="accuracy needs integer row ids"):
+            accuracy(np.eye(2), np.array([0, 1]), ids)
+
+    @pytest.mark.parametrize("ids", [[-1], [2]], ids=["negative", "past-the-end"])
+    def test_rejects_node_ids_outside_the_rows(self, ids):
+        # numpy would read -1 as the last row, and fail on 2 with an IndexError.
+        with pytest.raises(UsageError, match=r"accuracy needs a nonempty set of rows in \[0, 2\)"):
+            accuracy(np.eye(2), np.array([0, 1]), ids)
+
 
 class TestAggregate:
     def test_mean_and_sample_std(self):

@@ -30,7 +30,7 @@ from graphcompose.networks import (
 
 from graphcompose.training import TrainConfig
 
-from .conftest import dense, np_softmax, ring_topology
+from .conftest import dense, np_softmax, ring_topology, whole
 
 # A six-node ring's operator, for networks built only to reach forward's checks.
 OP = build_operator(ring_topology(6), "symmetric")
@@ -154,8 +154,8 @@ class TestLinear:
         expected = r"expected parameter shapes \(\(3, 4\), \(4, 2\)\), got"
         for bad in ([np.zeros((4, 4)), good[1]], [good[0], np.zeros((4, 5))], good[:1]):
             with pytest.raises(UsageError, match=expected):
-                forward(net, bad)
-        assert forward(net, [p.astype(np.float32) for p in good])[0].shape == (6, 2)
+                forward(whole(net), bad)
+        assert forward(whole(net), [p.astype(np.float32) for p in good])[0].shape == (6, 2)
 
     def test_vjp_against_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -385,11 +385,11 @@ class TestDropout:
                               features=np.ones((6, 3)), dropout=0.5)
         params = init_params(net, np.random.default_rng(0))
         with pytest.raises(UsageError, match="forward with dropout needs an explicit rng"):
-            forward(net, params, mode="train")
-        assert forward(net, params)[1] is None
+            forward(whole(net), params, mode="train")
+        assert forward(whole(net), params)[1] is None
         no_dropout = compile_network(preset("fp-mlp"), {"symmetric": OP}, 3, 2,
                                      features=np.ones((6, 3)))
-        assert len(forward(no_dropout, params, mode="train")[1]) == len(no_dropout.layers)
+        assert len(forward(whole(no_dropout), params, mode="train")[1]) == len(no_dropout.layers)
 
     def test_rejects_rate_one(self):
         # The rate is checked where it enters: the compiler and the run config.

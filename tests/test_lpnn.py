@@ -245,7 +245,7 @@ class TestGNetwork:
         net = compile_network(G_SPEC, {}, d, c, features=dataset.features)
         assert sp.issparse(whole(net).x_bar)
         params = init_params(net, np.random.default_rng(3))
-        out, _ = forward(net, params)
+        out, _ = forward(whole(net), params)
         ref, _ = run(unroll(G_SPEC, {}), dataset.features, params)
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
 

@@ -345,16 +345,16 @@ class TestForwardBackward:
     def test_train_mode_returns_states_infer_does_not(self, ops, x14):
         net = compile_network(preset("gcn"), ops, 5, 3, features=x14)
         params = init_params(net, np.random.default_rng(5))
-        _, states = forward(net, params, mode="train")
+        _, states = forward(whole(net), params, mode="train")
         assert states is not None and len(states) == len(net.layers)
-        _, none_states = forward(net, params, mode="infer")
+        _, none_states = forward(whole(net), params, mode="infer")
         assert none_states is None
 
     def test_dropout_train_differs_infer_matches_expectation(self, ops, x14):
         net = compile_network(preset("sgcn"), ops, 5, 3, features=x14, dropout=0.5)
         params = init_params(net, np.random.default_rng(6))
-        out_infer, _ = forward(net, params)
-        out_train, _ = forward(net, params, mode="train", rng=np.random.default_rng(7))
+        out_infer, _ = forward(whole(net), params)
+        out_train, _ = forward(whole(net), params, mode="train", rng=np.random.default_rng(7))
         assert not np.allclose(out_infer, out_train)
 
     def test_forward_without_input(self, ops):
@@ -362,26 +362,37 @@ class TestForwardBackward:
         with pytest.raises(UsageError):
             forward(net, init_params(net, np.random.default_rng(8)))
 
+    def test_forward_refuses_a_compiled_network(self, ops, x14):
+        net = compile_network(preset("gcn"), ops, 5, 3, features=x14)
+        with pytest.raises(UsageError, match="only a copy made by restrict"):
+            forward(net, init_params(net, np.random.default_rng(8)))
+
+    def test_backward_refuses_a_compiled_network(self, ops, x14):
+        net = compile_network(preset("gcn"), ops, 5, 3, features=x14)
+        _, states = forward(whole(net), init_params(net, np.random.default_rng(8)), mode="train")
+        with pytest.raises(UsageError, match="only a copy made by restrict"):
+            backward(net, states, np.ones((14, 3)))
+
     def test_forward_refuses_an_unknown_mode(self, ops, x14):
         net = compile_network(preset("gcn"), ops, 5, 3, features=x14)
         params = init_params(net, np.random.default_rng(8))
         with pytest.raises(UsageError, match="forward mode must be 'train' or 'infer', got 'eval'"):
-            forward(net, params, mode="eval")
+            forward(whole(net), params, mode="eval")
 
     def test_forward_checks_param_count(self, ops, x14):
         net = compile_network(preset("gcn"), ops, 5, 3, features=x14)
         with pytest.raises(UsageError):
-            forward(net, [])
+            forward(whole(net), [])
 
     def test_backward_requires_states(self, ops, x14):
         net = compile_network(preset("sgcn"), ops, 5, 3, features=x14)
         with pytest.raises(UsageError):
-            backward(net, None, np.zeros((14, 3)))
+            backward(whole(net), None, np.zeros((14, 3)))
 
     def test_backward_consumes_states(self, ops, x14, monkeypatch):
         net = compile_network(preset("gcn"), ops, 5, 3, features=x14, dropout=0.5)
         params = init_params(net, np.random.default_rng(8))
-        out, states = forward(net, params, mode="train", rng=np.random.default_rng(9))
+        out, states = forward(whole(net), params, mode="train", rng=np.random.default_rng(9))
         # Dropout and relu masks, softmax outputs, and each linear's input.
         arrays = [c[0] if isinstance(c, tuple) else c for c in states]
         refs = [(i, weakref.ref(a)) for i, a in enumerate(arrays) if a is not None]
@@ -398,23 +409,23 @@ class TestForwardBackward:
             return original(x, w, upstream, input_grad)
 
         monkeypatch.setattr(networks, "linear_vjp", spy)
-        backward(net, states, np.ones((14, 3)))
+        backward(whole(net), states, np.ones((14, 3)))
         assert states == [] and alive_then == [[]]
         assert [i for i, r in refs if r() is not None] == []
 
     def test_backward_refuses_states_of_another_length(self, ops, x14):
         net = compile_network(preset("gcn"), ops, 5, 3, features=x14)
         params = init_params(net, np.random.default_rng(8))
-        _, states = forward(net, params, mode="train")
+        _, states = forward(whole(net), params, mode="train")
         entries = len(net.layers)
-        backward(net, states, np.ones((14, 3)))
+        backward(whole(net), states, np.ones((14, 3)))
         with pytest.raises(UsageError, match=f"got 0 states for {entries} chain entries"):
-            backward(net, states, np.ones((14, 3)))
+            backward(whole(net), states, np.ones((14, 3)))
         other = compile_network(preset("sgcn"), ops, 5, 3, features=x14)
-        _, states = forward(other, init_params(other, np.random.default_rng(8)), mode="train")
+        _, states = forward(whole(other), init_params(other, np.random.default_rng(8)), mode="train")
         assert len(states) != entries
         with pytest.raises(UsageError, match=f"got {len(states)} states for {entries} chain"):
-            backward(net, states, np.ones((14, 3)))
+            backward(whole(net), states, np.ones((14, 3)))
 
 
 class TestPrecomputeFp:
@@ -580,7 +591,7 @@ class TestBackwardStopsAtFirstLinear:
     def test_first_dropout_vjp_never_runs(self, ops, x14, name, monkeypatch):
         net = compile_network(preset(name), ops, 5, 3, features=x14, dropout=0.5)
         params = init_params(net, np.random.default_rng(38))
-        _, states = forward(net, params, mode="train", rng=np.random.default_rng(39))
+        _, states = forward(whole(net), params, mode="train", rng=np.random.default_rng(39))
         kinds = entry_kinds(net)
         assert kinds[:2] == ("dropout", "linear")
         first_mask = states[0]
@@ -592,7 +603,7 @@ class TestBackwardStopsAtFirstLinear:
             return original(mask, rate, upstream)
 
         monkeypatch.setattr(networks, "dropout_vjp", spy)
-        backward(net, states, np.ones((14, 3)))
+        backward(whole(net), states, np.ones((14, 3)))
         assert len(masks) == kinds.count("dropout") - 1
         assert all(mask is not first_mask for mask in masks)
 
@@ -706,14 +717,16 @@ class TestFoldOnDemand:
         assert len(folds) == 3
         # A whole-network pass runs the memoized copy over every row.
         params = init_params(net, np.random.default_rng(48))
-        first, _ = forward(net, params)
-        second, _ = forward(net, params)
+        first, _ = forward(whole(net), params)
+        second, _ = forward(whole(net), params)
         assert len(folds) == 4
         assert restrict(net, np.arange(dataset.num_nodes)) is restrict(net, range(dataset.num_nodes))
         assert len(folds) == 4
         np.testing.assert_array_equal(first, second)
-        # A copy has its own memo, and nothing left to fold.
-        assert part.restricted == {} and part.prefix == () and part.densify is None
+        # A copy has nothing left to fold, and is not restricted again.
+        assert part.prefix == () and part.densify is None
+        with pytest.raises(UsageError, match="not a copy restrict made"):
+            restrict(part, [0])
 
     def test_dense_plan_compiles_without_a_nodes_by_features_array(self):
         dataset = sparse_planted_dataset(2000, 3, 200, 0.10, seed=45)
@@ -821,7 +834,7 @@ class TestInferCopy:
         with pytest.raises(UsageError, match="unsmoothed features"):
             backward(infer, states, np.zeros((np.unique(self.ROWS).size, 3)))
         # A whole-network pass still folds, in either mode.
-        assert forward(net, params, mode="train", rng=np.random.default_rng(52))[1] is not None
+        assert forward(whole(net), params, mode="train", rng=np.random.default_rng(52))[1] is not None
 
     def test_cora_shaped_val_copy_stores_less_than_the_fold(self, tmp_path):
         root = tmp_path / "cora"
@@ -1106,6 +1119,7 @@ def check_copy(case, x, net, steps, mode):
             masks.append(full)
     ref, vjp = run(steps, x, params, masks, case.rate)
     assert out.dtype == dtype
+    assert np.array_equal(part.rows, np.unique(rows))
     assert_close(out[part.positions], ref[rows], dtype)
     if states is None:
         return

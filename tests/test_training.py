@@ -91,6 +91,12 @@ class TestMaskedCrossEntropy:
         with pytest.raises(UsageError, match="integer row ids"):
             masked_cross_entropy(np.ones((2, 2)) / 2, np.array([0, 1]), ids)
 
+    @pytest.mark.parametrize("ids", [[-1], [2]], ids=["negative", "past-the-end"])
+    def test_ids_outside_the_rows_rejected(self, ids):
+        # numpy would read -1 as the last row, and fail on 2 with an IndexError.
+        with pytest.raises(UsageError, match=r"cross-entropy needs a nonempty set of rows in \[0, 2\)"):
+            masked_cross_entropy(np.ones((2, 2)) / 2, np.array([0, 1]), ids)
+
     def test_integer_ids_of_any_width_agree(self):
         p = np.array([[0.5, 0.5], [0.25, 0.75], [0.9, 0.1]])
         labels = np.array([0, 1, 0])
@@ -304,7 +310,7 @@ class TestTrain:
         dataset, split, net = setup
         config = TrainConfig(dropout=0.0, max_epochs=80, patience=80, seed=1, precision="float64")
         params, history = train(net, dataset, split, config)
-        test_out, _ = forward(net, params)
+        test_out, _ = forward(whole(net), params)
         acc = accuracy(test_out, dataset.labels, np.asarray(split.test))
         assert acc > 0.6
         assert history.best_val_accuracy >= history.val_accuracy[0]
@@ -313,7 +319,7 @@ class TestTrain:
         dataset, split, net = setup
         config = TrainConfig(dropout=0.0, max_epochs=40, patience=40, seed=2, precision="float64")
         params, history = train(net, dataset, split, config)
-        out, _ = forward(net, params)
+        out, _ = forward(whole(net), params)
         val_acc = accuracy(out, dataset.labels, np.asarray(split.val))
         assert val_acc == pytest.approx(history.best_val_accuracy, abs=1e-12)
         assert history.val_accuracy[history.best_epoch - 1] == pytest.approx(
@@ -495,12 +501,12 @@ class TestRestrictedTraining:
         adam = AdamState.for_params(ref)
         losses, accs = [], []
         for _ in range(config.max_epochs):
-            out, states = forward(net, ref, mode="train")
+            out, states = forward(whole(net), ref, mode="train")
             loss, d_p = masked_cross_entropy(out, dataset.labels, split.train)
-            ref = adam_step(ref, backward(net, states, d_p), adam,
+            ref = adam_step(ref, backward(whole(net), states, d_p), adam,
                             config.learning_rate, config.weight_decay)
             losses.append(loss)
-            accs.append(accuracy(forward(net, ref)[0], dataset.labels, split.val))
+            accs.append(accuracy(forward(whole(net), ref)[0], dataset.labels, split.val))
         np.testing.assert_allclose(history.train_loss, losses, rtol=0, atol=1e-12)
         assert history.val_accuracy == tuple(accs)
 
